@@ -101,44 +101,58 @@ def cmd_angle(args) -> int:
 
 
 def _sweep_rows(curve, axis: str, points: int):
+    """Rows of a sweep as (x, y, marginal_price, t_hat, u_hat) tuples, one at a time."""
     geom = curve.geom
     if not math.isfinite(geom.x_int):
         raise DomainError("spec", "sweeps need a curve with finite intercepts")
-    rows = []
+    last = points - 1
     for i in range(points):
-        frac = i / (points - 1)
+        frac = i / last
         if axis == "x":
             state = curve.state_from_x(geom.x_int * frac)
         else:
-            price = geom.p_high + (geom.p_low - geom.p_high) * frac
-            state = curve.state_at_price(price)
+            state = curve.state_at_price(geom.p_high + (geom.p_low - geom.p_high) * frac)
         marginal = curve.marginal_price(state)
-        magnitude = -marginal
-        rows.append({
-            "x": state.x,
-            "y": state.y,
-            "marginal_price": marginal,
-            "t_hat": t_hat_from_price(magnitude),
-            "u_hat": u_hat_from_price(magnitude),
-        })
-    return rows
+        yield state.x, state.y, marginal, t_hat_from_price(-marginal), u_hat_from_price(-marginal)
+
+
+# Every value in a sweep row is finite: PoolState checks x and y, the hypertrig
+# functions reject a non-finite price, and t_hat and u_hat are finite for any
+# finite positive price.  json spells a finite float as float.__repr__, so %r
+# gives the bytes of json.dumps(rows, indent=2) and of the repr-joined CSV.
+_SWEEP_FORMATS = {
+    # output: (head, row template, row separator, tail)
+    "json": ("[\n",
+             '  {\n    "x": %r,\n    "y": %r,\n    "marginal_price": %r,\n'
+             '    "t_hat": %r,\n    "u_hat": %r\n  }',
+             ",\n", "\n]\n"),
+    "csv": ("x,y,marginal_price,t_hat,u_hat\n", "%r,%r,%r,%r,%r\n", "", ""),
+}
+# Rows per stdout write: large enough to amortise the write, small enough to
+# keep memory flat in --points.
+SWEEP_CHUNK = 4096
 
 
 def cmd_sweep(args) -> int:
     if args.points < 2:
         raise DomainError("points", "must be at least 2")
     curve = curve_for(_load(args))
+    head, template, sep, tail = _SWEEP_FORMATS[args.output]
     rows = _sweep_rows(curve, args.axis, args.points)
-    if args.output == "csv":
-        print("x,y,marginal_price,t_hat,u_hat")
-        for row in rows:
-            print(",".join(repr(row[k]) for k in ("x", "y", "marginal_price", "t_hat", "u_hat")))
-    else:
-        _emit(rows)
+    # The head goes out with the first chunk, so an error there leaves stdout
+    # empty; an error in a later chunk leaves a truncated table.
+    lead = head
+    for start in range(0, args.points, SWEEP_CHUNK):
+        count = min(SWEEP_CHUNK, args.points - start)
+        sys.stdout.write(lead + sep.join([template % next(rows) for _ in range(count)]))
+        lead = sep
+    sys.stdout.write(tail)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
+    if args.cases < 1:
+        raise DomainError("cases", "must be at least 1")
     if args.spec:
         curve = curve_for(load_spec(args.spec))
         rng = random.Random(args.seed)

@@ -16,6 +16,7 @@ from .params import (
     ReferenceParams,
     ShiftedProductCurve,
     UniswapV3Params,
+    natural_asymptotes,
     validate,
 )
 from .reference import ReferenceCurve
@@ -40,7 +41,7 @@ class NaturalCurve(ShiftedProductCurve):
     def __post_init__(self):
         validate(self.params)
         c = self.params.c
-        x_asym, y_asym = self._asymptotes()
+        x_asym, y_asym = natural_asymptotes(self.params)
         object.__setattr__(self, "shift_x", -x_asym)
         object.__setattr__(self, "shift_y", -y_asym)
         object.__setattr__(self, "scale", c * x_asym * y_asym)
@@ -57,17 +58,6 @@ class NaturalCurve(ShiftedProductCurve):
             phi=math.log(c),
         ))
 
-    def _asymptotes(self) -> tuple[float, float]:
-        c = self.params.c
-        ax, ay = self.params.anchor_x, self.params.anchor_y
-        if self.params.anchor == "asymptotes":
-            return ax, ay
-        if self.params.anchor == "intercepts":
-            return -ax / (c - 1.0), -ay / (c - 1.0)
-        # center anchor: the shift is x0/(sqrt(c) - 1)
-        root = math.sqrt(c)
-        return -ax / (root - 1.0), -ay / (root - 1.0)
-
     def concentration(self) -> float:
         return self.params.c
 
@@ -76,7 +66,7 @@ class NaturalCurve(ShiftedProductCurve):
         return root / (root - 1.0)
 
     def center(self) -> tuple[float, float]:
-        x_asym, y_asym = self._asymptotes()
+        x_asym, y_asym = natural_asymptotes(self.params)
         factor = math.sqrt(self.params.c) - 1.0
         return -x_asym * factor, -y_asym * factor
 

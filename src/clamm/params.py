@@ -218,10 +218,12 @@ def validate(params: CurveParams) -> CurveParams:
         _check_finite_positive(params.p_high, "p_high")
         _check_finite_positive(params.p_low, "p_low")
         _require(params.p_low < params.p_high, "p_low", "must be < p_high")
+        _require(math.isfinite(params.L * params.L), "L", "L^2 must be finite")
     elif isinstance(params, CarbonParams):
         _check_finite_positive(params.a, "a")
         _check_finite_positive(params.b, "b")
         _check_finite_positive(params.z, "z")
+        _require(math.isfinite((params.z / params.a) * (params.z / params.a)), "z", "(z/a)^2 must be finite")
     elif isinstance(params, NaturalParams):
         _require(math.isfinite(params.c), "c", "must be finite")
         _require(params.c > 1, "c", "must exceed 1")
@@ -235,14 +237,40 @@ def validate(params: CurveParams) -> CurveParams:
         else:
             _require(params.anchor_x > 0, nx, "must be positive")
             _require(params.anchor_y > 0, ny, "must be positive")
+        x_asym, y_asym = natural_asymptotes(params)
+        _require(math.isfinite(params.c * x_asym * y_asym), "c", "c*x_asym*y_asym must be finite")
     else:
         raise DomainError("spec", f"unknown parameter type {type(params).__name__}")
     return params
 
 
+def natural_asymptotes(params: NaturalParams) -> tuple[float, float]:
+    """Asymptote pair (x_asym, y_asym) of a natural-form curve, whatever its anchor kind."""
+    c = params.c
+    ax, ay = params.anchor_x, params.anchor_y
+    if params.anchor == "asymptotes":
+        return ax, ay
+    if params.anchor == "intercepts":
+        return -ax / (c - 1.0), -ay / (c - 1.0)
+    # center anchor: the shift is x0/(sqrt(c) - 1)
+    root = math.sqrt(c)
+    return -ax / (root - 1.0), -ay / (root - 1.0)
+
+
 # ---------------------------------------------------------------------------
 # JSON spec schema: {"form": <tag>, ...fields}
 # ---------------------------------------------------------------------------
+
+
+def _number(value, name: str):
+    """A JSON number field, unchanged; bool (JSON true/false) is not a number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DomainError(name, f"must be a number, not {type(value).__name__}")
+    try:
+        float(value)  # a JSON integer can lie beyond the binary64 range
+    except OverflowError:
+        raise DomainError(name, "must be finite") from None
+    return value
 
 
 def spec_from_dict(data: dict) -> CurveParams:
@@ -253,24 +281,23 @@ def spec_from_dict(data: dict) -> CurveParams:
         raise DomainError("form", f"unknown form {form!r}; expected one of {sorted(FORM_REGISTRY)}")
     body = {k: v for k, v in data.items() if k != "form"}
     cls = FORM_REGISTRY[form]
+    extra = {}
     if cls is NaturalParams:
         anchor = body.pop("anchor", None)
         if anchor not in ANCHOR_KINDS:
             raise DomainError("anchor", f"must be one of {ANCHOR_KINDS}")
         nx, ny = _ANCHOR_FIELDS[anchor]
-        try:
-            params = NaturalParams(c=body.pop("c"), anchor=anchor, anchor_x=body.pop(nx), anchor_y=body.pop(ny))
-        except KeyError as exc:
-            raise DomainError(str(exc.args[0]), "missing field") from None
+        keys = {"c": "c", "anchor_x": nx, "anchor_y": ny}
+        extra["anchor"] = anchor
     else:
-        names = [f.name for f in fields(cls)]
-        missing = [n for n in names if n not in body]
-        if missing:
-            raise DomainError(missing[0], "missing field")
-        params = cls(**{n: body.pop(n) for n in names})
+        keys = {f.name: f.name for f in fields(cls)}
+    missing = [key for key in keys.values() if key not in body]
+    if missing:
+        raise DomainError(missing[0], "missing field")
+    values = {name: _number(body.pop(key), key) for name, key in keys.items()}
     if body:
         raise DomainError(next(iter(body)), f"unexpected field for form {form!r}")
-    return validate(params)
+    return validate(cls(**values, **extra))
 
 
 def spec_to_dict(params: CurveParams) -> dict:

@@ -1,6 +1,11 @@
 import json
 
+import pytest
+
+import clamm.cli
+from clamm import curve_for, load_spec, t_hat_from_price, u_hat_from_price
 from clamm.cli import main
+from clamm.errors import DomainError
 
 from .conftest import DATA_DIR, assert_rel
 
@@ -16,6 +21,44 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def write_spec(tmp_path, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
+def error_message(err):
+    return json.loads(err)["error"]["message"]
+
+
+SWEEP_COLUMNS = ("x", "y", "marginal_price", "t_hat", "u_hat")
+
+
+def list_of_dicts_sweep(spec, axis, points, output):
+    """Sweep output as built from a list of row dicts, json.dumps(indent=2) and repr-joined CSV."""
+    curve = curve_for(load_spec(spec))
+    geom = curve.geom
+    rows = []
+    for i in range(points):
+        frac = i / (points - 1)
+        if axis == "x":
+            state = curve.state_from_x(geom.x_int * frac)
+        else:
+            state = curve.state_at_price(geom.p_high + (geom.p_low - geom.p_high) * frac)
+        marginal = curve.marginal_price(state)
+        rows.append({"x": state.x, "y": state.y, "marginal_price": marginal,
+                     "t_hat": t_hat_from_price(-marginal), "u_hat": u_hat_from_price(-marginal)})
+    if output == "csv":
+        lines = [",".join(SWEEP_COLUMNS)] + [",".join(repr(row[k]) for k in SWEEP_COLUMNS) for row in rows]
+        return "\n".join(lines) + "\n"
+    return json.dumps(rows, indent=2) + "\n"
+
+
+def chunk_sizes(chunk):
+    # chunk-multiple point counts catch a separator left after the last row
+    return (2, chunk - 1, chunk, chunk + 1, 2 * chunk + 1)
 
 
 class TestQuote:
@@ -184,8 +227,55 @@ class TestSweep:
         assert code == 2
 
     def test_reference_curve_rejected(self, capsys):
-        code, _, _ = run(capsys, "sweep", "--spec", REFERENCE, "--points", "3")
+        code, out, err = run(capsys, "sweep", "--spec", REFERENCE, "--points", "3")
         assert code == 2
+        assert out == ""
+        assert error_message(err).startswith("spec:")
+
+    @pytest.mark.parametrize("output", ["json", "csv"])
+    @pytest.mark.parametrize("axis", ["x", "price"])
+    @pytest.mark.parametrize("spec", [BANCOR, UNISWAP, CARBON, NATURAL],
+                             ids=["bancor", "uniswap", "carbon", "natural"])
+    def test_streamed_output_matches_list_of_dicts(self, capsys, monkeypatch, spec, axis, output):
+        monkeypatch.setattr(clamm.cli, "SWEEP_CHUNK", 8)
+        for points in chunk_sizes(8):
+            code, out, _ = run(capsys, "sweep", "--spec", spec, "--points", str(points),
+                               "--axis", axis, "--output", output)
+            assert code == 0
+            assert out == list_of_dicts_sweep(spec, axis, points, output), points
+
+    @pytest.mark.parametrize("output", ["json", "csv"])
+    def test_streamed_output_matches_at_the_default_chunk(self, capsys, output):
+        for points in chunk_sizes(clamm.cli.SWEEP_CHUNK)[2:]:
+            code, out, _ = run(capsys, "sweep", "--spec", CARBON, "--points", str(points),
+                               "--axis", "price", "--output", output)
+            assert code == 0
+            assert out == list_of_dicts_sweep(CARBON, "price", points, output), points
+
+    @pytest.mark.parametrize("output", ["json", "csv"])
+    def test_failure_mid_sweep(self, capsys, monkeypatch, output):
+        """A failure in the first chunk leaves stdout empty; a later one truncates the table."""
+        monkeypatch.setattr(clamm.cli, "SWEEP_CHUNK", 8)
+        full = list_of_dicts_sweep(BANCOR, "x", 20, output)
+        for fail_at, rows_out in ((0, 0), (5, 0), (12, 8)):
+            calls = []
+
+            def failing(price):
+                calls.append(price)
+                if len(calls) > fail_at:
+                    raise DomainError("price", "injected failure")
+                return t_hat_from_price(price)
+
+            monkeypatch.setattr(clamm.cli, "t_hat_from_price", failing)
+            code, out, err = run(capsys, "sweep", "--spec", BANCOR, "--points", "20", "--output", output)
+            assert code == 2
+            assert error_message(err) == "price: injected failure"
+            if rows_out == 0:
+                assert out == ""
+            else:
+                assert full.startswith(out) and out != full
+                rows_written = out.count("\n  }") if output == "json" else out.count("\n") - 1
+                assert rows_written == rows_out
 
 
 class TestVerify:
@@ -201,6 +291,14 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--spec", CARBON, "--cases", "8", "--seed", "2")
         assert code == 0
         assert json.loads(out)["failed"] == 0
+
+    @pytest.mark.parametrize("cases", ["-5", "0"])
+    def test_no_cases_is_input_error(self, capsys, cases):
+        for extra in ((), ("--spec", CARBON)):
+            code, out, err = run(capsys, "verify", "--cases", cases, *extra)
+            assert code == 2
+            assert out == ""
+            assert error_message(err) == "cases: must be at least 1"
 
     def test_unreachable_tolerance_fails_with_exit_1(self, capsys):
         code, out, _ = run(capsys, "verify", "--cases", "4", "--seed", "5", "--rel-tol", "1e-17")
@@ -226,3 +324,32 @@ class TestErrorPaths:
         _, first, _ = run(capsys, "sweep", "--spec", CARBON, "--points", "7")
         _, second, _ = run(capsys, "sweep", "--spec", CARBON, "--points", "7")
         assert first == second
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"form": "bancor_v2", "x0": 100, "y0": 100, "A": "2"}, "A: must be a number, not str"),
+        ({"form": "natural", "c": "4", "anchor": "center", "x0": 100, "y0": 100}, "c: must be a number, not str"),
+        ({"form": "uniswap_v3", "L": True, "p_high": 4, "p_low": 0.25}, "L: must be a number, not bool"),
+        ({"form": "carbon", "a": 1.5, "b": None, "z": 300}, "b: must be a number, not NoneType"),
+        ({"form": "reference", "x0": [100], "y0": 100}, "x0: must be a number, not list"),
+        ({"form": "reference", "x0": 10 ** 400, "y0": 100}, "x0: must be finite"),
+    ])
+    def test_wrong_typed_field(self, capsys, tmp_path, spec, message):
+        code, out, err = run(capsys, "geometry", "--spec", write_spec(tmp_path, spec))
+        assert code == 2
+        assert out == ""
+        assert error_message(err) == message
+
+    @pytest.mark.parametrize("spec, field", [
+        ({"form": "uniswap_v3", "L": 1e200, "p_high": 4, "p_low": 0.25}, "L"),
+        ({"form": "carbon", "a": 1.5, "b": 0.5, "z": 1e200}, "z"),
+        ({"form": "natural", "c": 4, "anchor": "asymptotes", "x_asym": -1e200, "y_asym": -1e200}, "c"),
+        ({"form": "natural", "c": 1 + 1e-10, "anchor": "intercepts", "x_int": 1e150, "y_int": 1e150}, "c"),
+    ])
+    def test_overflowing_curve_scale(self, capsys, tmp_path, spec, field):
+        path = write_spec(tmp_path, spec)
+        for argv in (("geometry",), ("sweep", "--points", "3")):
+            code, out, err = run(capsys, *argv, "--spec", path)
+            assert code == 2
+            assert out == ""
+            assert error_message(err).startswith(f"{field}:")
+            assert "must be finite" in error_message(err)
