@@ -2,9 +2,15 @@
 """Regenerate the committed golden CLI outputs under tests/golden/.
 
 Run from the repository root after any intentional output-format change, then
-review the diff before committing.
+review the diff before committing.  With --check nothing is written: the
+script compares each command's output with its golden file and exits 1,
+naming every file that drifted.
+
+Usage: python3 scripts/regen_cli_golden.py [--check]
 """
 
+import argparse
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +18,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
 GOLDEN = ROOT / "tests" / "golden"
+SRC = ROOT / "src"
 
 COMMANDS = {
     "quote.json": ["quote", "--spec", str(DATA / "worked_bancor.json"),
@@ -27,14 +34,30 @@ COMMANDS = {
 }
 
 
-def main() -> int:
-    GOLDEN.mkdir(parents=True, exist_ok=True)
-    for name, argv in COMMANDS.items():
-        result = subprocess.run([sys.executable, "-m", "clamm", *argv],
-                                capture_output=True, check=True)
-        (GOLDEN / name).write_bytes(result.stdout)
-        print(f"wrote {GOLDEN / name} ({len(result.stdout)} bytes)")
-    return 0
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare with the golden files instead of writing them")
+    args = parser.parse_args(argv)
+    if not args.check:
+        GOLDEN.mkdir(parents=True, exist_ok=True)
+    # The goldens pin this checkout's CLI, not whatever clamm is installed.
+    path_var = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path_var}
+    drifted = []
+    for name, cli_args in COMMANDS.items():
+        result = subprocess.run([sys.executable, "-m", "clamm", *cli_args],
+                                capture_output=True, check=True, env=env)
+        path = GOLDEN / name
+        if not args.check:
+            path.write_bytes(result.stdout)
+            print(f"wrote {path} ({len(result.stdout)} bytes)")
+        elif not path.is_file() or path.read_bytes() != result.stdout:
+            drifted.append(path)
+            print(f"drift: {path}", file=sys.stderr)
+    if args.check and not drifted:
+        print(f"all {len(COMMANDS)} golden files match")
+    return 1 if drifted else 0
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, fields
 from typing import ClassVar, Union
 
@@ -27,6 +28,9 @@ ABS_FLOOR = 1e-12
 # Relative slack for intercept bounds checks: a trade aimed exactly at an
 # intercept may overshoot by a final ulp and must not be rejected for it.
 BOUNDS_SLACK = 1e-12
+
+# Smallest positive normal binary64; a curve scale below it is rejected.
+MIN_NORMAL = sys.float_info.min
 
 
 def rel_close(a: float, b: float, rel_tol: float = REL_TOL, abs_floor: float = ABS_FLOOR) -> bool:
@@ -41,6 +45,16 @@ def _require(cond: bool, name: str, reason: str) -> None:
 def _check_finite_positive(value: float, name: str) -> None:
     _require(isinstance(value, (int, float)) and math.isfinite(value), name, "must be finite")
     _require(value > 0, name, "must be positive")
+
+
+def _check_scale(scale: float, name: str, expr: str) -> None:
+    # The scale is computed with the form's own expression, so finite positive
+    # fields can still overflow it or underflow it to a subnormal or zero; an
+    # underflowed scale flattens the curve to y = 0 and divides by zero in swaps.
+    if not math.isfinite(scale):
+        raise DomainError(name, f"{expr} must be finite")
+    if scale < MIN_NORMAL:
+        raise DomainError(name, f"{expr} must be a positive normal float, not {scale!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -206,24 +220,24 @@ def validate(params: CurveParams) -> CurveParams:
     if isinstance(params, ReferenceParams):
         _check_finite_positive(params.x0, "x0")
         _check_finite_positive(params.y0, "y0")
-        _require(math.isfinite(params.x0 * params.y0), "x0", "x0*y0 must be finite")
+        _check_scale(params.x0 * params.y0, "x0", "x0*y0")
     elif isinstance(params, BancorV2Params):
         _check_finite_positive(params.x0, "x0")
         _check_finite_positive(params.y0, "y0")
         _require(math.isfinite(params.A), "A", "must be finite")
         _require(params.A > 1, "A", "must exceed 1")
-        _require(math.isfinite(params.A * params.A * params.x0 * params.y0), "A", "A^2*x0*y0 must be finite")
+        _check_scale(params.A * params.A * params.x0 * params.y0, "A", "A^2*x0*y0")
     elif isinstance(params, UniswapV3Params):
         _check_finite_positive(params.L, "L")
         _check_finite_positive(params.p_high, "p_high")
         _check_finite_positive(params.p_low, "p_low")
         _require(params.p_low < params.p_high, "p_low", "must be < p_high")
-        _require(math.isfinite(params.L * params.L), "L", "L^2 must be finite")
+        _check_scale(params.L * params.L, "L", "L^2")
     elif isinstance(params, CarbonParams):
         _check_finite_positive(params.a, "a")
         _check_finite_positive(params.b, "b")
         _check_finite_positive(params.z, "z")
-        _require(math.isfinite((params.z / params.a) * (params.z / params.a)), "z", "(z/a)^2 must be finite")
+        _check_scale((params.z / params.a) * (params.z / params.a), "z", "(z/a)^2")
     elif isinstance(params, NaturalParams):
         _require(math.isfinite(params.c), "c", "must be finite")
         _require(params.c > 1, "c", "must exceed 1")
@@ -238,7 +252,7 @@ def validate(params: CurveParams) -> CurveParams:
             _require(params.anchor_x > 0, nx, "must be positive")
             _require(params.anchor_y > 0, ny, "must be positive")
         x_asym, y_asym = natural_asymptotes(params)
-        _require(math.isfinite(params.c * x_asym * y_asym), "c", "c*x_asym*y_asym must be finite")
+        _check_scale(params.c * x_asym * y_asym, "c", "c*x_asym*y_asym")
     else:
         raise DomainError("spec", f"unknown parameter type {type(params).__name__}")
     return params

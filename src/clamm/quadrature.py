@@ -11,11 +11,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 from .curves import curve_for
 from .errors import ConvergenceFailure, DomainError
 from .params import (
+    FORM_REGISTRY,
     BancorV2Params,
     CurveParams,
     PoolState,
@@ -31,6 +32,8 @@ DEFAULT_MAX_DEPTH = 60
 # what binary64 can resolve relative to the integral's own magnitude.
 _ORACLE_REL_MARGIN = 1e-2
 _DOUBLE_REL_FLOOR = 1e-13
+
+_PARAM_TYPES = tuple(FORM_REGISTRY.values())
 
 
 @dataclass(frozen=True)
@@ -62,18 +65,29 @@ class ComparisonReport:
     passed: bool
 
 
-def _simpson_slice(f, a, fa, b, fb):
+def _first_panel(f, a, b):
+    """f(a), f(b), the midpoint m, f(m) and the one-panel Simpson estimate over [a, b]."""
+    fa, fb = f(a), f(b)
     m = 0.5 * (a + b)
     fm = f(m)
-    return m, fm, (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    return fa, fb, m, fm, (b - a) / 6.0 * (fa + 4.0 * fm + fb)
 
 
 def _adaptive(f, a, fa, b, fb, eps, whole, m, fm, depth):
-    lm, flm, left = _simpson_slice(f, a, fa, m, fm)
-    rm, frm, right = _simpson_slice(f, m, fm, b, fb)
-    delta = left + right - whole
+    # The two half panels are written out rather than calling a helper, because
+    # this frame runs hundreds of times per integral.  Each uses the expression
+    # of _first_panel and the f calls keep their order, so every sum is the
+    # one a per-panel helper gives.
+    lm = 0.5 * (a + m)
+    flm = f(lm)
+    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+    rm = 0.5 * (m + b)
+    frm = f(rm)
+    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+    both = left + right
+    delta = both - whole
     if abs(delta) <= 15.0 * eps:
-        return left + right + delta / 15.0
+        return both + delta / 15.0
     if depth <= 0:
         raise ConvergenceFailure(f"interval [{a}, {b}] did not converge to {eps}")
     return (_adaptive(f, a, fa, m, fm, 0.5 * eps, left, lm, flm, depth - 1)
@@ -82,16 +96,16 @@ def _adaptive(f, a, fa, b, fb, eps, whole, m, fm, depth):
 
 def adaptive_simpson(f: Callable[[float], float], spec: IntegralSpec) -> float:
     """Adaptive Simpson integral of f over the spec's interval."""
-    fa, fb = f(spec.lower), f(spec.upper)
-    m, fm, whole = _simpson_slice(f, spec.lower, fa, spec.upper, fb)
+    fa, fb, m, fm, whole = _first_panel(f, spec.lower, spec.upper)
     return _adaptive(f, spec.lower, fa, spec.upper, fb, spec.abs_tol, whole, m, fm, spec.max_depth)
 
 
 def _as_curve(curve: CurveParams | ShiftedProductCurve) -> ShiftedProductCurve:
-    # duck-typed so tests can hand in slope-only stubs
-    if hasattr(curve, "price_slope_at_x") and hasattr(curve, "geom"):
-        return curve
-    return curve_for(curve)
+    # Anything that is not a parameter set is used as the curve, so tests can
+    # hand in slope-only stubs.
+    if isinstance(curve, _PARAM_TYPES):
+        return curve_for(curve)
+    return curve
 
 
 def integrate_price_curve(curve: CurveParams | ShiftedProductCurve,
@@ -119,12 +133,14 @@ def integrate_price_curve(curve: CurveParams | ShiftedProductCurve,
     if math.isinf(x_int) and lo <= 0:
         raise DomainError("x_from", "the unshifted curve is undefined at x = 0")
     f = live.price_slope_at_x
+    # The first panel both sets the tolerance and starts the refinement.
+    fa, fb, m, fm, whole = _first_panel(f, lo, hi)
     if abs_tol is None:
-        _, _, coarse = _simpson_slice(f, lo, f(lo), hi, f(hi))
-        abs_tol = abs(coarse) * max(rel_tol, _DOUBLE_REL_FLOOR)
+        abs_tol = abs(whole) * max(rel_tol, _DOUBLE_REL_FLOOR)
         if abs_tol == 0.0:
             abs_tol = DEFAULT_ABS_TOL
-    return sign * adaptive_simpson(f, IntegralSpec(lo, hi, abs_tol, max_depth))
+    spec = IntegralSpec(lo, hi, abs_tol, max_depth)
+    return sign * _adaptive(f, lo, fa, hi, fb, spec.abs_tol, whole, m, fm, spec.max_depth)
 
 
 def oracle_compare(curve: CurveParams | ShiftedProductCurve,
@@ -179,10 +195,10 @@ def random_admissible_swap(rng: random.Random, curve: ShiftedProductCurve,
     return curve.state_from_x(x), dx
 
 
-def random_cases(seed: int, cases: int) -> list[tuple[CurveParams, PoolState, float]]:
-    """Deterministic battery across all marginal-price integrand forms."""
+def battery_cases(seed: int, cases: int) -> Iterator[tuple[ShiftedProductCurve, PoolState, float]]:
+    """Deterministic battery across all marginal-price integrand forms, one
+    (curve, state, dx) case at a time."""
     rng = random.Random(seed)
-    out = []
     for i in range(cases):
         form = _BATTERY_FORMS[i % len(_BATTERY_FORMS)]
         bancor = random_bancor_params(rng)
@@ -194,11 +210,15 @@ def random_cases(seed: int, cases: int) -> list[tuple[CurveParams, PoolState, fl
             params = translate(bancor, form)
         curve = curve_for(params)
         state, dx = random_admissible_swap(rng, curve)
-        out.append((params, state, dx))
-    return out
+        yield curve, state, dx
+
+
+def random_cases(seed: int, cases: int) -> list[tuple[CurveParams, PoolState, float]]:
+    """The battery of ``battery_cases`` as a list of (params, state, dx)."""
+    return [(curve.params, state, dx) for curve, state, dx in battery_cases(seed, cases)]
 
 
 def run_battery(seed: int = 0, cases: int = 200,
                 rel_tol: float = 1e-8) -> list[ComparisonReport]:
-    return [oracle_compare(params, state, dx, rel_tol=rel_tol)
-            for params, state, dx in random_cases(seed, cases)]
+    return [oracle_compare(curve, state, dx, rel_tol=rel_tol)
+            for curve, state, dx in battery_cases(seed, cases)]

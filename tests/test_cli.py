@@ -1,11 +1,13 @@
 import json
+import random
 
 import pytest
 
 import clamm.cli
-from clamm import curve_for, load_spec, t_hat_from_price, u_hat_from_price
+from clamm import curve_for, load_spec, oracle_compare, t_hat_from_price, u_hat_from_price
 from clamm.cli import main
 from clamm.errors import DomainError
+from clamm.quadrature import battery_cases, random_admissible_swap, random_cases
 
 from .conftest import DATA_DIR, assert_rel
 
@@ -54,6 +56,10 @@ def list_of_dicts_sweep(spec, axis, points, output):
         lines = [",".join(SWEEP_COLUMNS)] + [",".join(repr(row[k]) for k in SWEEP_COLUMNS) for row in rows]
         return "\n".join(lines) + "\n"
     return json.dumps(rows, indent=2) + "\n"
+
+
+# Commands that build a curve from --spec before printing anything.
+SPEC_COMMANDS = (("geometry",), ("sweep", "--points", "3"), ("verify", "--cases", "3"))
 
 
 def chunk_sizes(chunk):
@@ -300,6 +306,56 @@ class TestVerify:
             assert out == ""
             assert error_message(err) == "cases: must be at least 1"
 
+    @pytest.mark.parametrize("spec", [None, BANCOR, NATURAL])
+    def test_summary_matches_cases_drawn_up_front(self, capsys, spec):
+        """Streaming keeps the rng draws and the result of a battery drawn in full first."""
+        seed, count = 4, 60
+        if spec is None:
+            cases = random_cases(seed, count)
+            argv = ()
+        else:
+            curve = curve_for(load_spec(spec))
+            rng = random.Random(seed)
+            cases = [(curve, *random_admissible_swap(rng, curve)) for _ in range(count)]
+            argv = ("--spec", spec)
+        reports = [oracle_compare(target, state, dx) for target, state, dx in cases]
+        code, out, _ = run(capsys, "verify", "--cases", str(count), "--seed", str(seed), *argv)
+        assert code == 0
+        assert json.loads(out) == {
+            "cases": count,
+            "passed": sum(r.passed for r in reports),
+            "failed": sum(not r.passed for r in reports),
+            "max_rel_deviation": max(r.rel_deviation for r in reports),
+        }
+
+    def test_cases_are_drawn_lazily(self, capsys, monkeypatch):
+        class Halt(Exception):
+            pass
+
+        produced = []
+
+        def counting_battery(seed, cases):
+            for case in battery_cases(seed, cases):
+                produced.append(case)
+                yield case
+
+        def counting_swap(rng, curve):
+            produced.append(curve)
+            return random_admissible_swap(rng, curve)
+
+        def halting_compare(*args, **kwargs):
+            raise Halt
+
+        monkeypatch.setattr(clamm.cli, "battery_cases", counting_battery)
+        monkeypatch.setattr(clamm.cli, "random_admissible_swap", counting_swap)
+        monkeypatch.setattr(clamm.cli, "oracle_compare", halting_compare)
+        for argv in ((), ("--spec", CARBON)):
+            produced.clear()
+            with pytest.raises(Halt):
+                main(["verify", "--cases", "100", *argv])
+            assert len(produced) == 1, argv
+        assert capsys.readouterr().out == ""
+
     def test_unreachable_tolerance_fails_with_exit_1(self, capsys):
         code, out, _ = run(capsys, "verify", "--cases", "4", "--seed", "5", "--rel-tol", "1e-17")
         assert code == 1
@@ -347,9 +403,27 @@ class TestErrorPaths:
     ])
     def test_overflowing_curve_scale(self, capsys, tmp_path, spec, field):
         path = write_spec(tmp_path, spec)
-        for argv in (("geometry",), ("sweep", "--points", "3")):
+        for argv in SPEC_COMMANDS:
             code, out, err = run(capsys, *argv, "--spec", path)
             assert code == 2
             assert out == ""
             assert error_message(err).startswith(f"{field}:")
             assert "must be finite" in error_message(err)
+
+    @pytest.mark.parametrize("spec, field", [
+        ({"form": "reference", "x0": 1e-200, "y0": 1e-200}, "x0"),
+        ({"form": "bancor_v2", "x0": 1e-200, "y0": 1e-200, "A": 2}, "A"),
+        ({"form": "uniswap_v3", "L": 1e-200, "p_high": 4, "p_low": 0.25}, "L"),
+        ({"form": "uniswap_v3", "L": 1e-160, "p_high": 4, "p_low": 0.25}, "L"),  # subnormal L^2
+        ({"form": "carbon", "a": 1.5, "b": 0.5, "z": 1e-200}, "z"),
+        ({"form": "natural", "c": 4, "anchor": "asymptotes", "x_asym": -1e-200, "y_asym": -1e-200}, "c"),
+    ])
+    def test_underflowing_curve_scale(self, capsys, tmp_path, spec, field):
+        path = write_spec(tmp_path, spec)
+        for argv in SPEC_COMMANDS:
+            code, out, err = run(capsys, *argv, "--spec", path)
+            assert code == 2
+            assert out == ""
+            assert "Traceback" not in err
+            assert error_message(err).startswith(f"{field}:")
+            assert "must be a positive normal float" in error_message(err)

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -15,9 +16,116 @@ from clamm import (
     oracle_compare,
     run_battery,
 )
-from clamm.quadrature import random_cases
+from clamm.quadrature import (
+    _BATTERY_FORMS,
+    DEFAULT_ABS_TOL,
+    battery_cases,
+    random_admissible_swap,
+    random_bancor_params,
+    random_cases,
+)
+from clamm.rosetta import translate
 
-from .conftest import WORKED_BANCOR, assert_rel
+from .conftest import WORKED_BANCOR, WORKED_CARBON, WORKED_NATURAL, WORKED_UNISWAP, assert_rel
+
+# ---------------------------------------------------------------------------
+# Reference kernel: the recursion as it was before the half panels were
+# written out in _adaptive and before integrate_price_curve shared its first
+# panel with the kernel.  The library must still return these values bit for
+# bit.
+# ---------------------------------------------------------------------------
+
+
+def _simpson_slice(f, a, fa, b, fb):
+    m = 0.5 * (a + b)
+    fm = f(m)
+    return m, fm, (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+
+
+def _adaptive(f, a, fa, b, fb, eps, whole, m, fm, depth):
+    lm, flm, left = _simpson_slice(f, a, fa, m, fm)
+    rm, frm, right = _simpson_slice(f, m, fm, b, fb)
+    delta = left + right - whole
+    if abs(delta) <= 15.0 * eps:
+        return left + right + delta / 15.0
+    if depth <= 0:
+        raise ConvergenceFailure(f"interval [{a}, {b}] did not converge to {eps}")
+    return (_adaptive(f, a, fa, m, fm, 0.5 * eps, left, lm, flm, depth - 1)
+            + _adaptive(f, m, fm, b, fb, 0.5 * eps, right, rm, frm, depth - 1))
+
+
+def reference_adaptive_simpson(f, spec):
+    fa, fb = f(spec.lower), f(spec.upper)
+    m, fm, whole = _simpson_slice(f, spec.lower, fa, spec.upper, fb)
+    return _adaptive(f, spec.lower, fa, spec.upper, fb, spec.abs_tol, whole, m, fm, spec.max_depth)
+
+
+def reference_integral(curve, x_from, x_to, abs_tol=None, rel_tol=1e-10):
+    """integrate_price_curve on the reference kernel, for in-range intervals."""
+    sign = 1.0
+    lo, hi = x_from, x_to
+    if hi < lo:
+        lo, hi = hi, lo
+        sign = -1.0
+    f = curve.price_slope_at_x
+    if abs_tol is None:
+        _, _, coarse = _simpson_slice(f, lo, f(lo), hi, f(hi))
+        abs_tol = abs(coarse) * max(rel_tol, 1e-13)
+        if abs_tol == 0.0:
+            abs_tol = DEFAULT_ABS_TOL
+    return sign * reference_adaptive_simpson(f, IntegralSpec(lo, hi, abs_tol))
+
+
+def reference_random_cases(seed, cases):
+    """The battery as random_cases built it before it became a projection of battery_cases."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(cases):
+        form = _BATTERY_FORMS[i % len(_BATTERY_FORMS)]
+        bancor = random_bancor_params(rng)
+        if form == "reference":
+            params = ReferenceParams(x0=bancor.x0, y0=bancor.y0)
+        elif form == "bancor_v2":
+            params = bancor
+        else:
+            params = translate(bancor, form)
+        curve = curve_for(params)
+        state, dx = random_admissible_swap(rng, curve)
+        out.append((params, state, dx))
+    return out
+
+
+class CountingSlope:
+    """Slope-only curve stub that counts integrand evaluations."""
+
+    def __init__(self, curve):
+        self.geom = curve.geom
+        self._slope = curve.price_slope_at_x
+        self.evals = 0
+
+    def price_slope_at_x(self, x):
+        self.evals += 1
+        return self._slope(x)
+
+
+WORKED_CURVES = (WORKED_BANCOR, WORKED_UNISWAP, WORKED_CARBON, WORKED_NATURAL)
+
+
+def worked_intervals(count=50):
+    """(curve, x_from, x_to) on each worked curve: fixed trades, then random ones."""
+    rng = random.Random(1729)
+    for params in WORKED_CURVES:
+        curve = curve_for(params)
+        for x_from, x_to in ((100.0, 200.0), (200.0, 100.0), (100.0, 300.0), (0.0, 300.0)):
+            yield curve, x_from, x_to
+        for _ in range(count):
+            state, dx = random_admissible_swap(rng, curve)
+            yield curve, state.x, state.x + dx
+
+
+def battery_intervals(seed, cases):
+    for params, state, dx in random_cases(seed, cases):
+        yield curve_for(params), state.x, state.x + dx
 
 
 class TestIntegralSpec:
@@ -100,6 +208,40 @@ class TestIntegratePriceCurve:
         assert_rel(dy, -200.0 / 3.0, rel=1e-8)
 
 
+class TestKernelMatchesReference:
+    @pytest.mark.parametrize("seed", [0, 3, 11, 2024])
+    def test_battery_integrals_are_bit_identical(self, seed):
+        for curve, x_from, x_to in battery_intervals(seed, 400):
+            assert integrate_price_curve(curve, x_from, x_to) == reference_integral(curve, x_from, x_to)
+
+    def test_worked_curve_integrals_are_bit_identical(self):
+        for curve, x_from, x_to in worked_intervals():
+            for abs_tol in (None, 1e-10):
+                got = integrate_price_curve(curve, x_from, x_to, abs_tol=abs_tol)
+                assert got == reference_integral(curve, x_from, x_to, abs_tol=abs_tol)
+
+    def test_adaptive_simpson_is_bit_identical(self):
+        for f, spec in ((math.exp, IntegralSpec(0.0, 1.0, abs_tol=1e-12)),
+                        (lambda x: 1.0 / (x * x), IntegralSpec(1.0, 50.0, abs_tol=1e-9)),
+                        (math.sqrt, IntegralSpec(0.0, 4.0, abs_tol=1e-11))):
+            assert adaptive_simpson(f, spec) == reference_adaptive_simpson(f, spec)
+
+    def test_first_panel_is_computed_once(self):
+        intervals = [*battery_intervals(3, 40), *worked_intervals(5)]
+        for curve, x_from, x_to in intervals:
+            new, old = CountingSlope(curve), CountingSlope(curve)
+            integrate_price_curve(new, x_from, x_to)
+            reference_integral(old, x_from, x_to)
+            assert new.evals == old.evals - 3
+
+    def test_explicit_tolerance_costs_the_same(self):
+        for curve, x_from, x_to in worked_intervals(5):
+            new, old = CountingSlope(curve), CountingSlope(curve)
+            integrate_price_curve(new, x_from, x_to, abs_tol=1e-10)
+            reference_integral(old, x_from, x_to, abs_tol=1e-10)
+            assert new.evals == old.evals
+
+
 class TestOracleCompare:
     def test_worked_curve_passes(self, bancor_curve):
         report = oracle_compare(bancor_curve, PoolState(100, 100), 100.0)
@@ -142,6 +284,19 @@ class TestBattery:
 
     def test_cases_are_deterministic(self):
         assert random_cases(7, 8) == random_cases(7, 8)
+
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_random_cases_is_the_list_it_was(self, seed):
+        cases = random_cases(seed, 400)
+        assert isinstance(cases, list)
+        assert cases == random_cases(seed, 400) == reference_random_cases(seed, 400)
+
+    def test_battery_cases_yield_built_curves(self):
+        cases = battery_cases(5, 12)
+        assert not isinstance(cases, list)
+        built = list(cases)
+        assert [(curve.params, state, dx) for curve, state, dx in built] == random_cases(5, 12)
+        assert all(curve == curve_for(curve.params) for curve, _, _ in built)
 
     def test_small_battery_passes(self):
         reports = run_battery(seed=3, cases=40)

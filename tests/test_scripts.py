@@ -1,0 +1,77 @@
+"""The helper scripts under scripts/: they run, and the golden table stays in sync."""
+
+import importlib.util
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+from .conftest import DATA_DIR, GOLDEN_DIR
+from .test_acceptance import GOLDEN_COMMANDS
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
+SRC = ROOT / "src"
+
+
+def script_env():
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": str(SRC) + (os.pathsep + path if path else "")}
+
+
+def run_script(name, *argv):
+    return subprocess.run([sys.executable, str(SCRIPTS / name), *argv],
+                          capture_output=True, text=True, env=script_env(), timeout=120)
+
+
+def load_regen():
+    spec = importlib.util.spec_from_file_location("regen_cli_golden", SCRIPTS / "regen_cli_golden.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def normalised(commands, data_dir):
+    return {name: [arg.replace(str(data_dir), "<data>") for arg in argv]
+            for name, argv in commands.items()}
+
+
+def test_regen_commands_match_the_acceptance_table():
+    regen = load_regen()
+    assert normalised(regen.COMMANDS, regen.DATA) == normalised(GOLDEN_COMMANDS, DATA_DIR)
+
+
+def test_regen_check_passes_on_the_committed_goldens():
+    result = run_script("regen_cli_golden.py", "--check")
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+
+
+def test_regen_check_names_drift_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    regen = load_regen()
+    golden = tmp_path / "golden"
+    shutil.copytree(GOLDEN_DIR, golden)
+    (golden / "angle.json").write_bytes(b"{}\n")
+    (golden / "geometry.json").unlink()
+    before = {path.name: path.read_bytes() for path in golden.iterdir()}
+    monkeypatch.setattr(regen, "GOLDEN", golden)
+    assert regen.main(["--check"]) == 1
+    err = capsys.readouterr().err
+    assert str(golden / "angle.json") in err
+    assert str(golden / "geometry.json") in err
+    assert "quote.json" not in err
+    assert {path.name: path.read_bytes() for path in golden.iterdir()} == before
+
+
+def test_oracle_deviation_sweep_runs():
+    result = run_script("oracle_deviation_sweep.py", "--cases-per-decade", "1")
+    assert result.returncode == 0, result.stderr
+    assert "DISAGREEMENT" not in result.stdout
+    assert len(result.stdout.splitlines()) == 14  # header plus 13 decades
+
+
+def test_worked_curve_demo_runs():
+    result = run_script("worked_curve_demo.py")
+    assert result.returncode == 0, result.stderr
+    assert "same curve, four parameter forms" in result.stdout
