@@ -9,90 +9,29 @@ and trades identically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
-from .params import (
-    BancorV2Params,
-    CurveGeometry,
-    ShiftedProductCurve,
-    VirtualBounds,
-    validate,
-)
+from .params import BancorV2Params, CurveGeometry, ShiftedProductCurve
 
 
-@dataclass(frozen=True)
 class BancorCurve(ShiftedProductCurve):
-    """Real curve with cached shifts H = x0*(A-1), V = y0*(A-1), S = A^2*x0*y0."""
+    """Real curve with shifts H = x0*(A-1), V = y0*(A-1) and scale S = A^2*x0*y0."""
 
     params: BancorV2Params
-    shift_x: float = field(init=False)
-    shift_y: float = field(init=False)
-    scale: float = field(init=False)
-    geom: CurveGeometry = field(init=False)
 
-    def __post_init__(self):
-        validate(self.params)
-        x0, y0, amp = self.params.x0, self.params.y0, self.params.A
-        object.__setattr__(self, "shift_x", x0 * (amp - 1.0))
-        object.__setattr__(self, "shift_y", y0 * (amp - 1.0))
-        object.__setattr__(self, "scale", amp * amp * x0 * y0)
-        p_high, p_low, p0 = self.price_bounds()
-        object.__setattr__(self, "geom", CurveGeometry(
+    @staticmethod
+    def _constants(params: BancorV2Params):
+        x0, y0, amp = params.x0, params.y0, params.A
+        # c = A^2/(A-1)^2 = p_high/p0 = p0/p_low
+        c = amp * amp / ((amp - 1.0) * (amp - 1.0))
+        p0 = y0 / x0
+        return x0 * (amp - 1.0), y0 * (amp - 1.0), amp * amp * x0 * y0, CurveGeometry(
             x_int=x0 * (2.0 * amp - 1.0) / (amp - 1.0),
             y_int=y0 * (2.0 * amp - 1.0) / (amp - 1.0),
             x_asym=-x0 * (amp - 1.0),
             y_asym=-y0 * (amp - 1.0),
-            p_high=p_high,
-            p_low=p_low,
+            p_high=c * p0,
+            p_low=p0 / c,
             p0=p0,
-            c=self.concentration(),
-            phi=math.log(self.concentration()),
-        ))
-
-    # -- derived characterizations -------------------------------------------
-
-    def virtual_bounds(self) -> VirtualBounds:
-        """Virtual-balance extremes: each real reserve can only drain by x0 or y0."""
-        x0, y0, amp = self.params.x0, self.params.y0, self.params.A
-        return VirtualBounds(
-            min_xv=x0 * (amp - 1.0),
-            max_xv=amp * amp * x0 / (amp - 1.0),
-            min_yv=y0 * (amp - 1.0),
-            max_yv=amp * amp * y0 / (amp - 1.0),
+            c=c,
+            phi=math.log(c),
         )
-
-    def price_bounds(self) -> tuple[float, float, float]:
-        """(p_high, p_low, p0) as magnitudes; p0 is their geometric mean."""
-        x0, y0, amp = self.params.x0, self.params.y0, self.params.A
-        ratio = amp * amp / ((amp - 1.0) * (amp - 1.0))
-        p0 = y0 / x0
-        return ratio * p0, p0 / ratio, p0
-
-    def reference_bound_points(self) -> tuple[float, float, float, float]:
-        """(min_x, max_x, min_y, max_y): where the unamplified curve quotes the bounds."""
-        x0, y0, amp = self.params.x0, self.params.y0, self.params.A
-        return (
-            x0 * (amp - 1.0) / amp,
-            amp * x0 / (amp - 1.0),
-            y0 * (amp - 1.0) / amp,
-            amp * y0 / (amp - 1.0),
-        )
-
-    def concentration(self) -> float:
-        """The constant c = A^2/(A-1)^2 = p_high/p0 = p0/p_low = sqrt(p_high/p_low)."""
-        amp = self.params.A
-        return amp * amp / ((amp - 1.0) * (amp - 1.0))
-
-    # -- translation accessors -------------------------------------------------
-
-    def center(self) -> tuple[float, float]:
-        return self.params.x0, self.params.y0
-
-    def amplification(self) -> float:
-        return self.params.A
-
-    def liquidity(self) -> float:
-        return self.params.A * math.sqrt(self.params.x0) * math.sqrt(self.params.y0)
-
-    def reference_scale(self) -> float:
-        return self.params.x0 * self.params.y0

@@ -9,7 +9,6 @@ cached shifts, so cross-parameterization agreement is a real check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .errors import DomainError
 from .params import (
@@ -18,41 +17,30 @@ from .params import (
     PoolState,
     ShiftedProductCurve,
     SwapDelta,
-    VirtualBounds,
     make_delta,
-    validate,
 )
 
 
-@dataclass(frozen=True)
 class CarbonCurve(ShiftedProductCurve):
     """Real curve in the one-balance parameterization."""
 
     params: CarbonParams
-    shift_x: float = field(init=False)
-    shift_y: float = field(init=False)
-    scale: float = field(init=False)
-    geom: CurveGeometry = field(init=False)
 
-    def __post_init__(self):
-        validate(self.params)
-        a, b, z = self.params.a, self.params.b, self.params.z
-        object.__setattr__(self, "shift_x", z / (a * (a + b)))
-        object.__setattr__(self, "shift_y", b * z / a)
-        object.__setattr__(self, "scale", (z / a) * (z / a))
-        p_high, p_low, p0 = self.price_identities()
+    @staticmethod
+    def _constants(params: CarbonParams):
+        a, b, z = params.a, params.b, params.z
         c = (a + b) / b
-        object.__setattr__(self, "geom", CurveGeometry(
+        return z / (a * (a + b)), b * z / a, (z / a) * (z / a), CurveGeometry(
             x_int=z / (b * (a + b)),
             y_int=z,
             x_asym=-z / (a * (a + b)),
             y_asym=-b * z / a,
-            p_high=p_high,
-            p_low=p_low,
-            p0=p0,
+            p_high=(a + b) * (a + b),
+            p_low=b * b,
+            p0=b * (a + b),
             c=c,
             phi=math.log(c),
-        ))
+        )
 
     # -- native closed forms ---------------------------------------------------
 
@@ -62,7 +50,7 @@ class CarbonCurve(ShiftedProductCurve):
         if dx == 0:
             return SwapDelta(0.0, 0.0)
         x_new = state.x + dx
-        self._check_x_bounds(x_new)
+        self._check_bounds("x", x_new, self.geom.x_int)
         a, b, z = self.params.a, self.params.b, self.params.z
         gain = a * (a + b)
         dy = -dx * z * z * (a + b) * (a + b) / ((state.x * gain + z) * (x_new * gain + z))
@@ -74,7 +62,7 @@ class CarbonCurve(ShiftedProductCurve):
         if dy == 0:
             return SwapDelta(0.0, 0.0)
         y_new = state.y + dy
-        self._check_y_bounds(y_new)
+        self._check_bounds("y", y_new, self.geom.y_int)
         a, b, z = self.params.a, self.params.b, self.params.z
         dx = -dy * z * z / ((a * state.y + b * z) * (a * y_new + b * z))
         return make_delta(dx, dy)
@@ -93,65 +81,7 @@ class CarbonCurve(ShiftedProductCurve):
         den = a * y + b * z
         return -z * z / (den * den)
 
-    # -- derived characterizations -------------------------------------------
-
-    def price_identities(self) -> tuple[float, float, float]:
-        """(p_high, p_low, p0) = ((a+b)^2, b^2, b*(a+b))."""
-        a, b = self.params.a, self.params.b
-        return (a + b) * (a + b), b * b, b * (a + b)
-
     def price_gap_above_center(self) -> float:
         """a*(a+b) = p_high - p0."""
         a, b = self.params.a, self.params.b
         return a * (a + b)
-
-    def virtual_bounds(self) -> VirtualBounds:
-        a, b, z = self.params.a, self.params.b, self.params.z
-        return VirtualBounds(
-            min_xv=z / (a * (a + b)),
-            max_xv=z / (a * b),
-            min_yv=b * z / a,
-            max_yv=z * (a + b) / a,
-        )
-
-    def center_and_reference(self) -> tuple[float, float, float, float]:
-        """(x0, y0, k, A) of the equivalent unamplified and amplified views."""
-        a, b, z = self.params.a, self.params.b, self.params.z
-        root_p0 = math.sqrt(b * (a + b))
-        x0 = z * (root_p0 - b) / (a * b * (a + b))
-        y0 = z * (root_p0 - b) / a
-        k = z * z * (root_p0 - b) * (root_p0 - b) / (a * a * b * (a + b))
-        amp = root_p0 / (root_p0 - b)
-        return x0, y0, k, amp
-
-    def reference_bound_points(self) -> tuple[float, float, float, float]:
-        a, b, z = self.params.a, self.params.b, self.params.z
-        root_p0 = math.sqrt(b * (a + b))
-        depth = (root_p0 - b) / root_p0
-        return (
-            z / (a * (a + b)) * depth,
-            z / (a * b) * depth,
-            z * b / a * depth,
-            z * (a + b) / a * depth,
-        )
-
-    def legacy_constant_product(self) -> float:
-        """k of the emulated x*y = k curve: the square of z/a."""
-        ratio = self.params.z / self.params.a
-        return ratio * ratio
-
-    def concentration(self) -> float:
-        return (self.params.a + self.params.b) / self.params.b
-
-    def center(self) -> tuple[float, float]:
-        x0, y0, _, _ = self.center_and_reference()
-        return x0, y0
-
-    def amplification(self) -> float:
-        return self.center_and_reference()[3]
-
-    def liquidity(self) -> float:
-        return self.params.z / self.params.a
-
-    def reference_scale(self) -> float:
-        return self.center_and_reference()[2]

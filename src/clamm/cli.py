@@ -153,6 +153,9 @@ def cmd_sweep(args) -> int:
 def cmd_verify(args) -> int:
     if args.cases < 1:
         raise DomainError("cases", "must be at least 1")
+    # An infinite tolerance would pass every case vacuously.
+    if not (math.isfinite(args.rel_tol) and args.rel_tol > 0):
+        raise DomainError("rel_tol", "must be positive and finite")
     # Cases are drawn, checked and dropped one at a time, so memory stays flat
     # in --cases; the checks draw nothing from the rng.
     if args.spec:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .bancor import BancorCurve
 from .carbon import CarbonCurve
@@ -23,7 +22,6 @@ from .reference import ReferenceCurve
 from .uniswap import UniswapCurve
 
 
-@dataclass(frozen=True)
 class NaturalCurve(ShiftedProductCurve):
     """Real curve stored as concentration constant plus one anchor point.
 
@@ -33,20 +31,13 @@ class NaturalCurve(ShiftedProductCurve):
     """
 
     params: NaturalParams
-    shift_x: float = field(init=False)
-    shift_y: float = field(init=False)
-    scale: float = field(init=False)
-    geom: CurveGeometry = field(init=False)
 
-    def __post_init__(self):
-        validate(self.params)
-        c = self.params.c
-        x_asym, y_asym = natural_asymptotes(self.params)
-        object.__setattr__(self, "shift_x", -x_asym)
-        object.__setattr__(self, "shift_y", -y_asym)
-        object.__setattr__(self, "scale", c * x_asym * y_asym)
+    @staticmethod
+    def _constants(params: NaturalParams):
+        c = params.c
+        x_asym, y_asym = natural_asymptotes(params)
         p0 = y_asym / x_asym
-        object.__setattr__(self, "geom", CurveGeometry(
+        return -x_asym, -y_asym, c * x_asym * y_asym, CurveGeometry(
             x_int=-x_asym * (c - 1.0),
             y_int=-y_asym * (c - 1.0),
             x_asym=x_asym,
@@ -56,27 +47,7 @@ class NaturalCurve(ShiftedProductCurve):
             p0=p0,
             c=c,
             phi=math.log(c),
-        ))
-
-    def concentration(self) -> float:
-        return self.params.c
-
-    def amplification(self) -> float:
-        root = math.sqrt(self.params.c)
-        return root / (root - 1.0)
-
-    def center(self) -> tuple[float, float]:
-        x_asym, y_asym = natural_asymptotes(self.params)
-        factor = math.sqrt(self.params.c) - 1.0
-        return -x_asym * factor, -y_asym * factor
-
-    def liquidity(self) -> float:
-        g = self.geom
-        return g.y_int / (math.sqrt(g.p_high) - math.sqrt(g.p_low))
-
-    def reference_scale(self) -> float:
-        x0, y0 = self.center()
-        return x0 * y0
+        )
 
 
 _CURVE_CLASSES = {

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import ClassVar, Union
 
 from .errors import BoundsExceeded, DomainError, InsufficientLiquidity
@@ -338,20 +338,36 @@ def load_spec(path: str) -> CurveParams:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class ShiftedProductCurve:
     """Common operations on (x + shift_x)(y + shift_y) = scale, x, y >= 0.
 
-    Subclasses set ``params``, ``shift_x``, ``shift_y``, ``scale`` and ``geom``
-    at construction and may override any closed form with the native phenotype
-    of their parameterization.  Everything is pure and immutable; instances are
-    safe to share across threads.
+    A form subclass supplies one hook, ``_constants``, that maps its validated
+    parameter set to ``(shift_x, shift_y, scale, geom)``; everything else is
+    derived here from those four.  A subclass may also override a closed form
+    with the native phenotype of its parameterization, which then stays an
+    independent cross-check.  Instances are immutable values, safe to share
+    across threads.
     """
 
     params: CurveParams
-    shift_x: float
-    shift_y: float
-    scale: float
-    geom: CurveGeometry
+    shift_x: float = field(init=False)
+    shift_y: float = field(init=False)
+    scale: float = field(init=False)
+    geom: CurveGeometry = field(init=False)
+
+    def __post_init__(self):
+        validate(self.params)
+        shift_x, shift_y, scale, geom = self._constants(self.params)
+        object.__setattr__(self, "shift_x", shift_x)
+        object.__setattr__(self, "shift_y", shift_y)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "geom", geom)
+
+    @staticmethod
+    def _constants(params: CurveParams) -> tuple[float, float, float, CurveGeometry]:
+        """(shift_x, shift_y, scale, geom) of a validated parameter set."""
+        raise NotImplementedError
 
     # -- curve sampling ----------------------------------------------------
 
@@ -375,7 +391,7 @@ class ShiftedProductCurve:
         _require(price > 0 and math.isfinite(price), "price", "must be a positive finite magnitude")
         x = _snap_nonnegative(math.sqrt(self.scale / price) - self.shift_x, self.shift_x)
         y = _snap_nonnegative(math.sqrt(self.scale * price) - self.shift_y, self.shift_y)
-        self._check_x_bounds(x)
+        self._check_bounds("x", x, self.geom.x_int)
         return PoolState(x, y)
 
     # -- invariants ---------------------------------------------------------
@@ -394,7 +410,7 @@ class ShiftedProductCurve:
         if dx == 0:
             return SwapDelta(0.0, 0.0)
         x_new = state.x + dx
-        self._check_x_bounds(x_new)
+        self._check_bounds("x", x_new, self.geom.x_int)
         dy = -dx * self.scale / ((state.x + self.shift_x) * (x_new + self.shift_x))
         return make_delta(dx, dy)
 
@@ -404,7 +420,7 @@ class ShiftedProductCurve:
         if dy == 0:
             return SwapDelta(0.0, 0.0)
         y_new = state.y + dy
-        self._check_y_bounds(y_new)
+        self._check_bounds("y", y_new, self.geom.y_int)
         dx = -dy * self.scale / ((state.y + self.shift_y) * (y_new + self.shift_y))
         return make_delta(dx, dy)
 
@@ -431,25 +447,77 @@ class ShiftedProductCurve:
         s = y + self.shift_y
         return -self.scale / (s * s)
 
+    # -- derived characterizations -------------------------------------------
+    # Computed on demand, never at construction.  An unshifted curve has no
+    # price bounds and so none of these; each raises DomainError for it.
+
+    def concentration(self) -> float:
+        """c = sqrt(p_high/p_low) = p_high/p0 = p0/p_low."""
+        return _bounded(self.geom).c
+
+    def amplification(self) -> float:
+        """A = sqrt(c)/(sqrt(c) - 1): the factor the emulated virtual curve is scaled by."""
+        root, gap = root_concentration(self.geom)
+        return root / gap
+
+    def center(self) -> tuple[float, float]:
+        """(x0, y0): the one point shared with the unamplified curve, of slope -p0."""
+        _, gap = root_concentration(self.geom)
+        return self.shift_x * gap, self.shift_y * gap
+
+    def liquidity(self) -> float:
+        """L = sqrt(scale)."""
+        _bounded(self.geom)
+        return math.sqrt(self.scale)
+
+    def reference_scale(self) -> float:
+        """x0*y0 of the unamplified curve; always below scale."""
+        x0, y0 = self.center()
+        return x0 * y0
+
+    def virtual_bounds(self) -> VirtualBounds:
+        """Virtual-balance extremes over the tradeable range of the emulated curve."""
+        _bounded(self.geom)
+        return VirtualBounds(
+            min_xv=self.shift_x,
+            max_xv=self.scale / self.shift_y,
+            min_yv=self.shift_y,
+            max_yv=self.scale / self.shift_x,
+        )
+
+    def reference_bound_points(self) -> tuple[float, float, float, float]:
+        """(min_x, max_x, min_y, max_y): where the unamplified curve quotes the bounds."""
+        vb = self.virtual_bounds()
+        amp = self.amplification()
+        return vb.min_xv / amp, vb.max_xv / amp, vb.min_yv / amp, vb.max_yv / amp
+
     # -- bounds -------------------------------------------------------------
 
-    def _check_x_bounds(self, x_new: float) -> None:
-        x_int = self.geom.x_int
-        if math.isinf(x_int):
-            if x_new <= 0:
-                raise InsufficientLiquidity("trade would fully deplete the y reserve")
+    def _check_bounds(self, axis: str, new: float, intercept: float) -> None:
+        """Reject a new balance on ``axis`` outside [0, intercept]."""
+        if math.isinf(intercept):
+            if new <= 0:
+                raise InsufficientLiquidity(f"trade would fully deplete the {axis} reserve")
             return
-        if x_new < 0 or x_new > x_int * (1.0 + BOUNDS_SLACK):
-            raise BoundsExceeded(f"x would leave [0, {x_int}]")
+        if new < 0 or new > intercept * (1.0 + BOUNDS_SLACK):
+            raise BoundsExceeded(f"{axis} would leave [0, {intercept}]")
 
-    def _check_y_bounds(self, y_new: float) -> None:
-        y_int = self.geom.y_int
-        if math.isinf(y_int):
-            if y_new <= 0:
-                raise InsufficientLiquidity("trade would fully deplete the y reserve")
-            return
-        if y_new < 0 or y_new > y_int * (1.0 + BOUNDS_SLACK):
-            raise BoundsExceeded(f"y would leave [0, {y_int}]")
+
+def _bounded(geom: CurveGeometry) -> CurveGeometry:
+    if math.isinf(geom.x_int):
+        raise DomainError("spec", "an unshifted curve has no price bounds")
+    return geom
+
+
+def root_concentration(geom: CurveGeometry) -> tuple[float, float]:
+    """(sqrt(c), sqrt(c) - 1) of a bounded curve, the second without cancellation.
+
+    Subtracting 1 from c or sqrt(c) loses digits as c -> 1.  Every form's
+    geometry gives c - 1 = x_int/(-x_asym) as a quotient instead, and
+    sqrt(c) - 1 = (c - 1)/(sqrt(c) + 1).
+    """
+    root = math.sqrt(_bounded(geom).c)
+    return root, geom.x_int / -geom.x_asym / (root + 1.0)
 
 
 def make_delta(dx: float, dy: float) -> SwapDelta:

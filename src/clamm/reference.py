@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .errors import DomainError, InsufficientLiquidity
 from .params import (
@@ -14,42 +13,28 @@ from .params import (
     SwapDelta,
     make_delta,
     rel_close,
-    validate,
 )
 
 
-@dataclass(frozen=True)
 class ReferenceCurve(ShiftedProductCurve):
     """Rectangular hyperbola through (x0, y0); quotes every price in (0, inf)."""
 
     params: ReferenceParams
-    shift_x: float = field(init=False)
-    shift_y: float = field(init=False)
-    scale: float = field(init=False)
-    geom: CurveGeometry = field(init=False)
 
-    def __post_init__(self):
-        validate(self.params)
-        k = self.params.x0 * self.params.y0
-        object.__setattr__(self, "shift_x", 0.0)
-        object.__setattr__(self, "shift_y", 0.0)
-        object.__setattr__(self, "scale", k)
+    @staticmethod
+    def _constants(params: ReferenceParams):
         # No finite intercepts: the axes are the asymptotes.
-        object.__setattr__(self, "geom", CurveGeometry(
+        return 0.0, 0.0, params.x0 * params.y0, CurveGeometry(
             x_int=math.inf,
             y_int=math.inf,
             x_asym=0.0,
             y_asym=0.0,
             p_high=math.inf,
             p_low=0.0,
-            p0=self.params.y0 / self.params.x0,
+            p0=params.y0 / params.x0,
             c=math.inf,
             phi=math.inf,
-        ))
-
-    @property
-    def k(self) -> float:
-        return self.scale
+        )
 
     def swap_exact_in_x(self, state: PoolState, dx: float) -> SwapDelta:
         """dy = -dx*y/(x + dx); any dx > -x is admissible."""
@@ -77,12 +62,6 @@ class ReferenceCurve(ShiftedProductCurve):
         if state.x == 0:
             raise DomainError("x", "marginal price is undefined at x = 0")
         return -state.y / state.x
-
-    def price_slope_at_x(self, x: float) -> float:
-        return -self.scale / (x * x)
-
-    def price_slope_at_y(self, y: float) -> float:
-        return -self.scale / (y * y)
 
     def log_swap_identity_check(self, state: PoolState, delta: SwapDelta,
                                 rel_tol: float = 1e-9) -> bool:

@@ -25,6 +25,7 @@ from .params import (
     ReferenceParams,
     UniswapV3Params,
     rel_close,
+    root_concentration,
 )
 
 FORMS = tuple(FORM_REGISTRY)
@@ -118,10 +119,11 @@ def concentration_forms_agree(state: PoolState, geom: CurveGeometry,
     """True iff every form defined at this state equals geom.c within rel_tol.
 
     Forms sitting on their singular point are skipped; the asymptote form is
-    always defined, so at least one value is checked.
+    always defined, so at least one value is checked.  An unshifted curve's
+    geometry has no center and raises DomainError.
     """
-    x0 = -geom.x_asym * (math.sqrt(geom.c) - 1.0)
-    y0 = -geom.y_asym * (math.sqrt(geom.c) - 1.0)
+    _, gap = root_concentration(geom)
+    x0, y0 = -geom.x_asym * gap, -geom.y_asym * gap
     values = [concentration_from_asymptotes(state, geom.x_asym, geom.y_asym)]
     try:
         values.append(concentration_from_center(state, x0, y0))

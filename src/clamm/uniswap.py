@@ -7,42 +7,22 @@ no tick grid here; the bounds are arbitrary positive reals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
-from .params import (
-    CurveGeometry,
-    ShiftedProductCurve,
-    UniswapV3Params,
-    VirtualBounds,
-    validate,
-)
+from .params import CurveGeometry, ShiftedProductCurve, UniswapV3Params
 
 
-def _fourth_root(value: float) -> float:
-    # sqrt(sqrt(.)) of a positive argument; no domain ambiguity.
-    return math.sqrt(math.sqrt(value))
-
-
-@dataclass(frozen=True)
 class UniswapCurve(ShiftedProductCurve):
-    """Real curve with cached shifts L/sqrt(p_high) and L*sqrt(p_low)."""
+    """Real curve with shifts L/sqrt(p_high), L*sqrt(p_low) and scale L^2."""
 
     params: UniswapV3Params
-    shift_x: float = field(init=False)
-    shift_y: float = field(init=False)
-    scale: float = field(init=False)
-    geom: CurveGeometry = field(init=False)
 
-    def __post_init__(self):
-        validate(self.params)
-        liq, p_high, p_low = self.params.L, self.params.p_high, self.params.p_low
+    @staticmethod
+    def _constants(params: UniswapV3Params):
+        liq, p_high, p_low = params.L, params.p_high, params.p_low
         sqrt_high = math.sqrt(p_high)
         sqrt_low = math.sqrt(p_low)
-        object.__setattr__(self, "shift_x", liq / sqrt_high)
-        object.__setattr__(self, "shift_y", liq * sqrt_low)
-        object.__setattr__(self, "scale", liq * liq)
         c = sqrt_high / sqrt_low
-        object.__setattr__(self, "geom", CurveGeometry(
+        return liq / sqrt_high, liq * sqrt_low, liq * liq, CurveGeometry(
             x_int=liq / sqrt_low - liq / sqrt_high,
             y_int=liq * (sqrt_high - sqrt_low),
             x_asym=-liq / sqrt_high,
@@ -52,52 +32,4 @@ class UniswapCurve(ShiftedProductCurve):
             p0=sqrt_high * sqrt_low,
             c=c,
             phi=math.log(c),
-        ))
-
-    # -- derived characterizations -------------------------------------------
-
-    def virtual_bounds(self) -> VirtualBounds:
-        liq, p_high, p_low = self.params.L, self.params.p_high, self.params.p_low
-        return VirtualBounds(
-            min_xv=liq / math.sqrt(p_high),
-            max_xv=liq / math.sqrt(p_low),
-            min_yv=liq * math.sqrt(p_low),
-            max_yv=liq * math.sqrt(p_high),
         )
-
-    def center(self) -> tuple[float, float]:
-        """The one point shared with the unamplified curve; its slope is -p0 there."""
-        liq, p_high, p_low = self.params.L, self.params.p_high, self.params.p_low
-        froot_high = _fourth_root(p_high)
-        froot_low = _fourth_root(p_low)
-        depth = 1.0 - froot_low / froot_high
-        x0 = liq / (froot_high * froot_low) * depth
-        y0 = liq * froot_high * froot_low * depth
-        return x0, y0
-
-    def reference_scale(self) -> float:
-        """x0*y0 of the unamplified curve; always below L^2."""
-        liq, p_high, p_low = self.params.L, self.params.p_high, self.params.p_low
-        depth = 1.0 - _fourth_root(p_low) / _fourth_root(p_high)
-        return liq * liq * depth * depth
-
-    def reference_bound_points(self) -> tuple[float, float, float, float]:
-        liq, p_high, p_low = self.params.L, self.params.p_high, self.params.p_low
-        depth = 1.0 - _fourth_root(p_low) / _fourth_root(p_high)
-        return (
-            liq / math.sqrt(p_high) * depth,
-            liq / math.sqrt(p_low) * depth,
-            liq * math.sqrt(p_low) * depth,
-            liq * math.sqrt(p_high) * depth,
-        )
-
-    def concentration(self) -> float:
-        return math.sqrt(self.params.p_high) / math.sqrt(self.params.p_low)
-
-    def amplification(self) -> float:
-        froot_high = _fourth_root(self.params.p_high)
-        froot_low = _fourth_root(self.params.p_low)
-        return froot_high / (froot_high - froot_low)
-
-    def liquidity(self) -> float:
-        return self.params.L

@@ -50,7 +50,8 @@ class TestVirtualBounds:
 
 class TestPriceBounds:
     def test_worked_curve(self, bancor_curve):
-        p_high, p_low, p0 = bancor_curve.price_bounds()
+        g = bancor_curve.geom
+        p_high, p_low, p0 = g.p_high, g.p_low, g.p0
         assert_rel(p_high, 4.0)
         assert_rel(p_low, 0.25)
         assert_rel(p0, 1.0)
@@ -59,13 +60,15 @@ class TestPriceBounds:
     def test_range_ratio_depends_only_on_amplification(self, rng):
         for _ in range(100):
             params = random_bancor(rng)
-            p_high, p_low, _ = BancorCurve(params).price_bounds()
+            g = BancorCurve(params).geom
+            p_high, p_low = g.p_high, g.p_low
             amp = params.A
             expected = (amp / (amp - 1.0)) ** 4
             assert_rel(p_high / p_low, expected, rel=1e-9)
 
     def test_infinite_amplification_limit(self):
-        p_high, p_low, p0 = BancorCurve(BancorV2Params(100, 100, 1e9)).price_bounds()
+        g = BancorCurve(BancorV2Params(100, 100, 1e9)).geom
+        p_high, p_low, p0 = g.p_high, g.p_low, g.p0
         assert_rel(p_high, 1.0, rel=1e-6)
         assert_rel(p_low, 1.0, rel=1e-6)
         assert_rel(p0, 1.0)
@@ -153,7 +156,7 @@ class TestConcentrationConstant:
     def test_four_redundant_routes_agree(self, rng):
         for _ in range(200):
             curve = BancorCurve(random_bancor(rng))
-            p_high, p_low, p0 = curve.price_bounds()
+            p_high, p_low, p0 = curve.geom.p_high, curve.geom.p_low, curve.geom.p0
             c = curve.concentration()
             assert_rel(p_high / p0, c, rel=1e-12)
             assert_rel(p0 / p_low, c, rel=1e-12)

@@ -56,13 +56,14 @@ class TestMarginalPrice:
 
 class TestPriceIdentities:
     def test_worked_curve(self, carbon_curve):
-        p_high, p_low, p0 = carbon_curve.price_identities()
+        g = carbon_curve.geom
+        p_high, p_low, p0 = g.p_high, g.p_low, g.p0
         assert_rel(p_high, 4.0)
         assert_rel(p_low, 0.25)
         assert_rel(p0, 1.0)
 
     def test_gap_above_center(self, carbon_curve):
-        p_high, _, p0 = carbon_curve.price_identities()
+        p_high, p0 = carbon_curve.geom.p_high, carbon_curve.geom.p0
         assert_rel(carbon_curve.price_gap_above_center(), p_high - p0)
         assert_rel(carbon_curve.price_gap_above_center(), 3.0)
 
@@ -88,7 +89,8 @@ class TestVirtualBounds:
 
 class TestCenterAndReference:
     def test_worked_curve(self, carbon_curve):
-        x0, y0, k, amp = carbon_curve.center_and_reference()
+        x0, y0 = carbon_curve.center()
+        k, amp = carbon_curve.reference_scale(), carbon_curve.amplification()
         assert_rel(x0, 100.0)
         assert_rel(y0, 100.0)
         assert_rel(k, 10000.0)
@@ -97,7 +99,7 @@ class TestCenterAndReference:
     def test_center_price_ratio(self, rng):
         for _ in range(100):
             curve = CarbonCurve(translate(random_bancor(rng), "carbon"))
-            x0, y0, _, _ = curve.center_and_reference()
+            x0, y0 = curve.center()
             assert_rel(y0 / x0, curve.geom.p0, rel=1e-9)
 
     def test_reference_bound_points(self, carbon_curve):
@@ -110,8 +112,9 @@ class TestCenterAndReference:
 
 class TestLegacyConstantProduct:
     def test_square_of_balance_over_spread(self, carbon_curve):
-        assert_rel(carbon_curve.legacy_constant_product(), 40000.0)
-        assert_rel(carbon_curve.legacy_constant_product(), carbon_curve.scale, rel=1e-12)
+        a, z = carbon_curve.params.a, carbon_curve.params.z
+        assert_rel(z * z / (a * a), 40000.0)
+        assert_rel(z * z / (a * a), carbon_curve.scale, rel=1e-12)
 
     def test_intercept_quotients(self, rng):
         for _ in range(100):

@@ -356,6 +356,14 @@ class TestVerify:
             assert len(produced) == 1, argv
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("rel_tol", ["inf", "-1", "0", "nan"])
+    def test_bad_rel_tol_is_input_error(self, capsys, rel_tol):
+        for extra in ((), ("--spec", CARBON)):
+            code, out, err = run(capsys, "verify", "--cases", "2", "--rel-tol", rel_tol, *extra)
+            assert code == 2
+            assert out == ""
+            assert error_message(err) == "rel_tol: must be positive and finite"
+
     def test_unreachable_tolerance_fails_with_exit_1(self, capsys):
         code, out, _ = run(capsys, "verify", "--cases", "4", "--seed", "5", "--rel-tol", "1e-17")
         assert code == 1

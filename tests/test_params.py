@@ -6,11 +6,14 @@ from hypothesis import strategies as st
 
 from clamm import (
     BancorV2Params,
+    BoundsExceeded,
     CarbonParams,
     DomainError,
+    InsufficientLiquidity,
     NaturalParams,
     PoolState,
     ReferenceParams,
+    ShiftedProductCurve,
     SwapDelta,
     UniswapV3Params,
     apply_delta,
@@ -58,6 +61,27 @@ class TestValidate:
         with pytest.raises(DomainError) as err:
             validate(params)
         assert err.value.field == field
+
+
+class TestBoundsMessages:
+    """Each rejected trade names the reserve or axis it would break."""
+
+    def test_unbounded_depletion_names_its_reserve(self):
+        # the generic closed forms, as run on a curve with no intercepts
+        curve = curve_for(ReferenceParams(100, 100))
+        state = PoolState(100, 100)
+        with pytest.raises(InsufficientLiquidity, match="deplete the x reserve"):
+            ShiftedProductCurve.swap_exact_in_x(curve, state, -100)
+        with pytest.raises(InsufficientLiquidity, match="deplete the y reserve"):
+            ShiftedProductCurve.swap_exact_out_y(curve, state, -100)
+
+    def test_intercept_overshoot_names_its_axis(self):
+        curve = curve_for(WORKED_BANCOR)
+        state = PoolState(100, 100)
+        with pytest.raises(BoundsExceeded, match=r"^x would leave \[0, 300.0\]$"):
+            curve.swap_exact_in_x(state, 201)
+        with pytest.raises(BoundsExceeded, match=r"^y would leave \[0, 300.0\]$"):
+            curve.swap_exact_out_y(state, 201)
 
 
 class TestStateAndDelta:

@@ -131,7 +131,7 @@ def test_product_conservation(curve, frac):
     state = PoolState(curve.params.x0, curve.params.y0)
     dx = frac * state.x
     after = apply_delta(state, curve.swap_exact_in_x(state, dx))
-    assert_rel(after.x * after.y, curve.k, rel=1e-9)
+    assert_rel(after.x * after.y, curve.scale, rel=1e-9)
 
 
 @settings(max_examples=200)
