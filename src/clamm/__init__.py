@@ -56,7 +56,7 @@ from .params import (
 from .quadrature import (
     ComparisonReport,
     IntegralSpec,
-    adaptive_simpson,
+    adaptive_gauss_kronrod,
     integrate_price_curve,
     oracle_compare,
     run_battery,

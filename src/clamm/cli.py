@@ -235,8 +235,10 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except CurveError as exc:
-        error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        print(json.dumps(error), file=sys.stderr)
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, DomainError):
+            error["field"], error["reason"] = exc.field, exc.reason
+        print(json.dumps({"error": error}), file=sys.stderr)
         if isinstance(exc, ConvergenceFailure):
             return EXIT_VERIFY_FAILED
         return EXIT_INPUT_ERROR

@@ -266,9 +266,10 @@ def natural_asymptotes(params: NaturalParams) -> tuple[float, float]:
         return ax, ay
     if params.anchor == "intercepts":
         return -ax / (c - 1.0), -ay / (c - 1.0)
-    # center anchor: the shift is x0/(sqrt(c) - 1)
-    root = math.sqrt(c)
-    return -ax / (root - 1.0), -ay / (root - 1.0)
+    # center anchor: the shift is x0/(sqrt(c) - 1), with sqrt(c) - 1 written
+    # as (c - 1)/(sqrt(c) + 1) so that it does not cancel as c -> 1
+    gap = (c - 1.0) / (math.sqrt(c) + 1.0)
+    return -ax / gap, -ay / gap
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 The closed-form swap outputs are never trusted blind: the trade amount dy is
 also the integral of the price slope over the traded x interval, and this
-module reproduces it by adaptive Simpson quadrature from the slope callback
-alone.  No swap formula is consulted on the quadrature side.
+module reproduces it by adaptive Gauss-Kronrod 7-15 quadrature from the slope
+callback alone.  No swap formula is consulted on the quadrature side.
 """
 
 from __future__ import annotations
@@ -65,39 +65,75 @@ class ComparisonReport:
     passed: bool
 
 
-def _first_panel(f, a, b):
-    """f(a), f(b), the midpoint m, f(m) and the one-panel Simpson estimate over [a, b]."""
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    return fa, fb, m, fm, (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+# QUADPACK qk15 (Piessens et al., 1983): the Kronrod abscissae in [0, 1),
+# largest first, their 15-point weights, and the weights of the embedded
+# 7-point Gauss rule, whose nodes are every second Kronrod node (0 included).
+_XGK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+        0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+        0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+        0.207784955007898467600689403773245, 0.000000000000000000000000000000000)
+_WGK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+        0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+        0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+        0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+       0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
+
+_X1, _X2, _X3, _X4, _X5, _X6, _X7 = _XGK[:7]
+_K1, _K2, _K3, _K4, _K5, _K6, _K7, _K8 = _WGK
+_G2, _G4, _G6, _G8 = _WG
 
 
-def _adaptive(f, a, fa, b, fb, eps, whole, m, fm, depth):
-    # The two half panels are written out rather than calling a helper, because
-    # this frame runs hundreds of times per integral.  Each uses the expression
-    # of _first_panel and the f calls keep their order, so every sum is the
-    # one a per-panel helper gives.
-    lm = 0.5 * (a + m)
-    flm = f(lm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    rm = 0.5 * (m + b)
-    frm = f(rm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    both = left + right
-    delta = both - whole
-    if abs(delta) <= 15.0 * eps:
-        return both + delta / 15.0
+def _panel(f, a, b):
+    """The Kronrod 15-point estimate of the integral of f over [a, b], and its
+    error estimate |K15 - G7|.
+
+    The node pairs are written out rather than looped over, because this runs
+    for every panel of every integral.  The difference is used raw, without
+    QUADPACK's (200 err/resasc)^1.5 rescaling, so the estimate stays
+    conservative.
+    """
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    fc = f(c)
+    d = h * _X1
+    s1 = f(c - d) + f(c + d)
+    d = h * _X2
+    s2 = f(c - d) + f(c + d)
+    d = h * _X3
+    s3 = f(c - d) + f(c + d)
+    d = h * _X4
+    s4 = f(c - d) + f(c + d)
+    d = h * _X5
+    s5 = f(c - d) + f(c + d)
+    d = h * _X6
+    s6 = f(c - d) + f(c + d)
+    d = h * _X7
+    s7 = f(c - d) + f(c + d)
+    kronrod = _K1 * s1 + _K2 * s2 + _K3 * s3 + _K4 * s4 + _K5 * s5 + _K6 * s6 + _K7 * s7 + _K8 * fc
+    gauss = _G2 * s2 + _G4 * s4 + _G6 * s6 + _G8 * fc
+    return kronrod * h, abs(kronrod - gauss) * h
+
+
+def _adaptive(f, a, b, eps, whole, err, depth):
+    # whole and err are the panel of [a, b]; a rejected panel is bisected and
+    # each half must meet half the tolerance.
+    if err <= eps:
+        return whole
     if depth <= 0:
         raise ConvergenceFailure(f"interval [{a}, {b}] did not converge to {eps}")
-    return (_adaptive(f, a, fa, m, fm, 0.5 * eps, left, lm, flm, depth - 1)
-            + _adaptive(f, m, fm, b, fb, 0.5 * eps, right, rm, frm, depth - 1))
+    m = 0.5 * (a + b)
+    left, left_err = _panel(f, a, m)
+    right, right_err = _panel(f, m, b)
+    half = 0.5 * eps
+    return (_adaptive(f, a, m, half, left, left_err, depth - 1)
+            + _adaptive(f, m, b, half, right, right_err, depth - 1))
 
 
-def adaptive_simpson(f: Callable[[float], float], spec: IntegralSpec) -> float:
-    """Adaptive Simpson integral of f over the spec's interval."""
-    fa, fb, m, fm, whole = _first_panel(f, spec.lower, spec.upper)
-    return _adaptive(f, spec.lower, fa, spec.upper, fb, spec.abs_tol, whole, m, fm, spec.max_depth)
+def adaptive_gauss_kronrod(f: Callable[[float], float], spec: IntegralSpec) -> float:
+    """Adaptive Gauss-Kronrod 7-15 integral of f over the spec's interval."""
+    whole, err = _panel(f, spec.lower, spec.upper)
+    return _adaptive(f, spec.lower, spec.upper, spec.abs_tol, whole, err, spec.max_depth)
 
 
 def _as_curve(curve: CurveParams | ShiftedProductCurve) -> ShiftedProductCurve:
@@ -115,9 +151,9 @@ def integrate_price_curve(curve: CurveParams | ShiftedProductCurve,
                           max_depth: int = DEFAULT_MAX_DEPTH) -> float:
     """dy produced by moving the pool from x_from to x_to, by quadrature only.
 
-    With abs_tol unset, the tolerance is scaled to a coarse first estimate of
-    the integral so that curves of any magnitude converge; the relative target
-    is floored at what double precision permits.
+    With abs_tol unset, the tolerance is scaled to the first panel's estimate
+    of the integral so that curves of any magnitude converge; the relative
+    target is floored at what double precision permits.
     """
     live = _as_curve(curve)
     if x_from == x_to:
@@ -134,13 +170,13 @@ def integrate_price_curve(curve: CurveParams | ShiftedProductCurve,
         raise DomainError("x_from", "the unshifted curve is undefined at x = 0")
     f = live.price_slope_at_x
     # The first panel both sets the tolerance and starts the refinement.
-    fa, fb, m, fm, whole = _first_panel(f, lo, hi)
+    whole, err = _panel(f, lo, hi)
     if abs_tol is None:
         abs_tol = abs(whole) * max(rel_tol, _DOUBLE_REL_FLOOR)
         if abs_tol == 0.0:
             abs_tol = DEFAULT_ABS_TOL
     spec = IntegralSpec(lo, hi, abs_tol, max_depth)
-    return sign * _adaptive(f, lo, fa, hi, fb, spec.abs_tol, whole, m, fm, spec.max_depth)
+    return sign * _adaptive(f, lo, hi, spec.abs_tol, whole, err, spec.max_depth)
 
 
 def oracle_compare(curve: CurveParams | ShiftedProductCurve,

@@ -22,9 +22,12 @@ class UniswapCurve(ShiftedProductCurve):
         sqrt_high = math.sqrt(p_high)
         sqrt_low = math.sqrt(p_low)
         c = sqrt_high / sqrt_low
+        # sqrt_high - sqrt_low without cancellation: p_high - p_low is exact
+        # (Sterbenz) when the range is narrow, where the roots' difference is not
+        root_gap = (p_high - p_low) / (sqrt_high + sqrt_low)
         return liq / sqrt_high, liq * sqrt_low, liq * liq, CurveGeometry(
-            x_int=liq / sqrt_low - liq / sqrt_high,
-            y_int=liq * (sqrt_high - sqrt_low),
+            x_int=liq * root_gap / (sqrt_high * sqrt_low),
+            y_int=liq * root_gap,
             x_asym=-liq / sqrt_high,
             y_asym=-liq * sqrt_low,
             p_high=p_high,

@@ -8,6 +8,7 @@ from clamm import (
     BancorV2Params,
     CarbonParams,
     NaturalParams,
+    ReferenceParams,
     UniswapV3Params,
     curve_for,
 )
@@ -34,6 +35,32 @@ def assert_rel(actual, expected, rel=1e-9, abs_floor=1e-12):
 
 def rel_dev(a, b):
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
+
+
+def exact_curve(params):
+    """(shift_x, shift_y, scale) of the stored parameters, as mpmath numbers at
+    the caller's working precision (mpmath is imported only here, since it is
+    an optional test dependency)."""
+    import mpmath
+
+    mpf, sqrt = mpmath.mpf, mpmath.sqrt
+    if isinstance(params, ReferenceParams):
+        return mpf(0), mpf(0), mpf(params.x0) * mpf(params.y0)
+    if isinstance(params, BancorV2Params):
+        x0, y0, amp = mpf(params.x0), mpf(params.y0), mpf(params.A)
+        return x0 * (amp - 1), y0 * (amp - 1), amp * amp * x0 * y0
+    if isinstance(params, UniswapV3Params):
+        liq, p_high, p_low = mpf(params.L), mpf(params.p_high), mpf(params.p_low)
+        return liq / sqrt(p_high), liq * sqrt(p_low), liq * liq
+    if isinstance(params, CarbonParams):
+        a, b, z = mpf(params.a), mpf(params.b), mpf(params.z)
+        return z / (a * (a + b)), b * z / a, (z / a) ** 2
+    c, ax, ay = mpf(params.c), mpf(params.anchor_x), mpf(params.anchor_y)
+    if params.anchor == "intercepts":
+        ax, ay = -ax / (c - 1), -ay / (c - 1)
+    elif params.anchor == "center":
+        ax, ay = -ax / (sqrt(c) - 1), -ay / (sqrt(c) - 1)
+    return -ax, -ay, c * ax * ay
 
 
 def random_bancor(rng: random.Random, exp_range=(-3.0, 9.0), amp_range=(1.01, 100.0)):

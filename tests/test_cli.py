@@ -306,6 +306,13 @@ class TestVerify:
             assert out == ""
             assert error_message(err) == "cases: must be at least 1"
 
+    def test_no_cases_error_names_field_and_reason(self, capsys):
+        code, _, err = run(capsys, "verify", "--cases", "0")
+        assert code == 2
+        assert json.loads(err) == {"error": {
+            "type": "DomainError", "message": "cases: must be at least 1",
+            "field": "cases", "reason": "must be at least 1"}}
+
     @pytest.mark.parametrize("spec", [None, BANCOR, NATURAL])
     def test_summary_matches_cases_drawn_up_front(self, capsys, spec):
         """Streaming keeps the rng draws and the result of a battery drawn in full first."""
@@ -402,6 +409,21 @@ class TestErrorPaths:
         assert code == 2
         assert out == ""
         assert error_message(err) == message
+
+    def test_bad_spec_error_names_field_and_reason(self, capsys, tmp_path):
+        spec = {"form": "bancor_v2", "x0": 100, "y0": 100, "A": "2"}
+        code, _, err = run(capsys, "geometry", "--spec", write_spec(tmp_path, spec))
+        assert code == 2
+        assert json.loads(err) == {"error": {
+            "type": "DomainError", "message": "A: must be a number, not str",
+            "field": "A", "reason": "must be a number, not str"}}
+
+    def test_non_domain_error_has_no_field(self, capsys):
+        code, _, err = run(capsys, "quote", "--spec", BANCOR, "--x", "100", "--y", "100", "--dx", "1000")
+        assert code == 2
+        error = json.loads(err)["error"]
+        assert error["type"] == "BoundsExceeded"
+        assert "field" not in error and "reason" not in error
 
     @pytest.mark.parametrize("spec, field", [
         ({"form": "uniswap_v3", "L": 1e200, "p_high": 4, "p_low": 0.25}, "L"),

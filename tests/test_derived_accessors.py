@@ -21,6 +21,8 @@ from clamm import (  # noqa: E402
     curve_for,
 )
 
+from .conftest import exact_curve  # noqa: E402
+
 DIGITS = 60
 BOUND = 2e-15
 
@@ -34,62 +36,33 @@ ACCESSORS = (
     "reference_bound_points",
 )
 
-# The uniswap x intercept L/sqrt(p_low) - L/sqrt(p_high) cancels as the range
-# narrows, and the natural center anchor's shift x0/(sqrt(c) - 1) cancels as
-# c -> 1; both sit in the form's constructor, and every accessor built on the
-# cancelled constant misses the bound.  ROADMAP item 3 owns both fixes.
-UNISWAP_X_INT = "uniswap x_int cancels in the constructor (ROADMAP item 3)"
-NATURAL_CENTER = "natural center-anchor shift cancels in the constructor (ROADMAP item 3)"
-FROM_X_INT = ("amplification", "center", "reference_scale", "reference_bound_points")
-FROM_SHIFTS = ("center", "liquidity", "reference_scale", "virtual_bounds", "reference_bound_points")
-
-# (regime, params, accessors known to miss the bound, reason): typical ranges,
-# narrow ones (A up to 1e9, c -> 1) and wide ones (A -> 1 + 1e-6, c up to 1e12).
+# (regime, params): typical ranges, narrow ones (A up to 1e9, c -> 1) and wide
+# ones (A -> 1 + 1e-6, c up to 1e12).
 CASES = (
-    ("typical", BancorV2Params(100.0, 100.0, 2.0), (), None),
-    ("typical", BancorV2Params(3.7e-3, 5.2e8, 17.3), (), None),
-    ("narrow", BancorV2Params(100.0, 400.0, 1e9), (), None),
-    ("narrow", BancorV2Params(2.5, 7.0, 123456.789), (), None),
-    ("wide", BancorV2Params(100.0, 100.0, 1.0 + 1e-6), (), None),
-    ("wide", BancorV2Params(1e6, 3e-2, 1.0001), (), None),
-    ("typical", UniswapV3Params(200.0, 4.0, 0.25), (), None),
-    ("typical", UniswapV3Params(1234.5, 3.1, 2.9), ("reference_scale",), UNISWAP_X_INT),
-    ("narrow", UniswapV3Params(1e3, 1.0 + 4e-9, 1.0), FROM_X_INT, UNISWAP_X_INT),
-    ("narrow", UniswapV3Params(7.5, 2.0000003, 2.0), FROM_X_INT, UNISWAP_X_INT),
-    ("wide", UniswapV3Params(50.0, 1e12, 1e-12), (), None),
-    ("typical", CarbonParams(1.5, 0.5, 300.0), (), None),
-    ("typical", CarbonParams(0.37, 2.9, 4.2e5), (), None),
-    ("narrow", CarbonParams(1e-9, 1.3, 1e3), (), None),
-    ("narrow", CarbonParams(3e-6, 0.02, 8.0), (), None),
-    ("wide", CarbonParams(1e6, 1e-6, 10.0), (), None),
-    ("typical", NaturalParams(4.0, "asymptotes", -100.0, -100.0), (), None),
-    ("typical", NaturalParams(2.7, "center", 31.0, 0.45), (), None),
-    ("narrow", NaturalParams(1.0 + 2e-9, "asymptotes", -3e4, -2.5), (), None),
-    ("narrow", NaturalParams(1.0 + 1e-6, "intercepts", 0.3, 9e4), (), None),
-    ("narrow", NaturalParams(1.0 + 2e-9, "center", 100.0, 400.0), FROM_SHIFTS, NATURAL_CENTER),
-    ("wide", NaturalParams(1e12, "intercepts", 5.0, 7.0), (), None),
-    ("wide", NaturalParams(4e6, "asymptotes", -2e-3, -6e2), (), None),
+    ("typical", BancorV2Params(100.0, 100.0, 2.0)),
+    ("typical", BancorV2Params(3.7e-3, 5.2e8, 17.3)),
+    ("narrow", BancorV2Params(100.0, 400.0, 1e9)),
+    ("narrow", BancorV2Params(2.5, 7.0, 123456.789)),
+    ("wide", BancorV2Params(100.0, 100.0, 1.0 + 1e-6)),
+    ("wide", BancorV2Params(1e6, 3e-2, 1.0001)),
+    ("typical", UniswapV3Params(200.0, 4.0, 0.25)),
+    ("typical", UniswapV3Params(1234.5, 3.1, 2.9)),
+    ("narrow", UniswapV3Params(1e3, 1.0 + 4e-9, 1.0)),
+    ("narrow", UniswapV3Params(7.5, 2.0000003, 2.0)),
+    ("wide", UniswapV3Params(50.0, 1e12, 1e-12)),
+    ("typical", CarbonParams(1.5, 0.5, 300.0)),
+    ("typical", CarbonParams(0.37, 2.9, 4.2e5)),
+    ("narrow", CarbonParams(1e-9, 1.3, 1e3)),
+    ("narrow", CarbonParams(3e-6, 0.02, 8.0)),
+    ("wide", CarbonParams(1e6, 1e-6, 10.0)),
+    ("typical", NaturalParams(4.0, "asymptotes", -100.0, -100.0)),
+    ("typical", NaturalParams(2.7, "center", 31.0, 0.45)),
+    ("narrow", NaturalParams(1.0 + 2e-9, "asymptotes", -3e4, -2.5)),
+    ("narrow", NaturalParams(1.0 + 1e-6, "intercepts", 0.3, 9e4)),
+    ("narrow", NaturalParams(1.0 + 2e-9, "center", 100.0, 400.0)),
+    ("wide", NaturalParams(1e12, "intercepts", 5.0, 7.0)),
+    ("wide", NaturalParams(4e6, "asymptotes", -2e-3, -6e2)),
 )
-
-
-def exact_curve(params):
-    """(shift_x, shift_y, scale) of the stored parameters, at the working precision."""
-    mpf, sqrt = mpmath.mpf, mpmath.sqrt
-    if isinstance(params, BancorV2Params):
-        x0, y0, amp = mpf(params.x0), mpf(params.y0), mpf(params.A)
-        return x0 * (amp - 1), y0 * (amp - 1), amp * amp * x0 * y0
-    if isinstance(params, UniswapV3Params):
-        liq, p_high, p_low = mpf(params.L), mpf(params.p_high), mpf(params.p_low)
-        return liq / sqrt(p_high), liq * sqrt(p_low), liq * liq
-    if isinstance(params, CarbonParams):
-        a, b, z = mpf(params.a), mpf(params.b), mpf(params.z)
-        return z / (a * (a + b)), b * z / a, (z / a) ** 2
-    c, ax, ay = mpf(params.c), mpf(params.anchor_x), mpf(params.anchor_y)
-    if params.anchor == "intercepts":
-        ax, ay = -ax / (c - 1), -ay / (c - 1)
-    elif params.anchor == "center":
-        ax, ay = -ax / (sqrt(c) - 1), -ay / (sqrt(c) - 1)
-    return -ax, -ay, c * ax * ay
 
 
 def exact_accessors(params) -> dict:
@@ -130,10 +103,9 @@ def max_rel_error(params, name) -> float:
 
 
 def _cases():
-    for idx, (regime, params, known, reason) in enumerate(CASES):
+    for idx, (regime, params) in enumerate(CASES):
         for name in ACCESSORS:
-            marks = pytest.mark.xfail(strict=True, reason=reason) if name in known else ()
-            yield pytest.param(params, name, id=f"{idx}-{params.form}-{regime}-{name}", marks=marks)
+            yield pytest.param(params, name, id=f"{idx}-{params.form}-{regime}-{name}")
 
 
 @pytest.mark.parametrize("params,name", _cases())

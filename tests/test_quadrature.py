@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import clamm.quadrature
 from clamm import (
     ConvergenceFailure,
     DomainError,
@@ -10,7 +11,7 @@ from clamm import (
     PoolState,
     ReferenceParams,
     SwapDelta,
-    adaptive_simpson,
+    adaptive_gauss_kronrod,
     curve_for,
     integrate_price_curve,
     oracle_compare,
@@ -18,7 +19,10 @@ from clamm import (
 )
 from clamm.quadrature import (
     _BATTERY_FORMS,
+    _WG,
+    _WGK,
     DEFAULT_ABS_TOL,
+    _panel,
     battery_cases,
     random_admissible_swap,
     random_bancor_params,
@@ -26,13 +30,19 @@ from clamm.quadrature import (
 )
 from clamm.rosetta import translate
 
-from .conftest import WORKED_BANCOR, WORKED_CARBON, WORKED_NATURAL, WORKED_UNISWAP, assert_rel
+from .conftest import (
+    WORKED_BANCOR,
+    WORKED_CARBON,
+    WORKED_NATURAL,
+    WORKED_UNISWAP,
+    assert_rel,
+    exact_curve,
+    rel_dev,
+)
 
 # ---------------------------------------------------------------------------
-# Reference kernel: the recursion as it was before the half panels were
-# written out in _adaptive and before integrate_price_curve shared its first
-# panel with the kernel.  The library must still return these values bit for
-# bit.
+# Second quadrature: adaptive Simpson.  It shares no code with the library's
+# Gauss-Kronrod rule, so the two agreeing is a check on both.
 # ---------------------------------------------------------------------------
 
 
@@ -61,7 +71,7 @@ def reference_adaptive_simpson(f, spec):
 
 
 def reference_integral(curve, x_from, x_to, abs_tol=None, rel_tol=1e-10):
-    """integrate_price_curve on the reference kernel, for in-range intervals."""
+    """integrate_price_curve on the Simpson kernel, for in-range intervals."""
     sign = 1.0
     lo, hi = x_from, x_to
     if hi < lo:
@@ -93,6 +103,36 @@ def reference_random_cases(seed, cases):
         state, dx = random_admissible_swap(rng, curve)
         out.append((params, state, dx))
     return out
+
+
+EXACT_DIGITS = 60
+EXACT_BOUND = 2e-15
+SIMPSON_BOUND = 1e-13
+
+
+def exact_rel_error(got, params, x_from, x_to) -> float:
+    """Relative error of got against dy = y(x_to) - y(x_from) on
+    (x + sx)(y + sy) = s, evaluated at 60 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(EXACT_DIGITS):
+        sx, _, s = exact_curve(params)
+        want = s / (mpmath.mpf(x_to) + sx) - s / (mpmath.mpf(x_from) + sx)
+        return float(abs(mpmath.mpf(got) - want) / abs(want))
+
+
+def derived_tolerance(f, lo, hi, rel_tol=1e-10):
+    """The abs_tol integrate_price_curve derives from its first panel."""
+    return abs(_panel(f, lo, hi)[0]) * max(rel_tol, 1e-13)
+
+
+def kernel_integral(curve, x_from, x_to, abs_tol=None):
+    """integrate_price_curve spelled out as one adaptive_gauss_kronrod call."""
+    lo, hi = sorted((x_from, x_to))
+    f = curve.price_slope_at_x
+    if abs_tol is None:
+        abs_tol = derived_tolerance(f, lo, hi)
+    value = adaptive_gauss_kronrod(f, IntegralSpec(lo, hi, abs_tol))
+    return value if x_from < x_to else -value
 
 
 class CountingSlope:
@@ -143,24 +183,28 @@ class TestIntegralSpec:
 
 
 class TestAdaptiveSimpson:
+    """The public adaptive kernel, adaptive_gauss_kronrod.  The class keeps the
+    name of the Simpson kernel it first tested, so that its test ids stay
+    stable; every check holds for any adaptive rule."""
+
     def test_polynomial_is_exact(self):
-        value = adaptive_simpson(lambda x: x * x * x, IntegralSpec(0.0, 2.0))
+        value = adaptive_gauss_kronrod(lambda x: x * x * x, IntegralSpec(0.0, 2.0))
         assert_rel(value, 4.0, rel=1e-12)
 
     def test_smooth_transcendental(self):
-        value = adaptive_simpson(math.exp, IntegralSpec(0.0, 1.0, abs_tol=1e-12))
+        value = adaptive_gauss_kronrod(math.exp, IntegralSpec(0.0, 1.0, abs_tol=1e-12))
         assert_rel(value, math.e - 1.0, rel=1e-11)
 
     def test_depth_exhaustion_raises(self):
         with pytest.raises(ConvergenceFailure):
-            adaptive_simpson(lambda x: 1.0 / x, IntegralSpec(1e-6, 1.0, abs_tol=1e-12, max_depth=3))
+            adaptive_gauss_kronrod(lambda x: 1.0 / x, IntegralSpec(1e-6, 1.0, abs_tol=1e-12, max_depth=3))
 
     def test_halving_tolerance_is_conservative(self):
         f = lambda x: 1.0 / (x * x)
         tol = 1e-6
         for _ in range(6):
-            coarse = adaptive_simpson(f, IntegralSpec(1.0, 50.0, abs_tol=tol))
-            fine = adaptive_simpson(f, IntegralSpec(1.0, 50.0, abs_tol=tol / 2.0))
+            coarse = adaptive_gauss_kronrod(f, IntegralSpec(1.0, 50.0, abs_tol=tol))
+            fine = adaptive_gauss_kronrod(f, IntegralSpec(1.0, 50.0, abs_tol=tol / 2.0))
             assert abs(coarse - fine) <= tol
             tol /= 2.0
 
@@ -192,7 +236,7 @@ class TestIntegratePriceCurve:
         state = PoolState(100.0, 100.0)
         delta = bancor_curve.swap_exact_in_x(state, 100.0)
         spec = IntegralSpec(state.y + delta.dy, state.y, abs_tol=1e-10)
-        dx = -adaptive_simpson(bancor_curve.price_slope_at_y, spec)
+        dx = -adaptive_gauss_kronrod(bancor_curve.price_slope_at_y, spec)
         assert_rel(dx, delta.dx, rel=1e-8)
 
     def test_consumes_only_the_slope_callback(self, bancor_curve):
@@ -208,37 +252,108 @@ class TestIntegratePriceCurve:
         assert_rel(dy, -200.0 / 3.0, rel=1e-8)
 
 
+class TestKronrodKernel:
+    """The QUADPACK qk15 tables, guarded against a mistyped node or weight,
+    and the bisection that uses them."""
+
+    def test_each_weight_set_sums_to_two(self):
+        assert abs(2.0 * sum(_WGK[:7]) + _WGK[7] - 2.0) <= 1e-15
+        assert abs(2.0 * sum(_WG[:3]) + _WG[3] - 2.0) <= 1e-15
+
+    def test_kronrod_integrates_degree_22_exactly(self):
+        value, err = _panel(lambda x: x ** 22, -1.0, 1.0)
+        assert abs(value - 2.0 / 23.0) <= 1e-15 * (2.0 / 23.0)
+        assert err > 1e-3  # seven Gauss points cannot: the estimate is real
+
+    def test_gauss_integrates_degree_12_exactly(self):
+        value, err = _panel(lambda x: x ** 12, -1.0, 1.0)
+        assert abs(value - 2.0 / 13.0) <= 1e-15 * (2.0 / 13.0)
+        assert err <= 1e-15
+
+    def test_each_panel_meets_its_share_of_the_tolerance(self, monkeypatch):
+        # a panel of width w out of W is held to abs_tol * w / W, so the
+        # accepted error estimates add up to at most abs_tol
+        frames = []
+        kernel = clamm.quadrature._adaptive
+
+        def recording(f, a, b, eps, whole, err, depth):
+            frames.append((b - a, eps, err))
+            return kernel(f, a, b, eps, whole, err, depth)
+
+        monkeypatch.setattr(clamm.quadrature, "_adaptive", recording)
+        spec = IntegralSpec(1.0, 50.0, abs_tol=1e-9)
+        adaptive_gauss_kronrod(lambda x: 1.0 / (x * x), spec)
+        assert len(frames) > 1
+        for width, eps, _ in frames:
+            assert math.isclose(eps, spec.abs_tol * width / 49.0, rel_tol=1e-12)
+        leaves = [err for _, eps, err in frames if err <= eps]
+        assert sum(leaves) <= spec.abs_tol
+
+
 class TestKernelMatchesReference:
+    """The kernel against a 60-digit evaluation of the same integral and
+    against the adaptive Simpson copy above."""
+
     @pytest.mark.parametrize("seed", [0, 3, 11, 2024])
     def test_battery_integrals_are_bit_identical(self, seed):
+        # the shared first panel changes nothing: integrate_price_curve
+        # returns the public kernel's value at the tolerance it derives
         for curve, x_from, x_to in battery_intervals(seed, 400):
-            assert integrate_price_curve(curve, x_from, x_to) == reference_integral(curve, x_from, x_to)
+            assert integrate_price_curve(curve, x_from, x_to) == kernel_integral(curve, x_from, x_to)
 
     def test_worked_curve_integrals_are_bit_identical(self):
         for curve, x_from, x_to in worked_intervals():
             for abs_tol in (None, 1e-10):
                 got = integrate_price_curve(curve, x_from, x_to, abs_tol=abs_tol)
-                assert got == reference_integral(curve, x_from, x_to, abs_tol=abs_tol)
+                assert got == kernel_integral(curve, x_from, x_to, abs_tol=abs_tol)
 
-    def test_adaptive_simpson_is_bit_identical(self):
-        for f, spec in ((math.exp, IntegralSpec(0.0, 1.0, abs_tol=1e-12)),
-                        (lambda x: 1.0 / (x * x), IntegralSpec(1.0, 50.0, abs_tol=1e-9)),
-                        (math.sqrt, IntegralSpec(0.0, 4.0, abs_tol=1e-11))):
-            assert adaptive_simpson(f, spec) == reference_adaptive_simpson(f, spec)
+    @pytest.mark.parametrize("seed", [0, 3, 11, 2024])
+    def test_battery_integrals_are_exact(self, seed):
+        for curve, x_from, x_to in battery_intervals(seed, 400):
+            got = integrate_price_curve(curve, x_from, x_to)
+            assert exact_rel_error(got, curve.params, x_from, x_to) <= EXACT_BOUND
+            assert rel_dev(got, reference_integral(curve, x_from, x_to)) <= SIMPSON_BOUND
+
+    def test_worked_curve_integrals_are_exact(self):
+        for curve, x_from, x_to in worked_intervals():
+            for abs_tol in (None, 1e-10):
+                got = integrate_price_curve(curve, x_from, x_to, abs_tol=abs_tol)
+                assert exact_rel_error(got, curve.params, x_from, x_to) <= EXACT_BOUND
+                simpson = reference_integral(curve, x_from, x_to, abs_tol=abs_tol)
+                assert rel_dev(got, simpson) <= SIMPSON_BOUND
+
+    def test_adaptive_gauss_kronrod_agrees_with_simpson(self):
+        for f, spec, exact in ((math.exp, IntegralSpec(0.0, 1.0, abs_tol=1e-12), math.e - 1.0),
+                               (lambda x: 1.0 / (x * x), IntegralSpec(1.0, 50.0, abs_tol=1e-9), 0.98),
+                               (math.sqrt, IntegralSpec(0.0, 4.0, abs_tol=1e-11), 16.0 / 3.0)):
+            got = adaptive_gauss_kronrod(f, spec)
+            assert abs(got - exact) <= spec.abs_tol
+            assert abs(got - reference_adaptive_simpson(f, spec)) <= 2.0 * spec.abs_tol
+
+    def test_reference_integrals_cost_less_than_simpson(self):
+        for seed in (0, 3, 11, 2024):
+            for curve, x_from, x_to in battery_intervals(seed, 400):
+                if curve.params.form != "reference":
+                    continue
+                new, old = CountingSlope(curve), CountingSlope(curve)
+                integrate_price_curve(new, x_from, x_to)
+                reference_integral(old, x_from, x_to)
+                assert new.evals < old.evals
 
     def test_first_panel_is_computed_once(self):
         intervals = [*battery_intervals(3, 40), *worked_intervals(5)]
         for curve, x_from, x_to in intervals:
+            tol = derived_tolerance(curve.price_slope_at_x, *sorted((x_from, x_to)))
             new, old = CountingSlope(curve), CountingSlope(curve)
             integrate_price_curve(new, x_from, x_to)
-            reference_integral(old, x_from, x_to)
-            assert new.evals == old.evals - 3
+            kernel_integral(old, x_from, x_to, abs_tol=tol)
+            assert new.evals == old.evals
 
     def test_explicit_tolerance_costs_the_same(self):
         for curve, x_from, x_to in worked_intervals(5):
             new, old = CountingSlope(curve), CountingSlope(curve)
             integrate_price_curve(new, x_from, x_to, abs_tol=1e-10)
-            reference_integral(old, x_from, x_to, abs_tol=1e-10)
+            kernel_integral(old, x_from, x_to, abs_tol=1e-10)
             assert new.evals == old.evals
 
 

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from clamm import SwapDelta
+
 from .conftest import DATA_DIR, GOLDEN_DIR
 from .test_acceptance import GOLDEN_COMMANDS
 
@@ -25,11 +27,15 @@ def run_script(name, *argv):
                           capture_output=True, text=True, env=script_env(), timeout=120)
 
 
-def load_regen():
-    spec = importlib.util.spec_from_file_location("regen_cli_golden", SCRIPTS / "regen_cli_golden.py")
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_regen():
+    return load_script("regen_cli_golden")
 
 
 def normalised(commands, data_dir):
@@ -69,6 +75,28 @@ def test_oracle_deviation_sweep_runs():
     assert result.returncode == 0, result.stderr
     assert "DISAGREEMENT" not in result.stdout
     assert len(result.stdout.splitlines()) == 14  # header plus 13 decades
+
+
+def test_oracle_deviation_sweep_fails_on_disagreement(monkeypatch, capsys):
+    sweep = load_script("oracle_deviation_sweep")
+    real_curve_for = sweep.curve_for
+
+    class Corrupted:
+        """A curve whose closed-form swap is off by one part in a million."""
+
+        def __init__(self, curve):
+            self._curve = curve
+            self.geom = curve.geom
+            self.price_slope_at_x = curve.price_slope_at_x
+            self.state_from_x = curve.state_from_x
+
+        def swap_exact_in_x(self, state, dx):
+            honest = self._curve.swap_exact_in_x(state, dx)
+            return SwapDelta(honest.dx, honest.dy * (1.0 + 1e-6))
+
+    monkeypatch.setattr(sweep, "curve_for", lambda params: Corrupted(real_curve_for(params)))
+    assert sweep.main(["--cases-per-decade", "1"]) == 1
+    assert "DISAGREEMENT" in capsys.readouterr().out
 
 
 def test_worked_curve_demo_runs():
