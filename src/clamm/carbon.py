@@ -10,27 +10,29 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError
 from .params import (
     CarbonParams,
     CurveGeometry,
     PoolState,
     ShiftedProductCurve,
-    SwapDelta,
-    make_delta,
+    _check_finite_positive,
+    _check_scale,
 )
 
 
-class CarbonCurve(ShiftedProductCurve):
+class CarbonCurve(ShiftedProductCurve, params_type=CarbonParams):
     """Real curve in the one-balance parameterization."""
 
     params: CarbonParams
 
     @staticmethod
     def _constants(params: CarbonParams):
-        a, b, z = params.a, params.b, params.z
+        a = _check_finite_positive(params.a, "a")
+        b = _check_finite_positive(params.b, "b")
+        z = _check_finite_positive(params.z, "z")
+        scale = _check_scale((z / a) * (z / a), "z", "(z/a)^2")
         c = (a + b) / b
-        return z / (a * (a + b)), b * z / a, (z / a) * (z / a), CurveGeometry(
+        return z / (a * (a + b)), b * z / a, scale, CurveGeometry(
             x_int=z / (b * (a + b)),
             y_int=z,
             x_asym=-z / (a * (a + b)),
@@ -44,28 +46,14 @@ class CarbonCurve(ShiftedProductCurve):
 
     # -- native closed forms ---------------------------------------------------
 
-    def swap_exact_in_x(self, state: PoolState, dx: float) -> SwapDelta:
-        if not math.isfinite(dx):
-            raise DomainError("dx", "must be finite")
-        if dx == 0:
-            return SwapDelta(0.0, 0.0)
-        x_new = state.x + dx
-        self._check_bounds("x", x_new, self.geom.x_int)
+    def _dy(self, state: PoolState, dx: float, x_new: float) -> float:
         a, b, z = self.params.a, self.params.b, self.params.z
         gain = a * (a + b)
-        dy = -dx * z * z * (a + b) * (a + b) / ((state.x * gain + z) * (x_new * gain + z))
-        return make_delta(dx, dy)
+        return -dx * z * z * (a + b) * (a + b) / ((state.x * gain + z) * (x_new * gain + z))
 
-    def swap_exact_out_y(self, state: PoolState, dy: float) -> SwapDelta:
-        if not math.isfinite(dy):
-            raise DomainError("dy", "must be finite")
-        if dy == 0:
-            return SwapDelta(0.0, 0.0)
-        y_new = state.y + dy
-        self._check_bounds("y", y_new, self.geom.y_int)
+    def _dx(self, state: PoolState, dy: float, y_new: float) -> float:
         a, b, z = self.params.a, self.params.b, self.params.z
-        dx = -dy * z * z / ((a * state.y + b * z) * (a * y_new + b * z))
-        return make_delta(dx, dy)
+        return -dy * z * z / ((a * state.y + b * z) * (a * y_new + b * z))
 
     def marginal_price(self, state: PoolState) -> float:
         a, b, z = self.params.a, self.params.b, self.params.z

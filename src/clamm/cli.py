@@ -46,6 +46,9 @@ def _state(curve, args) -> PoolState:
 
 
 def cmd_quote(args) -> int:
+    # An infinite tolerance would accept any state as on the curve.
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+        raise DomainError("tolerance", "must be positive and finite")
     curve = curve_for(_load(args))
     state = _state(curve, args)
     if args.dx is not None:
@@ -184,19 +187,26 @@ def cmd_verify(args) -> int:
     return EXIT_OK if failed == 0 else EXIT_VERIFY_FAILED
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--spec", help="path to a curve spec JSON file")
-    common.add_argument("--tolerance", type=float, default=1e-9,
-                        help="relative tolerance for on-curve checks (default 1e-9)")
-    common.add_argument("--output", choices=("json", "csv"), default="json",
-                        help="output format (csv applies to sweeps)")
+class _Parser(argparse.ArgumentParser):
+    """Raises ArgumentError for every usage error instead of printing usage and exiting."""
 
-    parser = argparse.ArgumentParser(prog="clamm",
-                                     description="Concentrated-liquidity curve math")
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, exit_on_error=False, **kwargs)
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    common = _Parser(add_help=False)
+    common.add_argument("--spec", help="path to a curve spec JSON file")
+
+    parser = _Parser(prog="clamm", description="Concentrated-liquidity curve math")
     sub = parser.add_subparsers(dest="command", required=True)
 
     quote = sub.add_parser("quote", parents=[common], help="price a trade against a curve")
+    quote.add_argument("--tolerance", type=float, default=1e-9,
+                       help="relative tolerance for the on-curve check (default 1e-9)")
     quote.add_argument("--x", type=float, required=True, help="current x balance")
     quote.add_argument("--y", type=float, required=True, help="current y balance")
     group = quote.add_mutually_exclusive_group(required=True)
@@ -211,6 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", parents=[common], help="tabulate the curve for plotting")
     sweep.add_argument("--axis", choices=("x", "price"), default="x")
     sweep.add_argument("--points", type=int, default=101)
+    sweep.add_argument("--output", choices=("json", "csv"), default="json")
     sweep.set_defaults(handler=cmd_sweep)
 
     angle = sub.add_parser("angle", parents=[common], help="hyperbolic angle of the price range")
@@ -230,9 +241,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def _parse(argv) -> argparse.Namespace:
     try:
+        return build_parser().parse_args(argv)
+    except argparse.ArgumentError as exc:
+        # "--rel-tol" -> "rel_tol"; an error tied to no single option names the command
+        field = (exc.argument_name or "command").lstrip("-").replace("-", "_")
+        raise DomainError(field, exc.message) from None
+
+
+def main(argv=None) -> int:
+    try:
+        args = _parse(argv)
         return args.handler(args)
     except CurveError as exc:
         error = {"type": type(exc).__name__, "message": str(exc)}

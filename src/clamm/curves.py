@@ -4,25 +4,22 @@ from __future__ import annotations
 
 import math
 
-from .bancor import BancorCurve
-from .carbon import CarbonCurve
+# Importing the form modules registers their curve classes with curve_class.
+from . import bancor, carbon, reference, uniswap  # noqa: F401
 from .params import (
-    BancorV2Params,
-    CarbonParams,
+    ANCHOR_KINDS,
+    _ANCHOR_FIELDS,
     CurveGeometry,
     CurveParams,
     NaturalParams,
-    ReferenceParams,
     ShiftedProductCurve,
-    UniswapV3Params,
-    natural_asymptotes,
-    validate,
+    _check_scale,
+    _require,
+    curve_class,
 )
-from .reference import ReferenceCurve
-from .uniswap import UniswapCurve
 
 
-class NaturalCurve(ShiftedProductCurve):
+class NaturalCurve(ShiftedProductCurve, params_type=NaturalParams):
     """Real curve stored as concentration constant plus one anchor point.
 
     Whatever the anchor kind, construction goes through the asymptote pair:
@@ -34,10 +31,30 @@ class NaturalCurve(ShiftedProductCurve):
 
     @staticmethod
     def _constants(params: NaturalParams):
-        c = params.c
-        x_asym, y_asym = natural_asymptotes(params)
+        c, anchor, ax, ay = params.c, params.anchor, params.anchor_x, params.anchor_y
+        _require(math.isfinite(c), "c", "must be finite")
+        _require(c > 1, "c", "must exceed 1")
+        _require(anchor in ANCHOR_KINDS, "anchor", f"must be one of {ANCHOR_KINDS}")
+        _require(math.isfinite(ax), "anchor_x", "must be finite")
+        _require(math.isfinite(ay), "anchor_y", "must be finite")
+        nx, ny = _ANCHOR_FIELDS[anchor]
+        if anchor == "asymptotes":
+            _require(ax < 0, nx, "must be negative")
+            _require(ay < 0, ny, "must be negative")
+            x_asym, y_asym = ax, ay
+        else:
+            _require(ax > 0, nx, "must be positive")
+            _require(ay > 0, ny, "must be positive")
+            if anchor == "intercepts":
+                gap = c - 1.0
+            else:
+                # center anchor: the shift is x0/(sqrt(c) - 1), with sqrt(c) - 1
+                # written as (c - 1)/(sqrt(c) + 1) so that it does not cancel as c -> 1
+                gap = (c - 1.0) / (math.sqrt(c) + 1.0)
+            x_asym, y_asym = -ax / gap, -ay / gap
+        scale = _check_scale(c * x_asym * y_asym, "c", "c*x_asym*y_asym")
         p0 = y_asym / x_asym
-        return -x_asym, -y_asym, c * x_asym * y_asym, CurveGeometry(
+        return -x_asym, -y_asym, scale, CurveGeometry(
             x_int=-x_asym * (c - 1.0),
             y_int=-y_asym * (c - 1.0),
             x_asym=x_asym,
@@ -50,22 +67,9 @@ class NaturalCurve(ShiftedProductCurve):
         )
 
 
-_CURVE_CLASSES = {
-    ReferenceParams: ReferenceCurve,
-    BancorV2Params: BancorCurve,
-    UniswapV3Params: UniswapCurve,
-    CarbonParams: CarbonCurve,
-    NaturalParams: NaturalCurve,
-}
-
-
 def curve_for(params: CurveParams) -> ShiftedProductCurve:
     """Validated curve object for any parameter form."""
-    cls = _CURVE_CLASSES.get(type(params))
-    if cls is None:
-        validate(params)  # raises DomainError with the right message
-        raise AssertionError("unreachable")
-    return cls(params)
+    return curve_class(params)(params)
 
 
 def geometry(params: CurveParams) -> CurveGeometry:

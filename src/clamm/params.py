@@ -42,12 +42,13 @@ def _require(cond: bool, name: str, reason: str) -> None:
         raise DomainError(name, reason)
 
 
-def _check_finite_positive(value: float, name: str) -> None:
+def _check_finite_positive(value: float, name: str) -> float:
     _require(isinstance(value, (int, float)) and math.isfinite(value), name, "must be finite")
     _require(value > 0, name, "must be positive")
+    return value
 
 
-def _check_scale(scale: float, name: str, expr: str) -> None:
+def _check_scale(scale: float, name: str, expr: str) -> float:
     # The scale is computed with the form's own expression, so finite positive
     # fields can still overflow it or underflow it to a subnormal or zero; an
     # underflowed scale flattens the curve to y = 0 and divides by zero in swaps.
@@ -55,6 +56,7 @@ def _check_scale(scale: float, name: str, expr: str) -> None:
         raise DomainError(name, f"{expr} must be finite")
     if scale < MIN_NORMAL:
         raise DomainError(name, f"{expr} must be a positive normal float, not {scale!r}")
+    return scale
 
 
 # ---------------------------------------------------------------------------
@@ -213,63 +215,21 @@ class VirtualBounds:
 def validate(params: CurveParams) -> CurveParams:
     """Check all type invariants of a parameter set; returns it unchanged.
 
-    Raises DomainError naming the offending field.  Degenerate limits are
-    rejected rather than treated as limits: A = 1 and p_high = p_low both zero
-    out a shift divisor.
+    Raises DomainError naming the offending field.  The rules are those the
+    form's curve constructor checks as it computes the curve constants.
+    Degenerate limits are rejected rather than treated as limits: A = 1 and
+    p_high = p_low both zero out a shift divisor.
     """
-    if isinstance(params, ReferenceParams):
-        _check_finite_positive(params.x0, "x0")
-        _check_finite_positive(params.y0, "y0")
-        _check_scale(params.x0 * params.y0, "x0", "x0*y0")
-    elif isinstance(params, BancorV2Params):
-        _check_finite_positive(params.x0, "x0")
-        _check_finite_positive(params.y0, "y0")
-        _require(math.isfinite(params.A), "A", "must be finite")
-        _require(params.A > 1, "A", "must exceed 1")
-        _check_scale(params.A * params.A * params.x0 * params.y0, "A", "A^2*x0*y0")
-    elif isinstance(params, UniswapV3Params):
-        _check_finite_positive(params.L, "L")
-        _check_finite_positive(params.p_high, "p_high")
-        _check_finite_positive(params.p_low, "p_low")
-        _require(params.p_low < params.p_high, "p_low", "must be < p_high")
-        _check_scale(params.L * params.L, "L", "L^2")
-    elif isinstance(params, CarbonParams):
-        _check_finite_positive(params.a, "a")
-        _check_finite_positive(params.b, "b")
-        _check_finite_positive(params.z, "z")
-        _check_scale((params.z / params.a) * (params.z / params.a), "z", "(z/a)^2")
-    elif isinstance(params, NaturalParams):
-        _require(math.isfinite(params.c), "c", "must be finite")
-        _require(params.c > 1, "c", "must exceed 1")
-        _require(params.anchor in ANCHOR_KINDS, "anchor", f"must be one of {ANCHOR_KINDS}")
-        _require(math.isfinite(params.anchor_x), "anchor_x", "must be finite")
-        _require(math.isfinite(params.anchor_y), "anchor_y", "must be finite")
-        nx, ny = _ANCHOR_FIELDS[params.anchor]
-        if params.anchor == "asymptotes":
-            _require(params.anchor_x < 0, nx, "must be negative")
-            _require(params.anchor_y < 0, ny, "must be negative")
-        else:
-            _require(params.anchor_x > 0, nx, "must be positive")
-            _require(params.anchor_y > 0, ny, "must be positive")
-        x_asym, y_asym = natural_asymptotes(params)
-        _check_scale(params.c * x_asym * y_asym, "c", "c*x_asym*y_asym")
-    else:
-        raise DomainError("spec", f"unknown parameter type {type(params).__name__}")
+    curve_class(params)._constants(params)
     return params
 
 
-def natural_asymptotes(params: NaturalParams) -> tuple[float, float]:
-    """Asymptote pair (x_asym, y_asym) of a natural-form curve, whatever its anchor kind."""
-    c = params.c
-    ax, ay = params.anchor_x, params.anchor_y
-    if params.anchor == "asymptotes":
-        return ax, ay
-    if params.anchor == "intercepts":
-        return -ax / (c - 1.0), -ay / (c - 1.0)
-    # center anchor: the shift is x0/(sqrt(c) - 1), with sqrt(c) - 1 written
-    # as (c - 1)/(sqrt(c) + 1) so that it does not cancel as c -> 1
-    gap = (c - 1.0) / (math.sqrt(c) + 1.0)
-    return -ax / gap, -ay / gap
+def curve_class(params: CurveParams) -> type[ShiftedProductCurve]:
+    """The curve class that constructs a parameter set's form."""
+    try:
+        return ShiftedProductCurve._classes[type(params)]
+    except KeyError:
+        raise DomainError("spec", f"unknown parameter type {type(params).__name__}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -343,10 +303,12 @@ def load_spec(path: str) -> CurveParams:
 class ShiftedProductCurve:
     """Common operations on (x + shift_x)(y + shift_y) = scale, x, y >= 0.
 
-    A form subclass supplies one hook, ``_constants``, that maps its validated
-    parameter set to ``(shift_x, shift_y, scale, geom)``; everything else is
-    derived here from those four.  A subclass may also override a closed form
-    with the native phenotype of its parameterization, which then stays an
+    A form subclass names its parameter type, ``class C(ShiftedProductCurve,
+    params_type=P)``, and supplies one hook, ``_constants``, that checks a
+    parameter set of that type and maps it to ``(shift_x, shift_y, scale,
+    geom)``; everything else is derived here from those four.  A subclass may
+    also override a closed form, or the ``_dy``/``_dx`` swap formulas, with
+    the native phenotype of its parameterization, which then stays an
     independent cross-check.  Instances are immutable values, safe to share
     across threads.
     """
@@ -357,8 +319,14 @@ class ShiftedProductCurve:
     scale: float = field(init=False)
     geom: CurveGeometry = field(init=False)
 
+    # Parameter type -> the curve class that constructs it, one per form.
+    _classes: ClassVar[dict[type, type[ShiftedProductCurve]]] = {}
+
+    def __init_subclass__(cls, params_type: type, **kwargs):
+        super().__init_subclass__(**kwargs)
+        ShiftedProductCurve._classes[params_type] = cls
+
     def __post_init__(self):
-        validate(self.params)
         shift_x, shift_y, scale, geom = self._constants(self.params)
         object.__setattr__(self, "shift_x", shift_x)
         object.__setattr__(self, "shift_y", shift_y)
@@ -367,7 +335,13 @@ class ShiftedProductCurve:
 
     @staticmethod
     def _constants(params: CurveParams) -> tuple[float, float, float, CurveGeometry]:
-        """(shift_x, shift_y, scale, geom) of a validated parameter set."""
+        """(shift_x, shift_y, scale, geom) of a parameter set, or DomainError.
+
+        The hook holds the form's field rules: it checks each field as it reads
+        it, and the scale with ``_check_scale`` once it is computed.  Curve
+        construction and ``validate`` both run it, so a form has one set of
+        rules and every curve is checked once, when it is built.
+        """
         raise NotImplementedError
 
     # -- curve sampling ----------------------------------------------------
@@ -412,8 +386,7 @@ class ShiftedProductCurve:
             return SwapDelta(0.0, 0.0)
         x_new = state.x + dx
         self._check_bounds("x", x_new, self.geom.x_int)
-        dy = -dx * self.scale / ((state.x + self.shift_x) * (x_new + self.shift_x))
-        return make_delta(dx, dy)
+        return make_delta(dx, self._dy(state, dx, x_new))
 
     def swap_exact_out_y(self, state: PoolState, dy: float) -> SwapDelta:
         """Trade a signed amount of y; returns the coupled dx."""
@@ -422,8 +395,15 @@ class ShiftedProductCurve:
             return SwapDelta(0.0, 0.0)
         y_new = state.y + dy
         self._check_bounds("y", y_new, self.geom.y_int)
-        dx = -dy * self.scale / ((state.y + self.shift_y) * (y_new + self.shift_y))
-        return make_delta(dx, dy)
+        return make_delta(self._dx(state, dy, y_new), dy)
+
+    def _dy(self, state: PoolState, dx: float, x_new: float) -> float:
+        """dy of a nonzero, in-bounds trade of dx that takes x to x_new."""
+        return -dx * self.scale / ((state.x + self.shift_x) * (x_new + self.shift_x))
+
+    def _dx(self, state: PoolState, dy: float, y_new: float) -> float:
+        """dx of a nonzero, in-bounds trade of dy that takes y to y_new."""
+        return -dy * self.scale / ((state.y + self.shift_y) * (y_new + self.shift_y))
 
     def effective_price(self, state: PoolState, delta: SwapDelta) -> float:
         """Realized dy/dx of a finite trade of delta.dx from this state."""

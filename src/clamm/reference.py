@@ -4,59 +4,49 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError, InsufficientLiquidity
+from .errors import DomainError
 from .params import (
     CurveGeometry,
     PoolState,
     ReferenceParams,
     ShiftedProductCurve,
     SwapDelta,
-    make_delta,
+    _check_finite_positive,
+    _check_scale,
     rel_close,
 )
 
 
-class ReferenceCurve(ShiftedProductCurve):
+class ReferenceCurve(ShiftedProductCurve, params_type=ReferenceParams):
     """Rectangular hyperbola through (x0, y0); quotes every price in (0, inf)."""
 
     params: ReferenceParams
 
     @staticmethod
     def _constants(params: ReferenceParams):
+        x0 = _check_finite_positive(params.x0, "x0")
+        y0 = _check_finite_positive(params.y0, "y0")
+        scale = _check_scale(x0 * y0, "x0", "x0*y0")
         # No finite intercepts: the axes are the asymptotes.
-        return 0.0, 0.0, params.x0 * params.y0, CurveGeometry(
+        return 0.0, 0.0, scale, CurveGeometry(
             x_int=math.inf,
             y_int=math.inf,
             x_asym=0.0,
             y_asym=0.0,
             p_high=math.inf,
             p_low=0.0,
-            p0=params.y0 / params.x0,
+            p0=y0 / x0,
             c=math.inf,
             phi=math.inf,
         )
 
-    def swap_exact_in_x(self, state: PoolState, dx: float) -> SwapDelta:
+    def _dy(self, state: PoolState, dx: float, x_new: float) -> float:
         """dy = -dx*y/(x + dx); any dx > -x is admissible."""
-        if not math.isfinite(dx):
-            raise DomainError("dx", "must be finite")
-        if dx == 0:
-            return SwapDelta(0.0, 0.0)
-        if state.x + dx <= 0:
-            raise InsufficientLiquidity("trade would fully deplete the x reserve")
-        dy = -dx * state.y / (state.x + dx)
-        return make_delta(dx, dy)
+        return -dx * state.y / x_new
 
-    def swap_exact_out_y(self, state: PoolState, dy: float) -> SwapDelta:
+    def _dx(self, state: PoolState, dy: float, y_new: float) -> float:
         """dx = -dy*x/(y + dy); exact depletion (dy <= -y) is unreachable."""
-        if not math.isfinite(dy):
-            raise DomainError("dy", "must be finite")
-        if dy == 0:
-            return SwapDelta(0.0, 0.0)
-        if state.y + dy <= 0:
-            raise InsufficientLiquidity("trade would fully deplete the y reserve")
-        dx = -dy * state.x / (state.y + dy)
-        return make_delta(dx, dy)
+        return -dy * state.x / y_new
 
     def marginal_price(self, state: PoolState) -> float:
         if state.x == 0:

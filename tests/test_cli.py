@@ -108,6 +108,15 @@ class TestQuote:
                          "--dx", "1", "--tolerance", "1e-3")
         assert code == 0
 
+    @pytest.mark.parametrize("tolerance", ["inf", "-1", "0", "nan"])
+    def test_bad_tolerance_is_input_error(self, capsys, tolerance):
+        # (100, 150) is off the curve, which only a vacuous tolerance would accept
+        code, out, err = run(capsys, "quote", "--spec", BANCOR, "--x", "100", "--y", "150",
+                             "--dx", "1", "--tolerance", tolerance)
+        assert code == 2
+        assert out == ""
+        assert error_message(err) == "tolerance: must be positive and finite"
+
     def test_quote_on_natural_form(self, capsys):
         code, out, _ = run(capsys, "quote", "--spec", NATURAL, "--x", "100", "--y", "100", "--dx", "100")
         assert code == 0
@@ -390,6 +399,38 @@ class TestErrorPaths:
     def test_missing_spec_flag(self, capsys):
         code, _, _ = run(capsys, "geometry")
         assert code == 2
+
+    @pytest.mark.parametrize("argv, field", [
+        (("sweep", "--spec", BANCOR, "--points", "abc"), "points"),
+        (("verify", "--cases", "1e3"), "cases"),
+        (("verify", "--rel-tol", "tight"), "rel_tol"),
+        (("sweep", "--spec", BANCOR, "--output", "xml"), "output"),
+        (("quote", "--spec", BANCOR, "--x", "100", "--y", "100", "--dx", "1", "--dy", "1"), "dy"),
+        (("frobnicate",), "command"),
+        ((), "command"),
+        (("quote", "--spec", BANCOR, "--dx", "1"), "command"),
+        # each option belongs to the one command that reads it
+        (("verify", "--cases", "2", "--output", "csv"), "command"),
+        (("sweep", "--spec", BANCOR, "--tolerance", "1"), "command"),
+        (("geometry", "--spec", BANCOR, "--tolerance", "1"), "command"),
+    ])
+    def test_usage_error_is_one_json_object(self, capsys, argv, field):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        error = json.loads(err)["error"]
+        assert error["type"] == "DomainError"
+        assert error["field"] == field
+        assert error["message"] == f"{field}: {error['reason']}"
+
+    @pytest.mark.parametrize("argv", [("--help",), ("sweep", "--help")])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            main(list(argv))
+        assert exit_.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: clamm") and err == ""
 
     def test_output_is_deterministic(self, capsys):
         _, first, _ = run(capsys, "sweep", "--spec", CARBON, "--points", "7")

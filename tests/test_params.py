@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,6 @@ from clamm import (
     NaturalParams,
     PoolState,
     ReferenceParams,
-    ShiftedProductCurve,
     SwapDelta,
     UniswapV3Params,
     apply_delta,
@@ -23,9 +24,25 @@ from clamm import (
     spec_to_dict,
     validate,
 )
+from clamm.params import ANCHOR_KINDS
 from clamm.rosetta import translate
 
 from .conftest import WORKED_BANCOR, WORKED_CARBON, WORKED_NATURAL, WORKED_UNISWAP, assert_rel, random_bancor
+
+WORKED_REFERENCE = ReferenceParams(100.0, 100.0)
+WORKED_FORMS = [WORKED_REFERENCE, WORKED_BANCOR, WORKED_UNISWAP, WORKED_CARBON, WORKED_NATURAL]
+FORM_IDS = [params.form for params in WORKED_FORMS]
+
+
+def json_spelling(params):
+    """params as the dict of a JSON spec file, or None where JSON cannot spell it:
+    JSON has no inf or nan, and an unknown anchor kind has no field names."""
+    if isinstance(params, NaturalParams) and params.anchor not in ANCHOR_KINDS:
+        return None
+    try:
+        return json.loads(json.dumps(spec_to_dict(params), allow_nan=False))
+    except ValueError:
+        return None
 
 
 class TestValidate:
@@ -56,24 +73,35 @@ class TestValidate:
         (NaturalParams(4.0, "asymptotes", 100, -100), "x_asym"),
         (NaturalParams(4.0, "center", -100, 100), "x0"),
         (NaturalParams(4.0, "corner", 100, 100), "anchor"),
+        (BancorV2Params(100, 0, 2), "y0"),
+        (UniswapV3Params(200, math.inf, 0.25), "p_high"),
+        (UniswapV3Params(200, 0.25, 4), "p_low"),
+        (NaturalParams(4.0, "asymptotes", math.inf, -100), "anchor_x"),
+        (NaturalParams(4.0, "intercepts", 300, 0), "y_int"),
     ])
     def test_invalid_fields(self, params, field):
-        with pytest.raises(DomainError) as err:
-            validate(params)
-        assert err.value.field == field
+        # validate, curve construction and the JSON reader apply the same rules
+        for build in (validate, curve_for):
+            with pytest.raises(DomainError) as err:
+                build(params)
+            assert err.value.field == field
+        data = json_spelling(params)
+        if data is not None:
+            with pytest.raises(DomainError) as err:
+                spec_from_dict(data)
+            assert err.value.field == field
 
 
 class TestBoundsMessages:
     """Each rejected trade names the reserve or axis it would break."""
 
     def test_unbounded_depletion_names_its_reserve(self):
-        # the generic closed forms, as run on a curve with no intercepts
         curve = curve_for(ReferenceParams(100, 100))
         state = PoolState(100, 100)
         with pytest.raises(InsufficientLiquidity, match="deplete the x reserve"):
-            ShiftedProductCurve.swap_exact_in_x(curve, state, -100)
+            curve.swap_exact_in_x(state, -100)
         with pytest.raises(InsufficientLiquidity, match="deplete the y reserve"):
-            ShiftedProductCurve.swap_exact_out_y(curve, state, -100)
+            curve.swap_exact_out_y(state, -100)
 
     def test_intercept_overshoot_names_its_axis(self):
         curve = curve_for(WORKED_BANCOR)
@@ -82,6 +110,44 @@ class TestBoundsMessages:
             curve.swap_exact_in_x(state, 201)
         with pytest.raises(BoundsExceeded, match=r"^y would leave \[0, 300.0\]$"):
             curve.swap_exact_out_y(state, 201)
+
+    # The guards below run on every form, the carbon and reference native
+    # swap formulas included; the worked curves all pass through (100, 100).
+
+    @pytest.mark.parametrize("params", WORKED_FORMS, ids=FORM_IDS)
+    @pytest.mark.parametrize("amount", [math.inf, -math.inf, math.nan])
+    def test_non_finite_trade_names_its_amount(self, params, amount):
+        curve = curve_for(params)
+        state = PoolState(100.0, 100.0)
+        with pytest.raises(DomainError) as err:
+            curve.swap_exact_in_x(state, amount)
+        assert err.value.field == "dx"
+        with pytest.raises(DomainError) as err:
+            curve.swap_exact_out_y(state, amount)
+        assert err.value.field == "dy"
+
+    @pytest.mark.parametrize("params", WORKED_FORMS, ids=FORM_IDS)
+    def test_zero_trade_is_exactly_zero(self, params):
+        curve = curve_for(params)
+        for state in (PoolState(100.0, 100.0), curve.state_from_x(37.0)):
+            assert curve.swap_exact_in_x(state, 0.0) == SwapDelta(0.0, 0.0)
+            assert curve.swap_exact_out_y(state, 0) == SwapDelta(0.0, 0.0)
+
+    @pytest.mark.parametrize("params", WORKED_FORMS, ids=FORM_IDS)
+    def test_overshoot_and_depletion_are_rejected(self, params):
+        curve = curve_for(params)
+        state = PoolState(100.0, 100.0)
+        for axis, swap in (("x", curve.swap_exact_in_x), ("y", curve.swap_exact_out_y)):
+            if params.form == "reference":
+                error = InsufficientLiquidity, f"trade would fully deplete the {axis} reserve"
+                amounts = (-100.0, -101.0)
+            else:
+                intercept = getattr(curve.geom, f"{axis}_int")
+                error = BoundsExceeded, f"{axis} would leave [0, {intercept}]"
+                amounts = (201.0, -101.0)
+            for amount in amounts:
+                with pytest.raises(error[0], match=f"^{re.escape(error[1])}$"):
+                    swap(state, amount)
 
 
 class TestStateAndDelta:
