@@ -12,33 +12,21 @@ Usage: python3 scripts/oracle_deviation_sweep.py [--cases-per-decade N] [--seed 
 import argparse
 import random
 
-from clamm import BancorV2Params, curve_for, oracle_compare
-from clamm.quadrature import random_admissible_swap
+from clamm import curve_for, verify_cases
+from clamm.quadrature import random_admissible_swap, random_bancor_params
 from clamm.rosetta import translate
 
 FORMS = ("bancor_v2", "uniswap_v3", "carbon")
 
 
-def worst_deviation(rng, scale_exp, cases):
-    """(worst relative deviation, number of failed cases) over one decade."""
-    worst = 0.0
-    failed = 0
+def decade_cases(rng, scale_exp, cases):
+    """(curve, state, dx) cases on pools whose balances lie within half a
+    decade of 10**scale_exp, each pool in every form of FORMS."""
     for _ in range(cases):
-        base = BancorV2Params(
-            x0=10.0 ** rng.uniform(scale_exp - 0.5, scale_exp + 0.5),
-            y0=10.0 ** rng.uniform(scale_exp - 0.5, scale_exp + 0.5),
-            A=rng.uniform(1.01, 100.0),
-        )
+        base = random_bancor_params(rng, (scale_exp - 0.5, scale_exp + 0.5))
         for form in FORMS:
-            params = base if form == "bancor_v2" else translate(base, form)
-            curve = curve_for(params)
-            state, dx = random_admissible_swap(rng, curve)
-            report = oracle_compare(curve, state, dx)
-            worst = max(worst, report.rel_deviation)
-            if not report.passed:
-                failed += 1
-                print(f"  DISAGREEMENT {form} {params}: {report}")
-    return worst, failed
+            curve = curve_for(base if form == "bancor_v2" else translate(base, form))
+            yield (curve, *random_admissible_swap(rng, curve))
 
 
 def main(argv=None) -> int:
@@ -51,9 +39,11 @@ def main(argv=None) -> int:
     failed = 0
     print(f"{'pool scale':>12}  {'worst rel deviation':>20}")
     for scale_exp in range(-3, 10):
-        worst, decade_failed = worst_deviation(rng, float(scale_exp), args.cases_per_decade)
-        failed += decade_failed
-        print(f"{10.0 ** scale_exp:>12.0e}  {worst:>20.3e}")
+        summary = verify_cases(decade_cases(rng, float(scale_exp), args.cases_per_decade))
+        if summary["failed"]:
+            failed += summary["failed"]
+            print(f"  DISAGREEMENT {summary['failed']} of {summary['cases']} cases")
+        print(f"{10.0 ** scale_exp:>12.0e}  {summary['max_rel_deviation']:>20.3e}")
     return 1 if failed else 0
 
 

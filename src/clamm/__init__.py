@@ -59,7 +59,7 @@ from .quadrature import (
     adaptive_gauss_kronrod,
     integrate_price_curve,
     oracle_compare,
-    run_battery,
+    verify_cases,
 )
 from .reference import ReferenceCurve
 from .rosetta import (

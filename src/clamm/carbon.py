@@ -31,15 +31,18 @@ class CarbonCurve(ShiftedProductCurve, params_type=CarbonParams):
         b = _check_finite_positive(params.b, "b")
         z = _check_finite_positive(params.z, "z")
         scale = _check_scale((z / a) * (z / a), "z", "(z/a)^2")
+        # a*(a+b) = p_high - p0 divides the x shift, b*(a+b) = p0 the x intercept
+        gap = _check_scale(a * (a + b), "a", "a*(a+b)")
+        p0 = _check_scale(b * (a + b), "b", "b*(a+b)")
         c = (a + b) / b
-        return z / (a * (a + b)), b * z / a, scale, CurveGeometry(
-            x_int=z / (b * (a + b)),
+        return z / gap, b * z / a, scale, CurveGeometry(
+            x_int=z / p0,
             y_int=z,
-            x_asym=-z / (a * (a + b)),
+            x_asym=-z / gap,
             y_asym=-b * z / a,
             p_high=(a + b) * (a + b),
             p_low=b * b,
-            p0=b * (a + b),
+            p0=p0,
             c=c,
             phi=math.log(c),
         )

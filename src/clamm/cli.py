@@ -20,7 +20,7 @@ from .curves import curve_for, geometry
 from .errors import ConvergenceFailure, CurveError, DomainError
 from .hypertrig import hyperbolic_angle, t_hat_from_price, trig_identities, u_hat_from_price
 from .params import PoolState, apply_delta, load_spec, spec_to_dict
-from .quadrature import battery_cases, oracle_compare, random_admissible_swap
+from .quadrature import battery_cases, random_admissible_swap, verify_cases
 from .rosetta import translate_with_report
 
 EXIT_OK = 0
@@ -89,16 +89,23 @@ def cmd_angle(args) -> int:
     else:
         geom = geometry(_load(args))
         p_high, p_low = geom.p_high, geom.p_low
-    if not (math.isfinite(p_high) and math.isfinite(p_low)):
-        raise DomainError("spec", "curve has no finite price bounds")
+        if not (math.isfinite(p_high) and math.isfinite(p_low)):
+            raise DomainError("spec", "curve has no finite price bounds")
     phi = hyperbolic_angle(p_high, p_low).phi
+    # sinh and cosh are at most about sqrt(p_high/p_low), so a finite ratio
+    # keeps them finite; an infinite one is blamed on the bound further from 1
+    # on a log scale
+    ratio = p_high / p_low
+    if math.isinf(ratio):
+        raise DomainError("p_high" if p_high * p_low >= 1.0 else "p_low",
+                          "p_high/p_low must be finite")
     trig = trig_identities(phi)
     _emit({
         "phi": phi,
         "sinh": trig.sinh,
         "cosh": trig.cosh,
         "tanh": trig.tanh,
-        "c": math.sqrt(p_high / p_low),
+        "c": math.sqrt(ratio),
     })
     return EXIT_OK
 
@@ -113,6 +120,9 @@ def _sweep_rows(curve, axis: str, points: int):
         frac = i / last
         if axis == "x":
             state = curve.state_from_x(geom.x_int * frac)
+        elif i == last:
+            # the interpolation can round past p_low, or to 0 on a wide range
+            state = curve.state_at_price(geom.p_low)
         else:
             state = curve.state_at_price(geom.p_high + (geom.p_low - geom.p_high) * frac)
         marginal = curve.marginal_price(state)
@@ -159,32 +169,16 @@ def cmd_verify(args) -> int:
     # An infinite tolerance would pass every case vacuously.
     if not (math.isfinite(args.rel_tol) and args.rel_tol > 0):
         raise DomainError("rel_tol", "must be positive and finite")
-    # Cases are drawn, checked and dropped one at a time, so memory stays flat
-    # in --cases; the checks draw nothing from the rng.
+    # The checks draw nothing from the rng.
     if args.spec:
         curve = curve_for(load_spec(args.spec))
         rng = random.Random(args.seed)
         cases = ((curve, *random_admissible_swap(rng, curve)) for _ in range(args.cases))
     else:
         cases = battery_cases(args.seed, args.cases)
-    failed = 0
-    worst = 0.0
-    for curve, state, dx in cases:
-        try:
-            report = oracle_compare(curve, state, dx, rel_tol=args.rel_tol)
-        except ConvergenceFailure:
-            failed += 1
-            continue
-        worst = max(worst, report.rel_deviation)
-        if not report.passed:
-            failed += 1
-    _emit({
-        "cases": args.cases,
-        "passed": args.cases - failed,
-        "failed": failed,
-        "max_rel_deviation": worst,
-    })
-    return EXIT_OK if failed == 0 else EXIT_VERIFY_FAILED
+    summary = verify_cases(cases, rel_tol=args.rel_tol)
+    _emit(summary)
+    return EXIT_OK if summary["failed"] == 0 else EXIT_VERIFY_FAILED
 
 
 class _Parser(argparse.ArgumentParser):

@@ -49,9 +49,10 @@ def _check_finite_positive(value: float, name: str) -> float:
 
 
 def _check_scale(scale: float, name: str, expr: str) -> float:
-    # The scale is computed with the form's own expression, so finite positive
-    # fields can still overflow it or underflow it to a subnormal or zero; an
-    # underflowed scale flattens the curve to y = 0 and divides by zero in swaps.
+    # The scale, or a divisor, is computed with the form's own expression, so
+    # finite positive fields can still overflow it or underflow it to a
+    # subnormal or zero; an underflowed scale flattens the curve to y = 0 and
+    # divides by zero in swaps.
     if not math.isfinite(scale):
         raise DomainError(name, f"{expr} must be finite")
     if scale < MIN_NORMAL:
@@ -215,12 +216,13 @@ class VirtualBounds:
 def validate(params: CurveParams) -> CurveParams:
     """Check all type invariants of a parameter set; returns it unchanged.
 
-    Raises DomainError naming the offending field.  The rules are those the
-    form's curve constructor checks as it computes the curve constants.
-    Degenerate limits are rejected rather than treated as limits: A = 1 and
-    p_high = p_low both zero out a shift divisor.
+    Raises DomainError naming the offending field.  The rules are exactly
+    those of curve construction, which this runs: the form's field rules and
+    the core's check of the derived constants.  Degenerate limits are
+    rejected rather than treated as limits: A = 1 and p_high = p_low both
+    zero out a shift divisor.
     """
-    curve_class(params)._constants(params)
+    curve_class(params)(params)
     return params
 
 
@@ -322,12 +324,16 @@ class ShiftedProductCurve:
     # Parameter type -> the curve class that constructs it, one per form.
     _classes: ClassVar[dict[type, type[ShiftedProductCurve]]] = {}
 
+    # False only for the unshifted curve, which has no intercepts or price bounds.
+    bounded: ClassVar[bool] = True
+
     def __init_subclass__(cls, params_type: type, **kwargs):
         super().__init_subclass__(**kwargs)
         ShiftedProductCurve._classes[params_type] = cls
 
     def __post_init__(self):
         shift_x, shift_y, scale, geom = self._constants(self.params)
+        _check_derived(shift_x, shift_y, geom, self.bounded)
         object.__setattr__(self, "shift_x", shift_x)
         object.__setattr__(self, "shift_y", shift_y)
         object.__setattr__(self, "scale", scale)
@@ -338,9 +344,10 @@ class ShiftedProductCurve:
         """(shift_x, shift_y, scale, geom) of a parameter set, or DomainError.
 
         The hook holds the form's field rules: it checks each field as it reads
-        it, and the scale with ``_check_scale`` once it is computed.  Curve
-        construction and ``validate`` both run it, so a form has one set of
-        rules and every curve is checked once, when it is built.
+        it, and the scale with ``_check_scale`` once it is computed.  The core
+        then checks the other constants the hook derived, the same way for
+        every form.  Curve construction, which ``validate`` runs, is the one
+        place both happen, so every curve is checked once, when it is built.
         """
         raise NotImplementedError
 
@@ -482,6 +489,26 @@ class ShiftedProductCurve:
             return
         if new < 0 or new > intercept * (1.0 + BOUNDS_SLACK):
             raise BoundsExceeded(f"{axis} would leave [0, {intercept}]")
+
+
+def _check_derived(shift_x: float, shift_y: float, geom: CurveGeometry, bounded: bool) -> None:
+    """Reject derived constants that left the binary64 range.
+
+    Fields that pass their form's rules can still overflow or underflow the
+    constants the form computes from them, and a trade or translation that
+    reads such a constant would divide by zero or by infinity.
+    """
+    if bounded:
+        named = (("shift_x", shift_x), ("shift_y", shift_y), ("x_int", geom.x_int),
+                 ("y_int", geom.y_int), ("p_high", geom.p_high), ("p_low", geom.p_low),
+                 ("p0", geom.p0))
+    else:
+        named = (("p0", geom.p0),)
+    for name, value in named:
+        if not 0.0 < value < math.inf:
+            raise DomainError("spec", f"derived {name} must be finite and positive, not {value!r}")
+    if bounded and not 1.0 < geom.c < math.inf:
+        raise DomainError("spec", f"derived c must be finite and above 1, not {geom.c!r}")
 
 
 def _bounded(geom: CurveGeometry) -> CurveGeometry:

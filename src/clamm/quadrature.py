@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .curves import curve_for
 from .errors import ConvergenceFailure, DomainError
 from .params import (
-    FORM_REGISTRY,
     BancorV2Params,
     CurveParams,
     PoolState,
@@ -32,8 +32,6 @@ DEFAULT_MAX_DEPTH = 60
 # what binary64 can resolve relative to the integral's own magnitude.
 _ORACLE_REL_MARGIN = 1e-2
 _DOUBLE_REL_FLOOR = 1e-13
-
-_PARAM_TYPES = tuple(FORM_REGISTRY.values())
 
 
 @dataclass(frozen=True)
@@ -136,26 +134,18 @@ def adaptive_gauss_kronrod(f: Callable[[float], float], spec: IntegralSpec) -> f
     return _adaptive(f, spec.lower, spec.upper, spec.abs_tol, whole, err, spec.max_depth)
 
 
-def _as_curve(curve: CurveParams | ShiftedProductCurve) -> ShiftedProductCurve:
-    # Anything that is not a parameter set is used as the curve, so tests can
-    # hand in slope-only stubs.
-    if isinstance(curve, _PARAM_TYPES):
-        return curve_for(curve)
-    return curve
-
-
-def integrate_price_curve(curve: CurveParams | ShiftedProductCurve,
+def integrate_price_curve(curve: ShiftedProductCurve,
                           x_from: float, x_to: float,
                           abs_tol: float | None = None,
-                          rel_tol: float = 1e-10,
-                          max_depth: int = DEFAULT_MAX_DEPTH) -> float:
+                          rel_tol: float = 1e-10) -> float:
     """dy produced by moving the pool from x_from to x_to, by quadrature only.
 
-    With abs_tol unset, the tolerance is scaled to the first panel's estimate
-    of the integral so that curves of any magnitude converge; the relative
-    target is floored at what double precision permits.
+    The curve may be any object with ``geom`` and ``price_slope_at_x``.  With
+    abs_tol unset, the tolerance is scaled to the first panel's estimate of
+    the integral so that curves of any magnitude converge; the relative target
+    is floored at what double precision permits, the absolute one at the
+    smallest normal float.
     """
-    live = _as_curve(curve)
     if x_from == x_to:
         return 0.0
     sign = 1.0
@@ -163,29 +153,25 @@ def integrate_price_curve(curve: CurveParams | ShiftedProductCurve,
     if hi < lo:
         lo, hi = hi, lo
         sign = -1.0
-    x_int = live.geom.x_int
+    x_int = curve.geom.x_int
     if lo < 0 or (math.isfinite(x_int) and hi > x_int * (1.0 + 1e-12)):
         raise DomainError("x_from", "integration interval leaves the admissible x-range")
     if math.isinf(x_int) and lo <= 0:
         raise DomainError("x_from", "the unshifted curve is undefined at x = 0")
-    f = live.price_slope_at_x
+    f = curve.price_slope_at_x
     # The first panel both sets the tolerance and starts the refinement.
     whole, err = _panel(f, lo, hi)
     if abs_tol is None:
-        abs_tol = abs(whole) * max(rel_tol, _DOUBLE_REL_FLOOR)
-        if abs_tol == 0.0:
-            abs_tol = DEFAULT_ABS_TOL
-    spec = IntegralSpec(lo, hi, abs_tol, max_depth)
+        abs_tol = max(abs(whole) * max(rel_tol, _DOUBLE_REL_FLOOR), sys.float_info.min)
+    spec = IntegralSpec(lo, hi, abs_tol)
     return sign * _adaptive(f, lo, hi, spec.abs_tol, whole, err, spec.max_depth)
 
 
-def oracle_compare(curve: CurveParams | ShiftedProductCurve,
-                   state: PoolState, dx: float,
+def oracle_compare(curve: ShiftedProductCurve, state: PoolState, dx: float,
                    rel_tol: float = 1e-8) -> ComparisonReport:
     """Check one closed-form swap against the quadrature route."""
-    live = _as_curve(curve)
-    closed = live.swap_exact_in_x(state, dx).dy
-    quad = integrate_price_curve(live, state.x, state.x + dx,
+    closed = curve.swap_exact_in_x(state, dx).dy
+    quad = integrate_price_curve(curve, state.x, state.x + dx,
                                  rel_tol=rel_tol * _ORACLE_REL_MARGIN)
     abs_dev = abs(closed - quad)
     rel_dev = abs_dev / max(abs(closed), abs(quad), 1e-300)
@@ -206,19 +192,19 @@ _BATTERY_FORMS = ("reference", "bancor_v2", "uniswap_v3", "carbon")
 
 
 def random_bancor_params(rng: random.Random,
-                         scale_exp_range: tuple[float, float] = (-3.0, 9.0),
-                         amp_range: tuple[float, float] = (1.01, 100.0)) -> BancorV2Params:
+                         scale_exp_range: tuple[float, float] = (-3.0, 9.0)) -> BancorV2Params:
+    """Balances log-uniform over the decades of scale_exp_range, A in [1.01, 100]."""
     x0 = 10.0 ** rng.uniform(*scale_exp_range)
     y0 = 10.0 ** rng.uniform(*scale_exp_range)
-    return BancorV2Params(x0=x0, y0=y0, A=rng.uniform(*amp_range))
+    return BancorV2Params(x0=x0, y0=y0, A=rng.uniform(1.01, 100.0))
 
 
-def random_admissible_swap(rng: random.Random, curve: ShiftedProductCurve,
-                           margin: float = 0.02) -> tuple[PoolState, float]:
+def random_admissible_swap(rng: random.Random, curve: ShiftedProductCurve) -> tuple[PoolState, float]:
     """On-curve state plus a dx that stays inside the intercepts.
 
-    The margin keeps float noise at the very edge of the range from flipping
-    an intended in-bounds trade across an intercept.
+    A bounded curve keeps 2 % of the range clear at each end, so that float
+    noise at the very edge cannot flip an intended in-bounds trade across an
+    intercept.
     """
     x_int = curve.geom.x_int
     if math.isinf(x_int):
@@ -226,8 +212,8 @@ def random_admissible_swap(rng: random.Random, curve: ShiftedProductCurve,
         x = x0 * 10.0 ** rng.uniform(-1.0, 1.0)
         dx = rng.uniform(0.05, 3.0) * x
     else:
-        x = rng.uniform(margin, 1.0 - margin) * x_int
-        dx = rng.uniform(margin, 1.0 - margin) * (x_int - x)
+        x = rng.uniform(0.02, 0.98) * x_int
+        dx = rng.uniform(0.02, 0.98) * (x_int - x)
     return curve.state_from_x(x), dx
 
 
@@ -254,7 +240,27 @@ def random_cases(seed: int, cases: int) -> list[tuple[CurveParams, PoolState, fl
     return [(curve.params, state, dx) for curve, state, dx in battery_cases(seed, cases)]
 
 
-def run_battery(seed: int = 0, cases: int = 200,
-                rel_tol: float = 1e-8) -> list[ComparisonReport]:
-    return [oracle_compare(curve, state, dx, rel_tol=rel_tol)
-            for curve, state, dx in battery_cases(seed, cases)]
+def verify_cases(cases: Iterable[tuple[ShiftedProductCurve, PoolState, float]],
+                 rel_tol: float = 1e-8) -> dict:
+    """Check (curve, state, dx) cases against the quadrature route, one at a time.
+
+    Returns the summary ``clamm verify`` prints: the number of cases, how many
+    passed and failed, and the worst relative deviation among those whose
+    integral converged.  A case whose integral does not converge fails.
+    Cases are drawn, checked and dropped one at a time, so memory stays flat
+    in their number.
+    """
+    count = failed = 0
+    worst = 0.0
+    for curve, state, dx in cases:
+        count += 1
+        try:
+            report = oracle_compare(curve, state, dx, rel_tol=rel_tol)
+        except ConvergenceFailure:
+            failed += 1
+            continue
+        worst = max(worst, report.rel_deviation)
+        if not report.passed:
+            failed += 1
+    return {"cases": count, "passed": count - failed, "failed": failed,
+            "max_rel_deviation": worst}

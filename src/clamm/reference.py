@@ -21,6 +21,7 @@ class ReferenceCurve(ShiftedProductCurve, params_type=ReferenceParams):
     """Rectangular hyperbola through (x0, y0); quotes every price in (0, inf)."""
 
     params: ReferenceParams
+    bounded = False
 
     @staticmethod
     def _constants(params: ReferenceParams):

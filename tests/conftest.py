@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import random
 from pathlib import Path
@@ -25,6 +26,24 @@ WORKED_CARBON = CarbonParams(a=1.5, b=0.5, z=300.0)
 WORKED_NATURAL = NaturalParams(c=4.0, anchor="asymptotes", anchor_x=-100.0, anchor_y=-100.0)
 
 LN4 = math.log(4.0)
+
+# (params, the error's field, a word of its reason): parameter sets whose
+# fields pass their form's rules but whose derived constants leave the
+# binary64 range.
+OUT_OF_RANGE_PARAMS = [
+    # a*(a+b) underflows to zero before the shifts divide by it
+    (CarbonParams(a=1e-200, b=1e-200, z=1e-200), "a", "a*(a+b)"),
+    # p0 = y0/x0 overflows, and p_high and p_low with it
+    (BancorV2Params(x0=1e-200, y0=1e200, A=2), "spec", "p_high"),
+    # p0 = b*(a+b) is subnormal, and x_int = z/p0 overflows
+    (CarbonParams(a=1.0000001, b=1e-310, z=1e10), "b", "b*(a+b)"),
+    # c = (a+b)/b rounds to 1, and b*(a+b) overflows
+    (CarbonParams(a=3.5, b=1e200, z=1), "b", "b*(a+b)"),
+    # c = A^2/(A-1)^2 rounds to 1, so p_high == p_low
+    (BancorV2Params(x0=1, y0=1, A=1e17), "spec", "c"),
+    # the unshifted curve's p0 = y0/x0 overflows
+    (ReferenceParams(x0=1e-300, y0=1e300), "spec", "p0"),
+]
 
 
 def assert_rel(actual, expected, rel=1e-9, abs_floor=1e-12):
@@ -61,6 +80,15 @@ def exact_curve(params):
     elif params.anchor == "center":
         ax, ay = -ax / (sqrt(c) - 1), -ay / (sqrt(c) - 1)
     return -ax, -ay, c * ax * ay
+
+
+def load_script(name):
+    """A module of scripts/ loaded from its file, without running its main."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_bancor(rng: random.Random, exp_range=(-3.0, 9.0), amp_range=(1.01, 100.0)):

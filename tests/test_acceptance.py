@@ -19,7 +19,7 @@ from clamm import (
     trig_identities,
     unit_from_state,
 )
-from clamm.quadrature import run_battery
+from clamm.quadrature import battery_cases, verify_cases
 from clamm.rosetta import (
     concentration_from_asymptotes,
     concentration_from_center,
@@ -28,13 +28,13 @@ from clamm.rosetta import (
 )
 
 from .conftest import (
-    DATA_DIR,
     GOLDEN_DIR,
     LN4,
     WORKED_BANCOR,
     WORKED_CARBON,
     WORKED_UNISWAP,
     assert_rel,
+    load_script,
     random_bancor,
     rel_dev,
 )
@@ -95,10 +95,9 @@ def test_criterion_2_three_way_equivalence():
 
 def test_criterion_3_oracle_battery():
     with criterion(3, "quadrature oracle battery", budget=30.0):
-        reports = run_battery(seed=11, cases=200, rel_tol=1e-8)
-        assert len(reports) == 200
-        failures = [r for r in reports if not r.passed]
-        assert not failures, f"{len(failures)} oracle disagreements"
+        summary = verify_cases(battery_cases(11, 200), rel_tol=1e-8)
+        assert summary["cases"] == 200
+        assert not summary["failed"], f"{summary['failed']} oracle disagreements"
 
 
 def test_criterion_4_natural_invariant_constancy():
@@ -194,23 +193,10 @@ def test_criterion_7_conservation_and_signs():
             assert rel_dev(sequential.y, apply_delta(start, combined).y) <= 1e-8
 
 
-GOLDEN_COMMANDS = {
-    "quote.json": ["quote", "--spec", str(DATA_DIR / "worked_bancor.json"),
-                   "--x", "100", "--y", "100", "--dx", "100"],
-    "translate_carbon.json": ["translate", "--spec", str(DATA_DIR / "worked_bancor.json"),
-                              "--to", "carbon"],
-    "geometry.json": ["geometry", "--spec", str(DATA_DIR / "worked_bancor.json")],
-    "angle.json": ["angle", "--spec", str(DATA_DIR / "worked_bancor.json")],
-    "sweep_points3.json": ["sweep", "--spec", str(DATA_DIR / "worked_bancor.json"),
-                           "--points", "3"],
-    "sweep_points3.csv": ["sweep", "--spec", str(DATA_DIR / "worked_bancor.json"),
-                          "--points", "3", "--output", "csv"],
-}
-
-
 def test_criterion_8_cli_golden_files():
     with criterion(8, "CLI golden files", budget=60.0):
-        for name, argv in GOLDEN_COMMANDS.items():
+        # the table that scripts/regen_cli_golden.py writes the goldens from
+        for name, argv in load_script("regen_cli_golden").COMMANDS.items():
             result = subprocess.run(
                 [sys.executable, "-m", "clamm", *argv],
                 capture_output=True, check=False,

@@ -1,15 +1,23 @@
 import json
+import math
 import random
 
 import pytest
 
 import clamm.cli
-from clamm import curve_for, load_spec, oracle_compare, t_hat_from_price, u_hat_from_price
+from clamm import (
+    curve_for,
+    load_spec,
+    oracle_compare,
+    spec_to_dict,
+    t_hat_from_price,
+    u_hat_from_price,
+)
 from clamm.cli import main
 from clamm.errors import DomainError
 from clamm.quadrature import battery_cases, random_admissible_swap, random_cases
 
-from .conftest import DATA_DIR, assert_rel
+from .conftest import DATA_DIR, OUT_OF_RANGE_PARAMS, assert_rel
 
 BANCOR = str(DATA_DIR / "worked_bancor.json")
 UNISWAP = str(DATA_DIR / "worked_uniswap.json")
@@ -47,6 +55,8 @@ def list_of_dicts_sweep(spec, axis, points, output):
         frac = i / (points - 1)
         if axis == "x":
             state = curve.state_from_x(geom.x_int * frac)
+        elif i == points - 1:
+            state = curve.state_at_price(geom.p_low)
         else:
             state = curve.state_at_price(geom.p_high + (geom.p_low - geom.p_high) * frac)
         marginal = curve.marginal_price(state)
@@ -201,6 +211,34 @@ class TestAngle:
         assert code == 2
         assert json.loads(err)["error"]["type"] == "DomainError"
 
+    @pytest.mark.parametrize("p_high, p_low, field", [
+        ("1e300", "1e-300", "p_high"),  # c would print as Infinity
+        ("1e308", "5e-324", "p_low"),  # sinh and cosh would overflow
+        ("inf", "1", "p_high"),
+        ("nan", "1", "p_high"),
+        ("4", "nan", "p_low"),
+    ])
+    def test_out_of_range_bounds_name_their_field(self, capsys, p_high, p_low, field):
+        code, out, err = run(capsys, "angle", "--p-high", p_high, "--p-low", p_low)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"]["field"] == field
+
+    def test_spec_whose_ratio_overflows_names_its_field(self, capsys, tmp_path):
+        spec = write_spec(tmp_path, {"form": "uniswap_v3", "L": 3.5, "p_high": 0.25, "p_low": 1e-310})
+        code, out, err = run(capsys, "angle", "--spec", spec)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"]["field"] == "p_low"
+
+    def test_widest_finite_ratio_is_strict_json(self, capsys):
+        def reject(constant):
+            raise AssertionError(f"{constant} is not JSON")
+
+        code, out, _ = run(capsys, "angle", "--p-high", "1.7e308", "--p-low", "1.0000000001")
+        assert code == 0
+        assert math.isfinite(json.loads(out, parse_constant=reject)["c"])
+
 
 class TestSweep:
     def test_three_point_sweep(self, capsys):
@@ -236,6 +274,19 @@ class TestSweep:
         assert_rel(rows[0]["marginal_price"], -4.0)
         assert_rel(rows[1]["marginal_price"], -2.125)
         assert_rel(rows[2]["marginal_price"], -0.25)
+
+    @pytest.mark.parametrize("spec", [
+        {"form": "bancor_v2", "x0": 3059.28, "y0": 6.88, "A": 1.044},
+        {"form": "uniswap_v3", "L": 1, "p_high": 1e10, "p_low": 1e-7},
+    ], ids=["interpolation_below_p_low", "interpolation_at_zero"])
+    def test_price_axis_ends_exactly_at_p_low(self, capsys, tmp_path, spec):
+        path = write_spec(tmp_path, spec)
+        geom = curve_for(load_spec(path)).geom
+        code, out, _ = run(capsys, "sweep", "--spec", path, "--axis", "price")
+        assert code == 0
+        last = json.loads(out)[-1]
+        assert (last["x"], last["y"]) == (geom.x_int, 0.0)
+        assert last["marginal_price"] == -geom.p_low
 
     def test_too_few_points_rejected(self, capsys):
         code, _, _ = run(capsys, "sweep", "--spec", BANCOR, "--points", "1")
@@ -327,7 +378,7 @@ class TestVerify:
         """Streaming keeps the rng draws and the result of a battery drawn in full first."""
         seed, count = 4, 60
         if spec is None:
-            cases = random_cases(seed, count)
+            cases = [(curve_for(params), state, dx) for params, state, dx in random_cases(seed, count)]
             argv = ()
         else:
             curve = curve_for(load_spec(spec))
@@ -364,7 +415,7 @@ class TestVerify:
 
         monkeypatch.setattr(clamm.cli, "battery_cases", counting_battery)
         monkeypatch.setattr(clamm.cli, "random_admissible_swap", counting_swap)
-        monkeypatch.setattr(clamm.cli, "oracle_compare", halting_compare)
+        monkeypatch.setattr(clamm.quadrature, "oracle_compare", halting_compare)
         for argv in ((), ("--spec", CARBON)):
             produced.clear()
             with pytest.raises(Halt):
@@ -387,6 +438,18 @@ class TestVerify:
 
 
 class TestErrorPaths:
+    @pytest.mark.parametrize("params, field, word", OUT_OF_RANGE_PARAMS)
+    def test_out_of_range_constants_are_input_errors(self, capsys, tmp_path, params, field, word):
+        path = write_spec(tmp_path, spec_to_dict(params))
+        for argv in (("geometry",), ("quote", "--x", "1", "--y", "1", "--dx", "1"),
+                     ("translate", "--to", "bancor_v2"), ("verify", "--cases", "2")):
+            code, out, err = run(capsys, *argv, "--spec", path)
+            assert code == 2, argv
+            assert out == ""
+            error = json.loads(err)["error"]
+            assert error["field"] == field
+            assert word in error["reason"]
+
     def test_unknown_form_spec(self, capsys):
         code, _, err = run(capsys, "geometry", "--spec", BAD_FORM)
         assert code == 2

@@ -27,7 +27,15 @@ from clamm import (
 from clamm.params import ANCHOR_KINDS
 from clamm.rosetta import translate
 
-from .conftest import WORKED_BANCOR, WORKED_CARBON, WORKED_NATURAL, WORKED_UNISWAP, assert_rel, random_bancor
+from .conftest import (
+    OUT_OF_RANGE_PARAMS,
+    WORKED_BANCOR,
+    WORKED_CARBON,
+    WORKED_NATURAL,
+    WORKED_UNISWAP,
+    assert_rel,
+    random_bancor,
+)
 
 WORKED_REFERENCE = ReferenceParams(100.0, 100.0)
 WORKED_FORMS = [WORKED_REFERENCE, WORKED_BANCOR, WORKED_UNISWAP, WORKED_CARBON, WORKED_NATURAL]
@@ -78,6 +86,7 @@ class TestValidate:
         (UniswapV3Params(200, 0.25, 4), "p_low"),
         (NaturalParams(4.0, "asymptotes", math.inf, -100), "anchor_x"),
         (NaturalParams(4.0, "intercepts", 300, 0), "y_int"),
+        *[(params, field) for params, field, _ in OUT_OF_RANGE_PARAMS],
     ])
     def test_invalid_fields(self, params, field):
         # validate, curve construction and the JSON reader apply the same rules

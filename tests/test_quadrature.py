@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -15,7 +16,7 @@ from clamm import (
     curve_for,
     integrate_price_curve,
     oracle_compare,
-    run_battery,
+    verify_cases,
 )
 from clamm.quadrature import (
     _BATTERY_FORMS,
@@ -216,20 +217,20 @@ class TestIntegratePriceCurve:
         assert_rel(dy, -50.0, rel=1e-8)
 
     def test_zero_width_interval(self):
-        assert integrate_price_curve(WORKED_BANCOR, 100.0, 100.0) == 0.0
+        assert integrate_price_curve(curve_for(WORKED_BANCOR), 100.0, 100.0) == 0.0
 
     def test_full_depletion_interval(self):
-        dy = integrate_price_curve(WORKED_BANCOR, 100.0, 300.0, abs_tol=1e-10)
+        dy = integrate_price_curve(curve_for(WORKED_BANCOR), 100.0, 300.0, abs_tol=1e-10)
         assert_rel(dy, -100.0, rel=1e-8)
 
     def test_reversed_interval_flips_sign(self):
-        forward = integrate_price_curve(WORKED_BANCOR, 100.0, 200.0)
-        backward = integrate_price_curve(WORKED_BANCOR, 200.0, 100.0)
+        forward = integrate_price_curve(curve_for(WORKED_BANCOR), 100.0, 200.0)
+        backward = integrate_price_curve(curve_for(WORKED_BANCOR), 200.0, 100.0)
         assert_rel(backward, -forward, rel=1e-12)
 
     def test_interval_outside_range_rejected(self):
         with pytest.raises(DomainError):
-            integrate_price_curve(WORKED_BANCOR, 100.0, 301.0)
+            integrate_price_curve(curve_for(WORKED_BANCOR), 100.0, 301.0)
 
     def test_dual_axis_reproduces_dx(self, bancor_curve):
         # same routine, axes swapped: integrate dx/dy over the y move
@@ -238,6 +239,25 @@ class TestIntegratePriceCurve:
         spec = IntegralSpec(state.y + delta.dy, state.y, abs_tol=1e-10)
         dx = -adaptive_gauss_kronrod(bancor_curve.price_slope_at_y, spec)
         assert_rel(dx, delta.dx, rel=1e-8)
+
+    def test_subnormal_integral_stops_at_the_first_panels(self):
+        # every dy on this curve is below the smallest normal float, so a
+        # tolerance derived from the integral alone would be finer than any
+        # panel's error estimate resolves, and the kernel would bisect toward
+        # its depth limit
+        class Budgeted(CountingSlope):
+            def price_slope_at_x(self, x):
+                assert self.evals < 1000, "the kernel bisects toward its depth limit"
+                return super().price_slope_at_x(x)
+
+        curve = curve_for(ReferenceParams(1e10, 1e-310))
+        rng = random.Random(0)
+        for _ in range(2):
+            state, dx = random_admissible_swap(rng, curve)
+            counting = Budgeted(curve)
+            dy = integrate_price_curve(counting, state.x, state.x + dx)
+            assert -sys.float_info.min < dy < 0.0
+            assert counting.evals <= 2 * 15
 
     def test_consumes_only_the_slope_callback(self, bancor_curve):
         class SlopeOnly:
@@ -414,10 +434,9 @@ class TestBattery:
         assert all(curve == curve_for(curve.params) for curve, _, _ in built)
 
     def test_small_battery_passes(self):
-        reports = run_battery(seed=3, cases=40)
-        assert len(reports) == 40
-        assert all(r.passed for r in reports)
-        assert max(r.rel_deviation for r in reports) < 1e-9
+        summary = verify_cases(battery_cases(3, 40))
+        assert summary["cases"] == summary["passed"] == 40
+        assert summary["max_rel_deviation"] < 1e-9
 
     def test_battery_covers_every_integrand_form(self):
         forms = {params.form for params, _, _ in random_cases(0, 8)}

@@ -1,6 +1,5 @@
-"""The helper scripts under scripts/: they run, and the golden table stays in sync."""
+"""The helper scripts under scripts/."""
 
-import importlib.util
 import os
 import shutil
 import subprocess
@@ -9,8 +8,7 @@ from pathlib import Path
 
 from clamm import SwapDelta
 
-from .conftest import DATA_DIR, GOLDEN_DIR
-from .test_acceptance import GOLDEN_COMMANDS
+from .conftest import GOLDEN_DIR, load_script
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -27,27 +25,6 @@ def run_script(name, *argv):
                           capture_output=True, text=True, env=script_env(), timeout=120)
 
 
-def load_script(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def load_regen():
-    return load_script("regen_cli_golden")
-
-
-def normalised(commands, data_dir):
-    return {name: [arg.replace(str(data_dir), "<data>") for arg in argv]
-            for name, argv in commands.items()}
-
-
-def test_regen_commands_match_the_acceptance_table():
-    regen = load_regen()
-    assert normalised(regen.COMMANDS, regen.DATA) == normalised(GOLDEN_COMMANDS, DATA_DIR)
-
-
 def test_regen_check_passes_on_the_committed_goldens():
     result = run_script("regen_cli_golden.py", "--check")
     assert result.returncode == 0, result.stderr
@@ -55,7 +32,7 @@ def test_regen_check_passes_on_the_committed_goldens():
 
 
 def test_regen_check_names_drift_and_writes_nothing(tmp_path, monkeypatch, capsys):
-    regen = load_regen()
+    regen = load_script("regen_cli_golden")
     golden = tmp_path / "golden"
     shutil.copytree(GOLDEN_DIR, golden)
     (golden / "angle.json").write_bytes(b"{}\n")
