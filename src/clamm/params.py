@@ -29,8 +29,20 @@ ABS_FLOOR = 1e-12
 # intercept may overshoot by a final ulp and must not be rejected for it.
 BOUNDS_SLACK = 1e-12
 
+_UNRESOLVED = "trade too small to resolve at this scale"
+
 # Smallest positive normal binary64; a curve scale below it is rejected.
 MIN_NORMAL = sys.float_info.min
+
+# Largest finite binary64.  ``0.0 <= v <= _MAX`` holds only for a finite,
+# nonnegative number v: NaN, infinities, negatives and ints beyond binary64
+# fail it, and a non-number raises TypeError.  The value types below accept on
+# one such comparison; when it fails or raises, their field checks run, in
+# their fixed order, to name the failure.
+_MAX = sys.float_info.max
+
+# Stores a field of a frozen value type from its hand-written __init__.
+_set = object.__setattr__
 
 
 def rel_close(a: float, b: float, rel_tol: float = REL_TOL, abs_floor: float = ABS_FLOOR) -> bool:
@@ -147,34 +159,49 @@ FORM_REGISTRY = {
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PoolState:
     """Current real token balances on a curve."""
 
     x: float
     y: float
 
-    def __post_init__(self):
-        _require(math.isfinite(self.x), "x", "must be finite")
-        _require(math.isfinite(self.y), "y", "must be finite")
-        _require(self.x >= 0, "x", "must be nonnegative")
-        _require(self.y >= 0, "y", "must be nonnegative")
+    def __init__(self, x: float, y: float):
+        try:
+            ok = 0.0 <= x <= _MAX and 0.0 <= y <= _MAX
+        except TypeError:
+            ok = False
+        if not ok:
+            _require(math.isfinite(x), "x", "must be finite")
+            _require(math.isfinite(y), "y", "must be finite")
+            _require(x >= 0, "x", "must be nonnegative")
+            _require(y >= 0, "y", "must be nonnegative")
+        _set(self, "x", x)
+        _set(self, "y", y)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SwapDelta:
     """Signed trade amounts in the pool frame: dx and dy have opposite signs."""
 
     dx: float
     dy: float
 
-    def __post_init__(self):
-        _require(math.isfinite(self.dx), "dx", "must be finite")
-        _require(math.isfinite(self.dy), "dy", "must be finite")
-        if (self.dx == 0) != (self.dy == 0):
-            raise DomainError("dx", "dx and dy must both be zero or both nonzero")
-        if self.dx != 0 and (self.dx > 0) == (self.dy > 0):
-            raise DomainError("dx", "dx and dy must have opposite signs")
+    def __init__(self, dx: float, dy: float):
+        # A zero trade (both zero) is valid too; it takes the checks below.
+        try:
+            ok = -_MAX <= dx < 0.0 < dy <= _MAX or -_MAX <= dy < 0.0 < dx <= _MAX
+        except TypeError:
+            ok = False
+        if not ok:
+            _require(math.isfinite(dx), "dx", "must be finite")
+            _require(math.isfinite(dy), "dy", "must be finite")
+            if (dx == 0) != (dy == 0):
+                raise DomainError("dx", "dx and dy must both be zero or both nonzero")
+            if dx != 0 and (dx > 0) == (dy > 0):
+                raise DomainError("dx", "dx and dy must have opposite signs")
+        _set(self, "dx", dx)
+        _set(self, "dy", dy)
 
 
 @dataclass(frozen=True)
@@ -386,23 +413,42 @@ class ShiftedProductCurve:
 
     # -- trades -------------------------------------------------------------
 
+    # Each guard is a range test that accepts; the full check behind it runs
+    # only when the test fails, to name the failure.  A balance that lands
+    # exactly on 0 takes ``_check_bounds`` too, which accepts it on a bounded
+    # curve and rejects it on the unshifted one.  A nonzero amount whose
+    # coupled amount rounds to zero is below the resolution of the curve; no
+    # delta can represent it honestly.
+
     def swap_exact_in_x(self, state: PoolState, dx: float) -> SwapDelta:
         """Trade a signed amount of x; returns the coupled dy."""
-        _require(math.isfinite(dx), "dx", "must be finite")
+        if not -_MAX <= dx <= _MAX:
+            _require(math.isfinite(dx), "dx", "must be finite")
         if dx == 0:
             return SwapDelta(0.0, 0.0)
         x_new = state.x + dx
-        self._check_bounds("x", x_new, self.geom.x_int)
-        return make_delta(dx, self._dy(state, dx, x_new))
+        x_int = self.geom.x_int
+        if not 0.0 < x_new <= x_int * (1.0 + BOUNDS_SLACK):
+            self._check_bounds("x", x_new, x_int)
+        dy = self._dy(state, dx, x_new)
+        if dy == 0:
+            raise DomainError("dx", _UNRESOLVED)
+        return SwapDelta(dx, dy)
 
     def swap_exact_out_y(self, state: PoolState, dy: float) -> SwapDelta:
         """Trade a signed amount of y; returns the coupled dx."""
-        _require(math.isfinite(dy), "dy", "must be finite")
+        if not -_MAX <= dy <= _MAX:
+            _require(math.isfinite(dy), "dy", "must be finite")
         if dy == 0:
             return SwapDelta(0.0, 0.0)
         y_new = state.y + dy
-        self._check_bounds("y", y_new, self.geom.y_int)
-        return make_delta(self._dx(state, dy, y_new), dy)
+        y_int = self.geom.y_int
+        if not 0.0 < y_new <= y_int * (1.0 + BOUNDS_SLACK):
+            self._check_bounds("y", y_new, y_int)
+        dx = self._dx(state, dy, y_new)
+        if dx == 0:
+            raise DomainError("dx", _UNRESOLVED)
+        return SwapDelta(dx, dy)
 
     def _dy(self, state: PoolState, dx: float, x_new: float) -> float:
         """dy of a nonzero, in-bounds trade of dx that takes x to x_new."""
@@ -528,17 +574,6 @@ def root_concentration(geom: CurveGeometry) -> tuple[float, float]:
     return root, geom.x_int / -geom.x_asym / (root + 1.0)
 
 
-def make_delta(dx: float, dy: float) -> SwapDelta:
-    """SwapDelta from a computed trade pair, rejecting binary64 underflow.
-
-    A nonzero input whose coupled output rounds to zero is below the
-    resolution of the curve; no delta can represent it honestly.
-    """
-    if (dx == 0) != (dy == 0):
-        raise DomainError("dx", "trade too small to resolve at this scale")
-    return SwapDelta(dx, dy)
-
-
 def _snap_nonnegative(value: float, reference: float) -> float:
     # Values a final ulp below zero come from intercept arithmetic, not from
     # a genuinely negative balance.
@@ -550,5 +585,9 @@ def _snap_nonnegative(value: float, reference: float) -> float:
 def apply_delta(state: PoolState, delta: SwapDelta) -> PoolState:
     """New pool state after a trade, snapping a final-ulp negative to zero."""
     x = state.x + delta.dx
+    if x < 0:
+        x = _snap_nonnegative(x, state.x)
     y = state.y + delta.dy
-    return PoolState(_snap_nonnegative(x, state.x), _snap_nonnegative(y, state.y))
+    if y < 0:
+        y = _snap_nonnegative(y, state.y)
+    return PoolState(x, y)

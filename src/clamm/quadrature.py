@@ -22,6 +22,8 @@ from .params import (
     PoolState,
     ReferenceParams,
     ShiftedProductCurve,
+    _MAX,
+    _set,
 )
 from .rosetta import translate
 
@@ -33,8 +35,12 @@ DEFAULT_MAX_DEPTH = 60
 _ORACLE_REL_MARGIN = 1e-2
 _DOUBLE_REL_FLOOR = 1e-13
 
+# Floor of the relative deviation's denominator: the smallest subnormal, so
+# that two subnormal results that disagree still read as far apart.
+_SMALLEST = math.ulp(0.0)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class IntegralSpec:
     """One definite integral of a marginal-price form."""
 
@@ -43,13 +49,23 @@ class IntegralSpec:
     abs_tol: float = DEFAULT_ABS_TOL
     max_depth: int = DEFAULT_MAX_DEPTH
 
-    def __post_init__(self):
-        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
-            raise DomainError("lower", "bounds must be finite")
-        if not self.lower < self.upper:
-            raise DomainError("lower", "must be below upper")
-        if not self.abs_tol > 0:
-            raise DomainError("abs_tol", "must be positive")
+    def __init__(self, lower: float, upper: float, abs_tol: float = DEFAULT_ABS_TOL,
+                 max_depth: int = DEFAULT_MAX_DEPTH):
+        try:
+            ok = -_MAX <= lower < upper <= _MAX and abs_tol > 0
+        except TypeError:
+            ok = False
+        if not ok:
+            if not (math.isfinite(lower) and math.isfinite(upper)):
+                raise DomainError("lower", "bounds must be finite")
+            if not lower < upper:
+                raise DomainError("lower", "must be below upper")
+            if not abs_tol > 0:
+                raise DomainError("abs_tol", "must be positive")
+        _set(self, "lower", lower)
+        _set(self, "upper", upper)
+        _set(self, "abs_tol", abs_tol)
+        _set(self, "max_depth", max_depth)
 
 
 @dataclass(frozen=True)
@@ -84,7 +100,7 @@ _G2, _G4, _G6, _G8 = _WG
 
 def _panel(f, a, b):
     """The Kronrod 15-point estimate of the integral of f over [a, b], and its
-    error estimate |K15 - G7|.
+    error estimate |K15 - G7|, nonnegative also when b < a.
 
     The node pairs are written out rather than looped over, because this runs
     for every panel of every integral.  The difference is used raw, without
@@ -110,7 +126,7 @@ def _panel(f, a, b):
     s7 = f(c - d) + f(c + d)
     kronrod = _K1 * s1 + _K2 * s2 + _K3 * s3 + _K4 * s4 + _K5 * s5 + _K6 * s6 + _K7 * s7 + _K8 * fc
     gauss = _G2 * s2 + _G4 * s4 + _G6 * s6 + _G8 * fc
-    return kronrod * h, abs(kronrod - gauss) * h
+    return kronrod * h, abs((kronrod - gauss) * h)
 
 
 def _adaptive(f, a, b, eps, whole, err, depth):
@@ -174,7 +190,7 @@ def oracle_compare(curve: ShiftedProductCurve, state: PoolState, dx: float,
     quad = integrate_price_curve(curve, state.x, state.x + dx,
                                  rel_tol=rel_tol * _ORACLE_REL_MARGIN)
     abs_dev = abs(closed - quad)
-    rel_dev = abs_dev / max(abs(closed), abs(quad), 1e-300)
+    rel_dev = abs_dev / max(abs(closed), abs(quad), _SMALLEST)
     return ComparisonReport(
         closed_form_dy=closed,
         quadrature_dy=quad,

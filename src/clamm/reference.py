@@ -49,6 +49,14 @@ class ReferenceCurve(ShiftedProductCurve, params_type=ReferenceParams):
         """dx = -dy*x/(y + dy); exact depletion (dy <= -y) is unreachable."""
         return -dy * state.x / y_new
 
+    def price_slope_at_x(self, x: float) -> float:
+        """-x0*y0/x**2, divided twice: x*x under- or overflows long before the slope."""
+        return -(self.scale / x) / x
+
+    def price_slope_at_y(self, y: float) -> float:
+        """-x0*y0/y**2, divided twice like ``price_slope_at_x``."""
+        return -(self.scale / y) / y
+
     def marginal_price(self, state: PoolState) -> float:
         if state.x == 0:
             raise DomainError("x", "marginal price is undefined at x = 0")

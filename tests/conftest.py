@@ -3,6 +3,7 @@ import math
 import random
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from clamm import (
@@ -58,10 +59,7 @@ def rel_dev(a, b):
 
 def exact_curve(params):
     """(shift_x, shift_y, scale) of the stored parameters, as mpmath numbers at
-    the caller's working precision (mpmath is imported only here, since it is
-    an optional test dependency)."""
-    import mpmath
-
+    the caller's working precision."""
     mpf, sqrt = mpmath.mpf, mpmath.sqrt
     if isinstance(params, ReferenceParams):
         return mpf(0), mpf(0), mpf(params.x0) * mpf(params.y0)

@@ -431,6 +431,23 @@ class TestVerify:
             assert out == ""
             assert error_message(err) == "rel_tol: must be positive and finite"
 
+    @pytest.mark.parametrize("x0, y0, cases, code", [
+        (1e10, 1e-310, 2, 1),  # subnormal trades, closed form and quadrature 1.2 % apart
+        (1e-200, 1e-7, 20, 0),  # the slope's x*x underflowed to 0
+        (1e200, 1e15, 20, 0),  # the slope's x*x overflowed to inf
+    ])
+    def test_extreme_reference_pools(self, capsys, tmp_path, x0, y0, cases, code):
+        spec = write_spec(tmp_path, {"form": "reference", "x0": x0, "y0": y0})
+        got, out, _ = run(capsys, "verify", "--spec", spec, "--cases", str(cases))
+        summary = json.loads(out)
+        assert got == code
+        if code:
+            assert summary["failed"] == cases
+            assert summary["max_rel_deviation"] > 1e-2
+        else:
+            assert summary["passed"] == cases
+            assert summary["max_rel_deviation"] < 1e-15
+
     def test_unreachable_tolerance_fails_with_exit_1(self, capsys):
         code, out, _ = run(capsys, "verify", "--cases", "4", "--seed", "5", "--rel-tol", "1e-17")
         assert code == 1

@@ -7,11 +7,10 @@ the intercepts, the unamplified curve's bound points).  It shares no
 expression with the binary64 side beyond the form's own shift and scale.
 """
 
+import mpmath
 import pytest
 
-mpmath = pytest.importorskip("mpmath")
-
-from clamm import (  # noqa: E402
+from clamm import (
     BancorV2Params,
     CarbonParams,
     DomainError,
@@ -21,7 +20,7 @@ from clamm import (  # noqa: E402
     curve_for,
 )
 
-from .conftest import exact_curve  # noqa: E402
+from .conftest import exact_curve
 
 DIGITS = 60
 BOUND = 2e-15

@@ -2,6 +2,7 @@ import math
 import random
 import sys
 
+import mpmath
 import pytest
 
 import clamm.quadrature
@@ -23,6 +24,7 @@ from clamm.quadrature import (
     _WG,
     _WGK,
     DEFAULT_ABS_TOL,
+    DEFAULT_MAX_DEPTH,
     _panel,
     battery_cases,
     random_admissible_swap,
@@ -114,7 +116,6 @@ SIMPSON_BOUND = 1e-13
 def exact_rel_error(got, params, x_from, x_to) -> float:
     """Relative error of got against dy = y(x_to) - y(x_from) on
     (x + sx)(y + sy) = s, evaluated at 60 digits."""
-    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(EXACT_DIGITS):
         sx, _, s = exact_curve(params)
         want = s / (mpmath.mpf(x_to) + sx) - s / (mpmath.mpf(x_from) + sx)
@@ -290,6 +291,21 @@ class TestKronrodKernel:
         assert abs(value - 2.0 / 13.0) <= 1e-15 * (2.0 / 13.0)
         assert err <= 1e-15
 
+    def test_reversed_panel_has_a_nonnegative_error(self):
+        value, err = _panel(lambda x: x ** 22, 1.0, -1.0)
+        assert value == -_panel(lambda x: x ** 22, -1.0, 1.0)[0]
+        assert err == _panel(lambda x: x ** 22, -1.0, 1.0)[1] > 1e-3
+
+    def test_reversed_interval_is_refined(self):
+        # a negative error estimate would accept the first panel of [50, 1]
+        f = lambda x: 1.0 / (x * x)  # noqa: E731
+        whole, err = _panel(f, 50.0, 1.0)
+        forward = adaptive_gauss_kronrod(f, IntegralSpec(1.0, 50.0, abs_tol=1e-12))
+        got = clamm.quadrature._adaptive(f, 50.0, 1.0, 1e-12, whole, err, DEFAULT_MAX_DEPTH)
+        assert got != whole
+        assert got == -forward
+        assert abs(got + 49.0 / 50.0) <= 1e-12
+
     def test_each_panel_meets_its_share_of_the_tolerance(self, monkeypatch):
         # a panel of width w out of W is held to abs_tol * w / W, so the
         # accepted error estimates add up to at most abs_tol
@@ -403,6 +419,16 @@ class TestOracleCompare:
             report = oracle_compare(curve, PoolState(100, 100), 100.0)
             assert report.passed
             assert report.rel_deviation < 1e-10
+
+    def test_subnormal_disagreement_is_not_a_pass(self):
+        # both sides are subnormal and 1.2 % apart; a denominator floored at
+        # 1e-300 read that as 1.7e-13 and passed it
+        curve = curve_for(ReferenceParams(1e10, 1e-310))
+        state, dx = random_admissible_swap(random.Random(0), curve)
+        report = oracle_compare(curve, state, dx)
+        assert 0.0 < abs(report.closed_form_dy) < sys.float_info.min
+        assert not report.passed
+        assert report.rel_deviation > 1e-2
 
 
 class TestBattery:

@@ -71,6 +71,13 @@ class TestMarginalPrice:
         assert_rel(curve.marginal_price(state), -0.25, rel=1e-12)
         assert_rel(curve.price_slope_at_x(200.0), -10000.0 / 40000.0, rel=1e-12)
 
+    @pytest.mark.parametrize("x0, y0", [(1e-200, 1e-7), (1e200, 1e15)])
+    def test_slopes_at_extreme_scales(self, x0, y0):
+        # x*x underflows, or overflows, where the slope -y0/x0 does not
+        curve = ReferenceCurve(ReferenceParams(x0, y0))
+        assert_rel(curve.price_slope_at_x(x0), -y0 / x0, rel=1e-15, abs_floor=0.0)
+        assert_rel(curve.price_slope_at_y(y0), -x0 / y0, rel=1e-15, abs_floor=0.0)
+
     def test_reciprocal_point(self):
         curve = ReferenceCurve(ReferenceParams(50.0, 200.0))
         assert_rel(curve.marginal_price(PoolState(50, 200)), -4.0)
