@@ -31,6 +31,9 @@ COMMANDS = {
                            "--points", "3"],
     "sweep_points3.csv": ["sweep", "--spec", str(DATA / "worked_bancor.json"),
                           "--points", "3", "--output", "csv"],
+    "sweep_price_points5.csv": ["sweep", "--spec", str(DATA / "worked_bancor.json"),
+                                "--axis", "price", "--points", "5", "--output", "csv"],
+    "verify_cases2000.json": ["verify", "--cases", "2000", "--seed", "0"],
 }
 
 

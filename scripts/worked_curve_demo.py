@@ -46,7 +46,7 @@ def main() -> int:
     unit = unit_from_state(state.x, state.y)
     print(f"  center state maps to (t={unit.t_hat}, u={unit.u_hat})")
     print(f"  price-bound verticals u = {u_hat_from_price(g.p_high)}, {u_hat_from_price(g.p_low)}")
-    phi = hyperbolic_angle(g.p_high, g.p_low).phi
+    phi = hyperbolic_angle(g.p_high, g.p_low)
     trig = trig_identities(phi)
     print(f"  angle {phi:.10f} = ln({math.exp(phi):.10f}); cosh {trig.cosh}, tanh {trig.tanh}")
     return 0

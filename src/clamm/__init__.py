@@ -19,9 +19,7 @@ from .errors import (
 )
 from .hypertrig import (
     AXIS_ALIGNMENT,
-    HyperbolicAngle,
     RotatedPoint,
-    RotationTransform,
     TrigValues,
     UnitPoint,
     arsinh,

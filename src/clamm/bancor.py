@@ -36,7 +36,7 @@ class BancorCurve(ShiftedProductCurve, params_type=BancorV2Params):
         # c = A^2/(A-1)^2 = p_high/p0 = p0/p_low
         c = amp * amp / ((amp - 1.0) * (amp - 1.0))
         p0 = y0 / x0
-        return x0 * (amp - 1.0), y0 * (amp - 1.0), scale, CurveGeometry(
+        return scale, CurveGeometry(
             x_int=x0 * (2.0 * amp - 1.0) / (amp - 1.0),
             y_int=y0 * (2.0 * amp - 1.0) / (amp - 1.0),
             x_asym=-x0 * (amp - 1.0),
@@ -45,5 +45,4 @@ class BancorCurve(ShiftedProductCurve, params_type=BancorV2Params):
             p_low=p0 / c,
             p0=p0,
             c=c,
-            phi=math.log(c),
         )

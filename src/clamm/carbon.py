@@ -8,8 +8,6 @@ cached shifts, so cross-parameterization agreement is a real check.
 
 from __future__ import annotations
 
-import math
-
 from .params import (
     CarbonParams,
     CurveGeometry,
@@ -34,8 +32,7 @@ class CarbonCurve(ShiftedProductCurve, params_type=CarbonParams):
         # a*(a+b) = p_high - p0 divides the x shift, b*(a+b) = p0 the x intercept
         gap = _check_scale(a * (a + b), "a", "a*(a+b)")
         p0 = _check_scale(b * (a + b), "b", "b*(a+b)")
-        c = (a + b) / b
-        return z / gap, b * z / a, scale, CurveGeometry(
+        return scale, CurveGeometry(
             x_int=z / p0,
             y_int=z,
             x_asym=-z / gap,
@@ -43,8 +40,7 @@ class CarbonCurve(ShiftedProductCurve, params_type=CarbonParams):
             p_high=(a + b) * (a + b),
             p_low=b * b,
             p0=p0,
-            c=c,
-            phi=math.log(c),
+            c=(a + b) / b,
         )
 
     # -- native closed forms ---------------------------------------------------

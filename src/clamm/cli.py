@@ -19,7 +19,7 @@ import sys
 from .curves import curve_for, geometry
 from .errors import ConvergenceFailure, CurveError, DomainError
 from .hypertrig import hyperbolic_angle, t_hat_from_price, trig_identities, u_hat_from_price
-from .params import PoolState, apply_delta, load_spec, spec_to_dict
+from .params import REL_TOL, PoolState, apply_delta, load_spec, spec_to_dict
 from .quadrature import battery_cases, random_admissible_swap, verify_cases
 from .rosetta import translate_with_report
 
@@ -91,7 +91,7 @@ def cmd_angle(args) -> int:
         p_high, p_low = geom.p_high, geom.p_low
         if not (math.isfinite(p_high) and math.isfinite(p_low)):
             raise DomainError("spec", "curve has no finite price bounds")
-    phi = hyperbolic_angle(p_high, p_low).phi
+    phi = hyperbolic_angle(p_high, p_low)
     # sinh and cosh are at most about sqrt(p_high/p_low), so a finite ratio
     # keeps them finite; an infinite one is blamed on the bound further from 1
     # on a log scale
@@ -199,8 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     quote = sub.add_parser("quote", parents=[common], help="price a trade against a curve")
-    quote.add_argument("--tolerance", type=float, default=1e-9,
-                       help="relative tolerance for the on-curve check (default 1e-9)")
+    quote.add_argument("--tolerance", type=float, default=REL_TOL,
+                       help="relative tolerance for the on-curve check (default %(default)g)")
     quote.add_argument("--x", type=float, required=True, help="current x balance")
     quote.add_argument("--y", type=float, required=True, help="current y balance")
     group = quote.add_mutually_exclusive_group(required=True)

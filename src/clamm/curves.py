@@ -54,7 +54,7 @@ class NaturalCurve(ShiftedProductCurve, params_type=NaturalParams):
             x_asym, y_asym = -ax / gap, -ay / gap
         scale = _check_scale(c * x_asym * y_asym, "c", "c*x_asym*y_asym")
         p0 = y_asym / x_asym
-        return -x_asym, -y_asym, scale, CurveGeometry(
+        return scale, CurveGeometry(
             x_int=-x_asym * (c - 1.0),
             y_int=-y_asym * (c - 1.0),
             x_asym=x_asym,
@@ -63,7 +63,6 @@ class NaturalCurve(ShiftedProductCurve, params_type=NaturalParams):
             p_low=p0 / c,
             p0=p0,
             c=c,
-            phi=math.log(c),
         )
 
 

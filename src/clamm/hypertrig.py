@@ -12,23 +12,13 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
+from .params import REL_TOL
 
 _SQRT2 = math.sqrt(2.0)
 
-
-@dataclass(frozen=True)
-class RotationTransform:
-    """Orthonormal rotation; theta in radians, clockwise negative."""
-
-    theta: float
-    matrix: tuple[tuple[float, float], tuple[float, float]]
-
-
-# The eighth turn that aligns x*y hyperbolas with the t axis.
-AXIS_ALIGNMENT = RotationTransform(
-    theta=-math.pi / 4.0,
-    matrix=((1.0 / _SQRT2, 1.0 / _SQRT2), (-1.0 / _SQRT2, 1.0 / _SQRT2)),
-)
+# The matrix of the clockwise eighth turn (theta = -pi/4) that aligns x*y
+# hyperbolas with the t axis.
+AXIS_ALIGNMENT = ((1.0 / _SQRT2, 1.0 / _SQRT2), (-1.0 / _SQRT2, 1.0 / _SQRT2))
 
 
 @dataclass(frozen=True)
@@ -44,11 +34,6 @@ class UnitPoint:
 
 
 @dataclass(frozen=True)
-class HyperbolicAngle:
-    phi: float
-
-
-@dataclass(frozen=True)
 class TrigValues:
     sinh: float
     cosh: float
@@ -58,22 +43,23 @@ class TrigValues:
 
 def rotate(x: float, y: float) -> RotatedPoint:
     """Map (x, y) to (t, u) = ((x+y)/sqrt2, (y-x)/sqrt2)."""
-    (m00, m01), (m10, m11) = AXIS_ALIGNMENT.matrix
+    (m00, m01), (m10, m11) = AXIS_ALIGNMENT
     return RotatedPoint(t=m00 * x + m01 * y, u=m10 * x + m11 * y)
 
 
-def normalize(point: RotatedPoint, k: float, rel_tol: float = 1e-9) -> UnitPoint:
+def normalize(point: RotatedPoint, k: float) -> UnitPoint:
     """Rescale a rotated point of the curve x*y = k onto the unit hyperbola.
 
     Rejects points that do not actually sit on that curve: the normalized
-    coordinates must satisfy t_hat^2 - u_hat^2 = 1.
+    coordinates must satisfy t_hat^2 - u_hat^2 = 1 within REL_TOL, which a
+    non-finite coordinate never does.
     """
     if not (k > 0 and math.isfinite(k)):
         raise DomainError("k", "must be a positive finite scale")
     denom = math.sqrt(2.0 * k)
     t_hat = point.t / denom
     u_hat = point.u / denom
-    if abs(t_hat * t_hat - u_hat * u_hat - 1.0) > rel_tol:
+    if not abs(t_hat * t_hat - u_hat * u_hat - 1.0) <= REL_TOL:
         raise DomainError("point", "not on the curve with the given scale")
     return UnitPoint(t_hat, u_hat)
 
@@ -110,37 +96,32 @@ def t_hat_from_price(price: float) -> float:
     return (price + 1.0) / (2.0 * math.sqrt(price))
 
 
-def arsinh(u: float) -> float:
-    """Inverse hyperbolic sine, stable near zero and free of overflow.
-
-    The naive ln(u + sqrt(u^2 + 1)) loses precision for small |u|, which is
-    exactly the narrow-price-range case; this uses a log1p form instead.
-    """
-    if u < 0:
-        return -arsinh(-u)
-    if u > 1e8:
-        # sqrt(u^2+1) ~ u to double precision; error below 1 ulp
-        return math.log(2.0) + math.log(u)
-    return math.log1p(u + u * u / (1.0 + math.sqrt(u * u + 1.0)))
+# Inverse hyperbolic sine; the C library's is stable near zero (a narrow price
+# range), where the naive ln(u + sqrt(u^2 + 1)) collapses, and cannot overflow.
+arsinh = math.asinh
 
 
-def hyperbolic_angle(p_high: float, p_low: float) -> HyperbolicAngle:
-    """Angle spanned by the price range on the unit hyperbola.
+def _check_range(p_high: float, p_low: float) -> None:
+    if not (p_low > 0 and math.isfinite(p_low)):
+        raise DomainError("p_low", "must be positive and finite")
+    if not (p_high > p_low and math.isfinite(p_high)):
+        raise DomainError("p_high", "must be finite and exceed p_low")
+
+
+def hyperbolic_angle(p_high: float, p_low: float) -> float:
+    """Angle phi spanned by the price range on the unit hyperbola.
 
     Two redundant routes: the closed log form, and the difference of arsinh
     values at the two bounds.  They agree to double precision; the log form is
     returned.
     """
-    if not (p_low > 0 and math.isfinite(p_low)):
-        raise DomainError("p_low", "must be positive and finite")
-    if not (p_high > p_low and math.isfinite(p_high)):
-        raise DomainError("p_high", "must be finite and exceed p_low")
-    phi = 0.5 * (math.log(p_high) - math.log(p_low))
-    return HyperbolicAngle(phi=phi)
+    _check_range(p_high, p_low)
+    return 0.5 * (math.log(p_high) - math.log(p_low))
 
 
 def hyperbolic_angle_from_unit(p_high: float, p_low: float) -> float:
     """The arsinh-difference route to the same angle; used as a cross-check."""
+    _check_range(p_high, p_low)
     return arsinh(u_hat_from_price(p_high)) - arsinh(u_hat_from_price(p_low))
 
 
@@ -153,9 +134,12 @@ def trig_identities(phi: float) -> TrigValues:
     """
     if not math.isfinite(phi):
         raise DomainError("phi", "must be finite")
-    return TrigValues(
-        sinh=math.sinh(phi),
-        cosh=math.cosh(phi),
-        tanh=math.tanh(phi),
-        e_phi=math.exp(phi),
-    )
+    try:
+        return TrigValues(
+            sinh=math.sinh(phi),
+            cosh=math.cosh(phi),
+            tanh=math.tanh(phi),
+            e_phi=math.exp(phi),
+        )
+    except OverflowError:
+        raise DomainError("phi", "too large: sinh, cosh or e^phi overflows") from None

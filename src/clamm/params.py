@@ -25,8 +25,9 @@ from .errors import BoundsExceeded, DomainError, InsufficientLiquidity
 REL_TOL = 1e-9
 ABS_FLOOR = 1e-12
 
-# Relative slack for intercept bounds checks: a trade aimed exactly at an
-# intercept may overshoot by a final ulp and must not be rejected for it.
+# Relative slack for a final ulp past an intercept or below zero: a trade aimed
+# exactly at an intercept may overshoot it, and intercept arithmetic may land a
+# balance just below zero; neither is rejected for it.
 BOUNDS_SLACK = 1e-12
 
 _UNRESOLVED = "trade too small to resolve at this scale"
@@ -45,8 +46,8 @@ _MAX = sys.float_info.max
 _set = object.__setattr__
 
 
-def rel_close(a: float, b: float, rel_tol: float = REL_TOL, abs_floor: float = ABS_FLOOR) -> bool:
-    return math.isclose(a, b, rel_tol=rel_tol, abs_tol=abs_floor)
+def rel_close(a: float, b: float) -> bool:
+    return math.isclose(a, b, rel_tol=REL_TOL, abs_tol=ABS_FLOOR)
 
 
 def _require(cond: bool, name: str, reason: str) -> None:
@@ -211,7 +212,7 @@ class CurveGeometry:
     Intercepts are the maximum holdings of each token, asymptotes the negated
     shift constants (zero for an unshifted curve), p_high/p_low the marginal
     prices at full depletion of x and y, p0 their geometric mean, c the
-    concentration constant sqrt(p_high/p_low) and phi = ln(c).
+    concentration constant sqrt(p_high/p_low) and phi = ln(c), derived here.
     """
 
     x_int: float
@@ -222,7 +223,10 @@ class CurveGeometry:
     p_low: float
     p0: float
     c: float
-    phi: float
+    phi: float = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "phi", math.log(self.c))
 
 
 @dataclass(frozen=True)
@@ -334,11 +338,11 @@ class ShiftedProductCurve:
 
     A form subclass names its parameter type, ``class C(ShiftedProductCurve,
     params_type=P)``, and supplies one hook, ``_constants``, that checks a
-    parameter set of that type and maps it to ``(shift_x, shift_y, scale,
-    geom)``; everything else is derived here from those four.  A subclass may
-    also override a closed form, or the ``_dy``/``_dx`` swap formulas, with
-    the native phenotype of its parameterization, which then stays an
-    independent cross-check.  Instances are immutable values, safe to share
+    parameter set of that type and maps it to ``(scale, geom)``; the shifts
+    are the negated asymptotes, and everything else is derived here.  A
+    subclass may also override a closed form, or the ``_dy``/``_dx`` swap
+    formulas, with the native phenotype of its parameterization, which then
+    stays an independent cross-check.  Instances are immutable values, safe to share
     across threads.
     """
 
@@ -359,7 +363,10 @@ class ShiftedProductCurve:
         ShiftedProductCurve._classes[params_type] = cls
 
     def __post_init__(self):
-        shift_x, shift_y, scale, geom = self._constants(self.params)
+        scale, geom = self._constants(self.params)
+        # 0.0 - asym keeps the unshifted curve's shifts +0.0, where -asym gives -0.0
+        shift_x = 0.0 - geom.x_asym
+        shift_y = 0.0 - geom.y_asym
         _check_derived(shift_x, shift_y, geom, self.bounded)
         object.__setattr__(self, "shift_x", shift_x)
         object.__setattr__(self, "shift_y", shift_y)
@@ -367,14 +374,16 @@ class ShiftedProductCurve:
         object.__setattr__(self, "geom", geom)
 
     @staticmethod
-    def _constants(params: CurveParams) -> tuple[float, float, float, CurveGeometry]:
-        """(shift_x, shift_y, scale, geom) of a parameter set, or DomainError.
+    def _constants(params: CurveParams) -> tuple[float, CurveGeometry]:
+        """(scale, geom) of a parameter set, or DomainError.
 
         The hook holds the form's field rules: it checks each field as it reads
-        it, and the scale with ``_check_scale`` once it is computed.  The core
-        then checks the other constants the hook derived, the same way for
-        every form.  Curve construction, which ``validate`` runs, is the one
-        place both happen, so every curve is checked once, when it is built.
+        it, and the scale with ``_check_scale`` once it is computed.  It gives
+        neither the shifts, which the core reads off the asymptotes, nor phi,
+        which ``CurveGeometry`` derives from c.  The core then checks the other
+        constants the hook derived, the same way for every form.  Curve
+        construction, which ``validate`` runs, is the one place both happen,
+        so every curve is checked once, when it is built.
         """
         raise NotImplementedError
 
@@ -577,7 +586,7 @@ def root_concentration(geom: CurveGeometry) -> tuple[float, float]:
 def _snap_nonnegative(value: float, reference: float) -> float:
     # Values a final ulp below zero come from intercept arithmetic, not from
     # a genuinely negative balance.
-    if value < 0 and abs(value) <= max(abs(reference), 1.0) * 1e-12:
+    if value < 0 and abs(value) <= max(abs(reference), 1.0) * BOUNDS_SLACK:
         return 0.0
     return value
 

@@ -17,6 +17,7 @@ from typing import Callable, Iterable, Iterator
 from .curves import curve_for
 from .errors import ConvergenceFailure, DomainError
 from .params import (
+    BOUNDS_SLACK,
     BancorV2Params,
     CurveParams,
     PoolState,
@@ -170,7 +171,7 @@ def integrate_price_curve(curve: ShiftedProductCurve,
         lo, hi = hi, lo
         sign = -1.0
     x_int = curve.geom.x_int
-    if lo < 0 or (math.isfinite(x_int) and hi > x_int * (1.0 + 1e-12)):
+    if lo < 0 or (math.isfinite(x_int) and hi > x_int * (1.0 + BOUNDS_SLACK)):
         raise DomainError("x_from", "integration interval leaves the admissible x-range")
     if math.isinf(x_int) and lo <= 0:
         raise DomainError("x_from", "the unshifted curve is undefined at x = 0")

@@ -29,7 +29,7 @@ class ReferenceCurve(ShiftedProductCurve, params_type=ReferenceParams):
         y0 = _check_finite_positive(params.y0, "y0")
         scale = _check_scale(x0 * y0, "x0", "x0*y0")
         # No finite intercepts: the axes are the asymptotes.
-        return 0.0, 0.0, scale, CurveGeometry(
+        return scale, CurveGeometry(
             x_int=math.inf,
             y_int=math.inf,
             x_asym=0.0,
@@ -38,7 +38,6 @@ class ReferenceCurve(ShiftedProductCurve, params_type=ReferenceParams):
             p_low=0.0,
             p0=y0 / x0,
             c=math.inf,
-            phi=math.inf,
         )
 
     def _dy(self, state: PoolState, dx: float, x_new: float) -> float:
@@ -62,8 +61,7 @@ class ReferenceCurve(ShiftedProductCurve, params_type=ReferenceParams):
             raise DomainError("x", "marginal price is undefined at x = 0")
         return -state.y / state.x
 
-    def log_swap_identity_check(self, state: PoolState, delta: SwapDelta,
-                                rel_tol: float = 1e-9) -> bool:
+    def log_swap_identity_check(self, state: PoolState, delta: SwapDelta) -> bool:
         """True iff (y+dy)/y equals x/(x+dx), the separated-variable form."""
         if delta.dx == 0 and delta.dy == 0:
             return True
@@ -71,4 +69,4 @@ class ReferenceCurve(ShiftedProductCurve, params_type=ReferenceParams):
             return False
         ratio_y = (state.y + delta.dy) / state.y
         ratio_x = state.x / (state.x + delta.dx)
-        return rel_close(ratio_y, ratio_x, rel_tol=rel_tol)
+        return rel_close(ratio_y, ratio_x)

@@ -26,6 +26,7 @@ from .params import (
     UniswapV3Params,
     rel_close,
     root_concentration,
+    validate,
 )
 
 FORMS = tuple(FORM_REGISTRY)
@@ -44,12 +45,13 @@ def translate(params: CurveParams, target_form: str) -> CurveParams:
     """Re-express a curve in another parameter form; the curve is unchanged.
 
     The reference form carries no price bounds, so it can neither be a source
-    nor a target of a non-identity translation.
+    nor a target of a non-identity translation.  A translation to the set's
+    own form returns the set once it has passed validation.
     """
     if target_form not in FORM_REGISTRY:
         raise DomainError("target", f"unknown form {target_form!r}; expected one of {sorted(FORM_REGISTRY)}")
     if params.form == target_form:
-        return params
+        return validate(params)
     if isinstance(params, ReferenceParams):
         raise DomainError("spec", "a reference curve has no price bounds to translate")
     if target_form == "reference":
@@ -114,9 +116,8 @@ def concentration_from_asymptotes(state: PoolState, x_asym: float, y_asym: float
     return (state.x - x_asym) * (state.y - y_asym) / (x_asym * y_asym)
 
 
-def concentration_forms_agree(state: PoolState, geom: CurveGeometry,
-                              rel_tol: float = 1e-9) -> bool:
-    """True iff every form defined at this state equals geom.c within rel_tol.
+def concentration_forms_agree(state: PoolState, geom: CurveGeometry) -> bool:
+    """True iff every form defined at this state equals geom.c within REL_TOL.
 
     Forms sitting on their singular point are skipped; the asymptote form is
     always defined, so at least one value is checked.  An unshifted curve's
@@ -133,4 +134,4 @@ def concentration_forms_agree(state: PoolState, geom: CurveGeometry,
         values.append(concentration_from_intercepts(state, geom.x_int, geom.y_int))
     except Indeterminate:
         pass
-    return all(rel_close(v, geom.c, rel_tol=rel_tol) for v in values)
+    return all(rel_close(v, geom.c) for v in values)

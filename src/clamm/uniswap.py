@@ -32,11 +32,10 @@ class UniswapCurve(ShiftedProductCurve, params_type=UniswapV3Params):
         scale = _check_scale(liq * liq, "L", "L^2")
         sqrt_high = math.sqrt(p_high)
         sqrt_low = math.sqrt(p_low)
-        c = sqrt_high / sqrt_low
         # sqrt_high - sqrt_low without cancellation: p_high - p_low is exact
         # (Sterbenz) when the range is narrow, where the roots' difference is not
         root_gap = (p_high - p_low) / (sqrt_high + sqrt_low)
-        return liq / sqrt_high, liq * sqrt_low, scale, CurveGeometry(
+        return scale, CurveGeometry(
             x_int=liq * root_gap / (sqrt_high * sqrt_low),
             y_int=liq * root_gap,
             x_asym=-liq / sqrt_high,
@@ -44,6 +43,5 @@ class UniswapCurve(ShiftedProductCurve, params_type=UniswapV3Params):
             p_high=p_high,
             p_low=p_low,
             p0=sqrt_high * sqrt_low,
-            c=c,
-            phi=math.log(c),
+            c=sqrt_high / sqrt_low,
         )

@@ -155,8 +155,8 @@ def test_criterion_6_trigonometric_layer():
             p_low = 10.0 ** rng.uniform(-6.0, 3.0)
             p_mid = p_low * 10.0 ** rng.uniform(0.01, 3.0)
             p_high = p_mid * 10.0 ** rng.uniform(0.01, 3.0)
-            split = hyperbolic_angle(p_high, p_mid).phi + hyperbolic_angle(p_mid, p_low).phi
-            assert rel_dev(split, hyperbolic_angle(p_high, p_low).phi) <= 1e-12
+            split = hyperbolic_angle(p_high, p_mid) + hyperbolic_angle(p_mid, p_low)
+            assert rel_dev(split, hyperbolic_angle(p_high, p_low)) <= 1e-12
         # unit-hyperbola residual at 1e4 points; the coordinate ratio is kept
         # moderate because the residual's float error grows with t_hat^2
         for _ in range(10_000):

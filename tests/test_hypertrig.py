@@ -28,12 +28,11 @@ SQRT2 = math.sqrt(2.0)
 
 class TestRotation:
     def test_matrix_is_orthonormal_with_unit_determinant(self):
-        (m00, m01), (m10, m11) = AXIS_ALIGNMENT.matrix
+        (m00, m01), (m10, m11) = AXIS_ALIGNMENT
         assert_rel(m00 * m00 + m10 * m10, 1.0, rel=1e-15)
         assert_rel(m01 * m01 + m11 * m11, 1.0, rel=1e-15)
         assert abs(m00 * m01 + m10 * m11) < 1e-15
         assert_rel(m00 * m11 - m01 * m10, 1.0, rel=1e-15)
-        assert AXIS_ALIGNMENT.theta == -math.pi / 4.0
 
     def test_symmetric_point_lands_on_axis(self):
         p = rotate(100.0, 100.0)
@@ -83,6 +82,13 @@ class TestNormalize:
     def test_nonpositive_scale_rejected(self):
         with pytest.raises(DomainError):
             normalize(RotatedPoint(1.0, 0.0), 0.0)
+
+    @pytest.mark.parametrize("t, u", [(math.nan, 0.0), (0.0, math.nan), (math.inf, math.inf)])
+    def test_non_finite_point_flagged(self, t, u):
+        # its residual is NaN, which no tolerance accepts
+        with pytest.raises(DomainError) as err:
+            normalize(RotatedPoint(t, u), 1.0)
+        assert err.value.field == "point"
 
 
 class TestUnitFromState:
@@ -147,7 +153,7 @@ class TestArsinh:
         assert math.isclose(arsinh(u), math.asinh(u), rel_tol=1e-14, abs_tol=1e-300)
 
     def test_stable_near_zero(self):
-        # the naive log form collapses to log(1) here; the log1p form does not
+        # the naive log form collapses to log(1) here; arsinh must not
         for u in (1e-12, 1e-15, 1e-18):
             assert_rel(arsinh(u), u, rel=1e-12)
 
@@ -157,16 +163,26 @@ class TestArsinh:
 
 class TestHyperbolicAngle:
     def test_worked_range(self):
-        assert_rel(hyperbolic_angle(4.0, 0.25).phi, LN4, rel=1e-12)
+        assert_rel(hyperbolic_angle(4.0, 0.25), LN4, rel=1e-12)
         assert_rel(2.0 * arsinh(0.75), LN4, rel=1e-12)
 
     def test_only_the_ratio_matters(self):
-        assert_rel(hyperbolic_angle(16.0, 1.0).phi, LN4, rel=1e-12)
+        assert_rel(hyperbolic_angle(16.0, 1.0), LN4, rel=1e-12)
+
+    @pytest.mark.parametrize("p_high, p_low", [(1.0, 2.0), (2.0, 2.0), (2.0, 0.0),
+                                               (math.inf, 1.0), (2.0, math.nan)])
+    def test_both_routes_reject_the_same_ranges(self, p_high, p_low):
+        fields = []
+        for route in (hyperbolic_angle, hyperbolic_angle_from_unit):
+            with pytest.raises(DomainError) as err:
+                route(p_high, p_low)
+            fields.append(err.value.field)
+        assert fields[0] == fields[1]
 
     def test_zero_width_rejected_and_vanishes_in_the_limit(self):
         with pytest.raises(DomainError):
             hyperbolic_angle(2.0, 2.0)
-        assert hyperbolic_angle(2.0 * (1.0 + 1e-12), 2.0).phi < 1e-11
+        assert hyperbolic_angle(2.0 * (1.0 + 1e-12), 2.0) < 1e-11
 
     @settings(max_examples=200)
     @given(
@@ -175,7 +191,7 @@ class TestHyperbolicAngle:
     )
     def test_log_and_arsinh_routes_agree(self, p_low, ratio):
         p_high = p_low * ratio
-        phi = hyperbolic_angle(p_high, p_low).phi
+        phi = hyperbolic_angle(p_high, p_low)
         assert math.isclose(phi, hyperbolic_angle_from_unit(p_high, p_low),
                             rel_tol=1e-12, abs_tol=1e-13)
 
@@ -188,8 +204,8 @@ class TestHyperbolicAngle:
     def test_angle_additivity(self, p_low, r1, r2):
         p_mid = p_low * r1
         p_high = p_mid * r2
-        total = hyperbolic_angle(p_high, p_low).phi
-        split = hyperbolic_angle(p_high, p_mid).phi + hyperbolic_angle(p_mid, p_low).phi
+        total = hyperbolic_angle(p_high, p_low)
+        split = hyperbolic_angle(p_high, p_mid) + hyperbolic_angle(p_mid, p_low)
         assert_rel(split, total, rel=1e-12)
 
     def test_sector_area_oracle(self):
@@ -204,7 +220,7 @@ class TestHyperbolicAngle:
             u_hat = u_hat_from_price(price)
             assert_rel(2.0 * half_sector_area(u_hat), arsinh(u_hat), rel=1e-8)
         # a symmetric price range spans equal areas on both sides of the axis
-        phi = hyperbolic_angle(4.0, 0.25).phi
+        phi = hyperbolic_angle(4.0, 0.25)
         assert_rel(4.0 * half_sector_area(0.75), phi, rel=1e-8)
 
 
@@ -215,6 +231,12 @@ class TestTrigIdentities:
         assert_rel(trig.cosh, 17.0 / 8.0, rel=1e-12)
         assert_rel(trig.tanh, 15.0 / 17.0, rel=1e-12)
         assert_rel(trig.e_phi, 4.0, rel=1e-12)
+
+    @pytest.mark.parametrize("phi", [800.0, -800.0, 710.0])
+    def test_overflowing_angle_names_phi(self, phi):
+        with pytest.raises(DomainError) as err:
+            trig_identities(phi)
+        assert err.value.field == "phi"
 
     def test_zero_angle(self):
         trig = trig_identities(0.0)
@@ -235,7 +257,7 @@ class TestTrigIdentities:
     )
     def test_price_form_equivalents(self, p_low, ratio):
         p_high = p_low * ratio
-        trig = trig_identities(hyperbolic_angle(p_high, p_low).phi)
+        trig = trig_identities(hyperbolic_angle(p_high, p_low))
         mean = 2.0 * math.sqrt(p_high) * math.sqrt(p_low)
         assert_rel(trig.sinh, (p_high - p_low) / mean, rel=1e-12)
         assert_rel(trig.cosh, (p_high + p_low) / mean, rel=1e-12)

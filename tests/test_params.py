@@ -89,8 +89,9 @@ class TestValidate:
         *[(params, field) for params, field, _ in OUT_OF_RANGE_PARAMS],
     ])
     def test_invalid_fields(self, params, field):
-        # validate, curve construction and the JSON reader apply the same rules
-        for build in (validate, curve_for):
+        # validate, curve construction, the translation to the set's own form
+        # and the JSON reader apply the same rules
+        for build in (validate, curve_for, lambda p: translate(p, p.form)):
             with pytest.raises(DomainError) as err:
                 build(params)
             assert err.value.field == field
