@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import random
@@ -235,9 +236,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use: a parser is a web
+    of cyclic references, and one per call would leave it to the garbage
+    collector.  Parsing fills a fresh namespace and leaves the parser as it was."""
+    return build_parser()
+
+
 def _parse(argv) -> argparse.Namespace:
     try:
-        return build_parser().parse_args(argv)
+        return _parser().parse_args(argv)
     except argparse.ArgumentError as exc:
         # "--rel-tol" -> "rel_tol"; an error tied to no single option names the command
         field = (exc.argument_name or "command").lstrip("-").replace("-", "_")

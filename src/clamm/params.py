@@ -42,6 +42,11 @@ MIN_NORMAL = sys.float_info.min
 # their fixed order, to name the failure.
 _MAX = sys.float_info.max
 
+# Smallest shift of a bounded curve.  Below 2**-511 a shift's square is no
+# longer a normal float, so the swap and slope denominators, each a product of
+# two shifted balances, underflow to zero on a curve's drained end.
+_MIN_SHIFT = 2.0 ** -511
+
 # Stores a field of a frozen value type from its hand-written __init__.
 _set = object.__setattr__
 
@@ -56,6 +61,9 @@ def _require(cond: bool, name: str, reason: str) -> None:
 
 
 def _check_finite_positive(value: float, name: str) -> float:
+    # An int, bool or Fraction takes the checks below, as every failure does.
+    if type(value) is float and 0.0 < value <= _MAX:
+        return value
     _require(isinstance(value, (int, float)) and math.isfinite(value), name, "must be finite")
     _require(value > 0, name, "must be positive")
     return value
@@ -66,6 +74,8 @@ def _check_scale(scale: float, name: str, expr: str) -> float:
     # finite positive fields can still overflow it or underflow it to a
     # subnormal or zero; an underflowed scale flattens the curve to y = 0 and
     # divides by zero in swaps.
+    if MIN_NORMAL <= scale <= _MAX:
+        return scale
     if not math.isfinite(scale):
         raise DomainError(name, f"{expr} must be finite")
     if scale < MIN_NORMAL:
@@ -205,7 +215,7 @@ class SwapDelta:
         _set(self, "dy", dy)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CurveGeometry:
     """Derived constants of a real curve.
 
@@ -225,8 +235,17 @@ class CurveGeometry:
     c: float
     phi: float = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "phi", math.log(self.c))
+    def __init__(self, x_int: float, y_int: float, x_asym: float, y_asym: float,
+                 p_high: float, p_low: float, p0: float, c: float):
+        _set(self, "x_int", x_int)
+        _set(self, "y_int", y_int)
+        _set(self, "x_asym", x_asym)
+        _set(self, "y_asym", y_asym)
+        _set(self, "p_high", p_high)
+        _set(self, "p_low", p_low)
+        _set(self, "p0", p0)
+        _set(self, "c", c)
+        _set(self, "phi", math.log(c))
 
 
 @dataclass(frozen=True)
@@ -332,7 +351,7 @@ def load_spec(path: str) -> CurveParams:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ShiftedProductCurve:
     """Common operations on (x + shift_x)(y + shift_y) = scale, x, y >= 0.
 
@@ -362,16 +381,17 @@ class ShiftedProductCurve:
         super().__init_subclass__(**kwargs)
         ShiftedProductCurve._classes[params_type] = cls
 
-    def __post_init__(self):
-        scale, geom = self._constants(self.params)
+    def __init__(self, params: CurveParams):
+        scale, geom = self._constants(params)
         # 0.0 - asym keeps the unshifted curve's shifts +0.0, where -asym gives -0.0
         shift_x = 0.0 - geom.x_asym
         shift_y = 0.0 - geom.y_asym
         _check_derived(shift_x, shift_y, geom, self.bounded)
-        object.__setattr__(self, "shift_x", shift_x)
-        object.__setattr__(self, "shift_y", shift_y)
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "geom", geom)
+        _set(self, "params", params)
+        _set(self, "shift_x", shift_x)
+        _set(self, "shift_y", shift_y)
+        _set(self, "scale", scale)
+        _set(self, "geom", geom)
 
     @staticmethod
     def _constants(params: CurveParams) -> tuple[float, CurveGeometry]:
@@ -551,19 +571,33 @@ def _check_derived(shift_x: float, shift_y: float, geom: CurveGeometry, bounded:
 
     Fields that pass their form's rules can still overflow or underflow the
     constants the form computes from them, and a trade or translation that
-    reads such a constant would divide by zero or by infinity.
+    reads such a constant would divide by zero or by infinity.  A bounded
+    curve's shifts must also be at least ``_MIN_SHIFT``.  Valid constants
+    pass one chained comparison; the checks below it run only to name the
+    failure, in their fixed order, the shift rule last.
     """
     if bounded:
+        if (_MIN_SHIFT <= shift_x <= _MAX and _MIN_SHIFT <= shift_y <= _MAX
+                and 0.0 < geom.x_int <= _MAX and 0.0 < geom.y_int <= _MAX
+                and 0.0 < geom.p_high <= _MAX and 0.0 < geom.p_low <= _MAX
+                and 0.0 < geom.p0 <= _MAX and 1.0 < geom.c <= _MAX):
+            return
         named = (("shift_x", shift_x), ("shift_y", shift_y), ("x_int", geom.x_int),
                  ("y_int", geom.y_int), ("p_high", geom.p_high), ("p_low", geom.p_low),
                  ("p0", geom.p0))
+    elif 0.0 < geom.p0 <= _MAX:
+        return
     else:
         named = (("p0", geom.p0),)
     for name, value in named:
         if not 0.0 < value < math.inf:
             raise DomainError("spec", f"derived {name} must be finite and positive, not {value!r}")
-    if bounded and not 1.0 < geom.c < math.inf:
-        raise DomainError("spec", f"derived c must be finite and above 1, not {geom.c!r}")
+    if bounded:
+        if not 1.0 < geom.c < math.inf:
+            raise DomainError("spec", f"derived c must be finite and above 1, not {geom.c!r}")
+        for name, value in (("shift_x", shift_x), ("shift_y", shift_y)):
+            if value < _MIN_SHIFT:
+                raise DomainError("spec", f"derived {name} must be at least 2**-511, not {value!r}")
 
 
 def _bounded(geom: CurveGeometry) -> CurveGeometry:

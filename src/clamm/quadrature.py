@@ -69,7 +69,7 @@ class IntegralSpec:
         _set(self, "max_depth", max_depth)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ComparisonReport:
     """Closed-form vs quadrature output for one swap."""
 
@@ -78,6 +78,14 @@ class ComparisonReport:
     abs_deviation: float
     rel_deviation: float
     passed: bool
+
+    def __init__(self, closed_form_dy: float, quadrature_dy: float, abs_deviation: float,
+                 rel_deviation: float, passed: bool):
+        _set(self, "closed_form_dy", closed_form_dy)
+        _set(self, "quadrature_dy", quadrature_dy)
+        _set(self, "abs_deviation", abs_deviation)
+        _set(self, "rel_deviation", rel_deviation)
+        _set(self, "passed", passed)
 
 
 # QUADPACK qk15 (Piessens et al., 1983): the Kronrod abscissae in [0, 1),

@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import math
 
+from .errors import DomainError
 from .params import (
     CurveGeometry,
     ShiftedProductCurve,
     UniswapV3Params,
     _check_finite_positive,
     _check_scale,
-    _require,
 )
 
 
@@ -28,7 +28,8 @@ class UniswapCurve(ShiftedProductCurve, params_type=UniswapV3Params):
         liq = _check_finite_positive(params.L, "L")
         p_high = _check_finite_positive(params.p_high, "p_high")
         p_low = _check_finite_positive(params.p_low, "p_low")
-        _require(p_low < p_high, "p_low", "must be < p_high")
+        if not p_low < p_high:
+            raise DomainError("p_low", "must be < p_high")
         scale = _check_scale(liq * liq, "L", "L^2")
         sqrt_high = math.sqrt(p_high)
         sqrt_low = math.sqrt(p_low)

@@ -30,7 +30,8 @@ LN4 = math.log(4.0)
 
 # (params, the error's field, a word of its reason): parameter sets whose
 # fields pass their form's rules but whose derived constants leave the
-# binary64 range.
+# binary64 range, or whose shifts fall below 2**-511, where a shift's square
+# stops being a normal float.
 OUT_OF_RANGE_PARAMS = [
     # a*(a+b) underflows to zero before the shifts divide by it
     (CarbonParams(a=1e-200, b=1e-200, z=1e-200), "a", "a*(a+b)"),
@@ -44,6 +45,15 @@ OUT_OF_RANGE_PARAMS = [
     (BancorV2Params(x0=1, y0=1, A=1e17), "spec", "c"),
     # the unshifted curve's p0 = y0/x0 overflows
     (ReferenceParams(x0=1e-300, y0=1e300), "spec", "p0"),
+    # the shift equals the intercept over c - 1, about 1e-210; the swap
+    # denominators underflowed to zero before the shift rule
+    (NaturalParams(c=1e10, anchor="intercepts", anchor_x=1e-200, anchor_y=3.5), "spec", "shift_x"),
+    # shift_y = L*sqrt(p_low) is about 3.5e-155
+    (UniswapV3Params(L=3.5, p_high=0.25, p_low=1e-310), "spec", "shift_y"),
+    # shift_x = x0*(A - 1) = 1e-160
+    (BancorV2Params(x0=1e-160, y0=1.0, A=2.0), "spec", "shift_x"),
+    # shift_y = b*z/a = 1e-200
+    (CarbonParams(a=1.0, b=1e-100, z=1e-100), "spec", "shift_y"),
 ]
 
 

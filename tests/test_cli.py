@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import random
@@ -225,7 +226,7 @@ class TestAngle:
         assert json.loads(err)["error"]["field"] == field
 
     def test_spec_whose_ratio_overflows_names_its_field(self, capsys, tmp_path):
-        spec = write_spec(tmp_path, {"form": "uniswap_v3", "L": 3.5, "p_high": 0.25, "p_low": 1e-310})
+        spec = write_spec(tmp_path, {"form": "uniswap_v3", "L": 3.5, "p_high": 1e10, "p_low": 1e-300})
         code, out, err = run(capsys, "angle", "--spec", spec)
         assert code == 2
         assert out == ""
@@ -578,3 +579,25 @@ class TestErrorPaths:
             assert "Traceback" not in err
             assert error_message(err).startswith(f"{field}:")
             assert "must be a positive normal float" in error_message(err)
+
+
+class TestParser:
+    """One parser per process, built on first use."""
+
+    def test_warm_call_leaves_no_cyclic_garbage(self, capsys):
+        argv = ["sweep", "--spec", BANCOR, "--points", "50"]
+        main(argv)
+        capsys.readouterr()
+        gc.collect()
+        gc.disable()
+        try:
+            assert main(argv) == 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_defaults_do_not_leak_between_calls(self, capsys):
+        code, out, _ = run(capsys, "verify", "--cases", "5", "--seed", "3")
+        assert code == 0 and json.loads(out)["cases"] == 5
+        code, out, _ = run(capsys, "verify")
+        assert code == 0 and json.loads(out)["cases"] == 200

@@ -2,32 +2,52 @@
 
 ``PoolState``, ``SwapDelta`` and ``IntegralSpec`` accept a value on one chained
 range comparison and run their field checks only when it fails; the swap
-guards and ``apply_delta`` do the same.  The ``old_*`` functions below are the
-checks as they stood when every value ran all of them.  Over a grid of edge
-inputs, the library must store the same value or raise the same error.
+guards, ``apply_delta``, the form hooks and the core's check of the derived
+constants do the same.  The ``old_*`` functions below are the checks as they
+stood when every value ran all of them.  Over a grid of edge inputs, the
+library must store the same value or raise the same error; the one new rule,
+a bounded curve's shifts of at least 2**-511, is stated beside them.
 """
 
 import copy
 import itertools
 import math
 import pickle
+import random
 from dataclasses import FrozenInstanceError, asdict, fields, replace
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 from clamm import (
+    BancorCurve,
+    BancorV2Params,
     BoundsExceeded,
+    CarbonCurve,
+    CarbonParams,
+    ComparisonReport,
+    CurveGeometry,
     DomainError,
     IntegralSpec,
     InsufficientLiquidity,
+    NaturalParams,
     PoolState,
+    ReferenceCurve,
     ReferenceParams,
     SwapDelta,
+    UniswapCurve,
+    UniswapV3Params,
     apply_delta,
     curve_for,
 )
-from clamm.params import BOUNDS_SLACK
+from clamm.params import (
+    BOUNDS_SLACK,
+    MIN_NORMAL,
+    _check_derived,
+    _check_finite_positive,
+    _check_scale,
+)
 from clamm.quadrature import DEFAULT_ABS_TOL, DEFAULT_MAX_DEPTH
 
 from .conftest import WORKED_BANCOR, WORKED_CARBON, WORKED_NATURAL, WORKED_UNISWAP
@@ -120,6 +140,123 @@ def old_apply_delta(state, delta):
     return old_pool_state(old_snap_nonnegative(x, state.x), old_snap_nonnegative(y, state.y))
 
 
+def old_check_finite_positive(value, name):
+    _require(isinstance(value, (int, float)) and math.isfinite(value), name, "must be finite")
+    _require(value > 0, name, "must be positive")
+    return value
+
+
+def old_check_scale(scale, name, expr):
+    if not math.isfinite(scale):
+        raise DomainError(name, f"{expr} must be finite")
+    if scale < MIN_NORMAL:
+        raise DomainError(name, f"{expr} must be a positive normal float, not {scale!r}")
+    return scale
+
+
+def old_reference_constants(params):
+    x0 = old_check_finite_positive(params.x0, "x0")
+    y0 = old_check_finite_positive(params.y0, "y0")
+    scale = old_check_scale(x0 * y0, "x0", "x0*y0")
+    return scale, CurveGeometry(
+        x_int=math.inf, y_int=math.inf, x_asym=0.0, y_asym=0.0,
+        p_high=math.inf, p_low=0.0, p0=y0 / x0, c=math.inf,
+    )
+
+
+def old_bancor_constants(params):
+    x0 = old_check_finite_positive(params.x0, "x0")
+    y0 = old_check_finite_positive(params.y0, "y0")
+    amp = params.A
+    _require(math.isfinite(amp), "A", "must be finite")
+    _require(amp > 1, "A", "must exceed 1")
+    scale = old_check_scale(amp * amp * x0 * y0, "A", "A^2*x0*y0")
+    c = amp * amp / ((amp - 1.0) * (amp - 1.0))
+    p0 = y0 / x0
+    return scale, CurveGeometry(
+        x_int=x0 * (2.0 * amp - 1.0) / (amp - 1.0),
+        y_int=y0 * (2.0 * amp - 1.0) / (amp - 1.0),
+        x_asym=-x0 * (amp - 1.0),
+        y_asym=-y0 * (amp - 1.0),
+        p_high=c * p0,
+        p_low=p0 / c,
+        p0=p0,
+        c=c,
+    )
+
+
+def old_uniswap_constants(params):
+    liq = old_check_finite_positive(params.L, "L")
+    p_high = old_check_finite_positive(params.p_high, "p_high")
+    p_low = old_check_finite_positive(params.p_low, "p_low")
+    _require(p_low < p_high, "p_low", "must be < p_high")
+    scale = old_check_scale(liq * liq, "L", "L^2")
+    sqrt_high = math.sqrt(p_high)
+    sqrt_low = math.sqrt(p_low)
+    root_gap = (p_high - p_low) / (sqrt_high + sqrt_low)
+    return scale, CurveGeometry(
+        x_int=liq * root_gap / (sqrt_high * sqrt_low),
+        y_int=liq * root_gap,
+        x_asym=-liq / sqrt_high,
+        y_asym=-liq * sqrt_low,
+        p_high=p_high,
+        p_low=p_low,
+        p0=sqrt_high * sqrt_low,
+        c=sqrt_high / sqrt_low,
+    )
+
+
+def old_carbon_constants(params):
+    a = old_check_finite_positive(params.a, "a")
+    b = old_check_finite_positive(params.b, "b")
+    z = old_check_finite_positive(params.z, "z")
+    scale = old_check_scale((z / a) * (z / a), "z", "(z/a)^2")
+    gap = old_check_scale(a * (a + b), "a", "a*(a+b)")
+    p0 = old_check_scale(b * (a + b), "b", "b*(a+b)")
+    return scale, CurveGeometry(
+        x_int=z / p0,
+        y_int=z,
+        x_asym=-z / gap,
+        y_asym=-b * z / a,
+        p_high=(a + b) * (a + b),
+        p_low=b * b,
+        p0=p0,
+        c=(a + b) / b,
+    )
+
+
+def old_check_derived(shift_x, shift_y, geom, bounded):
+    if bounded:
+        named = (("shift_x", shift_x), ("shift_y", shift_y), ("x_int", geom.x_int),
+                 ("y_int", geom.y_int), ("p_high", geom.p_high), ("p_low", geom.p_low),
+                 ("p0", geom.p0))
+    else:
+        named = (("p0", geom.p0),)
+    for name, value in named:
+        if not 0.0 < value < math.inf:
+            raise DomainError("spec", f"derived {name} must be finite and positive, not {value!r}")
+    if bounded and not 1.0 < geom.c < math.inf:
+        raise DomainError("spec", f"derived c must be finite and above 1, not {geom.c!r}")
+
+
+def shift_rule(shift_x, shift_y, geom, bounded):
+    """The old derived checks, then the one new rule: a bounded curve's shifts
+    are at least 2**-511, so that a shift's square is a normal float."""
+    old_check_derived(shift_x, shift_y, geom, bounded)
+    if bounded:
+        for name, value in (("shift_x", shift_x), ("shift_y", shift_y)):
+            if value < 2.0 ** -511:
+                raise DomainError("spec", f"derived {name} must be at least 2**-511, not {value!r}")
+
+
+def old_curve(hook, bounded, params):
+    scale, geom = hook(params)
+    shift_x = 0.0 - geom.x_asym
+    shift_y = 0.0 - geom.y_asym
+    shift_rule(shift_x, shift_y, geom, bounded)
+    return shift_x, shift_y, scale, *(getattr(geom, f.name) for f in fields(geom))
+
+
 # ---------------------------------------------------------------------------
 # Differential tests
 # ---------------------------------------------------------------------------
@@ -210,6 +347,68 @@ def test_apply_delta_matches_the_old_snap():
             state, delta)
 
 
+def test_field_checks_match_the_old_checks():
+    def stored(check, *args):
+        return (check(*args),)
+
+    for value in GRID + [MIN_NORMAL, math.nextafter(MIN_NORMAL, 0.0), 1.7976931348623157e308]:
+        assert (outcome(stored, _check_finite_positive, value, "v")
+                == outcome(stored, old_check_finite_positive, value, "v")), value
+        assert (outcome(stored, _check_scale, value, "s", "expr")
+                == outcome(stored, old_check_scale, value, "s", "expr")), value
+
+
+def new_curve(cls, params):
+    curve = cls(params)
+    return (curve.shift_x, curve.shift_y, curve.scale,
+            *(getattr(curve.geom, f.name) for f in fields(curve.geom)))
+
+
+HOOKS = [
+    (ReferenceCurve, ReferenceParams, old_reference_constants, 2),
+    (BancorCurve, BancorV2Params, old_bancor_constants, 3),
+    (UniswapCurve, UniswapV3Params, old_uniswap_constants, 3),
+    (CarbonCurve, CarbonParams, old_carbon_constants, 3),
+]
+
+
+@pytest.mark.parametrize("cls, params_type, old_hook, arity", HOOKS,
+                         ids=[cls.__name__ for cls, *_ in HOOKS])
+def test_form_hooks_match_the_old_checks(cls, params_type, old_hook, arity):
+    # the grid, plus values that make valid curves of every form, and Decimals,
+    # whose NaN raises from a comparison where math.isfinite returns False
+    values = GRID + [0.25, 4.0, 100.0, 2.0, Decimal("NaN"), Decimal("sNaN"), Decimal("2")]
+    for args in itertools.product(values, repeat=arity):
+        params = params_type(*args)
+        assert (outcome(new_curve, cls, params)
+                == outcome(old_curve, old_hook, cls.bounded, params)), params
+
+
+def test_derived_check_matches_the_old_checks():
+    """Each derived constant of a valid curve, and each shift, moved over the grid
+    and the edges of the shift rule, one at a time and in random pairs."""
+    base = curve_for(NaturalParams(4.0, "asymptotes", -100.0, -100.0))
+    names = ["shift_x", "shift_y"] + [f.name for f in fields(base.geom) if f.init]
+    values = [v for v in GRID if not isinstance(v, str)] + [
+        2.0 ** -511, math.nextafter(2.0 ** -511, 0.0), 1e-160, 1e-300, 0.5, 1.0,
+        math.nextafter(1.0, 2.0)]
+
+    def check(check_derived, bounded, changed):
+        valid = {"shift_x": base.shift_x, "shift_y": base.shift_y,
+                 **{f.name: getattr(base.geom, f.name) for f in fields(base.geom) if f.init}}
+        valid.update(changed)
+        shift_x, shift_y = valid.pop("shift_x"), valid.pop("shift_y")
+        return (check_derived(shift_x, shift_y, CurveGeometry(**valid), bounded),)
+
+    rng = random.Random(10)
+    changes = [{name: value} for name in names for value in values]
+    changes += [dict(zip(rng.sample(names, 2), rng.sample(values, 2))) for _ in range(3000)]
+    for changed in changes:
+        for bounded in (True, False):
+            assert (outcome(check, _check_derived, bounded, changed)
+                    == outcome(check, shift_rule, bounded, changed)), (changed, bounded)
+
+
 # ---------------------------------------------------------------------------
 # The value-type contract
 # ---------------------------------------------------------------------------
@@ -265,3 +464,123 @@ def test_integral_spec_defaults():
     spec = IntegralSpec(0.0, 1.0)
     assert (spec.abs_tol, spec.max_depth) == (DEFAULT_ABS_TOL, DEFAULT_MAX_DEPTH)
     assert [f.default for f in fields(spec)][2:] == [DEFAULT_ABS_TOL, DEFAULT_MAX_DEPTH]
+
+
+# ---------------------------------------------------------------------------
+# The contract of the derived values and the curves
+# ---------------------------------------------------------------------------
+
+GEOMETRY_ARGS = (300.0, 300.0, -100.0, -100.0, 4.0, 0.25, 1.0, 4.0)
+GEOMETRY_TEXT = ("CurveGeometry(x_int=300.0, y_int=300.0, x_asym=-100.0, y_asym=-100.0, "
+                 "p_high=4.0, p_low=0.25, p0=1.0, c=4.0, phi=1.3862943611198906)")
+REPORT_ARGS = (-2.0, -2.0000000000000004, 4.440892098500626e-16, 2.220446049250313e-16, True)
+REPORT_TEXT = ("ComparisonReport(closed_form_dy=-2.0, quadrature_dy=-2.0000000000000004, "
+               "abs_deviation=4.440892098500626e-16, rel_deviation=2.220446049250313e-16, "
+               "passed=True)")
+
+
+class TestDerivedValueContract:
+    """``CurveGeometry`` and ``ComparisonReport``: slotted frozen values whose
+    hand-written __init__ stores the fields the generated one did."""
+
+    def test_equality_hash_and_repr(self):
+        for cls, args, text, last in ((CurveGeometry, GEOMETRY_ARGS, GEOMETRY_TEXT, 2.0),
+                                      (ComparisonReport, REPORT_ARGS, REPORT_TEXT, False)):
+            value = cls(*args)
+            assert value == cls(*args)
+            assert hash(value) == hash(cls(*args))
+            assert repr(value) == text
+            assert value != cls(*args[:-1], last)
+
+    def test_frozen_and_slotted(self):
+        for value in (CurveGeometry(*GEOMETRY_ARGS), ComparisonReport(*REPORT_ARGS)):
+            name = fields(value)[0].name
+            with pytest.raises(FrozenInstanceError):
+                setattr(value, name, 1.0)
+            with pytest.raises(FrozenInstanceError):
+                delattr(value, name)
+            assert not hasattr(value, "__dict__")
+
+    def test_geometry_fields_replace_and_asdict(self):
+        geom = CurveGeometry(*GEOMETRY_ARGS)
+        names = ["x_int", "y_int", "x_asym", "y_asym", "p_high", "p_low", "p0", "c", "phi"]
+        assert [f.name for f in fields(geom)] == names
+        assert [f.name for f in fields(geom) if not f.init] == ["phi"]
+        assert asdict(geom) == dict(zip(names, GEOMETRY_ARGS + (math.log(4.0),)))
+        wider = replace(geom, c=16.0)
+        assert type(wider) is CurveGeometry
+        assert wider.phi == math.log(16.0)  # phi follows c, never set on its own
+        with pytest.raises(ValueError):
+            replace(geom, phi=0.0)
+
+    def test_report_fields_replace_and_asdict(self):
+        report = ComparisonReport(*REPORT_ARGS)
+        names = ["closed_form_dy", "quadrature_dy", "abs_deviation", "rel_deviation", "passed"]
+        assert asdict(report) == dict(zip(names, REPORT_ARGS))
+        failed = replace(report, passed=False)
+        assert type(failed) is ComparisonReport
+        assert asdict(failed) == {**asdict(report), "passed": False}
+
+    def test_pickle_and_copy(self):
+        for value in (CurveGeometry(*GEOMETRY_ARGS), ComparisonReport(*REPORT_ARGS)):
+            for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+                assert clone == value
+                assert type(clone) is type(value)
+                assert asdict(clone) == asdict(value)
+
+
+CURVE_PARAMS = [
+    (ReferenceParams(100.0, 100.0), ReferenceParams(100.0, 400.0)),
+    (WORKED_BANCOR, BancorV2Params(100.0, 100.0, 3.0)),
+    (WORKED_UNISWAP, UniswapV3Params(200.0, 9.0, 0.25)),
+    (WORKED_CARBON, CarbonParams(1.5, 0.5, 600.0)),
+    (WORKED_NATURAL, NaturalParams(4.0, "center", 100.0, 100.0)),
+]
+
+
+@pytest.mark.parametrize("params, other", CURVE_PARAMS, ids=[p.form for p, _ in CURVE_PARAMS])
+class TestCurveContract:
+    """Each curve class is a frozen value built from its parameter set alone."""
+
+    def test_equality_hash_and_repr(self, params, other):
+        curve = curve_for(params)
+        assert curve == curve_for(params)
+        assert hash(curve) == hash(curve_for(params))
+        assert curve != curve_for(other)
+        assert repr(curve) == (f"{type(curve).__name__}(params={params!r}, "
+                               f"shift_x={curve.shift_x!r}, shift_y={curve.shift_y!r}, "
+                               f"scale={curve.scale!r}, geom={curve.geom!r})")
+
+    def test_frozen(self, params, other):
+        curve = curve_for(params)
+        for name in ("params", "shift_x", "geom"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(curve, name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(curve, name)
+        assert curve == curve_for(params)
+
+    def test_fields_replace_and_asdict(self, params, other):
+        curve = curve_for(params)
+        assert [f.name for f in fields(curve)] == ["params", "shift_x", "shift_y", "scale", "geom"]
+        assert [f.name for f in fields(curve) if f.init] == ["params"]
+        assert asdict(curve) == {"params": asdict(params), "shift_x": curve.shift_x,
+                                 "shift_y": curve.shift_y, "scale": curve.scale,
+                                 "geom": asdict(curve.geom)}
+        moved = replace(curve, params=other)
+        assert type(moved) is type(curve)
+        assert moved == curve_for(other)
+        with pytest.raises(ValueError):
+            replace(curve, scale=1.0)
+
+    def test_replace_runs_the_checks(self, params, other):
+        bad = replace(params, **{fields(params)[-1].name: math.nan})
+        with pytest.raises(DomainError):
+            replace(curve_for(params), params=bad)
+
+    def test_pickle_and_copy(self, params, other):
+        curve = curve_for(params)
+        for clone in (pickle.loads(pickle.dumps(curve)), copy.copy(curve), copy.deepcopy(curve)):
+            assert clone == curve
+            assert type(clone) is type(curve)
+            assert repr(clone) == repr(curve)
