@@ -8,11 +8,13 @@ cached shifts, so cross-parameterization agreement is a real check.
 
 from __future__ import annotations
 
+from .errors import DomainError
 from .params import (
     CarbonParams,
     CurveGeometry,
     PoolState,
     ShiftedProductCurve,
+    _MIN_SHIFT,
     _check_finite_positive,
     _check_scale,
 )
@@ -22,6 +24,16 @@ class CarbonCurve(ShiftedProductCurve, params_type=CarbonParams):
     """Real curve in the one-balance parameterization."""
 
     params: CarbonParams
+
+    def __init__(self, params: CarbonParams):
+        super().__init__(params)
+        # The native swap and slope denominators are at least z^2 and (b*z)^2,
+        # normal floats once z and b*z are at least 2**-511.  Checked after the
+        # core's rules, so that a spec they reject keeps its error.
+        if not (_MIN_SHIFT <= params.z and _MIN_SHIFT <= params.b * params.z):
+            if not _MIN_SHIFT <= params.z:
+                raise DomainError("z", f"must be at least 2**-511, not {params.z!r}")
+            raise DomainError("b", f"b*z must be at least 2**-511, not {params.b * params.z!r}")
 
     @staticmethod
     def _constants(params: CarbonParams):

@@ -21,7 +21,7 @@ from .curves import curve_for, geometry
 from .errors import ConvergenceFailure, CurveError, DomainError
 from .hypertrig import hyperbolic_angle, t_hat_from_price, trig_identities, u_hat_from_price
 from .params import REL_TOL, PoolState, apply_delta, load_spec, spec_to_dict
-from .quadrature import battery_cases, random_admissible_swap, verify_cases
+from .quadrature import VERIFY_REL_TOL, battery_cases, random_admissible_swap, verify_cases
 from .rosetta import translate_with_report
 
 EXIT_OK = 0
@@ -143,8 +143,11 @@ _SWEEP_FORMATS = {
     "csv": ("x,y,marginal_price,t_hat,u_hat\n", "%r,%r,%r,%r,%r\n", "", ""),
 }
 # Rows per stdout write: large enough to amortise the write, small enough to
-# keep memory flat in --points.
-SWEEP_CHUNK = 4096
+# keep memory flat in --points.  512 JSON rows are at most about 90 KB, under
+# glibc malloc's 128 KiB mmap threshold, so each chunk's strings are carved
+# from the heap and reused; larger chunks were mapped and unmapped, and where
+# the threshold stood moved a sweep's peak RSS by megabytes from run to run.
+SWEEP_CHUNK = 512
 
 
 def cmd_sweep(args) -> int:
@@ -227,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", parents=[common], help="run the quadrature oracle battery")
     verify.add_argument("--cases", type=int, default=200)
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--rel-tol", type=float, default=1e-8, dest="rel_tol")
+    verify.add_argument("--rel-tol", type=float, default=VERIFY_REL_TOL, dest="rel_tol")
     verify.set_defaults(handler=cmd_verify)
 
     geom = sub.add_parser("geometry", parents=[common], help="derived constants of a curve")

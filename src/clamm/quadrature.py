@@ -3,21 +3,23 @@
 The closed-form swap outputs are never trusted blind: the trade amount dy is
 also the integral of the price slope over the traded x interval, and this
 module reproduces it by adaptive Gauss-Kronrod 7-15 quadrature from the slope
-callback alone.  No swap formula is consulted on the quadrature side.
+callback alone, along the hyperbolic angle of the virtual balance and over
+exactly the traded width.  No swap formula is consulted on the quadrature side.
 """
 
 from __future__ import annotations
 
 import math
 import random
-import sys
 from dataclasses import dataclass
+from math import exp, log, log1p
 from typing import Callable, Iterable, Iterator
 
 from .curves import curve_for
 from .errors import ConvergenceFailure, DomainError
 from .params import (
     BOUNDS_SLACK,
+    MIN_NORMAL,
     BancorV2Params,
     CurveParams,
     PoolState,
@@ -31,10 +33,17 @@ from .rosetta import translate
 DEFAULT_ABS_TOL = 1e-10
 DEFAULT_MAX_DEPTH = 60
 
+# Default relative deviation at which ``clamm verify`` fails a case.
+VERIFY_REL_TOL = 1e-8
+
 # Quadrature runs two orders tighter than the comparison threshold, floored at
 # what binary64 can resolve relative to the integral's own magnitude.
 _ORACLE_REL_MARGIN = 1e-2
 _DOUBLE_REL_FLOOR = 1e-13
+
+# Widest angle integrated: exp(u) is a finite normal float for |u| <= 708.
+# A bounded curve spans at most log(c), which passes it only for c > 3e307.
+_MAX_ANGLE = 708.0
 
 # Floor of the relative deviation's denominator: the smallest subnormal, so
 # that two subnormal results that disagree still read as far apart.
@@ -159,45 +168,118 @@ def adaptive_gauss_kronrod(f: Callable[[float], float], spec: IntegralSpec) -> f
     return _adaptive(f, spec.lower, spec.upper, spec.abs_tol, whole, err, spec.max_depth)
 
 
-def integrate_price_curve(curve: ShiftedProductCurve,
-                          x_from: float, x_to: float,
+def _angle_panel(f, s, shift, width):
+    """``_panel`` of g(u) = f(s*e^u - shift)*s*e^u over [0, width], bit for bit.
+
+    g is the slope f along the hyperbolic angle u = log(v/s) of the virtual
+    balance v = x + shift, from its value s where the trade starts.  On every
+    form f(x) = -k/(x + shift)^2, so g(u) = -(k/s)*e^(-u), smooth at any
+    distance from the pole.  Each node is evaluated as e = s*exp(u), then
+    f(e - shift)*e, and the nodes are written out like ``_panel``'s, so that
+    the first panel of every integral costs no call to g.
+    """
+    # [0, width] has its midpoint and its half-width at the same point
+    c = h = 0.5 * width
+    e = s * exp(c)
+    fc = f(e - shift) * e
+    d = h * _X1
+    e, w = s * exp(c - d), s * exp(c + d)
+    s1 = f(e - shift) * e + f(w - shift) * w
+    d = h * _X2
+    e, w = s * exp(c - d), s * exp(c + d)
+    s2 = f(e - shift) * e + f(w - shift) * w
+    d = h * _X3
+    e, w = s * exp(c - d), s * exp(c + d)
+    s3 = f(e - shift) * e + f(w - shift) * w
+    d = h * _X4
+    e, w = s * exp(c - d), s * exp(c + d)
+    s4 = f(e - shift) * e + f(w - shift) * w
+    d = h * _X5
+    e, w = s * exp(c - d), s * exp(c + d)
+    s5 = f(e - shift) * e + f(w - shift) * w
+    d = h * _X6
+    e, w = s * exp(c - d), s * exp(c + d)
+    s6 = f(e - shift) * e + f(w - shift) * w
+    d = h * _X7
+    e, w = s * exp(c - d), s * exp(c + d)
+    s7 = f(e - shift) * e + f(w - shift) * w
+    kronrod = _K1 * s1 + _K2 * s2 + _K3 * s3 + _K4 * s4 + _K5 * s5 + _K6 * s6 + _K7 * s7 + _K8 * fc
+    gauss = _G2 * s2 + _G4 * s4 + _G6 * s6 + _G8 * fc
+    return kronrod * h, abs((kronrod - gauss) * h)
+
+
+def _check_trade(x: float, dx: float, x_int: float) -> None:
+    # The domain checks of integrate_price_curve, run when its range test
+    # fails: the trade's start x and its end x + dx must lie on the curve.
+    if not math.isfinite(x):
+        raise DomainError("x", "must be finite")
+    if not math.isfinite(dx):
+        raise DomainError("dx", "must be finite")
+    top = x_int * (1.0 + BOUNDS_SLACK) if math.isfinite(x_int) else _MAX
+    for name, value in (("x", x), ("dx", x + dx)):
+        if not 0.0 <= value <= top:
+            raise DomainError(name, "integration interval leaves the admissible x-range")
+        if value == 0 and math.isinf(x_int):
+            raise DomainError(name, "the unshifted curve is undefined at x = 0")
+
+
+def integrate_price_curve(curve: ShiftedProductCurve, x: float, dx: float,
                           abs_tol: float | None = None,
                           rel_tol: float = 1e-10) -> float:
-    """dy produced by moving the pool from x_from to x_to, by quadrature only.
+    """dy produced by trading dx into a pool at balance x, by quadrature only.
 
-    The curve may be any object with ``geom`` and ``price_slope_at_x``.  With
-    abs_tol unset, the tolerance is scaled to the first panel's estimate of
-    the integral so that curves of any magnitude converge; the relative target
-    is floored at what double precision permits, the absolute one at the
+    The curve may be any object with ``geom`` and ``price_slope_at_x``.  The
+    slope is integrated along the hyperbolic angle of the virtual balance
+    x + shift, shift = -geom.x_asym (see ``_angle_panel``), from 0 to the
+    angle U the trade spans.  U is taken from dx, not from the rounded end
+    balance, so the width of the integral is exactly the trade.  With abs_tol
+    unset, the tolerance is scaled to the first panel's estimate of the
+    integral so that curves of any magnitude converge; the relative target is
+    floored at what double precision permits, the absolute one at the
     smallest normal float.
     """
-    if x_from == x_to:
+    if dx == 0:
         return 0.0
-    sign = 1.0
-    lo, hi = x_from, x_to
-    if hi < lo:
-        lo, hi = hi, lo
-        sign = -1.0
-    x_int = curve.geom.x_int
-    if lo < 0 or (math.isfinite(x_int) and hi > x_int * (1.0 + BOUNDS_SLACK)):
-        raise DomainError("x_from", "integration interval leaves the admissible x-range")
-    if math.isinf(x_int) and lo <= 0:
-        raise DomainError("x_from", "the unshifted curve is undefined at x = 0")
+    geom = curve.geom
+    x_new = x + dx
+    if not (0.0 < x <= _MAX and 0.0 < x_new <= _MAX and x_new <= geom.x_int * (1.0 + BOUNDS_SLACK)):
+        _check_trade(x, dx, geom.x_int)
+    shift = 0.0 - geom.x_asym
+    s = x + shift
+    # log1p(dx/s) is well conditioned for dx >= -s/2.  A larger sale has
+    # s/2 < -dx <= x, so x + dx is exact by Sterbenz's lemma, and its end's
+    # virtual balance is below s/2, where rounding it costs dy at most twice
+    # its relative error.
+    if dx >= -0.5 * s:
+        width = log1p(dx / s)
+    else:
+        width = log((x_new + shift) / s)
+    if not -_MAX_ANGLE <= width <= _MAX_ANGLE:
+        raise DomainError("dx", "trade moves the virtual balance by more than a factor of e**708")
     f = curve.price_slope_at_x
-    # The first panel both sets the tolerance and starts the refinement.
-    whole, err = _panel(f, lo, hi)
+    # The first panel both sets the tolerance and, on most trades, is the integral.
+    whole, err = _angle_panel(f, s, shift, width)
     if abs_tol is None:
-        abs_tol = max(abs(whole) * max(rel_tol, _DOUBLE_REL_FLOOR), sys.float_info.min)
-    spec = IntegralSpec(lo, hi, abs_tol)
-    return sign * _adaptive(f, lo, hi, spec.abs_tol, whole, err, spec.max_depth)
+        abs_tol = abs(whole) * (rel_tol if rel_tol > _DOUBLE_REL_FLOOR else _DOUBLE_REL_FLOOR)
+        if abs_tol < MIN_NORMAL:
+            abs_tol = MIN_NORMAL
+    elif not abs_tol > 0:
+        raise DomainError("abs_tol", "must be positive")
+    if err <= abs_tol:
+        return whole
+
+    def g(u):
+        e = s * exp(u)
+        return f(e - shift) * e
+
+    return _adaptive(g, 0.0, width, abs_tol, whole, err, DEFAULT_MAX_DEPTH)
 
 
 def oracle_compare(curve: ShiftedProductCurve, state: PoolState, dx: float,
-                   rel_tol: float = 1e-8) -> ComparisonReport:
+                   rel_tol: float = VERIFY_REL_TOL) -> ComparisonReport:
     """Check one closed-form swap against the quadrature route."""
     closed = curve.swap_exact_in_x(state, dx).dy
-    quad = integrate_price_curve(curve, state.x, state.x + dx,
-                                 rel_tol=rel_tol * _ORACLE_REL_MARGIN)
+    quad = integrate_price_curve(curve, state.x, dx, rel_tol=rel_tol * _ORACLE_REL_MARGIN)
     abs_dev = abs(closed - quad)
     rel_dev = abs_dev / max(abs(closed), abs(quad), _SMALLEST)
     return ComparisonReport(
@@ -219,9 +301,10 @@ _BATTERY_FORMS = ("reference", "bancor_v2", "uniswap_v3", "carbon")
 def random_bancor_params(rng: random.Random,
                          scale_exp_range: tuple[float, float] = (-3.0, 9.0)) -> BancorV2Params:
     """Balances log-uniform over the decades of scale_exp_range, A in [1.01, 100]."""
-    x0 = 10.0 ** rng.uniform(*scale_exp_range)
-    y0 = 10.0 ** rng.uniform(*scale_exp_range)
-    return BancorV2Params(x0=x0, y0=y0, A=rng.uniform(1.01, 100.0))
+    lo, hi = scale_exp_range
+    x0 = 10.0 ** (lo + (hi - lo) * rng.random())
+    y0 = 10.0 ** (lo + (hi - lo) * rng.random())
+    return BancorV2Params(x0=x0, y0=y0, A=1.01 + (100.0 - 1.01) * rng.random())
 
 
 def random_admissible_swap(rng: random.Random, curve: ShiftedProductCurve) -> tuple[PoolState, float]:
@@ -234,11 +317,11 @@ def random_admissible_swap(rng: random.Random, curve: ShiftedProductCurve) -> tu
     x_int = curve.geom.x_int
     if math.isinf(x_int):
         x0 = curve.params.x0
-        x = x0 * 10.0 ** rng.uniform(-1.0, 1.0)
-        dx = rng.uniform(0.05, 3.0) * x
+        x = x0 * 10.0 ** (-1.0 + 2.0 * rng.random())
+        dx = (0.05 + (3.0 - 0.05) * rng.random()) * x
     else:
-        x = rng.uniform(0.02, 0.98) * x_int
-        dx = rng.uniform(0.02, 0.98) * (x_int - x)
+        x = (0.02 + (0.98 - 0.02) * rng.random()) * x_int
+        dx = (0.02 + (0.98 - 0.02) * rng.random()) * (x_int - x)
     return curve.state_from_x(x), dx
 
 
@@ -266,7 +349,7 @@ def random_cases(seed: int, cases: int) -> list[tuple[CurveParams, PoolState, fl
 
 
 def verify_cases(cases: Iterable[tuple[ShiftedProductCurve, PoolState, float]],
-                 rel_tol: float = 1e-8) -> dict:
+                 rel_tol: float = VERIFY_REL_TOL) -> dict:
     """Check (curve, state, dx) cases against the quadrature route, one at a time.
 
     Returns the summary ``clamm verify`` prints: the number of cases, how many
@@ -284,7 +367,8 @@ def verify_cases(cases: Iterable[tuple[ShiftedProductCurve, PoolState, float]],
         except ConvergenceFailure:
             failed += 1
             continue
-        worst = max(worst, report.rel_deviation)
+        if report.rel_deviation > worst:
+            worst = report.rel_deviation
         if not report.passed:
             failed += 1
     return {"cases": count, "passed": count - failed, "failed": failed,

@@ -54,6 +54,13 @@ OUT_OF_RANGE_PARAMS = [
     (BancorV2Params(x0=1e-160, y0=1.0, A=2.0), "spec", "shift_x"),
     # shift_y = b*z/a = 1e-200
     (CarbonParams(a=1.0, b=1e-100, z=1e-100), "spec", "shift_y"),
+    # both shifts pass, but the native swap denominators, at least z^2,
+    # underflowed to zero
+    (CarbonParams(a=2.4527236170724957e-44, b=1.7153003546970856e-30, z=2.2445642270581992e-167),
+     "z", "2**-511"),
+    # (b*z)^2 bounds the native dx denominator from below and is subnormal:
+    # draining y quoted dx 1.1e-4 short of the intercept
+    (CarbonParams(a=1e-100, b=1e-100, z=1e-60), "b", "b*z"),
 ]
 
 

@@ -80,7 +80,7 @@ class TestRealSwap:
         assert_rel(delta.dy, -200.0 / 3.0)
 
     def test_worked_swap_quadrature(self, bancor_curve):
-        quad = integrate_price_curve(bancor_curve, 100.0, 200.0, abs_tol=1e-10)
+        quad = integrate_price_curve(bancor_curve, 100.0, 100.0, abs_tol=1e-10)
         assert_rel(quad, -200.0 / 3.0, rel=1e-8)
 
     def test_zero_trade(self, bancor_curve):
@@ -216,5 +216,5 @@ def test_random_swaps_match_price_integral(rng):
         state = curve.state_from_x(x)
         dx = rng.uniform(0.05, 0.9) * (curve.geom.x_int - x)
         closed = curve.swap_exact_in_x(state, dx).dy
-        quad = integrate_price_curve(curve, state.x, state.x + dx)
+        quad = integrate_price_curve(curve, state.x, dx)
         assert_rel(quad, closed, rel=1e-8)

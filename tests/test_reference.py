@@ -44,7 +44,7 @@ class TestSwapExactInX:
             curve.swap_exact_in_x(PoolState(100, 100), -100.0)
 
     def test_quadrature_agreement(self, curve):
-        quad = integrate_price_curve(curve, 100.0, 200.0, abs_tol=1e-10)
+        quad = integrate_price_curve(curve, 100.0, 100.0, abs_tol=1e-10)
         assert_rel(quad, -50.0, rel=1e-8)
 
 
@@ -195,7 +195,7 @@ def test_swap_matches_price_integral(curve, frac):
     state = PoolState(curve.params.x0, curve.params.y0)
     dx = frac * state.x
     closed = curve.swap_exact_in_x(state, dx).dy
-    quad = integrate_price_curve(curve, state.x, state.x + dx)
+    quad = integrate_price_curve(curve, state.x, dx)
     assert_rel(quad, closed, rel=1e-8)
 
 

@@ -33,7 +33,7 @@ class TestSwap:
             uniswap_curve.swap_exact_in_x(PoolState(0, 300), 300.5)
 
     def test_quadrature_agreement(self, uniswap_curve):
-        quad = integrate_price_curve(uniswap_curve, 100.0, 200.0, abs_tol=1e-10)
+        quad = integrate_price_curve(uniswap_curve, 100.0, 100.0, abs_tol=1e-10)
         assert_rel(quad, -200.0 / 3.0, rel=1e-8)
 
 
@@ -149,5 +149,5 @@ def test_random_swaps_match_price_integral(rng):
         state = curve.state_from_x(x)
         dx = rng.uniform(0.05, 0.9) * (curve.geom.x_int - x)
         closed = curve.swap_exact_in_x(state, dx).dy
-        quad = integrate_price_curve(curve, state.x, state.x + dx)
+        quad = integrate_price_curve(curve, state.x, dx)
         assert_rel(quad, closed, rel=1e-8)
