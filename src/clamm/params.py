@@ -361,7 +361,10 @@ class ShiftedProductCurve:
     are the negated asymptotes, and everything else is derived here.  A
     subclass may also override a closed form, or the ``_dy``/``_dx`` swap
     formulas, with the native phenotype of its parameterization, which then
-    stays an independent cross-check.  Instances are immutable values, safe to share
+    stays an independent cross-check.  A form whose native formulas need more
+    than the core's derived checks may extend ``__init__`` with its own rules,
+    run after them so that a spec the core rejects keeps the core's error
+    (the carbon form does this).  Instances are immutable values, safe to share
     across threads.
     """
 
@@ -401,9 +404,10 @@ class ShiftedProductCurve:
         it, and the scale with ``_check_scale`` once it is computed.  It gives
         neither the shifts, which the core reads off the asymptotes, nor phi,
         which ``CurveGeometry`` derives from c.  The core then checks the other
-        constants the hook derived, the same way for every form.  Curve
-        construction, which ``validate`` runs, is the one place both happen,
-        so every curve is checked once, when it is built.
+        constants the hook derived, the same way for every form, and a form's
+        ``__init__`` may add rules its native formulas need after that.  Curve
+        construction, which ``validate`` runs, is the one place all of these
+        happen, so every curve is checked once, when it is built.
         """
         raise NotImplementedError
 

@@ -176,7 +176,9 @@ def _angle_panel(f, s, shift, width):
     form f(x) = -k/(x + shift)^2, so g(u) = -(k/s)*e^(-u), smooth at any
     distance from the pole.  Each node is evaluated as e = s*exp(u), then
     f(e - shift)*e, and the nodes are written out like ``_panel``'s, so that
-    the first panel of every integral costs no call to g.
+    the first panel of every integral costs no call to g: ``verify`` runs
+    about 7 % faster than with ``_panel(g, 0.0, width)`` (``BENCH_11.json``,
+    ``panel_ab``).
     """
     # [0, width] has its midpoint and its half-width at the same point
     c = h = 0.5 * width
@@ -242,7 +244,8 @@ def integrate_price_curve(curve: ShiftedProductCurve, x: float, dx: float,
         return 0.0
     geom = curve.geom
     x_new = x + dx
-    if not (0.0 < x <= _MAX and 0.0 < x_new <= _MAX and x_new <= geom.x_int * (1.0 + BOUNDS_SLACK)):
+    top = geom.x_int * (1.0 + BOUNDS_SLACK)
+    if not (0.0 < x <= _MAX and 0.0 < x_new <= _MAX and x <= top and x_new <= top):
         _check_trade(x, dx, geom.x_int)
     shift = 0.0 - geom.x_asym
     s = x + shift
@@ -260,9 +263,13 @@ def integrate_price_curve(curve: ShiftedProductCurve, x: float, dx: float,
     # The first panel both sets the tolerance and, on most trades, is the integral.
     whole, err = _angle_panel(f, s, shift, width)
     if abs_tol is None:
-        abs_tol = abs(whole) * (rel_tol if rel_tol > _DOUBLE_REL_FLOOR else _DOUBLE_REL_FLOOR)
-        if abs_tol < MIN_NORMAL:
-            abs_tol = MIN_NORMAL
+        abs_tol = abs(whole) * max(rel_tol, _DOUBLE_REL_FLOOR)
+        if not abs_tol >= MIN_NORMAL:
+            # tiny, or NaN: a NaN rel_tol is an error, a NaN slope fails to converge
+            if math.isnan(rel_tol):
+                raise DomainError("rel_tol", "must be a number")
+            if abs_tol < MIN_NORMAL:
+                abs_tol = MIN_NORMAL
     elif not abs_tol > 0:
         raise DomainError("abs_tol", "must be positive")
     if err <= abs_tol:
@@ -367,8 +374,7 @@ def verify_cases(cases: Iterable[tuple[ShiftedProductCurve, PoolState, float]],
         except ConvergenceFailure:
             failed += 1
             continue
-        if report.rel_deviation > worst:
-            worst = report.rel_deviation
+        worst = max(worst, report.rel_deviation)
         if not report.passed:
             failed += 1
     return {"cases": count, "passed": count - failed, "failed": failed,

@@ -526,14 +526,17 @@ class TestAngleOracle:
         bounded, unshifted = curve_for(WORKED_BANCOR), curve_for(ReferenceParams(1.0, 1.0))
         for curve, x, dx, field in ((bounded, 100.0, 201.0, "dx"), (bounded, 100.0, -101.0, "dx"),
                                     (bounded, -1.0, 2.0, "x"), (bounded, math.nan, 1.0, "x"),
+                                    (bounded, 400.0, -200.0, "x"),
                                     (bounded, 100.0, math.inf, "dx"), (unshifted, 1.0, -1.0, "dx"),
                                     (unshifted, 1e308, 1e308, "dx")):
             with pytest.raises(DomainError) as err:
                 integrate_price_curve(curve, x, dx)
             assert err.value.field == field, (x, dx)
-        with pytest.raises(DomainError) as err:
-            integrate_price_curve(bounded, 100.0, 1.0, abs_tol=0.0)
-        assert err.value.field == "abs_tol"
+        for tols, field in (({"abs_tol": 0.0}, "abs_tol"), ({"abs_tol": math.nan}, "abs_tol"),
+                            ({"rel_tol": math.nan}, "rel_tol")):
+            with pytest.raises(DomainError) as err:
+                integrate_price_curve(bounded, 100.0, 1.0, **tols)
+            assert err.value.field == field, tols
 
 
 class TestOracleCompare:
