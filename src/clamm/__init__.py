@@ -53,7 +53,6 @@ from .params import (
 )
 from .quadrature import (
     ComparisonReport,
-    IntegralSpec,
     adaptive_gauss_kronrod,
     integrate_price_curve,
     oracle_compare,

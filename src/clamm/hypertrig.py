@@ -113,9 +113,13 @@ def hyperbolic_angle(p_high: float, p_low: float) -> float:
 
     Two redundant routes: the closed log form, and the difference of arsinh
     values at the two bounds.  They agree to double precision; the log form is
-    returned.
+    returned.  Up to p_high = 2*p_low, p_high - p_low is exact (Sterbenz), and
+    phi = log1p((p_high - p_low)/p_low)/2 keeps every digit of a narrow range,
+    where the difference of the logs cancels.
     """
     _check_range(p_high, p_low)
+    if p_high <= 2.0 * p_low:
+        return 0.5 * math.log1p((p_high - p_low) / p_low)
     return 0.5 * (math.log(p_high) - math.log(p_low))
 
 

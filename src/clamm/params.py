@@ -35,11 +35,15 @@ _UNRESOLVED = "trade too small to resolve at this scale"
 # Smallest positive normal binary64; a curve scale below it is rejected.
 MIN_NORMAL = sys.float_info.min
 
+# Smallest positive subnormal binary64: the floor of a relative deviation's
+# denominator, so that two subnormal values that disagree read as far apart.
+_SMALLEST = math.ulp(0.0)
+
 # Largest finite binary64.  ``0.0 <= v <= _MAX`` holds only for a finite,
 # nonnegative number v: NaN, infinities, negatives and ints beyond binary64
 # fail it, and a non-number raises TypeError.  The value types below accept on
-# one such comparison; when it fails or raises, their field checks run, in
-# their fixed order, to name the failure.
+# one such comparison; their field checks run, in their fixed order, only to
+# name a failure.
 _MAX = sys.float_info.max
 
 # Smallest shift of a bounded curve.  Below 2**-511 a shift's square is no
@@ -178,11 +182,8 @@ class PoolState:
     y: float
 
     def __init__(self, x: float, y: float):
-        try:
-            ok = 0.0 <= x <= _MAX and 0.0 <= y <= _MAX
-        except TypeError:
-            ok = False
-        if not ok:
+        # A non-number raises TypeError here, as math.isfinite would below.
+        if not (0.0 <= x <= _MAX and 0.0 <= y <= _MAX):
             _require(math.isfinite(x), "x", "must be finite")
             _require(math.isfinite(y), "y", "must be finite")
             _require(x >= 0, "x", "must be nonnegative")

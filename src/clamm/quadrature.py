@@ -26,12 +26,13 @@ from .params import (
     ReferenceParams,
     ShiftedProductCurve,
     _MAX,
+    _SMALLEST,
     _set,
 )
 from .rosetta import translate
 
 DEFAULT_ABS_TOL = 1e-10
-DEFAULT_MAX_DEPTH = 60
+_MAX_DEPTH = 60  # bisections before an interval fails to converge
 
 # Default relative deviation at which ``clamm verify`` fails a case.
 VERIFY_REL_TOL = 1e-8
@@ -44,38 +45,6 @@ _DOUBLE_REL_FLOOR = 1e-13
 # Widest angle integrated: exp(u) is a finite normal float for |u| <= 708.
 # A bounded curve spans at most log(c), which passes it only for c > 3e307.
 _MAX_ANGLE = 708.0
-
-# Floor of the relative deviation's denominator: the smallest subnormal, so
-# that two subnormal results that disagree still read as far apart.
-_SMALLEST = math.ulp(0.0)
-
-
-@dataclass(frozen=True, slots=True, init=False)
-class IntegralSpec:
-    """One definite integral of a marginal-price form."""
-
-    lower: float
-    upper: float
-    abs_tol: float = DEFAULT_ABS_TOL
-    max_depth: int = DEFAULT_MAX_DEPTH
-
-    def __init__(self, lower: float, upper: float, abs_tol: float = DEFAULT_ABS_TOL,
-                 max_depth: int = DEFAULT_MAX_DEPTH):
-        try:
-            ok = -_MAX <= lower < upper <= _MAX and abs_tol > 0
-        except TypeError:
-            ok = False
-        if not ok:
-            if not (math.isfinite(lower) and math.isfinite(upper)):
-                raise DomainError("lower", "bounds must be finite")
-            if not lower < upper:
-                raise DomainError("lower", "must be below upper")
-            if not abs_tol > 0:
-                raise DomainError("abs_tol", "must be positive")
-        _set(self, "lower", lower)
-        _set(self, "upper", upper)
-        _set(self, "abs_tol", abs_tol)
-        _set(self, "max_depth", max_depth)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -120,30 +89,25 @@ def _panel(f, a, b):
     """The Kronrod 15-point estimate of the integral of f over [a, b], and its
     error estimate |K15 - G7|, nonnegative also when b < a.
 
-    The node pairs are written out rather than looped over, because this runs
-    for every panel of every integral.  The difference is used raw, without
-    QUADPACK's (200 err/resasc)^1.5 rescaling, so the estimate stays
-    conservative.
+    Only bisection and direct kernel calls run this, so the node pairs are
+    looped over; each sum keeps the written-out order (not ``sum()``, which
+    compensates since Python 3.12), so the bits equal ``_angle_panel``'s.  The
+    difference is used raw, without QUADPACK's (200 err/resasc)^1.5
+    rescaling, so the estimate stays conservative.
     """
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
     fc = f(c)
-    d = h * _X1
-    s1 = f(c - d) + f(c + d)
-    d = h * _X2
-    s2 = f(c - d) + f(c + d)
-    d = h * _X3
-    s3 = f(c - d) + f(c + d)
-    d = h * _X4
-    s4 = f(c - d) + f(c + d)
-    d = h * _X5
-    s5 = f(c - d) + f(c + d)
-    d = h * _X6
-    s6 = f(c - d) + f(c + d)
-    d = h * _X7
-    s7 = f(c - d) + f(c + d)
-    kronrod = _K1 * s1 + _K2 * s2 + _K3 * s3 + _K4 * s4 + _K5 * s5 + _K6 * s6 + _K7 * s7 + _K8 * fc
-    gauss = _G2 * s2 + _G4 * s4 + _G6 * s6 + _G8 * fc
+    # -0.0 + v is v for every float v, a zero's sign included
+    kronrod = gauss = -0.0
+    for i in range(7):
+        d = h * _XGK[i]
+        pair = f(c - d) + f(c + d)
+        kronrod += _WGK[i] * pair
+        if i % 2:
+            gauss += _WG[i // 2] * pair
+    kronrod += _K8 * fc
+    gauss += _G8 * fc
     return kronrod * h, abs((kronrod - gauss) * h)
 
 
@@ -162,10 +126,22 @@ def _adaptive(f, a, b, eps, whole, err, depth):
             + _adaptive(f, m, b, half, right, right_err, depth - 1))
 
 
-def adaptive_gauss_kronrod(f: Callable[[float], float], spec: IntegralSpec) -> float:
-    """Adaptive Gauss-Kronrod 7-15 integral of f over the spec's interval."""
-    whole, err = _panel(f, spec.lower, spec.upper)
-    return _adaptive(f, spec.lower, spec.upper, spec.abs_tol, whole, err, spec.max_depth)
+def adaptive_gauss_kronrod(f: Callable[[float], float], lower: float, upper: float,
+                           abs_tol: float = DEFAULT_ABS_TOL) -> float:
+    """Adaptive Gauss-Kronrod 7-15 integral of f over [lower, upper] to abs_tol.
+
+    Bounds must be finite and increasing and abs_tol positive (DomainError);
+    an interval still above its share of abs_tol after ``_MAX_DEPTH``
+    bisections raises ConvergenceFailure.
+    """
+    if not (math.isfinite(lower) and math.isfinite(upper)):
+        raise DomainError("lower", "bounds must be finite")
+    if not lower < upper:
+        raise DomainError("lower", "must be below upper")
+    if not abs_tol > 0:
+        raise DomainError("abs_tol", "must be positive")
+    whole, err = _panel(f, lower, upper)
+    return _adaptive(f, lower, upper, abs_tol, whole, err, _MAX_DEPTH)
 
 
 def _angle_panel(f, s, shift, width):
@@ -175,10 +151,10 @@ def _angle_panel(f, s, shift, width):
     balance v = x + shift, from its value s where the trade starts.  On every
     form f(x) = -k/(x + shift)^2, so g(u) = -(k/s)*e^(-u), smooth at any
     distance from the pole.  Each node is evaluated as e = s*exp(u), then
-    f(e - shift)*e, and the nodes are written out like ``_panel``'s, so that
-    the first panel of every integral costs no call to g: ``verify`` runs
-    about 7 % faster than with ``_panel(g, 0.0, width)`` (``BENCH_11.json``,
-    ``panel_ab``).
+    f(e - shift)*e.  This panel is the whole integral of every trade of the
+    ``verify`` battery, so its nodes are written out, with no call to g:
+    ``verify`` runs about 7 % faster than with ``_panel(g, 0.0, width)``
+    (``BENCH_11.json``, ``panel_ab``).
     """
     # [0, width] has its midpoint and its half-width at the same point
     c = h = 0.5 * width
@@ -226,19 +202,17 @@ def _check_trade(x: float, dx: float, x_int: float) -> None:
 
 
 def integrate_price_curve(curve: ShiftedProductCurve, x: float, dx: float,
-                          abs_tol: float | None = None,
-                          rel_tol: float = 1e-10) -> float:
+                          rel_tol: float = VERIFY_REL_TOL * _ORACLE_REL_MARGIN) -> float:
     """dy produced by trading dx into a pool at balance x, by quadrature only.
 
     The curve may be any object with ``geom`` and ``price_slope_at_x``.  The
     slope is integrated along the hyperbolic angle of the virtual balance
     x + shift, shift = -geom.x_asym (see ``_angle_panel``), from 0 to the
     angle U the trade spans.  U is taken from dx, not from the rounded end
-    balance, so the width of the integral is exactly the trade.  With abs_tol
-    unset, the tolerance is scaled to the first panel's estimate of the
-    integral so that curves of any magnitude converge; the relative target is
-    floored at what double precision permits, the absolute one at the
-    smallest normal float.
+    balance, so the width of the integral is exactly the trade.  The
+    tolerance is rel_tol, floored at what double precision permits, times the
+    first panel's estimate of the integral, floored at the smallest normal
+    float, so that curves of any magnitude converge.
     """
     if dx == 0:
         return 0.0
@@ -262,24 +236,21 @@ def integrate_price_curve(curve: ShiftedProductCurve, x: float, dx: float,
     f = curve.price_slope_at_x
     # The first panel both sets the tolerance and, on most trades, is the integral.
     whole, err = _angle_panel(f, s, shift, width)
-    if abs_tol is None:
-        abs_tol = abs(whole) * max(rel_tol, _DOUBLE_REL_FLOOR)
-        if not abs_tol >= MIN_NORMAL:
-            # tiny, or NaN: a NaN rel_tol is an error, a NaN slope fails to converge
-            if math.isnan(rel_tol):
-                raise DomainError("rel_tol", "must be a number")
-            if abs_tol < MIN_NORMAL:
-                abs_tol = MIN_NORMAL
-    elif not abs_tol > 0:
-        raise DomainError("abs_tol", "must be positive")
-    if err <= abs_tol:
+    tol = abs(whole) * max(rel_tol, _DOUBLE_REL_FLOOR)
+    if not tol >= MIN_NORMAL:
+        # tiny, or NaN: a NaN rel_tol is an error, a NaN slope fails to converge
+        if math.isnan(rel_tol):
+            raise DomainError("rel_tol", "must be a number")
+        if tol < MIN_NORMAL:
+            tol = MIN_NORMAL
+    if err <= tol:
         return whole
 
     def g(u):
         e = s * exp(u)
         return f(e - shift) * e
 
-    return _adaptive(g, 0.0, width, abs_tol, whole, err, DEFAULT_MAX_DEPTH)
+    return _adaptive(g, 0.0, width, tol, whole, err, _MAX_DEPTH)
 
 
 def oracle_compare(curve: ShiftedProductCurve, state: PoolState, dx: float,

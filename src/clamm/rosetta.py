@@ -24,6 +24,7 @@ from .params import (
     PoolState,
     ReferenceParams,
     UniswapV3Params,
+    _SMALLEST,
     rel_close,
     root_concentration,
     validate,
@@ -79,7 +80,7 @@ def translation_report(source: CurveParams, target: CurveParams) -> TranslationR
     for f in fields(CurveGeometry):
         a = getattr(src_geom, f.name)
         b = getattr(dst_geom, f.name)
-        scale = max(abs(a), abs(b), 1e-300)
+        scale = max(abs(a), abs(b), _SMALLEST)
         dev = max(dev, abs(a - b) / scale)
     return TranslationReport(source.form, target.form, dev)
 

@@ -1,9 +1,13 @@
+import contextlib
 import gc
+import io
 import json
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import clamm.cli
 from clamm import (
@@ -610,3 +614,91 @@ class TestParser:
         assert code == 0 and json.loads(out)["cases"] == 5
         code, out, _ = run(capsys, "verify")
         assert code == 0 and json.loads(out)["cases"] == 200
+
+
+# ---------------------------------------------------------------------------
+# Fuzz: any spec and any argv of the six commands end in an exit code
+# ---------------------------------------------------------------------------
+
+# the worked curves' values among them, so that some draws make valid curves and states
+EDGE_VALUES = [0.0, -0.0, 1.0, -1.0, 2.0, 4.0, 0.25, 0.5, 1.5, 100.0, 300.0, 1.0 + 1e-12, 5e-324,
+               2.2250738585072014e-308, 2.0 ** -511, 1e308, 1.7976931348623157e308, math.inf,
+               -math.inf, math.nan]
+# JSON-only field values: an int past the float range, and values of the wrong type
+SPEC_EDGE_VALUES = EDGE_VALUES + [10 ** 400, 3, True, None, "1.0", [1.0]]
+
+log_uniform = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+numbers = st.one_of(st.sampled_from(EDGE_VALUES), log_uniform, log_uniform.map(lambda v: -v))
+spec_values = st.one_of(st.sampled_from(SPEC_EDGE_VALUES), log_uniform, log_uniform.map(lambda v: -v))
+worked_specs = st.sampled_from([spec_to_dict(load_spec(path))
+                                for path in (BANCOR, UNISWAP, CARBON, NATURAL, REFERENCE)])
+
+SPEC_FIELDS = {"reference": ("x0", "y0"), "bancor_v2": ("x0", "y0", "A"),
+               "uniswap_v3": ("L", "p_high", "p_low"), "carbon": ("a", "b", "z")}
+ANCHOR_FIELDS = {"center": ("x0", "y0"), "intercepts": ("x_int", "y_int"),
+                 "asymptotes": ("x_asym", "y_asym")}
+
+
+@st.composite
+def fuzz_specs(draw):
+    form = draw(st.sampled_from([*SPEC_FIELDS, "natural", "bogus"]))
+    if form == "natural":
+        anchor = draw(st.sampled_from([*ANCHOR_FIELDS, "nowhere"]))
+        spec = {"form": form, "anchor": anchor}
+        names = ("c", *ANCHOR_FIELDS.get(anchor, ("x0", "y0")))
+    else:
+        spec = {"form": form}
+        names = SPEC_FIELDS.get(form, ("x0",))
+    spec.update({name: draw(spec_values) for name in names})
+    return spec
+
+
+# every field tiny: the corner where carbon's native denominators underflow
+tiny = st.floats(-320.0, -100.0).map(lambda e: 10.0 ** e)
+tiny_carbon_specs = st.builds(lambda a, b, z: {"form": "carbon", "a": a, "b": b, "z": z}, tiny, tiny, tiny)
+
+
+@st.composite
+def fuzz_argvs(draw):
+    """argv of one of the six commands, with "SPEC" in place of the spec's path."""
+    def number():
+        return repr(float(draw(numbers)))
+
+    command = draw(st.sampled_from(["quote", "translate", "geometry", "angle", "sweep", "verify"]))
+    argv = [command, "--spec", "SPEC"]
+    if command == "quote":
+        # every worked curve passes through (100, 100)
+        x, y = ("100.0", "100.0") if draw(st.booleans()) else (number(), number())
+        argv += ["--x", x, "--y", y, draw(st.sampled_from(["--dx", "--dy"])), number()]
+        if draw(st.booleans()):
+            argv += ["--tolerance", number()]
+    elif command == "translate":
+        argv += ["--to", draw(st.sampled_from([*SPEC_FIELDS, "natural", "bogus"]))]
+    elif command == "angle" and draw(st.booleans()):
+        argv = [command, "--p-high", number(), "--p-low", number()]
+    elif command == "sweep":
+        argv += ["--points", str(draw(st.integers(-1, 10))), "--axis", draw(st.sampled_from(["x", "price"])),
+                 "--output", draw(st.sampled_from(["json", "csv"]))]
+    elif command == "verify":
+        if draw(st.booleans()):
+            argv = [command]
+        argv += ["--cases", str(draw(st.integers(-1, 3))), "--seed", str(draw(st.integers(0, 2 ** 32)))]
+        if draw(st.booleans()):
+            argv += ["--rel-tol", number()]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=st.one_of(worked_specs, fuzz_specs(), tiny_carbon_specs), argv=fuzz_argvs())
+def test_fuzzed_invocations_exit_cleanly(tmp_path_factory, spec, argv):
+    path = tmp_path_factory.getbasetemp() / "fuzz_spec.json"
+    path.write_text(json.dumps(spec))
+    argv = [str(path) if arg == "SPEC" else arg for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2), (spec, argv)
+    if err:
+        assert err.count("\n") == 1 and "error" in json.loads(err), (spec, argv, err)
+    assert (code == 0 and not err) or (code == 2 and err) or code == 1, (spec, argv, code, err)

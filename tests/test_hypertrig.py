@@ -1,4 +1,6 @@
 import math
+import random
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given, settings
@@ -183,6 +185,35 @@ class TestHyperbolicAngle:
         with pytest.raises(DomainError):
             hyperbolic_angle(2.0, 2.0)
         assert hyperbolic_angle(2.0 * (1.0 + 1e-12), 2.0) < 1e-11
+
+    @staticmethod
+    def decimal_angle(p_high, p_low):
+        with localcontext() as ctx:
+            ctx.prec = 60
+            return (Decimal(p_high).ln() - Decimal(p_low).ln()) / 2
+
+    def test_narrow_ranges_keep_every_digit(self):
+        # up to p_high = 2*p_low the gap p_high - p_low is exact, and the angle
+        # is half its log1p; the difference of the logs lost 2.7e-3 of the
+        # angle at a ratio of 1 + 1e-12
+        rng = random.Random(12)
+        ranges = [(3 * 5e-324, 2 * 5e-324), (1.5e308, 1e308), (2.0, 1.0)]
+        for gap in (1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 0.5):
+            for _ in range(200):
+                p_low = 10.0 ** rng.uniform(-8.0, 8.0)
+                ranges.append((p_low * (1.0 + gap), p_low))
+        for p_high, p_low in ranges:
+            exact = self.decimal_angle(p_high, p_low)
+            got = Decimal(hyperbolic_angle(p_high, p_low))
+            assert abs(got - exact) <= Decimal(4e-16) * exact, (p_high, p_low)
+
+    def test_wide_ranges_keep_the_log_difference(self):
+        for p_high, p_low in ((math.nextafter(2.0, 3.0), 1.0), (16.0, 1.0), (4.0, 0.25),
+                              (1e300, 1e-300), (1.7976931348623157e308, 5e-324)):
+            phi = hyperbolic_angle(p_high, p_low)
+            assert phi == 0.5 * (math.log(p_high) - math.log(p_low))
+            exact = self.decimal_angle(p_high, p_low)
+            assert abs(Decimal(phi) - exact) <= Decimal(1e-15) * exact, (p_high, p_low)
 
     @settings(max_examples=200)
     @given(

@@ -10,6 +10,7 @@ from clamm import (
     NaturalParams,
     PoolState,
     ReferenceParams,
+    UniswapV3Params,
     curve_for,
     geometry,
 )
@@ -100,6 +101,16 @@ class TestTranslate:
             assert report.max_rel_deviation <= 1e-12
             assert_params_close(translate(params, "bancor_v2"), WORKED_BANCOR)
         assert_rel(geometry(by_center).x_int, g.x_int)
+
+    def test_subnormal_deviation_is_reported_whole(self):
+        # both p_high are subnormal and 1.15e-14 apart; a denominator floored
+        # at 1e-300 read that as 6.1e-15
+        source = UniswapV3Params(L=100, p_high=4.3e-310, p_low=1.1e-310)
+        target = translate(source, "natural")
+        before, after = geometry(source).p_high, geometry(target).p_high
+        report = translation_report(source, target)
+        assert report.max_rel_deviation == abs(before - after) / max(before, after)
+        assert report.max_rel_deviation > 1e-14
 
 
 class TestConcentrationForms:

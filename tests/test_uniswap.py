@@ -33,7 +33,7 @@ class TestSwap:
             uniswap_curve.swap_exact_in_x(PoolState(0, 300), 300.5)
 
     def test_quadrature_agreement(self, uniswap_curve):
-        quad = integrate_price_curve(uniswap_curve, 100.0, 100.0, abs_tol=1e-10)
+        quad = integrate_price_curve(uniswap_curve, 100.0, 100.0)
         assert_rel(quad, -200.0 / 3.0, rel=1e-8)
 
 
