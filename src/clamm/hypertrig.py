@@ -115,12 +115,17 @@ def hyperbolic_angle(p_high: float, p_low: float) -> float:
     values at the two bounds.  They agree to double precision; the log form is
     returned.  Up to p_high = 2*p_low, p_high - p_low is exact (Sterbenz), and
     phi = log1p((p_high - p_low)/p_low)/2 keeps every digit of a narrow range,
-    where the difference of the logs cancels.
+    where the difference of the logs cancels.  Wider ranges take the log of
+    the rounded ratio, which is within a few ulps; only a ratio that
+    overflows takes the difference of the logs.
     """
     _check_range(p_high, p_low)
     if p_high <= 2.0 * p_low:
         return 0.5 * math.log1p((p_high - p_low) / p_low)
-    return 0.5 * (math.log(p_high) - math.log(p_low))
+    ratio = p_high / p_low
+    if math.isinf(ratio):
+        return 0.5 * (math.log(p_high) - math.log(p_low))
+    return 0.5 * math.log(ratio)
 
 
 def hyperbolic_angle_from_unit(p_high: float, p_low: float) -> float:

@@ -305,18 +305,23 @@ def random_admissible_swap(rng: random.Random, curve: ShiftedProductCurve) -> tu
 
 def battery_cases(seed: int, cases: int) -> Iterator[tuple[ShiftedProductCurve, PoolState, float]]:
     """Deterministic battery across all marginal-price integrand forms, one
-    (curve, state, dx) case at a time."""
+    (curve, state, dx) case at a time.
+
+    Each group of four consecutive cases checks one drawn Bancor curve in the
+    four forms of ``_BATTERY_FORMS``: the unshifted curve on its balances, the
+    Bancor curve itself, and its uniswap and carbon translations, made from
+    the built Bancor curve.  Every case draws its own state and trade.
+    """
     rng = random.Random(seed)
     for i in range(cases):
-        form = _BATTERY_FORMS[i % len(_BATTERY_FORMS)]
-        bancor = random_bancor_params(rng)
-        if form == "reference":
-            params: CurveParams = ReferenceParams(x0=bancor.x0, y0=bancor.y0)
-        elif form == "bancor_v2":
-            params = bancor
+        slot = i % len(_BATTERY_FORMS)
+        if slot == 0:
+            bancor = random_bancor_params(rng)
+            curve = curve_for(ReferenceParams(x0=bancor.x0, y0=bancor.y0))
+        elif slot == 1:
+            source = curve = curve_for(bancor)
         else:
-            params = translate(bancor, form)
-        curve = curve_for(params)
+            curve = curve_for(translate(source, _BATTERY_FORMS[slot]))
         state, dx = random_admissible_swap(rng, curve)
         yield curve, state, dx
 

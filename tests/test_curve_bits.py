@@ -1,6 +1,7 @@
 """Every curve constant and two swaps per battery case keep their bits.
 
-The digest covers, for each case of ``battery_cases(3, 8000)``, the repr of
+The digest covers, for each case of the frozen battery draw at seed 3 with
+8000 cases (``tests/frozen_battery.py``), the repr of
 ``(form, shift_x, shift_y, scale, geom)``, one ``swap_exact_in_x`` dy and one
 ``swap_exact_out_y`` dx.  Each bounded case is also rebuilt as a natural curve
 from each of its three anchors (asymptotes, intercepts, center).  A change to
@@ -16,7 +17,8 @@ import sys
 from pathlib import Path
 
 from clamm import CurveError, NaturalParams, curve_for
-from clamm.quadrature import battery_cases
+
+from .frozen_battery import frozen_battery_cases
 
 GOLDEN = Path(__file__).parent / "golden" / "curve_bits.sha256"
 SEED, CASES = 3, 8000
@@ -46,7 +48,7 @@ def _natural_anchors(curve):
 
 def curve_bits_digest(seed: int = SEED, cases: int = CASES) -> str:
     h = hashlib.sha256()
-    for curve, state, dx in battery_cases(seed, cases):
+    for curve, state, dx in frozen_battery_cases(seed, cases):
         h.update(_record(curve, state, dx).encode())
         if curve.bounded:
             for params in _natural_anchors(curve):

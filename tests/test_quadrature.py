@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -32,7 +33,8 @@ from clamm.quadrature import (
     random_admissible_swap,
     random_cases,
 )
-from clamm.rosetta import translate
+from clamm.params import REL_TOL
+from clamm.rosetta import translate, translation_report
 
 from .conftest import (
     WORKED_BANCOR,
@@ -43,6 +45,7 @@ from .conftest import (
     exact_curve,
     rel_dev,
 )
+from .frozen_battery import frozen_battery_cases, spelled_bancor, spelled_swap
 
 # ---------------------------------------------------------------------------
 # Second quadrature: adaptive Simpson.  It shares no code with the library's
@@ -91,30 +94,23 @@ def reference_integral(curve, x, dx, rel_tol=1e-10):
     return value if dx > 0 else -value
 
 
-def reference_random_cases(seed, cases):
-    """The battery as random_cases built it before it became a projection of
-    battery_cases, with its draws spelled with rng.uniform as they first were."""
+def reference_group_cases(seed, cases):
+    """The battery spelled out as a list of (params, state, dx): each group of
+    four cases draws one Bancor curve and checks it as the unshifted curve on
+    its balances, as itself, and as its uniswap and carbon translations; every
+    case draws its own state and trade."""
     rng = random.Random(seed)
     out = []
     for i in range(cases):
         form = _BATTERY_FORMS[i % len(_BATTERY_FORMS)]
-        bancor = BancorV2Params(x0=10.0 ** rng.uniform(-3.0, 9.0), y0=10.0 ** rng.uniform(-3.0, 9.0),
-                                A=rng.uniform(1.01, 100.0))
         if form == "reference":
+            bancor = spelled_bancor(rng)
             params = ReferenceParams(x0=bancor.x0, y0=bancor.y0)
         elif form == "bancor_v2":
             params = bancor
         else:
             params = translate(bancor, form)
-        curve = curve_for(params)
-        x_int = curve.geom.x_int
-        if math.isinf(x_int):
-            x = params.x0 * 10.0 ** rng.uniform(-1.0, 1.0)
-            dx = rng.uniform(0.05, 3.0) * x
-        else:
-            x = rng.uniform(0.02, 0.98) * x_int
-            dx = rng.uniform(0.02, 0.98) * (x_int - x)
-        out.append((params, curve.state_from_x(x), dx))
+        out.append((params, *spelled_swap(rng, curve_for(params))))
     return out
 
 
@@ -601,7 +597,28 @@ class TestBattery:
     def test_random_cases_is_the_list_it_was(self, seed):
         cases = random_cases(seed, 400)
         assert isinstance(cases, list)
-        assert cases == random_cases(seed, 400) == reference_random_cases(seed, 400)
+        assert cases == random_cases(seed, 400) == reference_group_cases(seed, 400)
+
+    @pytest.mark.parametrize("seed", [0, 20240702])
+    def test_each_group_checks_one_curve_in_every_form(self, seed):
+        cases = [(curve.params, state, dx) for curve, state, dx in battery_cases(seed, 400)]
+        assert Counter(params.form for params, _, _ in cases) == dict.fromkeys(_BATTERY_FORMS, 100)
+        for g in range(0, len(cases), 4):
+            reference, bancor, uniswap, carbon = (params for params, _, _ in cases[g:g + 4])
+            assert (reference.x0, reference.y0) == (bancor.x0, bancor.y0)
+            for target in (uniswap, carbon):
+                assert translation_report(bancor, target).max_rel_deviation <= REL_TOL
+        # a battery cut inside a group is a prefix of the longer one
+        for count in (397, 398, 399):
+            short = [(curve.params, state, dx) for curve, state, dx in battery_cases(seed, count)]
+            assert short == cases[:count]
+
+    def test_frozen_draw_keeps_the_committed_summary(self):
+        # verify --cases 2000 --seed 0 printed this summary when every case
+        # drew its own Bancor curve; the same draw must still give its bits
+        assert verify_cases(frozen_battery_cases(0, 2000)) == {
+            "cases": 2000, "passed": 2000, "failed": 0,
+            "max_rel_deviation": 7.696500306979368e-16}
 
     def test_battery_cases_yield_built_curves(self):
         cases = battery_cases(5, 12)
