@@ -21,11 +21,12 @@ FORMS = ("bancor_v2", "uniswap_v3", "carbon")
 
 def decade_cases(rng, scale_exp, cases):
     """(curve, state, dx) cases on pools whose balances lie within half a
-    decade of 10**scale_exp, each pool in every form of FORMS."""
+    decade of 10**scale_exp, each pool in every form of FORMS, translated from
+    the Bancor curve built once per pool."""
     for _ in range(cases):
-        base = random_bancor_params(rng, (scale_exp - 0.5, scale_exp + 0.5))
+        base = curve_for(random_bancor_params(rng, (scale_exp - 0.5, scale_exp + 0.5)))
         for form in FORMS:
-            curve = curve_for(base if form == "bancor_v2" else translate(base, form))
+            curve = base if form == "bancor_v2" else curve_for(translate(base, form))
             yield (curve, *random_admissible_swap(rng, curve))
 
 

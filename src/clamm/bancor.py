@@ -8,16 +8,13 @@ and trades identically.
 
 from __future__ import annotations
 
-import math
-
 from .params import (
     BancorV2Params,
     CurveGeometry,
     ShiftedProductCurve,
-    _MAX,
+    _check_exceeds_one,
     _check_finite_positive,
     _check_scale,
-    _require,
 )
 
 
@@ -30,14 +27,7 @@ class BancorCurve(ShiftedProductCurve, params_type=BancorV2Params):
     def _constants(params: BancorV2Params):
         x0 = _check_finite_positive(params.x0, "x0")
         y0 = _check_finite_positive(params.y0, "y0")
-        amp = params.A
-        try:
-            ok = 1.0 < amp <= _MAX
-        except (TypeError, ArithmeticError):  # a non-number, or a Decimal NaN
-            ok = False
-        if not ok:
-            _require(math.isfinite(amp), "A", "must be finite")
-            _require(amp > 1, "A", "must exceed 1")
+        amp = _check_exceeds_one(params.A, "A")
         scale = _check_scale(amp * amp * x0 * y0, "A", "A^2*x0*y0")
         # c = A^2/(A-1)^2 = p_high/p0 = p0/p_low
         c = amp * amp / ((amp - 1.0) * (amp - 1.0))

@@ -13,6 +13,7 @@ from .params import (
     CurveParams,
     NaturalParams,
     ShiftedProductCurve,
+    _check_exceeds_one,
     _check_scale,
     _require,
     curve_class,
@@ -31,9 +32,8 @@ class NaturalCurve(ShiftedProductCurve, params_type=NaturalParams):
 
     @staticmethod
     def _constants(params: NaturalParams):
-        c, anchor, ax, ay = params.c, params.anchor, params.anchor_x, params.anchor_y
-        _require(math.isfinite(c), "c", "must be finite")
-        _require(c > 1, "c", "must exceed 1")
+        c = _check_exceeds_one(params.c, "c")
+        anchor, ax, ay = params.anchor, params.anchor_x, params.anchor_y
         _require(anchor in ANCHOR_KINDS, "anchor", f"must be one of {ANCHOR_KINDS}")
         _require(math.isfinite(ax), "anchor_x", "must be finite")
         _require(math.isfinite(ay), "anchor_y", "must be finite")

@@ -73,6 +73,14 @@ def _check_finite_positive(value: float, name: str) -> float:
     return value
 
 
+def _check_exceeds_one(value: float, name: str) -> float:
+    if type(value) is float and 1.0 < value <= _MAX:
+        return value
+    _require(math.isfinite(value), name, "must be finite")
+    _require(value > 1, name, "must exceed 1")
+    return value
+
+
 def _check_scale(scale: float, name: str, expr: str) -> float:
     # The scale, or a divisor, is computed with the form's own expression, so
     # finite positive fields can still overflow it or underflow it to a

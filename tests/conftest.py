@@ -1,9 +1,9 @@
 import importlib.util
 import math
 import random
+from decimal import Decimal
 from pathlib import Path
 
-import mpmath
 import pytest
 
 from clamm import (
@@ -75,25 +75,25 @@ def rel_dev(a, b):
 
 
 def exact_curve(params):
-    """(shift_x, shift_y, scale) of the stored parameters, as mpmath numbers at
-    the caller's working precision."""
-    mpf, sqrt = mpmath.mpf, mpmath.sqrt
+    """(shift_x, shift_y, scale) of the stored parameters, as Decimals in the
+    caller's context.  Each stored float converts exactly, and Decimal.sqrt is
+    correctly rounded."""
     if isinstance(params, ReferenceParams):
-        return mpf(0), mpf(0), mpf(params.x0) * mpf(params.y0)
+        return Decimal(0), Decimal(0), Decimal(params.x0) * Decimal(params.y0)
     if isinstance(params, BancorV2Params):
-        x0, y0, amp = mpf(params.x0), mpf(params.y0), mpf(params.A)
+        x0, y0, amp = Decimal(params.x0), Decimal(params.y0), Decimal(params.A)
         return x0 * (amp - 1), y0 * (amp - 1), amp * amp * x0 * y0
     if isinstance(params, UniswapV3Params):
-        liq, p_high, p_low = mpf(params.L), mpf(params.p_high), mpf(params.p_low)
-        return liq / sqrt(p_high), liq * sqrt(p_low), liq * liq
+        liq, p_high, p_low = Decimal(params.L), Decimal(params.p_high), Decimal(params.p_low)
+        return liq / p_high.sqrt(), liq * p_low.sqrt(), liq * liq
     if isinstance(params, CarbonParams):
-        a, b, z = mpf(params.a), mpf(params.b), mpf(params.z)
+        a, b, z = Decimal(params.a), Decimal(params.b), Decimal(params.z)
         return z / (a * (a + b)), b * z / a, (z / a) ** 2
-    c, ax, ay = mpf(params.c), mpf(params.anchor_x), mpf(params.anchor_y)
+    c, ax, ay = Decimal(params.c), Decimal(params.anchor_x), Decimal(params.anchor_y)
     if params.anchor == "intercepts":
         ax, ay = -ax / (c - 1), -ay / (c - 1)
     elif params.anchor == "center":
-        ax, ay = -ax / (sqrt(c) - 1), -ay / (sqrt(c) - 1)
+        ax, ay = -ax / (c.sqrt() - 1), -ay / (c.sqrt() - 1)
     return -ax, -ay, c * ax * ay
 
 

@@ -1,11 +1,14 @@
-"""The library and its CLI run on the standard library alone."""
+"""The library and its CLI run on the standard library alone, and the tests
+and scripts need only pytest and hypothesis besides."""
 
+import ast
 import json
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 # Runs in an isolated interpreter (-I: no PYTHONPATH, no user site) with src/
 # first on sys.path; prints the verify exit code and the top-level names of
@@ -30,3 +33,27 @@ def test_core_imports_only_the_standard_library():
     foreign = [name for name in loaded
                if name not in sys.stdlib_module_names and name not in ("clamm", "__main__")]
     assert foreign == [], f"modules outside the standard library: {foreign}"
+
+
+# Top-level modules the tests and scripts may import beside the standard
+# library; relative imports name the suite's own helpers.
+ALLOWED = {"clamm", "pytest", "hypothesis"}
+
+
+def imported_modules(path):
+    """(line, top-level module) of every absolute import in the file."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module.partition(".")[0]
+
+
+def test_tests_and_scripts_import_only_the_standard_library_pytest_and_hypothesis():
+    files = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+    assert files
+    foreign = [f"{path.relative_to(ROOT)}:{line}: {name}"
+               for path in files for line, name in imported_modules(path)
+               if name not in sys.stdlib_module_names and name not in ALLOWED]
+    assert foreign == [], f"imports outside the standard library, pytest and hypothesis: {foreign}"

@@ -7,7 +7,8 @@ the intercepts, the unamplified curve's bound points).  It shares no
 expression with the binary64 side beyond the form's own shift and scale.
 """
 
-import mpmath
+from decimal import Decimal, localcontext
+
 import pytest
 
 from clamm import (
@@ -66,23 +67,23 @@ CASES = (
 
 def exact_accessors(params) -> dict:
     """Every accessor by its definition on the real curve (x + sx)(y + sy) = s."""
-    sqrt = mpmath.sqrt
-    with mpmath.workdps(DIGITS):
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
         sx, sy, s = exact_curve(params)
         # slopes at the two intercepts, and the center where the slope is -p0
         p_high, p_low = s / (sx * sx), sy * sy / s
-        p0 = sqrt(p_high * p_low)
-        x0, y0 = sqrt(s / p0) - sx, sqrt(s * p0) - sy
+        p0 = (p_high * p_low).sqrt()
+        x0, y0 = (s / p0).sqrt() - sx, (s * p0).sqrt() - sy
         k = x0 * y0
         return {
-            "concentration": [sqrt(p_high / p_low)],
+            "concentration": [(p_high / p_low).sqrt()],
             "amplification": [(x0 + sx) / x0],
             "center": [x0, y0],
-            "liquidity": [sqrt(s)],
+            "liquidity": [s.sqrt()],
             "reference_scale": [k],
             "virtual_bounds": [sx, s / sy, sy, s / sx],
-            "reference_bound_points": [sqrt(k / p_high), sqrt(k / p_low),
-                                       sqrt(k * p_low), sqrt(k * p_high)],
+            "reference_bound_points": [(k / p_high).sqrt(), (k / p_low).sqrt(),
+                                       (k * p_low).sqrt(), (k * p_high).sqrt()],
         }
 
 
@@ -97,8 +98,9 @@ def max_rel_error(params, name) -> float:
     got = computed(curve_for(params), name)
     want = exact_accessors(params)[name]
     assert len(got) == len(want)
-    with mpmath.workdps(DIGITS):
-        return max(float(abs(mpmath.mpf(g) - w) / abs(w)) for g, w in zip(got, want))
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        return max(float(abs(Decimal(g) - w) / abs(w)) for g, w in zip(got, want))
 
 
 def _cases():

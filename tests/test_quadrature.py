@@ -2,9 +2,9 @@ import math
 import random
 import sys
 from collections import Counter
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
-import mpmath
 import pytest
 
 import clamm.quadrature
@@ -122,11 +122,12 @@ SIMPSON_BOUND = 1e-13
 def exact_rel_error(got, params, x, dx) -> float:
     """Relative error of got against dy = y(x + dx) - y(x) on
     (x + sx)(y + sy) = s, with x + dx unrounded, evaluated at 60 digits."""
-    with mpmath.workdps(EXACT_DIGITS):
+    with localcontext() as ctx:
+        ctx.prec = EXACT_DIGITS
         sx, _, s = exact_curve(params)
-        x = mpmath.mpf(x)
-        want = s / (x + mpmath.mpf(dx) + sx) - s / (x + sx)
-        return float(abs(mpmath.mpf(got) - want) / abs(want))
+        x = Decimal(x)
+        want = s / (x + Decimal(dx) + sx) - s / (x + sx)
+        return float(abs(Decimal(got) - want) / abs(want))
 
 
 def exact_dy(curve, x, dx) -> Fraction:

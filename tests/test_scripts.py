@@ -6,7 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from clamm import SwapDelta
+from clamm import ShiftedProductCurve, SwapDelta
 
 from .conftest import GOLDEN_DIR, load_script
 
@@ -56,24 +56,17 @@ def test_oracle_deviation_sweep_runs():
 
 def test_oracle_deviation_sweep_fails_on_disagreement(monkeypatch, capsys):
     sweep = load_script("oracle_deviation_sweep")
-    real_curve_for = sweep.curve_for
+    honest_swap = ShiftedProductCurve.swap_exact_in_x
 
-    class Corrupted:
-        """A curve whose closed-form swap is off by one part in a million."""
+    def corrupted_swap(self, state, dx):
+        """The closed-form swap, off by one part in a million; no form
+        overrides it, so every form is corrupted."""
+        honest = honest_swap(self, state, dx)
+        return SwapDelta(honest.dx, honest.dy * (1.0 + 1e-6))
 
-        def __init__(self, curve):
-            self._curve = curve
-            self.geom = curve.geom
-            self.price_slope_at_x = curve.price_slope_at_x
-            self.state_from_x = curve.state_from_x
-
-        def swap_exact_in_x(self, state, dx):
-            honest = self._curve.swap_exact_in_x(state, dx)
-            return SwapDelta(honest.dx, honest.dy * (1.0 + 1e-6))
-
-    monkeypatch.setattr(sweep, "curve_for", lambda params: Corrupted(real_curve_for(params)))
+    monkeypatch.setattr(ShiftedProductCurve, "swap_exact_in_x", corrupted_swap)
     assert sweep.main(["--cases-per-decade", "1"]) == 1
-    assert "DISAGREEMENT" in capsys.readouterr().out
+    assert capsys.readouterr().out.count("DISAGREEMENT") == 13
 
 
 def test_worked_curve_demo_runs():
