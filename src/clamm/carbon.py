@@ -30,9 +30,9 @@ class CarbonCurve(ShiftedProductCurve, params_type=CarbonParams):
         # The native swap and slope denominators are at least z^2 and (b*z)^2,
         # normal floats once z and b*z are at least 2**-511.  Checked after the
         # core's rules, so that a spec they reject keeps its error.
-        if not (_MIN_SHIFT <= params.z and _MIN_SHIFT <= params.b * params.z):
-            if not _MIN_SHIFT <= params.z:
-                raise DomainError("z", f"must be at least 2**-511, not {params.z!r}")
+        if not _MIN_SHIFT <= params.z:
+            raise DomainError("z", f"must be at least 2**-511, not {params.z!r}")
+        if not _MIN_SHIFT <= params.b * params.z:
             raise DomainError("b", f"b*z must be at least 2**-511, not {params.b * params.z!r}")
 
     @staticmethod

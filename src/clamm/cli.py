@@ -122,8 +122,9 @@ def _sweep_rows(curve, axis: str, points: int):
         if axis == "x":
             state = curve.state_from_x(geom.x_int * frac)
         elif i == last:
-            # the interpolation can round past p_low, or to 0 on a wide range
-            state = curve.state_at_price(geom.p_low)
+            # the x intercept itself: the interpolation can round past p_low,
+            # and state_at_price(p_low) cancels past x_int on a narrow range
+            state = PoolState(geom.x_int, 0.0)
         else:
             state = curve.state_at_price(geom.p_high + (geom.p_low - geom.p_high) * frac)
         marginal = curve.marginal_price(state)

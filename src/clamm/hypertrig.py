@@ -16,6 +16,10 @@ from .params import REL_TOL
 
 _SQRT2 = math.sqrt(2.0)
 
+# Bound on the rounding error of t_hat^2 - u_hat^2 - 1, per unit of t_hat^2 + u_hat^2:
+# twice the worst measured over 200000 on-curve balance pairs.
+_SQUARES_ROUNDING = 16 * 2.0 ** -53
+
 # The matrix of the clockwise eighth turn (theta = -pi/4) that aligns x*y
 # hyperbolas with the t axis.
 AXIS_ALIGNMENT = ((1.0 / _SQRT2, 1.0 / _SQRT2), (-1.0 / _SQRT2, 1.0 / _SQRT2))
@@ -51,15 +55,17 @@ def normalize(point: RotatedPoint, k: float) -> UnitPoint:
     """Rescale a rotated point of the curve x*y = k onto the unit hyperbola.
 
     Rejects points that do not actually sit on that curve: the normalized
-    coordinates must satisfy t_hat^2 - u_hat^2 = 1 within REL_TOL, which a
-    non-finite coordinate never does.
+    coordinates must satisfy t_hat^2 - u_hat^2 = 1 within REL_TOL plus the
+    difference's rounding error, which grows with the balance ratio, and
+    their squares must be finite.
     """
     if not (k > 0 and math.isfinite(k)):
         raise DomainError("k", "must be a positive finite scale")
     denom = math.sqrt(2.0 * k)
     t_hat = point.t / denom
     u_hat = point.u / denom
-    if not abs(t_hat * t_hat - u_hat * u_hat - 1.0) <= REL_TOL:
+    tt, uu = t_hat * t_hat, u_hat * u_hat
+    if not abs(tt - uu - 1.0) <= REL_TOL + _SQUARES_ROUNDING * (tt + uu) < math.inf:
         raise DomainError("point", "not on the curve with the given scale")
     return UnitPoint(t_hat, u_hat)
 

@@ -74,8 +74,6 @@ def _check_finite_positive(value: float, name: str) -> float:
 
 
 def _check_exceeds_one(value: float, name: str) -> float:
-    if type(value) is float and 1.0 < value <= _MAX:
-        return value
     _require(math.isfinite(value), name, "must be finite")
     _require(value > 1, name, "must exceed 1")
     return value
@@ -86,8 +84,6 @@ def _check_scale(scale: float, name: str, expr: str) -> float:
     # finite positive fields can still overflow it or underflow it to a
     # subnormal or zero; an underflowed scale flattens the curve to y = 0 and
     # divides by zero in swaps.
-    if MIN_NORMAL <= scale <= _MAX:
-        return scale
     if not math.isfinite(scale):
         raise DomainError(name, f"{expr} must be finite")
     if scale < MIN_NORMAL:
@@ -208,12 +204,9 @@ class SwapDelta:
     dy: float
 
     def __init__(self, dx: float, dy: float):
-        # A zero trade (both zero) is valid too; it takes the checks below.
-        try:
-            ok = -_MAX <= dx < 0.0 < dy <= _MAX or -_MAX <= dy < 0.0 < dx <= _MAX
-        except TypeError:
-            ok = False
-        if not ok:
+        # A zero trade takes the checks below too.  dx is bounded first, so a
+        # NaN dx fails before dy is compared and the checks name dx.
+        if not (-_MAX <= dx <= _MAX and -_MAX <= dy <= _MAX and (dx < 0.0 < dy or dy < 0.0 < dx)):
             _require(math.isfinite(dx), "dx", "must be finite")
             _require(math.isfinite(dy), "dy", "must be finite")
             if (dx == 0) != (dy == 0):

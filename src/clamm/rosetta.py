@@ -31,8 +31,6 @@ from .params import (
     validate,
 )
 
-FORMS = tuple(FORM_REGISTRY)
-
 
 @dataclass(frozen=True)
 class TranslationReport:

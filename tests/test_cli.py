@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import clamm.cli
 from clamm import (
+    PoolState,
     curve_for,
     load_spec,
     oracle_compare,
@@ -61,7 +62,7 @@ def list_of_dicts_sweep(spec, axis, points, output):
         if axis == "x":
             state = curve.state_from_x(geom.x_int * frac)
         elif i == points - 1:
-            state = curve.state_at_price(geom.p_low)
+            state = PoolState(geom.x_int, 0.0)
         else:
             state = curve.state_at_price(geom.p_high + (geom.p_low - geom.p_high) * frac)
         marginal = curve.marginal_price(state)
@@ -283,7 +284,10 @@ class TestSweep:
     @pytest.mark.parametrize("spec", [
         {"form": "bancor_v2", "x0": 3059.28, "y0": 6.88, "A": 1.044},
         {"form": "uniswap_v3", "L": 1, "p_high": 1e10, "p_low": 1e-7},
-    ], ids=["interpolation_below_p_low", "interpolation_at_zero"])
+        # state_at_price(p_low) lands beyond x_int * (1 + BOUNDS_SLACK) here
+        {"form": "uniswap_v3", "L": 382.51433373767827,
+         "p_high": 0.006400191412249, "p_low": 0.006400080914317202},
+    ], ids=["interpolation_below_p_low", "interpolation_at_zero", "narrow_range"])
     def test_price_axis_ends_exactly_at_p_low(self, capsys, tmp_path, spec):
         path = write_spec(tmp_path, spec)
         geom = curve_for(load_spec(path)).geom
@@ -292,6 +296,20 @@ class TestSweep:
         last = json.loads(out)[-1]
         assert (last["x"], last["y"]) == (geom.x_int, 0.0)
         assert last["marginal_price"] == -geom.p_low
+
+    def test_price_axis_on_narrow_ranges(self, capsys, tmp_path):
+        # p_high/p_low in 1 + 1e-9 .. 1 + 1e-4: about half failed on their last row
+        rng = random.Random(400)
+        for _ in range(40):
+            p_low = 10.0 ** rng.uniform(-4.0, 4.0)
+            spec = {"form": "uniswap_v3", "L": 10.0 ** rng.uniform(-2.0, 6.0),
+                    "p_high": p_low * (1.0 + 10.0 ** rng.uniform(-9.0, -4.0)), "p_low": p_low}
+            path = write_spec(tmp_path, spec)
+            geom = curve_for(load_spec(path)).geom
+            code, out, err = run(capsys, "sweep", "--spec", path, "--axis", "price", "--points", "101")
+            assert (code, err) == (0, ""), spec
+            last = json.loads(out)[-1]
+            assert (last["x"], last["y"]) == (geom.x_int, 0.0), spec
 
     def test_too_few_points_rejected(self, capsys):
         code, _, _ = run(capsys, "sweep", "--spec", BANCOR, "--points", "1")

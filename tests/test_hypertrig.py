@@ -85,12 +85,36 @@ class TestNormalize:
         with pytest.raises(DomainError):
             normalize(RotatedPoint(1.0, 0.0), 0.0)
 
-    @pytest.mark.parametrize("t, u", [(math.nan, 0.0), (0.0, math.nan), (math.inf, math.inf)])
+    @pytest.mark.parametrize("t, u", [(math.nan, 0.0), (0.0, math.nan), (math.inf, math.inf),
+                                      (math.inf, 0.0), (1e200, 0.0)])
     def test_non_finite_point_flagged(self, t, u):
-        # its residual is NaN, which no tolerance accepts
+        # its residual is NaN, or its square and so its tolerance infinite
         with pytest.raises(DomainError) as err:
             normalize(RotatedPoint(t, u), 1.0)
         assert err.value.field == "point"
+
+    def test_wide_balance_ratio_accepted(self):
+        # t_hat^2 - u_hat^2 - 1 cancels: its rounding error exceeds REL_TOL here
+        unit = normalize(rotate(1.0, 1e8), 1e8)
+        expected = unit_from_state(1.0, 1e8)
+        assert_rel(unit.t_hat, expected.t_hat, rel=1e-15)
+        assert_rel(unit.u_hat, expected.u_hat, rel=1e-15)
+
+    def test_on_curve_pairs_accepted_up_to_a_ratio_of_1e12(self):
+        rng = random.Random(20000)
+        for _ in range(5000):
+            x, y = 10.0 ** rng.uniform(-6.0, 6.0), 10.0 ** rng.uniform(-6.0, 6.0)
+            normalize(rotate(x, y), x * y)
+
+    @pytest.mark.parametrize("eps", [1e-8, 1e-7, 1e-6])
+    def test_off_curve_pairs_rejected_up_to_a_ratio_of_1e6(self, eps):
+        # the rounding term stays below 1e-9 up to a ratio of 1e6
+        rng = random.Random(20000)
+        for _ in range(2000):
+            x = 10.0 ** rng.uniform(-6.0, 6.0)
+            y = x * 10.0 ** rng.uniform(-6.0, 6.0)
+            with pytest.raises(DomainError):
+                normalize(rotate(x, y * (1.0 + eps)), x * y)
 
 
 class TestUnitFromState:
