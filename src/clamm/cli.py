@@ -5,6 +5,10 @@ JSON (CSV is available for sweeps).  Numbers are serialized as shortest
 round-trip decimals, so identical inputs produce byte-identical output.
 
 Exit codes: 0 success, 1 verification failure, 2 input or domain error.
+
+The translation, angle and oracle layers (rosetta, hypertrig, quadrature) are
+imported inside the commands that use them, so quote and geometry never load
+them.
 """
 
 from __future__ import annotations
@@ -14,15 +18,11 @@ import dataclasses
 import functools
 import json
 import math
-import random
 import sys
 
 from .curves import curve_for, geometry
 from .errors import ConvergenceFailure, CurveError, DomainError
-from .hypertrig import hyperbolic_angle, t_hat_from_price, trig_identities, u_hat_from_price
-from .params import REL_TOL, PoolState, apply_delta, load_spec, spec_to_dict
-from .quadrature import VERIFY_REL_TOL, battery_cases, random_admissible_swap, verify_cases
-from .rosetta import translate_with_report
+from .params import REL_TOL, VERIFY_REL_TOL, PoolState, apply_delta, load_spec, spec_to_dict
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -67,6 +67,8 @@ def cmd_quote(args) -> int:
 
 
 def cmd_translate(args) -> int:
+    from .rosetta import translate_with_report
+
     params = _load(args)
     target, report = translate_with_report(params, args.to)
     _emit({"spec": spec_to_dict(target), "report": dataclasses.asdict(report)})
@@ -83,6 +85,8 @@ def cmd_geometry(args) -> int:
 
 
 def cmd_angle(args) -> int:
+    from .hypertrig import hyperbolic_angle, trig_identities
+
     if args.p_high is not None or args.p_low is not None:
         if args.p_high is None or args.p_low is None:
             raise DomainError("p_high", "--p-high and --p-low must be given together")
@@ -113,6 +117,8 @@ def cmd_angle(args) -> int:
 
 def _sweep_rows(curve, axis: str, points: int):
     """Rows of a sweep as (x, y, marginal_price, t_hat, u_hat) tuples, one at a time."""
+    from .hypertrig import t_hat_from_price, u_hat_from_price
+
     geom = curve.geom
     if not math.isfinite(geom.x_int):
         raise DomainError("spec", "sweeps need a curve with finite intercepts")
@@ -169,6 +175,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    import random
+
+    from .quadrature import battery_cases, random_admissible_swap, verify_cases
+
     if args.cases < 1:
         raise DomainError("cases", "must be at least 1")
     # An infinite tolerance would pass every case vacuously.

@@ -25,6 +25,9 @@ from .errors import BoundsExceeded, DomainError, InsufficientLiquidity
 REL_TOL = 1e-9
 ABS_FLOOR = 1e-12
 
+# Default relative deviation at which ``clamm verify`` fails a case.
+VERIFY_REL_TOL = 1e-8
+
 # Relative slack for a final ulp past an intercept or below zero: a trade aimed
 # exactly at an intercept may overshoot it, and intercept arithmetic may land a
 # balance just below zero; neither is rejected for it.

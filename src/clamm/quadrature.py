@@ -20,6 +20,7 @@ from .errors import ConvergenceFailure, DomainError
 from .params import (
     BOUNDS_SLACK,
     MIN_NORMAL,
+    VERIFY_REL_TOL,
     BancorV2Params,
     CurveParams,
     PoolState,
@@ -32,9 +33,6 @@ from .rosetta import translate
 
 DEFAULT_ABS_TOL = 1e-10
 _MAX_DEPTH = 60  # bisections before an interval fails to converge
-
-# Default relative deviation at which ``clamm verify`` fails a case.
-VERIFY_REL_TOL = 1e-8
 
 # Quadrature runs two orders tighter than the comparison threshold, floored at
 # what binary64 can resolve relative to the integral's own magnitude.

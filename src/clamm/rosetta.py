@@ -114,9 +114,13 @@ def concentration_from_center(state: PoolState, x0: float, y0: float) -> float:
 
 def concentration_from_intercepts(state: PoolState, x_int: float, y_int: float) -> float:
     """(x_int - x)(y_int - y) / (x*y); 0/0 at either intercept."""
-    if state.x == 0 or state.y == 0:
+    x, y = state.x, state.y
+    if x == 0 or y == 0:
         raise Indeterminate("the intercept form divides by zero on an axis; use another anchor")
-    return (x_int - state.x) * (y_int - state.y) / (state.x * state.y)
+    # x*y can underflow to 0 off the axes.  Along the curve (x_int - x)/y runs
+    # from x_int/y_int to c*x_int/y_int, and (y_int - y)/x the other way round,
+    # so the cross quotients stay in range wherever c and x_int/y_int do.
+    return (x_int - x) / y * ((y_int - y) / x)
 
 
 def concentration_from_asymptotes(state: PoolState, x_asym: float, y_asym: float) -> float:

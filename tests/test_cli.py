@@ -355,7 +355,7 @@ class TestSweep:
                     raise DomainError("price", "injected failure")
                 return t_hat_from_price(price)
 
-            monkeypatch.setattr(clamm.cli, "t_hat_from_price", failing)
+            monkeypatch.setattr(clamm.hypertrig, "t_hat_from_price", failing)
             code, out, err = run(capsys, "sweep", "--spec", BANCOR, "--points", "20", "--output", output)
             assert code == 2
             assert error_message(err) == "price: injected failure"
@@ -436,13 +436,16 @@ class TestVerify:
         def halting_compare(*args, **kwargs):
             raise Halt
 
-        monkeypatch.setattr(clamm.cli, "battery_cases", counting_battery)
-        monkeypatch.setattr(clamm.cli, "random_admissible_swap", counting_swap)
         monkeypatch.setattr(clamm.quadrature, "oracle_compare", halting_compare)
-        for argv in ((), ("--spec", CARBON)):
+        # battery_cases draws through random_admissible_swap, so each run
+        # counts only the source its command reads
+        for argv, source, counting in (((), "battery_cases", counting_battery),
+                                       (("--spec", CARBON), "random_admissible_swap", counting_swap)):
             produced.clear()
-            with pytest.raises(Halt):
-                main(["verify", "--cases", "100", *argv])
+            with monkeypatch.context() as patch:
+                patch.setattr(clamm.quadrature, source, counting)
+                with pytest.raises(Halt):
+                    main(["verify", "--cases", "100", *argv])
             assert len(produced) == 1, argv
         assert capsys.readouterr().out == ""
 

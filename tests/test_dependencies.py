@@ -10,25 +10,32 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
-# Runs in an isolated interpreter (-I: no PYTHONPATH, no user site) with src/
-# first on sys.path; prints the verify exit code and the top-level names of
-# every module loaded from the import of clamm on.  Modules that site's .pth
-# files load at startup are not the library's doing and are left out.
+# Runs in an isolated interpreter (-I: no PYTHONPATH, no user site; -B: no
+# bytecode written into the checkout) with src/ first on sys.path; prints the
+# clamm modules that importing clamm and clamm.cli loads, the verify exit code
+# and the top-level names of every module loaded from the import of clamm on.
+# Modules that site's .pth files load at startup are not the library's doing
+# and are left out.
 PROBE = """
 import json, sys
 before = set(sys.modules)
 sys.path.insert(0, {src!r})
 import clamm, clamm.cli
+imported = sorted(name for name in sys.modules if name.startswith("clamm."))
 code = clamm.cli.main(["verify", "--cases", "20"])
 loaded = {{name.partition(".")[0] for name in set(sys.modules) - before}}
-print(json.dumps([code, sorted(loaded)]))
+print(json.dumps([imported, code, sorted(loaded)]))
 """
+
+# The layers built on the curve core, which load on first use.
+LAYERS = ("clamm.hypertrig", "clamm.quadrature", "clamm.rosetta")
 
 
 def test_core_imports_only_the_standard_library():
-    result = subprocess.run([sys.executable, "-I", "-c", PROBE.format(src=str(SRC))],
+    result = subprocess.run([sys.executable, "-I", "-B", "-c", PROBE.format(src=str(SRC))],
                             capture_output=True, text=True, check=True)
-    code, loaded = json.loads(result.stdout.splitlines()[-1])
+    imported, code, loaded = json.loads(result.stdout.splitlines()[-1])
+    assert not set(imported) & set(LAYERS), f"import clamm, clamm.cli loads {imported}"
     assert code == 0, result.stdout
     foreign = [name for name in loaded
                if name not in sys.stdlib_module_names and name not in ("clamm", "__main__")]

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import statistics
+from fractions import Fraction
 
 import pytest
 
@@ -131,6 +132,13 @@ class TestConcentrationForms:
         state = bancor_curve.state_from_x(200.0)
         assert_rel(state.y, 100.0 / 3.0)
         assert_rel(concentration_from_intercepts(state, 300.0, 300.0), 4.0)
+
+    def test_intercept_form_where_x_times_y_underflows(self):
+        # a state off both axes whose x*y underflows to 0
+        state, x_int, y_int = PoolState(5.58e-166, 6.32e-166), 1.19e-165, 1.19e-165
+        exact = ((Fraction(x_int) - Fraction(state.x)) * (Fraction(y_int) - Fraction(state.y))
+                 / (Fraction(state.x) * Fraction(state.y)))
+        assert_rel(concentration_from_intercepts(state, x_int, y_int), float(exact), rel=1e-15)
 
     def test_intercept_form_indeterminate_on_axis(self):
         with pytest.raises(Indeterminate):
