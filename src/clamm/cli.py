@@ -21,7 +21,7 @@ import math
 import sys
 
 from .curves import curve_for, geometry
-from .errors import ConvergenceFailure, CurveError, DomainError
+from .errors import CurveError, DomainError
 from .params import REL_TOL, VERIFY_REL_TOL, PoolState, apply_delta, load_spec, spec_to_dict
 
 EXIT_OK = 0
@@ -276,8 +276,6 @@ def main(argv=None) -> int:
         if isinstance(exc, DomainError):
             error["field"], error["reason"] = exc.field, exc.reason
         print(json.dumps({"error": error}), file=sys.stderr)
-        if isinstance(exc, ConvergenceFailure):
-            return EXIT_VERIFY_FAILED
         return EXIT_INPUT_ERROR
     except OSError as exc:
         print(json.dumps({"error": {"type": "OSError", "message": str(exc)}}), file=sys.stderr)

@@ -21,9 +21,8 @@ from typing import ClassVar, Union
 
 from .errors import BoundsExceeded, DomainError, InsufficientLiquidity
 
-# Default relative tolerance for on-curve checks; absolute floor near zero.
+# Default relative tolerance for on-curve checks.
 REL_TOL = 1e-9
-ABS_FLOOR = 1e-12
 
 # Default relative deviation at which ``clamm verify`` fails a case.
 VERIFY_REL_TOL = 1e-8
@@ -59,7 +58,7 @@ _set = object.__setattr__
 
 
 def rel_close(a: float, b: float) -> bool:
-    return math.isclose(a, b, rel_tol=REL_TOL, abs_tol=ABS_FLOOR)
+    return math.isclose(a, b, rel_tol=REL_TOL)
 
 
 def _require(cond: bool, name: str, reason: str) -> None:
@@ -417,16 +416,19 @@ class ShiftedProductCurve:
         raise NotImplementedError
 
     # -- curve sampling ----------------------------------------------------
+    # A balance is checked as a swap checks the balance it ends on.
 
     def y_from_x(self, x: float) -> float:
-        if x + self.shift_x <= 0:
-            raise DomainError("x", "outside the admissible range")
+        x_int = self.geom.x_int
+        if not 0.0 < x <= x_int * (1.0 + BOUNDS_SLACK):
+            self._check_bounds("x", x, x_int)
         y = self.scale / (x + self.shift_x) - self.shift_y
         return _snap_nonnegative(y, self.shift_y)
 
     def x_from_y(self, y: float) -> float:
-        if y + self.shift_y <= 0:
-            raise DomainError("y", "outside the admissible range")
+        y_int = self.geom.y_int
+        if not 0.0 < y <= y_int * (1.0 + BOUNDS_SLACK):
+            self._check_bounds("y", y, y_int)
         x = self.scale / (y + self.shift_y) - self.shift_x
         return _snap_nonnegative(x, self.shift_x)
 
@@ -566,12 +568,10 @@ class ShiftedProductCurve:
     # -- bounds -------------------------------------------------------------
 
     def _check_bounds(self, axis: str, new: float, intercept: float) -> None:
-        """Reject a new balance on ``axis`` outside [0, intercept]."""
-        if math.isinf(intercept):
-            if new <= 0:
-                raise InsufficientLiquidity(f"trade would fully deplete the {axis} reserve")
-            return
-        if new < 0 or new > intercept * (1.0 + BOUNDS_SLACK):
+        """Reject a new balance on ``axis`` outside [0, intercept], or NaN."""
+        if math.isinf(intercept) and new <= 0:
+            raise InsufficientLiquidity(f"trade would fully deplete the {axis} reserve")
+        if not 0.0 <= new <= intercept * (1.0 + BOUNDS_SLACK):
             raise BoundsExceeded(f"{axis} would leave [0, {intercept}]")
 
 
@@ -628,8 +628,9 @@ def root_concentration(geom: CurveGeometry) -> tuple[float, float]:
 
 def _snap_nonnegative(value: float, reference: float) -> float:
     # Values a final ulp below zero come from intercept arithmetic, not from
-    # a genuinely negative balance.
-    if value < 0 and abs(value) <= max(abs(reference), 1.0) * BOUNDS_SLACK:
+    # a genuinely negative balance: the slack is relative to the balance, or
+    # shift, the value came from, at every scale.
+    if value < 0 and abs(value) <= abs(reference) * BOUNDS_SLACK:
         return 0.0
     return value
 

@@ -22,13 +22,11 @@ from .params import (
     FORM_REGISTRY,
     NaturalParams,
     PoolState,
-    ReferenceParams,
     ShiftedProductCurve,
     UniswapV3Params,
     _SMALLEST,
     rel_close,
     root_concentration,
-    validate,
 )
 
 
@@ -44,28 +42,22 @@ class TranslationReport:
 def translate(source: CurveParams | ShiftedProductCurve, target_form: str) -> CurveParams:
     """Re-express a curve in another parameter form; the curve is unchanged.
 
-    The source is a parameter set or a curve built from one; a built curve
-    is read as it is, so its parameters are not validated or built again.
-    The reference form carries no price bounds, so it can neither be a source
+    The source is a parameter set, which is built into its curve and so
+    validated, or a curve built from one, which is read as it is.  The
+    reference form carries no price bounds, so it can neither be a source
     nor a target of a non-identity translation.  A translation to the
-    source's own form returns its parameter set once it has passed
-    validation.
+    source's own form returns its parameter set.
     """
     if target_form not in FORM_REGISTRY:
         raise DomainError("target", f"unknown form {target_form!r}; expected one of {sorted(FORM_REGISTRY)}")
-    if isinstance(source, ShiftedProductCurve):
-        curve, params = source, source.params
-    else:
-        curve, params = None, source
-    if params.form == target_form:
-        return params if curve is not None else validate(params)
-    if isinstance(params, ReferenceParams):
+    curve = source if isinstance(source, ShiftedProductCurve) else curve_for(source)
+    if curve.params.form == target_form:
+        return curve.params
+    if not curve.bounded:
         raise DomainError("spec", "a reference curve has no price bounds to translate")
     if target_form == "reference":
         raise DomainError("target", "the reference form cannot encode price bounds")
 
-    if curve is None:
-        curve = curve_for(params)
     geom = curve.geom
     if target_form == "bancor_v2":
         x0, y0 = curve.center()

@@ -106,14 +106,6 @@ def load_script(name):
     return module
 
 
-def random_bancor(rng: random.Random, exp_range=(-3.0, 9.0), amp_range=(1.01, 100.0)):
-    return BancorV2Params(
-        x0=10.0 ** rng.uniform(*exp_range),
-        y0=10.0 ** rng.uniform(*exp_range),
-        A=rng.uniform(*amp_range),
-    )
-
-
 @pytest.fixture
 def bancor_curve():
     return curve_for(WORKED_BANCOR)

@@ -19,7 +19,7 @@ from clamm import (
     trig_identities,
     unit_from_state,
 )
-from clamm.quadrature import battery_cases, verify_cases
+from clamm.quadrature import battery_cases, random_bancor_params, verify_cases
 from clamm.rosetta import (
     concentration_from_asymptotes,
     concentration_from_center,
@@ -35,7 +35,6 @@ from .conftest import (
     WORKED_UNISWAP,
     assert_rel,
     load_script,
-    random_bancor,
     rel_dev,
 )
 
@@ -78,7 +77,7 @@ def test_criterion_2_three_way_equivalence():
     with criterion(2, "three-way closed-form equivalence", budget=10.0):
         rng = random.Random(2024)
         for _ in range(1000):
-            src = random_bancor(rng)
+            src = random_bancor_params(rng)
             curves = [curve_for(src),
                       curve_for(translate(src, "uniswap_v3")),
                       curve_for(translate(src, "carbon"))]
@@ -104,7 +103,7 @@ def test_criterion_4_natural_invariant_constancy():
     with criterion(4, "natural-invariant constancy", budget=30.0):
         rng = random.Random(4096)
         for _ in range(100):
-            params = random_bancor(rng)
+            params = random_bancor_params(rng)
             curve = curve_for(params)
             g = curve.geom
             k0 = params.x0 * params.y0
@@ -126,7 +125,7 @@ def test_criterion_5_round_trip_translation():
     with criterion(5, "round-trip translation", budget=30.0):
         rng = random.Random(555)
         for _ in range(500):
-            base = random_bancor(rng)
+            base = random_bancor_params(rng)
             by_form = {form: translate(base, form) for form in BOUNDED_FORMS}
             for form_a in BOUNDED_FORMS:
                 for form_b in BOUNDED_FORMS:
@@ -146,7 +145,7 @@ def test_criterion_6_trigonometric_layer():
     with criterion(6, "trigonometric layer", budget=10.0):
         rng = random.Random(6174)
         for _ in range(300):
-            g = geometry(random_bancor(rng))
+            g = geometry(random_bancor_params(rng))
             trig = trig_identities(g.phi)
             assert rel_dev(trig.e_phi, g.c) <= 1e-12
             mean = 2.0 * math.sqrt(g.p_high) * math.sqrt(g.p_low)

@@ -12,8 +12,9 @@ from clamm import (
     apply_delta,
     integrate_price_curve,
 )
+from clamm.quadrature import random_bancor_params
 
-from .conftest import assert_rel, random_bancor
+from .conftest import assert_rel
 
 
 class TestVirtualBounds:
@@ -41,7 +42,7 @@ class TestVirtualBounds:
 
     def test_extreme_quotients_match_concentration(self, rng):
         for _ in range(100):
-            curve = BancorCurve(random_bancor(rng))
+            curve = BancorCurve(random_bancor_params(rng))
             vb = curve.virtual_bounds()
             c = curve.concentration()
             assert_rel(vb.max_xv / vb.min_xv, c, rel=1e-12)
@@ -59,7 +60,7 @@ class TestPriceBounds:
 
     def test_range_ratio_depends_only_on_amplification(self, rng):
         for _ in range(100):
-            params = random_bancor(rng)
+            params = random_bancor_params(rng)
             g = BancorCurve(params).geom
             p_high, p_low = g.p_high, g.p_low
             amp = params.A
@@ -155,7 +156,7 @@ class TestConcentrationConstant:
 
     def test_four_redundant_routes_agree(self, rng):
         for _ in range(200):
-            curve = BancorCurve(random_bancor(rng))
+            curve = BancorCurve(random_bancor_params(rng))
             p_high, p_low, p0 = curve.geom.p_high, curve.geom.p_low, curve.geom.p0
             c = curve.concentration()
             assert_rel(p_high / p0, c, rel=1e-12)
@@ -167,7 +168,7 @@ class TestVirtualRealIndifference:
     def test_matched_swaps_are_identical(self, rng):
         # the emulated curve and the shifted real curve price every trade alike
         for _ in range(100):
-            params = random_bancor(rng)
+            params = random_bancor_params(rng)
             real = BancorCurve(params)
             emulated = ReferenceCurve(ReferenceParams(params.A * params.x0, params.A * params.y0))
             x = rng.uniform(0.05, 0.9) * real.geom.x_int
@@ -180,7 +181,7 @@ class TestVirtualRealIndifference:
 
     def test_depletion_duality(self, rng):
         for _ in range(100):
-            curve = BancorCurve(random_bancor(rng))
+            curve = BancorCurve(random_bancor_params(rng))
             x = rng.uniform(0.05, 0.95) * curve.geom.x_int
             state = curve.state_from_x(x)
             delta = curve.swap_exact_in_x(state, curve.geom.x_int - x)
@@ -190,7 +191,7 @@ class TestVirtualRealIndifference:
 class TestGeometricChains:
     def test_geometric_mean_chain(self, rng):
         for _ in range(100):
-            params = random_bancor(rng)
+            params = random_bancor_params(rng)
             curve = BancorCurve(params)
             vb = curve.virtual_bounds()
             min_x, max_x, _, _ = curve.reference_bound_points()
@@ -199,7 +200,7 @@ class TestGeometricChains:
 
     def test_quotient_chain(self, rng):
         for _ in range(100):
-            curve = BancorCurve(random_bancor(rng))
+            curve = BancorCurve(random_bancor_params(rng))
             g = curve.geom
             vb = curve.virtual_bounds()
             p0 = g.p0
@@ -211,7 +212,7 @@ class TestGeometricChains:
 
 def test_random_swaps_match_price_integral(rng):
     for _ in range(20):
-        curve = BancorCurve(random_bancor(rng, exp_range=(-1.0, 4.0)))
+        curve = BancorCurve(random_bancor_params(rng, (-1.0, 4.0)))
         x = rng.uniform(0.05, 0.9) * curve.geom.x_int
         state = curve.state_from_x(x)
         dx = rng.uniform(0.05, 0.9) * (curve.geom.x_int - x)

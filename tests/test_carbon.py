@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 
@@ -7,12 +8,14 @@ from clamm import (
     BoundsExceeded,
     CarbonCurve,
     PoolState,
+    ShiftedProductCurve,
     UniswapCurve,
     integrate_price_curve,
 )
+from clamm.quadrature import battery_cases, random_bancor_params
 from clamm.rosetta import translate
 
-from .conftest import assert_rel, random_bancor
+from .conftest import assert_rel, rel_dev
 
 
 class TestSwap:
@@ -98,7 +101,7 @@ class TestCenterAndReference:
 
     def test_center_price_ratio(self, rng):
         for _ in range(100):
-            curve = CarbonCurve(translate(random_bancor(rng), "carbon"))
+            curve = CarbonCurve(translate(random_bancor_params(rng), "carbon"))
             x0, y0 = curve.center()
             assert_rel(y0 / x0, curve.geom.p0, rel=1e-9)
 
@@ -118,7 +121,7 @@ class TestLegacyConstantProduct:
 
     def test_intercept_quotients(self, rng):
         for _ in range(100):
-            params = translate(random_bancor(rng), "carbon")
+            params = translate(random_bancor_params(rng), "carbon")
             g = CarbonCurve(params).geom
             p0 = params.b * (params.a + params.b)
             assert_rel(g.y_int / g.x_int, p0, rel=1e-12)
@@ -128,7 +131,7 @@ class TestLegacyConstantProduct:
 class TestThreeWayEquivalence:
     def test_swap_outputs_agree_across_forms(self, rng):
         for _ in range(100):
-            src = random_bancor(rng)
+            src = random_bancor_params(rng)
             bancor = BancorCurve(src)
             uni = UniswapCurve(translate(src, "uniswap_v3"))
             carbon = CarbonCurve(translate(src, "carbon"))
@@ -145,7 +148,7 @@ class TestThreeWayEquivalence:
 
 def test_random_swaps_match_price_integral(rng):
     for _ in range(20):
-        params = translate(random_bancor(rng, exp_range=(-1.0, 4.0)), "carbon")
+        params = translate(random_bancor_params(rng, (-1.0, 4.0)), "carbon")
         curve = CarbonCurve(params)
         x = rng.uniform(0.05, 0.9) * curve.geom.x_int
         state = curve.state_from_x(x)
@@ -153,3 +156,26 @@ def test_random_swaps_match_price_integral(rng):
         closed = curve.swap_exact_in_x(state, dx).dy
         quad = integrate_price_curve(curve, state.x, dx)
         assert_rel(quad, closed, rel=1e-8)
+
+
+def test_native_y_slope_matches_the_core_and_an_exact_value():
+    """-z^2/(a*y + b*z)^2 against the core's -scale/(y + shift_y)^2 and a
+    60-digit value, on the 5000 carbon translations of the battery.  The
+    native form rounds six times, one of them a square, so it stays within
+    8*2**-53 of exact (measured worst 5.0); the core's shifts and scale add
+    their own roundings, so the two stay within 16*2**-53 (measured worst
+    6.3)."""
+    to_core = to_exact = 0.0
+    for curve, state, _ in battery_cases(0, 20000):
+        if type(curve) is not CarbonCurve:
+            continue
+        y = state.y
+        native = curve.price_slope_at_y(y)
+        to_core = max(to_core, rel_dev(native, ShiftedProductCurve.price_slope_at_y(curve, y)))
+        a, b, z = (Decimal(v) for v in (curve.params.a, curve.params.b, curve.params.z))
+        with localcontext() as ctx:
+            ctx.prec = 60
+            exact = -z * z / (a * Decimal(y) + b * z) ** 2
+            to_exact = max(to_exact, float(abs((Decimal(native) - exact) / exact)))
+    assert to_core <= 16 * 2.0 ** -53
+    assert to_exact <= 8 * 2.0 ** -53

@@ -191,6 +191,20 @@ class TestGeometry:
         assert code == 2
         assert json.loads(err)["error"]["type"] == "DomainError"
 
+    @pytest.mark.parametrize("text, reason", [
+        ("{not json", "invalid JSON"),
+        ("[1, 2]", "must be a JSON object"),
+    ])
+    def test_spec_that_is_not_a_json_object(self, capsys, tmp_path, text, reason):
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "geometry", "--spec", str(path))
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["field"] == "spec"
+        assert error["reason"].startswith(reason)
+
 
 class TestAngle:
     def test_from_spec(self, capsys):
@@ -207,6 +221,12 @@ class TestAngle:
         code, out, _ = run(capsys, "angle", "--p-high", "16", "--p-low", "1")
         assert code == 0
         assert_rel(json.loads(out)["phi"], 1.3862943611198906)
+
+    def test_reference_spec_rejected(self, capsys):
+        code, out, err = run(capsys, "angle", "--spec", REFERENCE)
+        assert code == 2
+        assert out == ""
+        assert error_message(err) == "spec: curve has no finite price bounds"
 
     def test_partial_bounds_rejected(self, capsys):
         code, _, _ = run(capsys, "angle", "--p-high", "16")
@@ -473,6 +493,17 @@ class TestVerify:
         else:
             assert summary["passed"] == cases
             assert summary["max_rel_deviation"] < 1e-15
+
+    def test_integrals_that_do_not_converge_fail_their_cases(self, capsys, tmp_path):
+        # the slope -(scale/x)/x overflows to -inf below x = 7.5e-301, so five
+        # of these integrals raise ConvergenceFailure; verify counts each as
+        # failed and leaves it out of the worst deviation
+        spec = write_spec(tmp_path, {"form": "reference", "x0": 1e-300, "y0": 1e8})
+        code, out, _ = run(capsys, "verify", "--spec", spec, "--cases", "20")
+        assert code == 1
+        summary = json.loads(out)
+        assert (summary["cases"], summary["passed"], summary["failed"]) == (20, 15, 5)
+        assert f"{summary['max_rel_deviation']:.1e}" == "4.0e-16"
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_battery_passes_at_the_double_floor(self, capsys, seed):

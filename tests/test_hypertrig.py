@@ -22,8 +22,9 @@ from clamm import (
     u_hat_from_price,
     unit_from_state,
 )
+from clamm.quadrature import random_bancor_params
 
-from .conftest import LN4, assert_rel, random_bancor
+from .conftest import LN4, assert_rel
 
 SQRT2 = math.sqrt(2.0)
 
@@ -334,7 +335,7 @@ class TestTrigIdentities:
 class TestCurveIntegration:
     def test_exp_phi_is_concentration(self, rng):
         for _ in range(100):
-            curve = curve_for(random_bancor(rng))
+            curve = curve_for(random_bancor_params(rng))
             assert_rel(math.exp(curve.geom.phi), curve.geom.c, rel=1e-12)
 
     def test_reference_and_virtual_states_share_unit_image(self, rng):

@@ -25,6 +25,7 @@ from clamm import (
     validate,
 )
 from clamm.params import ANCHOR_KINDS
+from clamm.quadrature import random_bancor_params
 from clamm.rosetta import translate
 
 from .conftest import (
@@ -34,7 +35,6 @@ from .conftest import (
     WORKED_NATURAL,
     WORKED_UNISWAP,
     assert_rel,
-    random_bancor,
 )
 
 WORKED_REFERENCE = ReferenceParams(100.0, 100.0)
@@ -160,6 +160,46 @@ class TestBoundsMessages:
                     swap(state, amount)
 
 
+class TestSampling:
+    """The sampling methods check a balance with the swaps' range rule, at every scale."""
+
+    @pytest.mark.parametrize("scale", [1e-13, 1.0, 1e15])
+    def test_balance_past_an_intercept_raises(self, scale):
+        # at scale 1e-13 the unit floor of the old snap returned y = 0 at
+        # 10*x_int and x = 0 at 1.5*y_int; on the worked curve the old check
+        # let x = -50 and y = 1000 through as y = 700 and x = -63.6
+        curve = curve_for(BancorV2Params(100.0 * scale, 100.0 * scale, 2.0))
+        x_int, y_int = curve.geom.x_int, curve.geom.y_int
+        for x in (10.0 * x_int, -0.5 * scale, math.inf, math.nan):
+            with pytest.raises(BoundsExceeded, match=rf"^x would leave \[0, {re.escape(repr(x_int))}\]$"):
+                curve.state_from_x(x)
+        for y in (1.5 * y_int, -0.5 * scale, math.nan):
+            with pytest.raises(BoundsExceeded, match=r"^y would leave"):
+                curve.x_from_y(y)
+
+    def test_unshifted_axes_are_unreachable(self):
+        curve = curve_for(WORKED_REFERENCE)
+        for method, axis in ((curve.y_from_x, "x"), (curve.x_from_y, "y")):
+            for value in (0.0, -1.0):
+                with pytest.raises(InsufficientLiquidity, match=f"deplete the {axis} reserve"):
+                    method(value)
+            with pytest.raises(BoundsExceeded):
+                method(math.nan)
+
+    @pytest.mark.parametrize("params", WORKED_FORMS, ids=FORM_IDS)
+    def test_x_from_y_inverts_y_from_x(self, params):
+        # x across [0, x_int], or 1/8 to 8 times x0 on the unshifted curve; the
+        # round trip stays within 4*2**-53 of the span (measured worst 1.1)
+        curve = curve_for(params)
+        for i in range(101):
+            if curve.bounded:
+                span = curve.geom.x_int
+                x = span * (i / 100)
+            else:
+                x = span = params.x0 * 2.0 ** (i / 100 * 6 - 3)
+            assert abs(curve.x_from_y(curve.y_from_x(x)) - x) <= 2.0 ** -51 * span, x
+
+
 class TestStateAndDelta:
     def test_pool_state_nonnegative(self):
         PoolState(0, 0)
@@ -234,7 +274,7 @@ class TestGeometry:
 
     def test_geometry_is_parameterization_invariant(self, rng):
         for _ in range(50):
-            src = random_bancor(rng)
+            src = random_bancor_params(rng)
             base = geometry(src)
             for form in ("uniswap_v3", "carbon", "natural"):
                 other = geometry(translate(src, form))
@@ -244,13 +284,13 @@ class TestGeometry:
 
     def test_center_price_is_geometric_mean(self, rng):
         for _ in range(200):
-            g = geometry(random_bancor(rng))
+            g = geometry(random_bancor_params(rng))
             assert_rel(g.p0 * g.p0, g.p_high * g.p_low, rel=1e-12)
 
     def test_concentration_from_axis_offsets(self, rng):
         # c equals the intercept-to-asymptote over asymptote quotient per axis
         for _ in range(100):
-            g = geometry(random_bancor(rng))
+            g = geometry(random_bancor_params(rng))
             assert_rel((g.x_int - g.x_asym) / (0.0 - g.x_asym), g.c, rel=1e-12)
             assert_rel((g.y_int - g.y_asym) / (0.0 - g.y_asym), g.c, rel=1e-12)
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,12 +10,14 @@ from clamm import (
     PoolState,
     ReferenceCurve,
     ReferenceParams,
+    ShiftedProductCurve,
     SwapDelta,
     apply_delta,
     integrate_price_curve,
 )
+from clamm.quadrature import random_admissible_swap, random_bancor_params
 
-from .conftest import assert_rel
+from .conftest import assert_rel, rel_dev
 
 
 @pytest.fixture
@@ -205,3 +209,25 @@ def test_log_identity_on_generated_swaps(curve, frac):
     state = PoolState(curve.params.x0, curve.params.y0)
     delta = curve.swap_exact_in_x(state, frac * state.x)
     assert curve.log_swap_identity_check(state, delta)
+
+
+def test_native_swaps_match_the_core_formulas():
+    """dy = -dx*y/(x + dx) and dx = -dy*x/(y + dy) read the state's other
+    balance where the core's formulas read x0*y0 over this one; on 10000
+    drawn states, each with a buy and a sell on each axis, the two stay
+    within 8*2**-53 (measured worst 4.0)."""
+    rng = random.Random(20240702)
+    worst = 0.0
+    for _ in range(10000):
+        bancor = random_bancor_params(rng)
+        curve = ReferenceCurve(ReferenceParams(bancor.x0, bancor.y0))
+        state, buy = random_admissible_swap(rng, curve)
+        for dx in (buy, -(0.02 + 0.96 * rng.random()) * state.x):
+            x_new = state.x + dx
+            worst = max(worst, rel_dev(curve._dy(state, dx, x_new),
+                                       ShiftedProductCurve._dy(curve, state, dx, x_new)))
+        for dy in ((0.05 + 2.95 * rng.random()) * state.y, -(0.02 + 0.96 * rng.random()) * state.y):
+            y_new = state.y + dy
+            worst = max(worst, rel_dev(curve._dx(state, dy, y_new),
+                                       ShiftedProductCurve._dx(curve, state, dy, y_new)))
+    assert worst <= 8 * 2.0 ** -53

@@ -15,6 +15,7 @@ from clamm import (
     curve_for,
     geometry,
 )
+from clamm.quadrature import random_bancor_params
 from clamm.rosetta import (
     concentration_forms_agree,
     concentration_from_asymptotes,
@@ -31,7 +32,6 @@ from .conftest import (
     WORKED_NATURAL,
     WORKED_UNISWAP,
     assert_rel,
-    random_bancor,
 )
 
 BOUNDED_FORMS = ("bancor_v2", "uniswap_v3", "carbon", "natural")
@@ -63,10 +63,13 @@ class TestTranslate:
     def test_identity_translation_returns_same_values(self):
         assert translate(WORKED_BANCOR, "bancor_v2") == WORKED_BANCOR
         assert translate(ReferenceParams(2.0, 3.0), "reference") == ReferenceParams(2.0, 3.0)
+        assert translate(curve_for(WORKED_BANCOR), "bancor_v2") is WORKED_BANCOR
 
     def test_reference_source_rejected(self):
-        with pytest.raises(DomainError):
-            translate(ReferenceParams(100, 100), "uniswap_v3")
+        for source in (ReferenceParams(100, 100), curve_for(ReferenceParams(100, 100))):
+            with pytest.raises(DomainError) as err:
+                translate(source, "uniswap_v3")
+            assert err.value.field == "spec"
 
     def test_reference_target_rejected(self):
         with pytest.raises(DomainError):
@@ -76,9 +79,15 @@ class TestTranslate:
         with pytest.raises(DomainError):
             translate(WORKED_BANCOR, "balancer")
 
+    @pytest.mark.parametrize("source", ["not a spec", None, {"form": "carbon"}])
+    def test_source_that_is_not_a_spec_rejected(self, source):
+        with pytest.raises(DomainError) as err:
+            translate(source, "carbon")
+        assert err.value.field == "spec"
+
     def test_translation_preserves_geometry(self, rng):
         for _ in range(100):
-            src = random_bancor(rng)
+            src = random_bancor_params(rng)
             for form in BOUNDED_FORMS:
                 _, report = translate_with_report(src, form)
                 assert report.max_rel_deviation <= 1e-9
@@ -86,7 +95,7 @@ class TestTranslate:
     def test_translation_composes(self, rng):
         # going via any intermediate form lands on the same parameters
         for _ in range(50):
-            src = random_bancor(rng)
+            src = random_bancor_params(rng)
             for mid in BOUNDED_FORMS:
                 for dst in BOUNDED_FORMS:
                     direct = translate(src, dst)
@@ -150,7 +159,7 @@ class TestConcentrationForms:
 
     def test_constancy_along_curve(self, rng):
         for _ in range(100):
-            curve = curve_for(random_bancor(rng))
+            curve = curve_for(random_bancor_params(rng))
             g = curve.geom
             values = []
             for _ in range(100):
@@ -175,7 +184,7 @@ class TestConcentrationForms:
 class TestAmplificationReconstruction:
     def test_from_concentration_alone(self, rng):
         for _ in range(200):
-            params = random_bancor(rng)
+            params = random_bancor_params(rng)
             c = curve_for(params).concentration()
             recovered = math.sqrt(c) / (math.sqrt(c) - 1.0)
             assert_rel(recovered, params.A, rel=1e-12)
@@ -183,7 +192,7 @@ class TestAmplificationReconstruction:
     def test_doubled_amplification_and_intercept_quotients(self, rng):
         # (sqrt(c)+1)/(sqrt(c)-1) recovers 2A-1; x_int/x0 equals sqrt(c)+1
         for _ in range(200):
-            params = random_bancor(rng)
+            params = random_bancor_params(rng)
             curve = curve_for(params)
             root = math.sqrt(curve.concentration())
             assert_rel((root + 1.0) / (root - 1.0), 2.0 * params.A - 1.0, rel=1e-12)

@@ -10,9 +10,10 @@ from clamm import (
     UniswapV3Params,
     integrate_price_curve,
 )
+from clamm.quadrature import random_bancor_params
 from clamm.rosetta import translate
 
-from .conftest import assert_rel, random_bancor
+from .conftest import assert_rel
 
 
 class TestSwap:
@@ -58,7 +59,7 @@ class TestVirtualBounds:
 
     def test_x_extreme_mean_recovers_liquidity_over_price(self, rng):
         for _ in range(100):
-            params = translate(random_bancor(rng), "uniswap_v3")
+            params = translate(random_bancor_params(rng), "uniswap_v3")
             curve = UniswapCurve(params)
             vb = curve.virtual_bounds()
             assert_rel(math.sqrt(vb.max_xv * vb.min_xv),
@@ -83,13 +84,13 @@ class TestCenter:
 
     def test_center_price_ratio(self, rng):
         for _ in range(100):
-            curve = UniswapCurve(translate(random_bancor(rng), "uniswap_v3"))
+            curve = UniswapCurve(translate(random_bancor_params(rng), "uniswap_v3"))
             x0, y0 = curve.center()
             assert_rel(y0 / x0, curve.geom.p0, rel=1e-9)
 
     def test_center_is_on_real_curve(self, rng):
         for _ in range(100):
-            curve = UniswapCurve(translate(random_bancor(rng), "uniswap_v3"))
+            curve = UniswapCurve(translate(random_bancor_params(rng), "uniswap_v3"))
             x0, y0 = curve.center()
             assert curve.on_curve(PoolState(x0, y0), rel_tol=1e-9)
 
@@ -100,7 +101,7 @@ class TestReferenceScale:
 
     def test_concentration_shrinks_reference(self, rng):
         for _ in range(100):
-            params = translate(random_bancor(rng), "uniswap_v3")
+            params = translate(random_bancor_params(rng), "uniswap_v3")
             assert UniswapCurve(params).reference_scale() < params.L ** 2
 
     def test_reference_bound_points(self, uniswap_curve):
@@ -114,7 +115,7 @@ class TestReferenceScale:
 class TestTranslationEquivalence:
     def test_liquidity_recovery(self, rng):
         for _ in range(200):
-            params = translate(random_bancor(rng), "uniswap_v3")
+            params = translate(random_bancor_params(rng), "uniswap_v3")
             curve = UniswapCurve(params)
             x0, y0 = curve.center()
             recovered = curve.amplification() * math.sqrt(x0) * math.sqrt(y0)
@@ -122,7 +123,7 @@ class TestTranslationEquivalence:
 
     def test_every_operation_matches_source_curve(self, rng):
         for _ in range(50):
-            src = random_bancor(rng)
+            src = random_bancor_params(rng)
             bancor = BancorCurve(src)
             uni = UniswapCurve(translate(src, "uniswap_v3"))
             x = rng.uniform(0.05, 0.9) * bancor.geom.x_int
@@ -136,14 +137,14 @@ class TestTranslationEquivalence:
 
     def test_intercept_quotients(self, rng):
         for _ in range(100):
-            g = UniswapCurve(translate(random_bancor(rng), "uniswap_v3")).geom
+            g = UniswapCurve(translate(random_bancor_params(rng), "uniswap_v3")).geom
             assert_rel(g.y_int / g.x_int, g.p0, rel=1e-12)
             assert_rel(g.y_asym / g.x_asym, g.p0, rel=1e-12)
 
 
 def test_random_swaps_match_price_integral(rng):
     for _ in range(20):
-        params = translate(random_bancor(rng, exp_range=(-1.0, 4.0)), "uniswap_v3")
+        params = translate(random_bancor_params(rng, (-1.0, 4.0)), "uniswap_v3")
         curve = UniswapCurve(params)
         x = rng.uniform(0.05, 0.9) * curve.geom.x_int
         state = curve.state_from_x(x)

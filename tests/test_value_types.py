@@ -7,8 +7,9 @@ do the same.  ``adaptive_gauss_kronrod`` runs the checks of the
 ``IntegralSpec`` value its arguments once were, in full.  The ``old_*``
 functions below are the checks as they stood when every value ran all of
 them.  Over a grid of edge inputs, the library must store the same value or
-raise the same error; the one new rule, a bounded curve's shifts of at least
-2**-511, is stated beside them.
+raise the same error; the two new rules, a bounded curve's shifts of at least
+2**-511 and a snap relative to the balance at every scale, are stated beside
+them.
 """
 
 import copy
@@ -137,10 +138,18 @@ def old_snap_nonnegative(value, reference):
     return value
 
 
-def old_apply_delta(state, delta):
+def relative_snap(value, reference):
+    """The old snap, then the one new rule: a negative snaps to 0 only within
+    1e-12 of the balance it came from, with no unit floor below 1."""
+    if value < 0 and abs(value) > abs(reference) * 1e-12:
+        return value
+    return old_snap_nonnegative(value, reference)
+
+
+def old_apply_delta(state, delta, snap=old_snap_nonnegative):
     x = state.x + delta.dx
     y = state.y + delta.dy
-    return old_pool_state(old_snap_nonnegative(x, state.x), old_snap_nonnegative(y, state.y))
+    return old_pool_state(snap(x, state.x), snap(y, state.y))
 
 
 def old_check_finite_positive(value, name):
@@ -361,9 +370,15 @@ def test_apply_delta_matches_the_old_snap():
               SwapDelta(1.0, -100.0 - 1e-9), SwapDelta(-100.0 - 1e-13, 1.0),
               SwapDelta(-1e-300, 5e-324), SwapDelta(-2e-300, 1.0), SwapDelta(-5e-324, 1.0),
               SwapDelta(-1e308, 1e308), SwapDelta(1e308, -1.0)]
+    changed = 0
     for state, delta in itertools.product(states, deltas):
-        assert outcome(apply_delta, state, delta) == outcome(old_apply_delta, state, delta), (
-            state, delta)
+        new = outcome(apply_delta, state, delta)
+        assert new == outcome(old_apply_delta, state, delta, relative_snap), (state, delta)
+        # the relative rule moves only snaps that the old unit floor absorbed
+        if new != outcome(old_apply_delta, state, delta):
+            changed += 1
+            assert min(state.x + delta.dx, state.y + delta.dy) >= -1e-12, (state, delta)
+    assert changed > 0
 
 
 def test_field_checks_match_the_old_checks():
