@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from .params import (
     BancorV2Params,
-    CurveGeometry,
     ShiftedProductCurve,
     _check_exceeds_one,
     _check_finite_positive,
     _check_scale,
+    _geometry,
 )
 
 
@@ -32,7 +32,7 @@ class BancorCurve(ShiftedProductCurve, params_type=BancorV2Params):
         # c = A^2/(A-1)^2 = p_high/p0 = p0/p_low
         c = amp * amp / ((amp - 1.0) * (amp - 1.0))
         p0 = y0 / x0
-        return scale, CurveGeometry(
+        return scale, _geometry(
             x_int=x0 * (2.0 * amp - 1.0) / (amp - 1.0),
             y_int=y0 * (2.0 * amp - 1.0) / (amp - 1.0),
             x_asym=-x0 * (amp - 1.0),

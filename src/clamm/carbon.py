@@ -11,12 +11,12 @@ from __future__ import annotations
 from .errors import DomainError
 from .params import (
     CarbonParams,
-    CurveGeometry,
     PoolState,
     ShiftedProductCurve,
     _MIN_SHIFT,
     _check_finite_positive,
     _check_scale,
+    _geometry,
 )
 
 
@@ -44,7 +44,7 @@ class CarbonCurve(ShiftedProductCurve, params_type=CarbonParams):
         # a*(a+b) = p_high - p0 divides the x shift, b*(a+b) = p0 the x intercept
         gap = _check_scale(a * (a + b), "a", "a*(a+b)")
         p0 = _check_scale(b * (a + b), "b", "b*(a+b)")
-        return scale, CurveGeometry(
+        return scale, _geometry(
             x_int=z / p0,
             y_int=z,
             x_asym=-z / gap,

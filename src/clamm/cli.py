@@ -8,7 +8,8 @@ Exit codes: 0 success, 1 verification failure, 2 input or domain error.
 
 The translation, angle and oracle layers (rosetta, hypertrig, quadrature) are
 imported inside the commands that use them, so quote and geometry never load
-them.
+them.  json, too, loads on first use: when a command reads a spec or writes
+JSON.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import math
 import sys
 
@@ -30,6 +30,8 @@ EXIT_INPUT_ERROR = 2
 
 
 def _emit(payload) -> None:
+    import json
+
     print(json.dumps(payload, indent=2))
 
 
@@ -275,11 +277,12 @@ def main(argv=None) -> int:
         error = {"type": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, DomainError):
             error["field"], error["reason"] = exc.field, exc.reason
-        print(json.dumps({"error": error}), file=sys.stderr)
-        return EXIT_INPUT_ERROR
     except OSError as exc:
-        print(json.dumps({"error": {"type": "OSError", "message": str(exc)}}), file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        error = {"type": "OSError", "message": str(exc)}
+    import json
+
+    print(json.dumps({"error": error}), file=sys.stderr)
+    return EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

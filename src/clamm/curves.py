@@ -15,6 +15,7 @@ from .params import (
     ShiftedProductCurve,
     _check_exceeds_one,
     _check_scale,
+    _geometry,
     _require,
     curve_class,
 )
@@ -54,7 +55,7 @@ class NaturalCurve(ShiftedProductCurve, params_type=NaturalParams):
             x_asym, y_asym = -ax / gap, -ay / gap
         scale = _check_scale(c * x_asym * y_asym, "c", "c*x_asym*y_asym")
         p0 = y_asym / x_asym
-        return scale, CurveGeometry(
+        return scale, _geometry(
             x_int=-x_asym * (c - 1.0),
             y_int=-y_asym * (c - 1.0),
             x_asym=x_asym,

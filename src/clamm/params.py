@@ -13,7 +13,6 @@ All values are binary64 floats; equality is always a relative-tolerance check.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass, field, fields
@@ -55,6 +54,19 @@ _MIN_SHIFT = 2.0 ** -511
 
 # Stores a field of a frozen value type from its hand-written __init__.
 _set = object.__setattr__
+
+
+def _slots_twin(cls: type) -> type:
+    """A plain class with the slot layout of the slotted frozen value type cls.
+
+    A builder fills an instance of the twin with plain attribute stores, then
+    assigns ``__class__ = cls``: one store that CPython allows because the two
+    layouts match, and whose result is a real ``cls`` instance.  Each plain
+    store costs a fraction of an ``object.__setattr__`` call, the only store a
+    frozen value's own ``__init__`` can make.  A builder accepts only what the
+    public constructor accepts, and hands everything else to it.
+    """
+    return type(f"_{cls.__name__}Twin", (), {"__slots__": cls.__slots__})
 
 
 def rel_close(a: float, b: float) -> bool:
@@ -226,7 +238,8 @@ class CurveGeometry:
     Intercepts are the maximum holdings of each token, asymptotes the negated
     shift constants (zero for an unshifted curve), p_high/p_low the marginal
     prices at full depletion of x and y, p0 their geometric mean, c the
-    concentration constant sqrt(p_high/p_low) and phi = ln(c), derived here.
+    concentration constant sqrt(p_high/p_low) and phi = ln(c), derived by
+    ``_geometry``, which builds every curve's geometry.
     """
 
     x_int: float
@@ -241,15 +254,55 @@ class CurveGeometry:
 
     def __init__(self, x_int: float, y_int: float, x_asym: float, y_asym: float,
                  p_high: float, p_low: float, p0: float, c: float):
-        _set(self, "x_int", x_int)
-        _set(self, "y_int", y_int)
-        _set(self, "x_asym", x_asym)
-        _set(self, "y_asym", y_asym)
-        _set(self, "p_high", p_high)
-        _set(self, "p_low", p_low)
-        _set(self, "p0", p0)
-        _set(self, "c", c)
-        _set(self, "phi", math.log(c))
+        # The fields _geometry stores, phi derived there
+        built = _geometry(x_int, y_int, x_asym, y_asym, p_high, p_low, p0, c)
+        for name in CurveGeometry.__slots__:
+            _set(self, name, getattr(built, name))
+
+
+# Builders of the hot values: each returns what the public constructor would.
+_PoolStateTwin = _slots_twin(PoolState)
+_SwapDeltaTwin = _slots_twin(SwapDelta)
+_CurveGeometryTwin = _slots_twin(CurveGeometry)
+
+
+def _state(x: float, y: float) -> PoolState:
+    """``PoolState(x, y)``: accepted on its one comparison, else built by it."""
+    if 0.0 <= x <= _MAX and 0.0 <= y <= _MAX:
+        state = _PoolStateTwin()
+        state.x = x
+        state.y = y
+        state.__class__ = PoolState
+        return state
+    return PoolState(x, y)
+
+
+def _delta(dx: float, dy: float) -> SwapDelta:
+    """``SwapDelta(dx, dy)``: accepted on its one comparison, else built by it."""
+    if -_MAX <= dx <= _MAX and -_MAX <= dy <= _MAX and (dx < 0.0 < dy or dy < 0.0 < dx):
+        delta = _SwapDeltaTwin()
+        delta.dx = dx
+        delta.dy = dy
+        delta.__class__ = SwapDelta
+        return delta
+    return SwapDelta(dx, dy)
+
+
+def _geometry(x_int: float, y_int: float, x_asym: float, y_asym: float,
+              p_high: float, p_low: float, p0: float, c: float) -> CurveGeometry:
+    """``CurveGeometry(...)``, which checks nothing; phi is derived here only."""
+    geom = _CurveGeometryTwin()
+    geom.x_int = x_int
+    geom.y_int = y_int
+    geom.x_asym = x_asym
+    geom.y_asym = y_asym
+    geom.p_high = p_high
+    geom.p_low = p_low
+    geom.p0 = p0
+    geom.c = c
+    geom.phi = math.log(c)
+    geom.__class__ = CurveGeometry
+    return geom
 
 
 @dataclass(frozen=True)
@@ -342,6 +395,8 @@ def spec_to_dict(params: CurveParams) -> dict:
 
 
 def load_spec(path: str) -> CurveParams:
+    import json
+
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
@@ -407,7 +462,7 @@ class ShiftedProductCurve:
         The hook holds the form's field rules: it checks each field as it reads
         it, and the scale with ``_check_scale`` once it is computed.  It gives
         neither the shifts, which the core reads off the asymptotes, nor phi,
-        which ``CurveGeometry`` derives from c.  The core then checks the other
+        which ``_geometry`` derives from c.  The core then checks the other
         constants the hook derived, the same way for every form, and a form's
         ``__init__`` may add rules its native formulas need after that.  Curve
         construction, which ``validate`` runs, is the one place all of these
@@ -416,24 +471,29 @@ class ShiftedProductCurve:
         raise NotImplementedError
 
     # -- curve sampling ----------------------------------------------------
-    # A balance is checked as a swap checks the balance it ends on.
+    # A balance is checked as a swap checks the balance it ends on, and as
+    # ``PoolState`` checks it: the unshifted curve's bound is inf, which the
+    # range rule alone would admit.  The guard's strict upper test sends a
+    # balance on the bound itself to the full checks, which accept it.
 
     def y_from_x(self, x: float) -> float:
         x_int = self.geom.x_int
-        if not 0.0 < x <= x_int * (1.0 + BOUNDS_SLACK):
+        if not 0.0 < x < x_int * (1.0 + BOUNDS_SLACK):
             self._check_bounds("x", x, x_int)
+            _require(x <= _MAX, "x", "must be finite")
         y = self.scale / (x + self.shift_x) - self.shift_y
         return _snap_nonnegative(y, self.shift_y)
 
     def x_from_y(self, y: float) -> float:
         y_int = self.geom.y_int
-        if not 0.0 < y <= y_int * (1.0 + BOUNDS_SLACK):
+        if not 0.0 < y < y_int * (1.0 + BOUNDS_SLACK):
             self._check_bounds("y", y, y_int)
+            _require(y <= _MAX, "y", "must be finite")
         x = self.scale / (y + self.shift_y) - self.shift_x
         return _snap_nonnegative(x, self.shift_x)
 
     def state_from_x(self, x: float) -> PoolState:
-        return PoolState(x, self.y_from_x(x))
+        return _state(x, self.y_from_x(x))
 
     def state_at_price(self, price: float) -> PoolState:
         """On-curve state whose marginal price magnitude equals ``price``."""
@@ -441,7 +501,7 @@ class ShiftedProductCurve:
         x = _snap_nonnegative(math.sqrt(self.scale / price) - self.shift_x, self.shift_x)
         y = _snap_nonnegative(math.sqrt(self.scale * price) - self.shift_y, self.shift_y)
         self._check_bounds("x", x, self.geom.x_int)
-        return PoolState(x, y)
+        return _state(x, y)
 
     # -- invariants ---------------------------------------------------------
 
@@ -473,7 +533,7 @@ class ShiftedProductCurve:
         dy = self._dy(state, dx, x_new)
         if dy == 0:
             raise DomainError("dx", _UNRESOLVED)
-        return SwapDelta(dx, dy)
+        return _delta(dx, dy)
 
     def swap_exact_out_y(self, state: PoolState, dy: float) -> SwapDelta:
         """Trade a signed amount of y; returns the coupled dx."""
@@ -488,7 +548,7 @@ class ShiftedProductCurve:
         dx = self._dx(state, dy, y_new)
         if dx == 0:
             raise DomainError("dx", _UNRESOLVED)
-        return SwapDelta(dx, dy)
+        return _delta(dx, dy)
 
     def _dy(self, state: PoolState, dx: float, x_new: float) -> float:
         """dy of a nonzero, in-bounds trade of dx that takes x to x_new."""
@@ -643,4 +703,4 @@ def apply_delta(state: PoolState, delta: SwapDelta) -> PoolState:
     y = state.y + delta.dy
     if y < 0:
         y = _snap_nonnegative(y, state.y)
-    return PoolState(x, y)
+    return _state(x, y)

@@ -28,6 +28,7 @@ from .params import (
     ShiftedProductCurve,
     _MAX,
     _SMALLEST,
+    _slots_twin,
 )
 from .rosetta import translate
 
@@ -53,6 +54,9 @@ class ComparisonReport:
     abs_deviation: float
     rel_deviation: float
     passed: bool
+
+
+_ComparisonReportTwin = _slots_twin(ComparisonReport)
 
 
 # QUADPACK qk15 (Piessens et al., 1983): the Kronrod abscissae in [0, 1),
@@ -249,8 +253,16 @@ def oracle_compare(curve: ShiftedProductCurve, state: PoolState, dx: float,
     quad = integrate_price_curve(curve, state.x, dx, rel_tol=rel_tol * _ORACLE_REL_MARGIN)
     abs_dev = abs(closed - quad)
     rel_dev = abs_dev / max(abs(closed), abs(quad), _SMALLEST)
-    # positional: with keywords, building the report takes about 60 % longer
-    return ComparisonReport(closed, quad, abs_dev, rel_dev, rel_dev <= rel_tol)
+    # built with plain slot stores (see params._slots_twin), not the
+    # generated __init__'s five object.__setattr__ calls
+    report = _ComparisonReportTwin()
+    report.closed_form_dy = closed
+    report.quadrature_dy = quad
+    report.abs_deviation = abs_dev
+    report.rel_deviation = rel_dev
+    report.passed = rel_dev <= rel_tol
+    report.__class__ = ComparisonReport
+    return report
 
 
 # ---------------------------------------------------------------------------

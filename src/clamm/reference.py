@@ -6,13 +6,13 @@ import math
 
 from .errors import DomainError
 from .params import (
-    CurveGeometry,
     PoolState,
     ReferenceParams,
     ShiftedProductCurve,
     SwapDelta,
     _check_finite_positive,
     _check_scale,
+    _geometry,
     rel_close,
 )
 
@@ -29,7 +29,7 @@ class ReferenceCurve(ShiftedProductCurve, params_type=ReferenceParams):
         y0 = _check_finite_positive(params.y0, "y0")
         scale = _check_scale(x0 * y0, "x0", "x0*y0")
         # No finite intercepts: the axes are the asymptotes.
-        return scale, CurveGeometry(
+        return scale, _geometry(
             x_int=math.inf,
             y_int=math.inf,
             x_asym=0.0,

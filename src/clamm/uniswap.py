@@ -10,11 +10,11 @@ import math
 
 from .errors import DomainError
 from .params import (
-    CurveGeometry,
     ShiftedProductCurve,
     UniswapV3Params,
     _check_finite_positive,
     _check_scale,
+    _geometry,
 )
 
 
@@ -36,7 +36,7 @@ class UniswapCurve(ShiftedProductCurve, params_type=UniswapV3Params):
         # sqrt_high - sqrt_low without cancellation: p_high - p_low is exact
         # (Sterbenz) when the range is narrow, where the roots' difference is not
         root_gap = (p_high - p_low) / (sqrt_high + sqrt_low)
-        return scale, CurveGeometry(
+        return scale, _geometry(
             x_int=liq * root_gap / (sqrt_high * sqrt_low),
             y_int=liq * root_gap,
             x_asym=-liq / sqrt_high,

@@ -186,6 +186,20 @@ class TestSampling:
             with pytest.raises(BoundsExceeded):
                 method(math.nan)
 
+    def test_unshifted_infinite_balance_raises_as_pool_state_does(self):
+        # the range rule's bound is inf here, and scale/inf returned y = 0.0
+        curve = curve_for(ReferenceParams(2.0, 3.0))
+        for method, axis, state in ((curve.y_from_x, "x", (math.inf, 1.0)),
+                                    (curve.x_from_y, "y", (1.0, math.inf)),
+                                    (curve.state_from_x, "x", (math.inf, 1.0))):
+            with pytest.raises(DomainError) as err:
+                method(math.inf)
+            with pytest.raises(DomainError) as expected:
+                PoolState(*state)
+            raised = (err.value.field, err.value.reason)
+            assert raised == (axis, "must be finite")
+            assert raised == (expected.value.field, expected.value.reason)
+
     @pytest.mark.parametrize("params", WORKED_FORMS, ids=FORM_IDS)
     def test_x_from_y_inverts_y_from_x(self, params):
         # x across [0, x_int], or 1/8 to 8 times x0 on the unshifted curve; the

@@ -9,7 +9,8 @@ functions below are the checks as they stood when every value ran all of
 them.  Over a grid of edge inputs, the library must store the same value or
 raise the same error; the two new rules, a bounded curve's shifts of at least
 2**-511 and a snap relative to the balance at every scale, are stated beside
-them.
+them.  The builders the library makes its hot values with must give what the
+public constructors give, value for value and error for error.
 """
 
 import copy
@@ -46,13 +47,18 @@ from clamm import (
     curve_for,
 )
 from clamm.params import (
+    _MAX,
     BOUNDS_SLACK,
     MIN_NORMAL,
     _check_derived,
     _check_finite_positive,
     _check_scale,
+    _delta,
+    _geometry,
+    _slots_twin,
+    _state,
 )
-from clamm.quadrature import _MAX_DEPTH, DEFAULT_ABS_TOL, _adaptive, _panel
+from clamm.quadrature import _MAX_DEPTH, DEFAULT_ABS_TOL, _adaptive, _panel, oracle_compare
 
 from .conftest import WORKED_BANCOR, WORKED_CARBON, WORKED_NATURAL, WORKED_UNISWAP
 
@@ -564,6 +570,94 @@ class TestDerivedValueContract:
                 assert clone == value
                 assert type(clone) is type(value)
                 assert asdict(clone) == asdict(value)
+
+
+# ---------------------------------------------------------------------------
+# The builders: the public constructors' values from plain slot stores
+# ---------------------------------------------------------------------------
+
+
+def public_copy(value):
+    """The value the public constructor makes from value's init fields."""
+    return type(value)(*(getattr(value, f.name) for f in fields(value) if f.init))
+
+
+# (value built by its builder or by a library call that uses one, a field change)
+BUILT = [
+    (_state(1.5, 2.5), {"x": 0.5}),
+    (_state(-0.0, 5e-324), {"y": 0.5}),
+    (curve_for(WORKED_BANCOR).state_from_x(37.0), {"x": 0.5}),
+    (apply_delta(PoolState(100.0, 100.0), SwapDelta(100.0, -50.0)), {"x": 0.5}),
+    (_delta(1.0, -2.0), {"dy": -0.25}),
+    (curve_for(WORKED_CARBON).swap_exact_out_y(PoolState(100.0, 100.0), -10.0), {"dy": -0.25}),
+    (_geometry(*GEOMETRY_ARGS), {"c": 16.0}),
+    (curve_for(WORKED_NATURAL).geom, {"c": 16.0}),
+    (curve_for(ReferenceParams(2.0, 3.0)).geom, {"p0": 2.0}),
+    (oracle_compare(curve_for(WORKED_UNISWAP), PoolState(100.0, 100.0), 10.0), {"passed": False}),
+]
+
+
+@pytest.mark.parametrize("built, change", BUILT, ids=[type(v).__name__ for v, _ in BUILT])
+def test_builders_keep_the_value_contract(built, change):
+    public = public_copy(built)
+    cls = type(public)
+    assert type(built) is cls
+    assert fields(built) == fields(public)
+    assert asdict(built) == asdict(public)
+    assert repr(built) == repr(public)
+    assert built == public and public == built
+    assert hash(built) == hash(public)
+    assert replace(built, **change) == replace(public, **change)
+    assert type(replace(built, **change)) is cls
+    for clone in (pickle.loads(pickle.dumps(built)), copy.copy(built), copy.deepcopy(built)):
+        assert type(clone) is cls
+        assert repr(clone) == repr(public)
+    for f in fields(built):
+        with pytest.raises(FrozenInstanceError):
+            setattr(built, f.name, 1.0)
+        with pytest.raises(FrozenInstanceError):
+            delattr(built, f.name)
+    assert repr(built) == repr(public)
+    assert not hasattr(built, "__dict__")
+
+
+def exact_outcome(make, *args):
+    """The stored values with their types and signs, or the error: a DomainError
+    by field and reason, any other by type and message."""
+    try:
+        value = make(*args)
+    except DomainError as exc:
+        return DomainError, exc.field, exc.reason
+    except Exception as exc:
+        return type(exc), str(exc)
+    stored = (getattr(value, f.name) for f in fields(value))
+    return type(value), tuple((type(v), repr(v)) for v in stored)
+
+
+# The grid, the float range's ends, and non-numbers of several kinds
+EDGES = GRID + [_MAX, -_MAX, MIN_NORMAL, -MIN_NORMAL, 2.0, -2.0, 1j, None, [1.0]]
+
+
+def test_builders_accept_and_reject_as_the_constructors_do():
+    for a, b in itertools.product(EDGES, repeat=2):
+        assert exact_outcome(_state, a, b) == exact_outcome(PoolState, a, b), (a, b)
+        assert exact_outcome(_delta, a, b) == exact_outcome(SwapDelta, a, b), (a, b)
+
+
+@pytest.mark.parametrize("cls", [PoolState, SwapDelta, CurveGeometry, ComparisonReport],
+                         ids=lambda cls: cls.__name__)
+def test_a_filled_twin_becomes_its_class(cls):
+    # the __class__ store needs the two slot layouts to match, which CPython
+    # checks on every version the package supports
+    values = [float(i) for i in range(len(cls.__slots__))]
+    twin = _slots_twin(cls)()
+    for name, value in zip(cls.__slots__, values):
+        setattr(twin, name, value)
+    twin.__class__ = cls
+    assert type(twin) is cls
+    assert [getattr(twin, name) for name in cls.__slots__] == values
+    with pytest.raises(FrozenInstanceError):
+        setattr(twin, cls.__slots__[0], -1.0)
 
 
 CURVE_PARAMS = [
