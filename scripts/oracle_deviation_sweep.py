@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Measure closed-form vs quadrature deviation across curve scales.
 
-For each decade of pool size, runs a randomized battery over all
-parameter forms and reports the worst relative deviation seen.  Useful as a
-quick confidence check that the closed forms hold up far from the worked
-examples.  Exits 1 if any case disagrees with the quadrature, 0 otherwise.
+For each decade of pool size, runs a randomized battery over the four
+bounded parameter forms, bancor_v2, uniswap_v3, carbon and natural, and
+reports the worst relative deviation seen.  Useful as a quick confidence
+check that the closed forms hold up far from the worked examples.  Exits 1 if
+any case disagrees with the quadrature, 0 otherwise.
 
 Usage: python3 scripts/oracle_deviation_sweep.py [--cases-per-decade N] [--seed S]
 """
@@ -16,7 +17,7 @@ from clamm import curve_for, verify_cases
 from clamm.quadrature import random_admissible_swap, random_bancor_params
 from clamm.rosetta import translate
 
-FORMS = ("bancor_v2", "uniswap_v3", "carbon")
+FORMS = ("bancor_v2", "uniswap_v3", "carbon", "natural")
 
 
 def decade_cases(rng, scale_exp, cases):

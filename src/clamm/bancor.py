@@ -21,6 +21,8 @@ from .params import (
 class BancorCurve(ShiftedProductCurve, params_type=BancorV2Params):
     """Real curve with shifts H = x0*(A-1), V = y0*(A-1) and scale S = A^2*x0*y0."""
 
+    __slots__ = ()
+
     params: BancorV2Params
 
     @staticmethod

@@ -23,17 +23,9 @@ from .params import (
 class CarbonCurve(ShiftedProductCurve, params_type=CarbonParams):
     """Real curve in the one-balance parameterization."""
 
-    params: CarbonParams
+    __slots__ = ()
 
-    def __init__(self, params: CarbonParams):
-        super().__init__(params)
-        # The native swap and slope denominators are at least z^2 and (b*z)^2,
-        # normal floats once z and b*z are at least 2**-511.  Checked after the
-        # core's rules, so that a spec they reject keeps its error.
-        if not _MIN_SHIFT <= params.z:
-            raise DomainError("z", f"must be at least 2**-511, not {params.z!r}")
-        if not _MIN_SHIFT <= params.b * params.z:
-            raise DomainError("b", f"b*z must be at least 2**-511, not {params.b * params.z!r}")
+    params: CarbonParams
 
     @staticmethod
     def _constants(params: CarbonParams):
@@ -54,6 +46,16 @@ class CarbonCurve(ShiftedProductCurve, params_type=CarbonParams):
             p0=p0,
             c=(a + b) / b,
         )
+
+    @staticmethod
+    def _check_native(params: CarbonParams) -> None:
+        # The native swap and slope denominators are at least z^2 and (b*z)^2,
+        # normal floats once z and b*z are at least 2**-511.  Checked after the
+        # core's rules, so that a spec they reject keeps its error.
+        if not _MIN_SHIFT <= params.z:
+            raise DomainError("z", f"must be at least 2**-511, not {params.z!r}")
+        if not _MIN_SHIFT <= params.b * params.z:
+            raise DomainError("b", f"b*z must be at least 2**-511, not {params.b * params.z!r}")
 
     # -- native closed forms ---------------------------------------------------
 

@@ -15,6 +15,7 @@ from .params import (
     ShiftedProductCurve,
     _check_exceeds_one,
     _check_scale,
+    _curve,
     _geometry,
     _require,
     curve_class,
@@ -28,6 +29,8 @@ class NaturalCurve(ShiftedProductCurve, params_type=NaturalParams):
     the invariant (x - x_asym)(y - y_asym) = c * x_asym * y_asym is defined at
     every point of the curve, including center and intercepts.
     """
+
+    __slots__ = ()
 
     params: NaturalParams
 
@@ -69,7 +72,7 @@ class NaturalCurve(ShiftedProductCurve, params_type=NaturalParams):
 
 def curve_for(params: CurveParams) -> ShiftedProductCurve:
     """Validated curve object for any parameter form."""
-    return curve_class(params)(params)
+    return _curve(curve_class(params), params)
 
 
 def geometry(params: CurveParams) -> CurveGeometry:

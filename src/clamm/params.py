@@ -63,8 +63,13 @@ def _slots_twin(cls: type) -> type:
     assigns ``__class__ = cls``: one store that CPython allows because the two
     layouts match, and whose result is a real ``cls`` instance.  Each plain
     store costs a fraction of an ``object.__setattr__`` call, the only store a
-    frozen value's own ``__init__`` can make.  A builder accepts only what the
-    public constructor accepts, and hands everything else to it.
+    frozen value's own ``__init__`` can make.  A builder returns what the
+    public constructor returns and raises what it raises: the value builders
+    accept only on the constructor's own guard and hand everything else to
+    it, ``_curve`` runs every check of curve construction itself, and the
+    parameter-set builders stand in for generated ``__init__``s that check
+    nothing.  A slotted class's subclasses share its twin if they add no slots
+    (``__slots__ = ()``), as the curve forms do.
     """
     return type(f"_{cls.__name__}Twin", (), {"__slots__": cls.__slots__})
 
@@ -110,7 +115,7 @@ def _check_scale(scale: float, name: str, expr: str) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReferenceParams:
     """Unshifted hyperbola x*y = x0*y0 through the starting balances."""
 
@@ -120,7 +125,7 @@ class ReferenceParams:
     form: ClassVar[str] = "reference"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BancorV2Params:
     """Starting balances plus the amplification constant A > 1."""
 
@@ -131,7 +136,7 @@ class BancorV2Params:
     form: ClassVar[str] = "bancor_v2"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UniswapV3Params:
     """Liquidity L and the marginal-price bounds of the tradeable range."""
 
@@ -142,7 +147,7 @@ class UniswapV3Params:
     form: ClassVar[str] = "uniswap_v3"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CarbonParams:
     """One-balance form: a = sqrt(p_high) - sqrt(p_low), b = sqrt(p_low), z = y intercept."""
 
@@ -163,7 +168,7 @@ _ANCHOR_FIELDS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NaturalParams:
     """Concentration constant c plus one anchor point of the real curve.
 
@@ -185,6 +190,60 @@ FORM_REGISTRY = {
     cls.form: cls
     for cls in (ReferenceParams, BancorV2Params, UniswapV3Params, CarbonParams, NaturalParams)
 }
+
+# Builders of the parameter sets the library makes itself.  A generated
+# __init__ checks nothing, so each returns exactly what the public constructor
+# would; the curve built from the set checks it.
+_ReferenceParamsTwin = _slots_twin(ReferenceParams)
+_BancorV2ParamsTwin = _slots_twin(BancorV2Params)
+_UniswapV3ParamsTwin = _slots_twin(UniswapV3Params)
+_CarbonParamsTwin = _slots_twin(CarbonParams)
+_NaturalParamsTwin = _slots_twin(NaturalParams)
+
+
+def _reference_params(x0: float, y0: float) -> ReferenceParams:
+    params = _ReferenceParamsTwin()
+    params.x0 = x0
+    params.y0 = y0
+    params.__class__ = ReferenceParams
+    return params
+
+
+def _bancor_params(x0: float, y0: float, A: float) -> BancorV2Params:
+    params = _BancorV2ParamsTwin()
+    params.x0 = x0
+    params.y0 = y0
+    params.A = A
+    params.__class__ = BancorV2Params
+    return params
+
+
+def _uniswap_params(L: float, p_high: float, p_low: float) -> UniswapV3Params:
+    params = _UniswapV3ParamsTwin()
+    params.L = L
+    params.p_high = p_high
+    params.p_low = p_low
+    params.__class__ = UniswapV3Params
+    return params
+
+
+def _carbon_params(a: float, b: float, z: float) -> CarbonParams:
+    params = _CarbonParamsTwin()
+    params.a = a
+    params.b = b
+    params.z = z
+    params.__class__ = CarbonParams
+    return params
+
+
+def _natural_params(c: float, anchor: str, anchor_x: float, anchor_y: float) -> NaturalParams:
+    params = _NaturalParamsTwin()
+    params.c = c
+    params.anchor = anchor
+    params.anchor_x = anchor_x
+    params.anchor_y = anchor_y
+    params.__class__ = NaturalParams
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +388,7 @@ def validate(params: CurveParams) -> CurveParams:
     rejected rather than treated as limits: A = 1 and p_high = p_low both
     zero out a shift divisor.
     """
-    curve_class(params)(params)
+    _curve(curve_class(params), params)
     return params
 
 
@@ -410,21 +469,22 @@ def load_spec(path: str) -> CurveParams:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, slots=True, init=False)
 class ShiftedProductCurve:
     """Common operations on (x + shift_x)(y + shift_y) = scale, x, y >= 0.
 
     A form subclass names its parameter type, ``class C(ShiftedProductCurve,
-    params_type=P)``, and supplies one hook, ``_constants``, that checks a
-    parameter set of that type and maps it to ``(scale, geom)``; the shifts
-    are the negated asymptotes, and everything else is derived here.  A
-    subclass may also override a closed form, or the ``_dy``/``_dx`` swap
-    formulas, with the native phenotype of its parameterization, which then
-    stays an independent cross-check.  A form whose native formulas need more
-    than the core's derived checks may extend ``__init__`` with its own rules,
-    run after them so that a spec the core rejects keeps the core's error
-    (the carbon form does this).  Instances are immutable values, safe to share
-    across threads.
+    params_type=P)``, sets ``__slots__ = ()``, and supplies one hook,
+    ``_constants``, that checks a parameter set of that type and maps it to
+    ``(scale, geom)``; the shifts are the negated asymptotes, and everything
+    else is derived here.  A subclass may also override a closed form, or the
+    ``_dy``/``_dx`` swap formulas, with the native phenotype of its
+    parameterization, which then stays an independent cross-check.  A form
+    whose native formulas need more than the core's derived checks overrides
+    a second hook, ``_check_native``, which runs after them so that a spec the
+    core rejects keeps the core's error (the carbon form does this).
+    ``_curve`` runs the hooks and builds every curve.  Instances are immutable
+    values, safe to share across threads.
     """
 
     params: CurveParams
@@ -440,20 +500,16 @@ class ShiftedProductCurve:
     bounded: ClassVar[bool] = True
 
     def __init_subclass__(cls, params_type: type, **kwargs):
-        super().__init_subclass__(**kwargs)
+        # Not the zero-argument super(): its class cell names the class that
+        # the dataclass decorator replaced with a slotted copy.
+        super(ShiftedProductCurve, cls).__init_subclass__(**kwargs)
         ShiftedProductCurve._classes[params_type] = cls
 
     def __init__(self, params: CurveParams):
-        scale, geom = self._constants(params)
-        # 0.0 - asym keeps the unshifted curve's shifts +0.0, where -asym gives -0.0
-        shift_x = 0.0 - geom.x_asym
-        shift_y = 0.0 - geom.y_asym
-        _check_derived(shift_x, shift_y, geom, self.bounded)
-        _set(self, "params", params)
-        _set(self, "shift_x", shift_x)
-        _set(self, "shift_y", shift_y)
-        _set(self, "scale", scale)
-        _set(self, "geom", geom)
+        # The slots _curve stores, after the checks it runs
+        built = _curve(type(self), params)
+        for name in ShiftedProductCurve.__slots__:
+            _set(self, name, getattr(built, name))
 
     @staticmethod
     def _constants(params: CurveParams) -> tuple[float, CurveGeometry]:
@@ -464,11 +520,16 @@ class ShiftedProductCurve:
         neither the shifts, which the core reads off the asymptotes, nor phi,
         which ``_geometry`` derives from c.  The core then checks the other
         constants the hook derived, the same way for every form, and a form's
-        ``__init__`` may add rules its native formulas need after that.  Curve
-        construction, which ``validate`` runs, is the one place all of these
-        happen, so every curve is checked once, when it is built.
+        ``_check_native`` may add rules its native formulas need after that.
+        Curve construction, ``_curve``, which ``validate`` runs, is the one
+        place all of these happen, so every curve is checked once, when it is
+        built.
         """
         raise NotImplementedError
+
+    @staticmethod
+    def _check_native(params: CurveParams) -> None:
+        """Rules of a form's native formulas beyond the core's, or DomainError."""
 
     # -- curve sampling ----------------------------------------------------
     # A balance is checked as a swap checks the balance it ends on, and as
@@ -667,6 +728,27 @@ def _check_derived(shift_x: float, shift_y: float, geom: CurveGeometry, bounded:
         for name, value in (("shift_x", shift_x), ("shift_y", shift_y)):
             if value < _MIN_SHIFT:
                 raise DomainError("spec", f"derived {name} must be at least 2**-511, not {value!r}")
+
+
+_CurveTwin = _slots_twin(ShiftedProductCurve)
+
+
+def _curve(cls: type[ShiftedProductCurve], params: CurveParams) -> ShiftedProductCurve:
+    """``cls(params)``: every check of curve construction, then plain slot stores."""
+    scale, geom = cls._constants(params)
+    # 0.0 - asym keeps the unshifted curve's shifts +0.0, where -asym gives -0.0
+    shift_x = 0.0 - geom.x_asym
+    shift_y = 0.0 - geom.y_asym
+    _check_derived(shift_x, shift_y, geom, cls.bounded)
+    cls._check_native(params)
+    curve = _CurveTwin()
+    curve.params = params
+    curve.shift_x = shift_x
+    curve.shift_y = shift_y
+    curve.scale = scale
+    curve.geom = geom
+    curve.__class__ = cls
+    return curve
 
 
 def _bounded(geom: CurveGeometry) -> CurveGeometry:

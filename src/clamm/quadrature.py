@@ -24,10 +24,11 @@ from .params import (
     BancorV2Params,
     CurveParams,
     PoolState,
-    ReferenceParams,
     ShiftedProductCurve,
     _MAX,
     _SMALLEST,
+    _bancor_params,
+    _reference_params,
     _slots_twin,
 )
 from .rosetta import translate
@@ -278,7 +279,7 @@ def random_bancor_params(rng: random.Random,
     lo, hi = scale_exp_range
     x0 = 10.0 ** (lo + (hi - lo) * rng.random())
     y0 = 10.0 ** (lo + (hi - lo) * rng.random())
-    return BancorV2Params(x0=x0, y0=y0, A=1.01 + (100.0 - 1.01) * rng.random())
+    return _bancor_params(x0, y0, 1.01 + (100.0 - 1.01) * rng.random())
 
 
 def random_admissible_swap(rng: random.Random, curve: ShiftedProductCurve) -> tuple[PoolState, float]:
@@ -313,7 +314,7 @@ def battery_cases(seed: int, cases: int) -> Iterator[tuple[ShiftedProductCurve, 
         slot = i % len(_BATTERY_FORMS)
         if slot == 0:
             bancor = random_bancor_params(rng)
-            curve = curve_for(ReferenceParams(x0=bancor.x0, y0=bancor.y0))
+            curve = curve_for(_reference_params(bancor.x0, bancor.y0))
         elif slot == 1:
             source = curve = curve_for(bancor)
         else:

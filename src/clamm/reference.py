@@ -20,6 +20,8 @@ from .params import (
 class ReferenceCurve(ShiftedProductCurve, params_type=ReferenceParams):
     """Rectangular hyperbola through (x0, y0); quotes every price in (0, inf)."""
 
+    __slots__ = ()
+
     params: ReferenceParams
     bounded = False
 

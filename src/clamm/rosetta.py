@@ -15,16 +15,16 @@ from dataclasses import dataclass, fields
 from .curves import curve_for, geometry
 from .errors import DomainError, Indeterminate
 from .params import (
-    BancorV2Params,
-    CarbonParams,
     CurveGeometry,
     CurveParams,
     FORM_REGISTRY,
-    NaturalParams,
     PoolState,
     ShiftedProductCurve,
-    UniswapV3Params,
     _SMALLEST,
+    _bancor_params,
+    _carbon_params,
+    _natural_params,
+    _uniswap_params,
     rel_close,
     root_concentration,
 )
@@ -61,15 +61,15 @@ def translate(source: CurveParams | ShiftedProductCurve, target_form: str) -> Cu
     geom = curve.geom
     if target_form == "bancor_v2":
         x0, y0 = curve.center()
-        return BancorV2Params(x0=x0, y0=y0, A=curve.amplification())
+        return _bancor_params(x0, y0, curve.amplification())
     if target_form == "uniswap_v3":
-        return UniswapV3Params(L=curve.liquidity(), p_high=geom.p_high, p_low=geom.p_low)
+        return _uniswap_params(curve.liquidity(), geom.p_high, geom.p_low)
     if target_form == "carbon":
         sqrt_high = math.sqrt(geom.p_high)
         sqrt_low = math.sqrt(geom.p_low)
-        return CarbonParams(a=sqrt_high - sqrt_low, b=sqrt_low, z=geom.y_int)
+        return _carbon_params(sqrt_high - sqrt_low, sqrt_low, geom.y_int)
     # natural: keep c plus the singularity-free asymptote anchor
-    return NaturalParams(c=geom.c, anchor="asymptotes", anchor_x=geom.x_asym, anchor_y=geom.y_asym)
+    return _natural_params(geom.c, "asymptotes", geom.x_asym, geom.y_asym)
 
 
 def translation_report(source: CurveParams, target: CurveParams) -> TranslationReport:

@@ -21,6 +21,8 @@ from .params import (
 class UniswapCurve(ShiftedProductCurve, params_type=UniswapV3Params):
     """Real curve with shifts L/sqrt(p_high), L*sqrt(p_low) and scale L^2."""
 
+    __slots__ = ()
+
     params: UniswapV3Params
 
     @staticmethod

@@ -1,6 +1,8 @@
 """The helper scripts under scripts/."""
 
 import os
+import random
+import re
 import shutil
 import subprocess
 import sys
@@ -47,11 +49,33 @@ def test_regen_check_names_drift_and_writes_nothing(tmp_path, monkeypatch, capsy
     assert {path.name: path.read_bytes() for path in golden.iterdir()} == before
 
 
+def test_ci_compares_every_cli_golden_with_the_installed_script():
+    regen = load_script("regen_cli_golden")
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    compared = {}
+    for line in workflow.splitlines():
+        match = re.fullmatch(r"\s*clamm (.+) \| cmp - tests/golden/(\S+)", line)
+        if match:
+            compared[match.group(2)] = match.group(1).split()
+    relative = {name: [str(Path(arg).relative_to(ROOT)) if arg.startswith(str(ROOT)) else arg
+                       for arg in argv] for name, argv in regen.COMMANDS.items()}
+    assert compared == relative
+
+
 def test_oracle_deviation_sweep_runs():
     result = run_script("oracle_deviation_sweep.py", "--cases-per-decade", "1")
     assert result.returncode == 0, result.stderr
     assert "DISAGREEMENT" not in result.stdout
     assert len(result.stdout.splitlines()) == 14  # header plus 13 decades
+
+
+def test_oracle_deviation_sweep_checks_every_bounded_form():
+    sweep = load_script("oracle_deviation_sweep")
+    assert sweep.FORMS == ("bancor_v2", "uniswap_v3", "carbon", "natural")
+    for form in sweep.FORMS:
+        assert form in sweep.__doc__
+    cases = list(sweep.decade_cases(random.Random(0), 2.0, 3))
+    assert [curve.params.form for curve, _, _ in cases] == list(sweep.FORMS) * 3
 
 
 def test_oracle_deviation_sweep_fails_on_disagreement(monkeypatch, capsys):

@@ -50,15 +50,33 @@ from clamm.params import (
     _MAX,
     BOUNDS_SLACK,
     MIN_NORMAL,
+    ShiftedProductCurve,
+    _bancor_params,
+    _carbon_params,
     _check_derived,
     _check_finite_positive,
     _check_scale,
+    _curve,
     _delta,
     _geometry,
+    _natural_params,
+    _reference_params,
     _slots_twin,
     _state,
+    _uniswap_params,
+    spec_from_dict,
+    validate,
 )
-from clamm.quadrature import _MAX_DEPTH, DEFAULT_ABS_TOL, _adaptive, _panel, oracle_compare
+from clamm.quadrature import (
+    _MAX_DEPTH,
+    DEFAULT_ABS_TOL,
+    _adaptive,
+    _panel,
+    battery_cases,
+    oracle_compare,
+    random_bancor_params,
+)
+from clamm.rosetta import translate
 
 from .conftest import WORKED_BANCOR, WORKED_CARBON, WORKED_NATURAL, WORKED_UNISWAP
 
@@ -582,6 +600,9 @@ def public_copy(value):
     return type(value)(*(getattr(value, f.name) for f in fields(value) if f.init))
 
 
+WORKED_OF_FORM = {"reference": ReferenceParams(100.0, 100.0), "bancor_v2": WORKED_BANCOR,
+                  "uniswap_v3": WORKED_UNISWAP, "carbon": WORKED_CARBON}
+
 # (value built by its builder or by a library call that uses one, a field change)
 BUILT = [
     (_state(1.5, 2.5), {"x": 0.5}),
@@ -594,6 +615,16 @@ BUILT = [
     (curve_for(WORKED_NATURAL).geom, {"c": 16.0}),
     (curve_for(ReferenceParams(2.0, 3.0)).geom, {"p0": 2.0}),
     (oracle_compare(curve_for(WORKED_UNISWAP), PoolState(100.0, 100.0), 10.0), {"passed": False}),
+    (_reference_params(2.0, 3.0), {"y0": 4.0}),
+    (random_bancor_params(random.Random(1)), {"A": 2.0}),
+    (translate(curve_for(WORKED_BANCOR), "uniswap_v3"), {"L": 1.0}),
+    (translate(curve_for(WORKED_BANCOR), "carbon"), {"z": 1.0}),
+    (translate(curve_for(WORKED_BANCOR), "natural"), {"c": 9.0}),
+    (next(battery_cases(1, 1))[0].params, {"x0": 1.0}),
+    (_curve(type(curve_for(WORKED_CARBON)), WORKED_CARBON), {"params": CarbonParams(1.5, 0.5, 600.0)}),
+    (curve_for(WORKED_NATURAL), {"params": NaturalParams(4.0, "center", 100.0, 100.0)}),
+    # one battery group: the unshifted curve, the Bancor curve and its two translations
+    *((curve, {"params": WORKED_OF_FORM[curve.params.form]}) for curve, _, _ in battery_cases(1, 4)),
 ]
 
 
@@ -644,7 +675,8 @@ def test_builders_accept_and_reject_as_the_constructors_do():
         assert exact_outcome(_delta, a, b) == exact_outcome(SwapDelta, a, b), (a, b)
 
 
-@pytest.mark.parametrize("cls", [PoolState, SwapDelta, CurveGeometry, ComparisonReport],
+@pytest.mark.parametrize("cls", [PoolState, SwapDelta, CurveGeometry, ComparisonReport, ReferenceParams,
+                                 BancorV2Params, UniswapV3Params, CarbonParams, NaturalParams],
                          ids=lambda cls: cls.__name__)
 def test_a_filled_twin_becomes_its_class(cls):
     # the __class__ store needs the two slot layouts to match, which CPython
@@ -690,6 +722,8 @@ class TestCurveContract:
             with pytest.raises(FrozenInstanceError):
                 delattr(curve, name)
         assert curve == curve_for(params)
+        assert not hasattr(curve, "__dict__")
+        assert not hasattr(type(curve)(params), "__dict__")
 
     def test_fields_replace_and_asdict(self, params, other):
         curve = curve_for(params)
@@ -715,3 +749,122 @@ class TestCurveContract:
             assert clone == curve
             assert type(clone) is type(curve)
             assert repr(clone) == repr(curve)
+
+
+@pytest.mark.parametrize("params, other", CURVE_PARAMS, ids=[p.form for p, _ in CURVE_PARAMS])
+class TestParamsContract:
+    """Each parameter set is a slotted frozen value with the generated dataclass API."""
+
+    def test_equality_hash_and_repr(self, params, other):
+        cls = type(params)
+        values = [getattr(params, f.name) for f in fields(params)]
+        assert params == cls(*values)
+        assert hash(params) == hash(cls(*values))
+        assert params != other
+        assert repr(params) == (f"{cls.__name__}("
+                                + ", ".join(f"{f.name}={getattr(params, f.name)!r}" for f in fields(params))
+                                + ")")
+
+    def test_frozen_and_slotted(self, params, other):
+        for f in fields(params):
+            with pytest.raises(FrozenInstanceError):
+                setattr(params, f.name, 1.0)
+            with pytest.raises(FrozenInstanceError):
+                delattr(params, f.name)
+        assert not hasattr(params, "__dict__")
+        assert type(params).__slots__ == tuple(f.name for f in fields(params))
+        assert params.form == type(params).form  # the form tag stays a class attribute
+
+    def test_fields_replace_and_asdict(self, params, other):
+        changes = {f.name: getattr(other, f.name) for f in fields(other)
+                   if getattr(other, f.name) != getattr(params, f.name)}
+        moved = replace(params, **changes)
+        assert type(moved) is type(params)
+        assert moved == other
+        assert asdict(moved) == {**asdict(params), **changes}
+
+    def test_pickle_and_copy(self, params, other):
+        for clone in (pickle.loads(pickle.dumps(params)), copy.copy(params), copy.deepcopy(params)):
+            assert clone == params
+            assert type(clone) is type(params)
+            assert repr(clone) == repr(params)
+
+
+# (builder, public class); a generated __init__ stores whatever it is given
+PARAMS_BUILDERS = [
+    (_reference_params, ReferenceParams),
+    (_bancor_params, BancorV2Params),
+    (_uniswap_params, UniswapV3Params),
+    (_carbon_params, CarbonParams),
+    (_natural_params, NaturalParams),
+]
+
+
+@pytest.mark.parametrize("builder, cls", PARAMS_BUILDERS, ids=[cls.__name__ for _, cls in PARAMS_BUILDERS])
+def test_params_builders_store_what_the_constructors_store(builder, cls):
+    values = [1.5, -0.0, 5e-324, math.nan, math.inf, None, "asymptotes"]
+    for args in itertools.product(values, repeat=len(fields(cls))):
+        # the same type and the same stored values, with their types and signs
+        assert exact_outcome(builder, *args) == exact_outcome(cls, *args), args
+
+
+@pytest.mark.parametrize("params", [p for pair in CURVE_PARAMS for p in pair], ids=lambda p: p.form)
+def test_curve_builder_matches_the_constructor(params):
+    cls = type(curve_for(params))
+    built, public = _curve(cls, params), cls(params)
+    assert type(built) is type(public) is cls
+    for f in fields(public):
+        assert type(getattr(built, f.name)) is type(getattr(public, f.name))
+        assert repr(getattr(built, f.name)) == repr(getattr(public, f.name))
+    assert built == public
+    assert curve_for(params) == public
+
+
+@pytest.mark.parametrize("form_cls", sorted(set(ShiftedProductCurve._classes.values()), key=lambda c: c.__name__),
+                         ids=lambda cls: cls.__name__)
+def test_a_filled_curve_twin_becomes_every_form(form_cls):
+    # every form adds no slots, so the base class's twin fits each of them
+    assert form_cls.__slots__ == ()
+    twin = _slots_twin(ShiftedProductCurve)()
+    for name in ShiftedProductCurve.__slots__:
+        setattr(twin, name, 1.0)
+    twin.__class__ = form_cls
+    assert type(twin) is form_cls
+    with pytest.raises(FrozenInstanceError):
+        twin.scale = 2.0
+
+
+# Carbon parameter sets that the core's shift rule, the z rule and the b*z rule
+# reject, each with the field and reason every construction path reports.
+CARBON_REJECTS = [
+    (CarbonParams(1, 1e-100, 1e-100), "spec", "derived shift_y must be at least 2**-511, not 1e-200"),
+    (CarbonParams(2.0 ** -40, 1.0, 2.0 ** -520), "z", "must be at least 2**-511, not 2.913414348125081e-157"),
+    (CarbonParams(2.0 ** -40, 2.0 ** -300, 2.0 ** -250), "b",
+     "b*z must be at least 2**-511, not 2.7133285516175262e-166"),
+]
+CARBON_PATHS = {
+    "CarbonCurve": CarbonCurve,
+    "curve_for": curve_for,
+    "validate": validate,
+    "spec_from_dict": lambda p: spec_from_dict({"form": "carbon", "a": p.a, "b": p.b, "z": p.z}),
+    "translate": lambda p: translate(p, "carbon"),
+}
+
+
+@pytest.mark.parametrize("params, field, reason", CARBON_REJECTS, ids=["shift_y", "z", "b"])
+@pytest.mark.parametrize("path", CARBON_PATHS.values(), ids=CARBON_PATHS.keys())
+def test_carbon_rules_hold_on_every_construction_path(path, params, field, reason):
+    with pytest.raises(DomainError) as info:
+        path(params)
+    assert (info.value.field, info.value.reason) == (field, reason)
+
+
+def test_carbon_rule_rejects_a_translation_of_a_valid_curve():
+    # a narrow uniswap range at a tiny scale is a valid curve whose y intercept,
+    # the carbon z, lies below 2**-511
+    carbon = translate(curve_for(UniswapV3Params(2.0 ** -500, 1.0 + 1e-10, 1.0)), "carbon")
+    assert type(carbon) is CarbonParams
+    with pytest.raises(DomainError) as info:
+        curve_for(carbon)
+    assert info.value.field == "z"
+    assert info.value.reason.startswith("must be at least 2**-511")
