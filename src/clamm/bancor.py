@@ -9,6 +9,8 @@ and trades identically.
 from __future__ import annotations
 
 from .params import (
+    _MAX,
+    MIN_NORMAL,
     BancorV2Params,
     ShiftedProductCurve,
     _check_exceeds_one,
@@ -27,20 +29,26 @@ class BancorCurve(ShiftedProductCurve, params_type=BancorV2Params):
 
     @staticmethod
     def _constants(params: BancorV2Params):
-        x0 = _check_finite_positive(params.x0, "x0")
-        y0 = _check_finite_positive(params.y0, "y0")
-        amp = _check_exceeds_one(params.A, "A")
-        scale = _check_scale(amp * amp * x0 * y0, "A", "A^2*x0*y0")
+        x0, y0, amp = params.x0, params.y0, params.A
+        if not (type(x0) is float and type(y0) is float and type(amp) is float
+                and 0.0 < x0 <= _MAX and 0.0 < y0 <= _MAX and 1.0 < amp <= _MAX):
+            _check_finite_positive(x0, "x0")
+            _check_finite_positive(y0, "y0")
+            _check_exceeds_one(amp, "A")
+        scale = amp * amp * x0 * y0
+        if not MIN_NORMAL <= scale <= _MAX:
+            _check_scale(scale, "A", "A^2*x0*y0")
         # c = A^2/(A-1)^2 = p_high/p0 = p0/p_low
         c = amp * amp / ((amp - 1.0) * (amp - 1.0))
         p0 = y0 / x0
+        # (x_int, y_int, x_asym, y_asym, p_high, p_low, p0, c)
         return scale, _geometry(
-            x_int=x0 * (2.0 * amp - 1.0) / (amp - 1.0),
-            y_int=y0 * (2.0 * amp - 1.0) / (amp - 1.0),
-            x_asym=-x0 * (amp - 1.0),
-            y_asym=-y0 * (amp - 1.0),
-            p_high=c * p0,
-            p_low=p0 / c,
-            p0=p0,
-            c=c,
+            x0 * (2.0 * amp - 1.0) / (amp - 1.0),
+            y0 * (2.0 * amp - 1.0) / (amp - 1.0),
+            -x0 * (amp - 1.0),
+            -y0 * (amp - 1.0),
+            c * p0,
+            p0 / c,
+            p0,
+            c,
         )

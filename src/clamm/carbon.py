@@ -10,10 +10,12 @@ from __future__ import annotations
 
 from .errors import DomainError
 from .params import (
+    _MAX,
+    _MIN_SHIFT,
+    MIN_NORMAL,
     CarbonParams,
     PoolState,
     ShiftedProductCurve,
-    _MIN_SHIFT,
     _check_finite_positive,
     _check_scale,
     _geometry,
@@ -29,23 +31,23 @@ class CarbonCurve(ShiftedProductCurve, params_type=CarbonParams):
 
     @staticmethod
     def _constants(params: CarbonParams):
-        a = _check_finite_positive(params.a, "a")
-        b = _check_finite_positive(params.b, "b")
-        z = _check_finite_positive(params.z, "z")
-        scale = _check_scale((z / a) * (z / a), "z", "(z/a)^2")
+        a, b, z = params.a, params.b, params.z
+        if not (type(a) is float and type(b) is float and type(z) is float
+                and 0.0 < a <= _MAX and 0.0 < b <= _MAX and 0.0 < z <= _MAX):
+            _check_finite_positive(a, "a")
+            _check_finite_positive(b, "b")
+            _check_finite_positive(z, "z")
+        scale = (z / a) * (z / a)
         # a*(a+b) = p_high - p0 divides the x shift, b*(a+b) = p0 the x intercept
-        gap = _check_scale(a * (a + b), "a", "a*(a+b)")
-        p0 = _check_scale(b * (a + b), "b", "b*(a+b)")
-        return scale, _geometry(
-            x_int=z / p0,
-            y_int=z,
-            x_asym=-z / gap,
-            y_asym=-b * z / a,
-            p_high=(a + b) * (a + b),
-            p_low=b * b,
-            p0=p0,
-            c=(a + b) / b,
-        )
+        ab = a + b
+        gap = a * ab
+        p0 = b * ab
+        if not (MIN_NORMAL <= scale <= _MAX and MIN_NORMAL <= gap <= _MAX and MIN_NORMAL <= p0 <= _MAX):
+            _check_scale(scale, "z", "(z/a)^2")
+            _check_scale(gap, "a", "a*(a+b)")
+            _check_scale(p0, "b", "b*(a+b)")
+        # (x_int, y_int, x_asym, y_asym, p_high, p_low, p0, c)
+        return scale, _geometry(z / p0, z, -z / gap, -b * z / a, ab * ab, b * b, p0, ab / b)
 
     @staticmethod
     def _check_native(params: CarbonParams) -> None:
@@ -58,28 +60,39 @@ class CarbonCurve(ShiftedProductCurve, params_type=CarbonParams):
             raise DomainError("b", f"b*z must be at least 2**-511, not {params.b * params.z!r}")
 
     # -- native closed forms ---------------------------------------------------
+    # Each reads the parameter set once and forms a + b once; the operations
+    # run in the order of the formulas as written.
 
     def _dy(self, state: PoolState, dx: float, x_new: float) -> float:
-        a, b, z = self.params.a, self.params.b, self.params.z
-        gain = a * (a + b)
-        return -dx * z * z * (a + b) * (a + b) / ((state.x * gain + z) * (x_new * gain + z))
+        params = self.params
+        a, b, z = params.a, params.b, params.z
+        ab = a + b
+        gain = a * ab
+        return -dx * z * z * ab * ab / ((state.x * gain + z) * (x_new * gain + z))
 
     def _dx(self, state: PoolState, dy: float, y_new: float) -> float:
-        a, b, z = self.params.a, self.params.b, self.params.z
-        return -dy * z * z / ((a * state.y + b * z) * (a * y_new + b * z))
+        params = self.params
+        a, z = params.a, params.z
+        bz = params.b * z
+        return -dy * z * z / ((a * state.y + bz) * (a * y_new + bz))
 
     def marginal_price(self, state: PoolState) -> float:
-        a, b, z = self.params.a, self.params.b, self.params.z
-        return -(a + b) * (a * state.y + b * z) / (state.x * a * (a + b) + z)
+        params = self.params
+        a, b, z = params.a, params.b, params.z
+        ab = a + b
+        return -ab * (a * state.y + b * z) / (state.x * a * ab + z)
 
     def price_slope_at_x(self, x: float) -> float:
-        a, b, z = self.params.a, self.params.b, self.params.z
-        den = x * a * (a + b) + z
-        return -z * z * (a + b) * (a + b) / (den * den)
+        params = self.params
+        a, z = params.a, params.z
+        ab = a + params.b
+        den = x * a * ab + z
+        return -z * z * ab * ab / (den * den)
 
     def price_slope_at_y(self, y: float) -> float:
-        a, b, z = self.params.a, self.params.b, self.params.z
-        den = a * y + b * z
+        params = self.params
+        a, z = params.a, params.z
+        den = a * y + params.b * z
         return -z * z / (den * den)
 
     def price_gap_above_center(self) -> float:

@@ -7,7 +7,9 @@ import math
 # Importing the form modules registers their curve classes with curve_class.
 from . import bancor, carbon, reference, uniswap  # noqa: F401
 from .params import (
+    _MAX,
     ANCHOR_KINDS,
+    MIN_NORMAL,
     _ANCHOR_FIELDS,
     CurveGeometry,
     CurveParams,
@@ -36,19 +38,25 @@ class NaturalCurve(ShiftedProductCurve, params_type=NaturalParams):
 
     @staticmethod
     def _constants(params: NaturalParams):
-        c = _check_exceeds_one(params.c, "c")
-        anchor, ax, ay = params.anchor, params.anchor_x, params.anchor_y
-        _require(anchor in ANCHOR_KINDS, "anchor", f"must be one of {ANCHOR_KINDS}")
-        _require(math.isfinite(ax), "anchor_x", "must be finite")
-        _require(math.isfinite(ay), "anchor_y", "must be finite")
-        nx, ny = _ANCHOR_FIELDS[anchor]
+        c, anchor, ax, ay = params.c, params.anchor, params.anchor_x, params.anchor_y
+        if not (type(c) is float and type(ax) is float and type(ay) is float and 1.0 < c <= _MAX
+                and (-_MAX <= ax < 0.0 and -_MAX <= ay < 0.0 if anchor == "asymptotes"
+                     else (anchor == "intercepts" or anchor == "center")
+                     and 0.0 < ax <= _MAX and 0.0 < ay <= _MAX)):
+            _check_exceeds_one(c, "c")
+            _require(anchor in ANCHOR_KINDS, "anchor", f"must be one of {ANCHOR_KINDS}")
+            _require(math.isfinite(ax), "anchor_x", "must be finite")
+            _require(math.isfinite(ay), "anchor_y", "must be finite")
+            nx, ny = _ANCHOR_FIELDS[anchor]
+            if anchor == "asymptotes":
+                _require(ax < 0, nx, "must be negative")
+                _require(ay < 0, ny, "must be negative")
+            else:
+                _require(ax > 0, nx, "must be positive")
+                _require(ay > 0, ny, "must be positive")
         if anchor == "asymptotes":
-            _require(ax < 0, nx, "must be negative")
-            _require(ay < 0, ny, "must be negative")
             x_asym, y_asym = ax, ay
         else:
-            _require(ax > 0, nx, "must be positive")
-            _require(ay > 0, ny, "must be positive")
             if anchor == "intercepts":
                 gap = c - 1.0
             else:
@@ -56,23 +64,28 @@ class NaturalCurve(ShiftedProductCurve, params_type=NaturalParams):
                 # written as (c - 1)/(sqrt(c) + 1) so that it does not cancel as c -> 1
                 gap = (c - 1.0) / (math.sqrt(c) + 1.0)
             x_asym, y_asym = -ax / gap, -ay / gap
-        scale = _check_scale(c * x_asym * y_asym, "c", "c*x_asym*y_asym")
+        scale = c * x_asym * y_asym
+        if not MIN_NORMAL <= scale <= _MAX:
+            _check_scale(scale, "c", "c*x_asym*y_asym")
         p0 = y_asym / x_asym
+        # (x_int, y_int, x_asym, y_asym, p_high, p_low, p0, c)
         return scale, _geometry(
-            x_int=-x_asym * (c - 1.0),
-            y_int=-y_asym * (c - 1.0),
-            x_asym=x_asym,
-            y_asym=y_asym,
-            p_high=p0 * c,
-            p_low=p0 / c,
-            p0=p0,
-            c=c,
+            -x_asym * (c - 1.0),
+            -y_asym * (c - 1.0),
+            x_asym,
+            y_asym,
+            p0 * c,
+            p0 / c,
+            p0,
+            c,
         )
 
 
 def curve_for(params: CurveParams) -> ShiftedProductCurve:
     """Validated curve object for any parameter form."""
-    return _curve(curve_class(params), params)
+    cls = ShiftedProductCurve._classes.get(type(params))
+    # curve_class raises the unknown-type error
+    return _curve(curve_class(params) if cls is None else cls, params)
 
 
 def geometry(params: CurveParams) -> CurveGeometry:

@@ -31,6 +31,9 @@ VERIFY_REL_TOL = 1e-8
 # balance just below zero; neither is rejected for it.
 BOUNDS_SLACK = 1e-12
 
+# The factor an intercept is scaled by to give the range rule's upper bound.
+_SLACK_BOUND = 1.0 + BOUNDS_SLACK
+
 _UNRESOLVED = "trade too small to resolve at this scale"
 
 # Smallest positive normal binary64; a curve scale below it is rejected.
@@ -320,6 +323,8 @@ class CurveGeometry:
 
 
 # Builders of the hot values: each returns what the public constructor would.
+# The swaps fill a ``SwapDelta`` twin, and ``apply_delta`` a ``PoolState``
+# twin, inline, on the guard of the constructor they stand in for.
 _PoolStateTwin = _slots_twin(PoolState)
 _SwapDeltaTwin = _slots_twin(SwapDelta)
 _CurveGeometryTwin = _slots_twin(CurveGeometry)
@@ -334,17 +339,6 @@ def _state(x: float, y: float) -> PoolState:
         state.__class__ = PoolState
         return state
     return PoolState(x, y)
-
-
-def _delta(dx: float, dy: float) -> SwapDelta:
-    """``SwapDelta(dx, dy)``: accepted on its one comparison, else built by it."""
-    if -_MAX <= dx <= _MAX and -_MAX <= dy <= _MAX and (dx < 0.0 < dy or dy < 0.0 < dx):
-        delta = _SwapDeltaTwin()
-        delta.dx = dx
-        delta.dy = dy
-        delta.__class__ = SwapDelta
-        return delta
-    return SwapDelta(dx, dy)
 
 
 def _geometry(x_int: float, y_int: float, x_asym: float, y_asym: float,
@@ -480,8 +474,8 @@ class ShiftedProductCurve:
     else is derived here.  A subclass may also override a closed form, or the
     ``_dy``/``_dx`` swap formulas, with the native phenotype of its
     parameterization, which then stays an independent cross-check.  A form
-    whose native formulas need more than the core's derived checks overrides
-    a second hook, ``_check_native``, which runs after them so that a spec the
+    whose native formulas need more than the core's derived checks sets a
+    second hook, ``_check_native``, which runs after them so that a spec the
     core rejects keeps the core's error (the carbon form does this).
     ``_curve`` runs the hooks and builds every curve.  Instances are immutable
     values, safe to share across threads.
@@ -515,8 +509,12 @@ class ShiftedProductCurve:
     def _constants(params: CurveParams) -> tuple[float, CurveGeometry]:
         """(scale, geom) of a parameter set, or DomainError.
 
-        The hook holds the form's field rules: it checks each field as it reads
-        it, and the scale with ``_check_scale`` once it is computed.  It gives
+        The hook holds the form's field rules.  It accepts float fields on one
+        chained comparison, and the scale and divisors it computes from them
+        on one more; the field checks (``_check_finite_positive``,
+        ``_check_exceeds_one``) and ``_check_scale`` run only when a comparison
+        fails, in their fixed order, to name the failure.  It passes
+        ``_geometry`` its arguments by position.  It gives
         neither the shifts, which the core reads off the asymptotes, nor phi,
         which ``_geometry`` derives from c.  The core then checks the other
         constants the hook derived, the same way for every form, and a form's
@@ -527,30 +525,38 @@ class ShiftedProductCurve:
         """
         raise NotImplementedError
 
-    @staticmethod
-    def _check_native(params: CurveParams) -> None:
-        """Rules of a form's native formulas beyond the core's, or DomainError."""
+    # A form's static ``_check_native(params)``: rules of its native formulas
+    # beyond the core's, or DomainError.  None for a form that has none.
+    _check_native: ClassVar = None
 
     # -- curve sampling ----------------------------------------------------
     # A balance is checked as a swap checks the balance it ends on, and as
     # ``PoolState`` checks it: the unshifted curve's bound is inf, which the
     # range rule alone would admit.  The guard's strict upper test sends a
-    # balance on the bound itself to the full checks, which accept it.
+    # balance on the bound itself to the full checks, which accept it.  The
+    # result is returned on one range test; a negative one takes the snap,
+    # and one that overflowed raises the error ``PoolState`` would raise.
 
     def y_from_x(self, x: float) -> float:
         x_int = self.geom.x_int
-        if not 0.0 < x < x_int * (1.0 + BOUNDS_SLACK):
+        if not 0.0 < x < x_int * _SLACK_BOUND:
             self._check_bounds("x", x, x_int)
             _require(x <= _MAX, "x", "must be finite")
         y = self.scale / (x + self.shift_x) - self.shift_y
+        if 0.0 <= y <= _MAX:
+            return y
+        _require(y <= _MAX, "y", "must be finite")
         return _snap_nonnegative(y, self.shift_y)
 
     def x_from_y(self, y: float) -> float:
         y_int = self.geom.y_int
-        if not 0.0 < y < y_int * (1.0 + BOUNDS_SLACK):
+        if not 0.0 < y < y_int * _SLACK_BOUND:
             self._check_bounds("y", y, y_int)
             _require(y <= _MAX, "y", "must be finite")
         x = self.scale / (y + self.shift_y) - self.shift_x
+        if 0.0 <= x <= _MAX:
+            return x
+        _require(x <= _MAX, "x", "must be finite")
         return _snap_nonnegative(x, self.shift_x)
 
     def state_from_x(self, x: float) -> PoolState:
@@ -577,9 +583,12 @@ class ShiftedProductCurve:
     # Each guard is a range test that accepts; the full check behind it runs
     # only when the test fails, to name the failure.  A balance that lands
     # exactly on 0 takes ``_check_bounds`` too, which accepts it on a bounded
-    # curve and rejects it on the unshifted one.  A nonzero amount whose
-    # coupled amount rounds to zero is below the resolution of the curve; no
-    # delta can represent it honestly.
+    # curve and rejects it on the unshifted one.  The delta is stored on
+    # ``SwapDelta``'s own guard, whose test of the traded amount has already
+    # passed; anything else goes to the public constructor, after the one rule
+    # it does not know: a nonzero amount whose coupled amount rounds to zero
+    # is below the resolution of the curve, and no delta can represent it
+    # honestly.
 
     def swap_exact_in_x(self, state: PoolState, dx: float) -> SwapDelta:
         """Trade a signed amount of x; returns the coupled dy."""
@@ -589,12 +598,18 @@ class ShiftedProductCurve:
             return SwapDelta(0.0, 0.0)
         x_new = state.x + dx
         x_int = self.geom.x_int
-        if not 0.0 < x_new <= x_int * (1.0 + BOUNDS_SLACK):
+        if not 0.0 < x_new <= x_int * _SLACK_BOUND:
             self._check_bounds("x", x_new, x_int)
         dy = self._dy(state, dx, x_new)
+        if dx < 0.0 < dy <= _MAX or -_MAX <= dy < 0.0 < dx:
+            delta = _SwapDeltaTwin()
+            delta.dx = dx
+            delta.dy = dy
+            delta.__class__ = SwapDelta
+            return delta
         if dy == 0:
             raise DomainError("dx", _UNRESOLVED)
-        return _delta(dx, dy)
+        return SwapDelta(dx, dy)
 
     def swap_exact_out_y(self, state: PoolState, dy: float) -> SwapDelta:
         """Trade a signed amount of y; returns the coupled dx."""
@@ -604,12 +619,18 @@ class ShiftedProductCurve:
             return SwapDelta(0.0, 0.0)
         y_new = state.y + dy
         y_int = self.geom.y_int
-        if not 0.0 < y_new <= y_int * (1.0 + BOUNDS_SLACK):
+        if not 0.0 < y_new <= y_int * _SLACK_BOUND:
             self._check_bounds("y", y_new, y_int)
         dx = self._dx(state, dy, y_new)
+        if -_MAX <= dx < 0.0 < dy or dy < 0.0 < dx <= _MAX:
+            delta = _SwapDeltaTwin()
+            delta.dx = dx
+            delta.dy = dy
+            delta.__class__ = SwapDelta
+            return delta
         if dx == 0:
             raise DomainError("dx", _UNRESOLVED)
-        return _delta(dx, dy)
+        return SwapDelta(dx, dy)
 
     def _dy(self, state: PoolState, dx: float, x_new: float) -> float:
         """dy of a nonzero, in-bounds trade of dx that takes x to x_new."""
@@ -692,7 +713,7 @@ class ShiftedProductCurve:
         """Reject a new balance on ``axis`` outside [0, intercept], or NaN."""
         if math.isinf(intercept) and new <= 0:
             raise InsufficientLiquidity(f"trade would fully deplete the {axis} reserve")
-        if not 0.0 <= new <= intercept * (1.0 + BOUNDS_SLACK):
+        if not 0.0 <= new <= intercept * _SLACK_BOUND:
             raise BoundsExceeded(f"{axis} would leave [0, {intercept}]")
 
 
@@ -702,21 +723,14 @@ def _check_derived(shift_x: float, shift_y: float, geom: CurveGeometry, bounded:
     Fields that pass their form's rules can still overflow or underflow the
     constants the form computes from them, and a trade or translation that
     reads such a constant would divide by zero or by infinity.  A bounded
-    curve's shifts must also be at least ``_MIN_SHIFT``.  Valid constants
-    pass one chained comparison; the checks below it run only to name the
-    failure, in their fixed order, the shift rule last.
+    curve's shifts must also be at least ``_MIN_SHIFT``.  ``_curve`` accepts
+    valid constants on one chained comparison and runs these checks only to
+    name the failure, in their fixed order, the shift rule last.
     """
     if bounded:
-        if (_MIN_SHIFT <= shift_x <= _MAX and _MIN_SHIFT <= shift_y <= _MAX
-                and 0.0 < geom.x_int <= _MAX and 0.0 < geom.y_int <= _MAX
-                and 0.0 < geom.p_high <= _MAX and 0.0 < geom.p_low <= _MAX
-                and 0.0 < geom.p0 <= _MAX and 1.0 < geom.c <= _MAX):
-            return
         named = (("shift_x", shift_x), ("shift_y", shift_y), ("x_int", geom.x_int),
                  ("y_int", geom.y_int), ("p_high", geom.p_high), ("p_low", geom.p_low),
                  ("p0", geom.p0))
-    elif 0.0 < geom.p0 <= _MAX:
-        return
     else:
         named = (("p0", geom.p0),)
     for name, value in named:
@@ -739,8 +753,17 @@ def _curve(cls: type[ShiftedProductCurve], params: CurveParams) -> ShiftedProduc
     # 0.0 - asym keeps the unshifted curve's shifts +0.0, where -asym gives -0.0
     shift_x = 0.0 - geom.x_asym
     shift_y = 0.0 - geom.y_asym
-    _check_derived(shift_x, shift_y, geom, cls.bounded)
-    cls._check_native(params)
+    if cls.bounded:
+        if not (_MIN_SHIFT <= shift_x <= _MAX and _MIN_SHIFT <= shift_y <= _MAX
+                and 0.0 < geom.x_int <= _MAX and 0.0 < geom.y_int <= _MAX
+                and 0.0 < geom.p_high <= _MAX and 0.0 < geom.p_low <= _MAX
+                and 0.0 < geom.p0 <= _MAX and 1.0 < geom.c <= _MAX):
+            _check_derived(shift_x, shift_y, geom, True)
+    elif not 0.0 < geom.p0 <= _MAX:
+        _check_derived(shift_x, shift_y, geom, False)
+    check_native = cls._check_native
+    if check_native is not None:
+        check_native(params)
     curve = _CurveTwin()
     curve.params = params
     curve.shift_x = shift_x
@@ -780,9 +803,13 @@ def _snap_nonnegative(value: float, reference: float) -> float:
 def apply_delta(state: PoolState, delta: SwapDelta) -> PoolState:
     """New pool state after a trade, snapping a final-ulp negative to zero."""
     x = state.x + delta.dx
-    if x < 0:
-        x = _snap_nonnegative(x, state.x)
     y = state.y + delta.dy
-    if y < 0:
-        y = _snap_nonnegative(y, state.y)
-    return _state(x, y)
+    # PoolState's own guard stores the state; anything else is snapped, then
+    # checked by the public constructor
+    if 0.0 <= x <= _MAX and 0.0 <= y <= _MAX:
+        new = _PoolStateTwin()
+        new.x = x
+        new.y = y
+        new.__class__ = PoolState
+        return new
+    return PoolState(_snap_nonnegative(x, state.x), _snap_nonnegative(y, state.y))

@@ -18,7 +18,6 @@ from typing import Callable, Iterable, Iterator
 from .curves import curve_for
 from .errors import ConvergenceFailure, DomainError
 from .params import (
-    BOUNDS_SLACK,
     MIN_NORMAL,
     VERIFY_REL_TOL,
     BancorV2Params,
@@ -26,6 +25,7 @@ from .params import (
     PoolState,
     ShiftedProductCurve,
     _MAX,
+    _SLACK_BOUND,
     _SMALLEST,
     _bancor_params,
     _reference_params,
@@ -187,7 +187,7 @@ def _check_trade(x: float, dx: float, x_int: float) -> None:
         raise DomainError("x", "must be finite")
     if not math.isfinite(dx):
         raise DomainError("dx", "must be finite")
-    top = x_int * (1.0 + BOUNDS_SLACK) if math.isfinite(x_int) else _MAX
+    top = x_int * _SLACK_BOUND if math.isfinite(x_int) else _MAX
     for name, value in (("x", x), ("dx", x + dx)):
         if not 0.0 <= value <= top:
             raise DomainError(name, "integration interval leaves the admissible x-range")
@@ -212,7 +212,7 @@ def integrate_price_curve(curve: ShiftedProductCurve, x: float, dx: float,
         return 0.0
     geom = curve.geom
     x_new = x + dx
-    top = geom.x_int * (1.0 + BOUNDS_SLACK)
+    top = geom.x_int * _SLACK_BOUND
     if not (0.0 < x <= _MAX and 0.0 < x_new <= _MAX and x <= top and x_new <= top):
         _check_trade(x, dx, geom.x_int)
     shift = 0.0 - geom.x_asym

@@ -6,6 +6,8 @@ import math
 
 from .errors import DomainError
 from .params import (
+    _MAX,
+    MIN_NORMAL,
     PoolState,
     ReferenceParams,
     ShiftedProductCurve,
@@ -27,20 +29,16 @@ class ReferenceCurve(ShiftedProductCurve, params_type=ReferenceParams):
 
     @staticmethod
     def _constants(params: ReferenceParams):
-        x0 = _check_finite_positive(params.x0, "x0")
-        y0 = _check_finite_positive(params.y0, "y0")
-        scale = _check_scale(x0 * y0, "x0", "x0*y0")
+        x0, y0 = params.x0, params.y0
+        if not (type(x0) is float and type(y0) is float and 0.0 < x0 <= _MAX and 0.0 < y0 <= _MAX):
+            _check_finite_positive(x0, "x0")
+            _check_finite_positive(y0, "y0")
+        scale = x0 * y0
+        if not MIN_NORMAL <= scale <= _MAX:
+            _check_scale(scale, "x0", "x0*y0")
         # No finite intercepts: the axes are the asymptotes.
-        return scale, _geometry(
-            x_int=math.inf,
-            y_int=math.inf,
-            x_asym=0.0,
-            y_asym=0.0,
-            p_high=math.inf,
-            p_low=0.0,
-            p0=y0 / x0,
-            c=math.inf,
-        )
+        # (x_int, y_int, x_asym, y_asym, p_high, p_low, p0, c)
+        return scale, _geometry(math.inf, math.inf, 0.0, 0.0, math.inf, 0.0, y0 / x0, math.inf)
 
     def _dy(self, state: PoolState, dx: float, x_new: float) -> float:
         """dy = -dx*y/(x + dx); any dx > -x is admissible."""

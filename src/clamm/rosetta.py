@@ -1,8 +1,9 @@
-"""Lossless translation between parameter forms, and the three bare invariants.
+"""Translation between parameter forms, and the three bare invariants.
 
 Any two parameter sets describing the same real curve expose identical
-geometry; ``translate`` converts between them exactly (up to float rounding)
-and ``translation_report`` quantifies the geometric deviation.  The three
+geometry; ``translate`` gives the target form's parameters for a curve (up to
+float rounding) without building them, and ``translation_report`` builds both
+sides and quantifies the geometric deviation.  The three
 ``concentration_from_*`` forms evaluate the concentration constant directly
 from a state and one anchor, with no curve parameters at all.
 """
@@ -40,13 +41,19 @@ class TranslationReport:
 
 
 def translate(source: CurveParams | ShiftedProductCurve, target_form: str) -> CurveParams:
-    """Re-express a curve in another parameter form; the curve is unchanged.
+    """The target form's parameters for the source's curve, not built.
 
     The source is a parameter set, which is built into its curve and so
     validated, or a curve built from one, which is read as it is.  The
     reference form carries no price bounds, so it can neither be a source
     nor a target of a non-identity translation.  A translation to the
     source's own form returns its parameter set.
+
+    The result is not validated, and it can be a set that the target form
+    rejects: a valid uniswap curve with a narrow range at a tiny scale
+    translates to carbon parameters whose ``z`` lies below carbon's
+    ``2**-511`` rule.  ``curve_for`` on the result checks it, and
+    ``translation_report`` builds both sides.
     """
     if target_form not in FORM_REGISTRY:
         raise DomainError("target", f"unknown form {target_form!r}; expected one of {sorted(FORM_REGISTRY)}")

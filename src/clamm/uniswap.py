@@ -10,6 +10,8 @@ import math
 
 from .errors import DomainError
 from .params import (
+    _MAX,
+    MIN_NORMAL,
     ShiftedProductCurve,
     UniswapV3Params,
     _check_finite_positive,
@@ -27,24 +29,30 @@ class UniswapCurve(ShiftedProductCurve, params_type=UniswapV3Params):
 
     @staticmethod
     def _constants(params: UniswapV3Params):
-        liq = _check_finite_positive(params.L, "L")
-        p_high = _check_finite_positive(params.p_high, "p_high")
-        p_low = _check_finite_positive(params.p_low, "p_low")
-        if not p_low < p_high:
-            raise DomainError("p_low", "must be < p_high")
-        scale = _check_scale(liq * liq, "L", "L^2")
+        liq, p_high, p_low = params.L, params.p_high, params.p_low
+        if not (type(liq) is float and type(p_high) is float and type(p_low) is float
+                and 0.0 < liq <= _MAX and 0.0 < p_low < p_high <= _MAX):
+            _check_finite_positive(liq, "L")
+            _check_finite_positive(p_high, "p_high")
+            _check_finite_positive(p_low, "p_low")
+            if not p_low < p_high:
+                raise DomainError("p_low", "must be < p_high")
+        scale = liq * liq
+        if not MIN_NORMAL <= scale <= _MAX:
+            _check_scale(scale, "L", "L^2")
         sqrt_high = math.sqrt(p_high)
         sqrt_low = math.sqrt(p_low)
         # sqrt_high - sqrt_low without cancellation: p_high - p_low is exact
         # (Sterbenz) when the range is narrow, where the roots' difference is not
         root_gap = (p_high - p_low) / (sqrt_high + sqrt_low)
+        # (x_int, y_int, x_asym, y_asym, p_high, p_low, p0, c)
         return scale, _geometry(
-            x_int=liq * root_gap / (sqrt_high * sqrt_low),
-            y_int=liq * root_gap,
-            x_asym=-liq / sqrt_high,
-            y_asym=-liq * sqrt_low,
-            p_high=p_high,
-            p_low=p_low,
-            p0=sqrt_high * sqrt_low,
-            c=sqrt_high / sqrt_low,
+            liq * root_gap / (sqrt_high * sqrt_low),
+            liq * root_gap,
+            -liq / sqrt_high,
+            -liq * sqrt_low,
+            p_high,
+            p_low,
+            sqrt_high * sqrt_low,
+            sqrt_high / sqrt_low,
         )

@@ -179,3 +179,34 @@ def test_native_y_slope_matches_the_core_and_an_exact_value():
             to_exact = max(to_exact, float(abs((Decimal(native) - exact) / exact)))
     assert to_core <= 16 * 2.0 ** -53
     assert to_exact <= 8 * 2.0 ** -53
+
+
+def old_native_forms(curve, state, dx, dy):
+    """Carbon's native closed forms as the expressions stood before each read
+    its parameter set once: dy, dx, marginal price and both slopes."""
+    a, b, z = curve.params.a, curve.params.b, curve.params.z
+    gain = a * (a + b)
+    x_new, y_new = state.x + dx, state.y + dy
+    den_x = state.x * a * (a + b) + z
+    den_y = a * state.y + b * z
+    return (
+        -dx * z * z * (a + b) * (a + b) / ((state.x * gain + z) * (x_new * gain + z)),
+        -dy * z * z / ((a * state.y + b * z) * (a * y_new + b * z)),
+        -(a + b) * (a * state.y + b * z) / (state.x * a * (a + b) + z),
+        -z * z * (a + b) * (a + b) / (den_x * den_x),
+        -z * z / (den_y * den_y),
+    )
+
+
+def test_native_forms_are_bit_identical_to_their_expressions():
+    checked = 0
+    for curve, state, dx in battery_cases(0, 4000):
+        if type(curve) is not CarbonCurve:
+            continue
+        dy = curve.swap_exact_in_x(state, dx).dy
+        new = (curve._dy(state, dx, state.x + dx), curve._dx(state, dy, state.y + dy),
+               curve.marginal_price(state), curve.price_slope_at_x(state.x),
+               curve.price_slope_at_y(state.y))
+        assert [v.hex() for v in new] == [v.hex() for v in old_native_forms(curve, state, dx, dy)]
+        checked += 1
+    assert checked == 1000

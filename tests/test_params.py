@@ -200,6 +200,22 @@ class TestSampling:
             assert raised == (axis, "must be finite")
             assert raised == (expected.value.field, expected.value.reason)
 
+    @pytest.mark.parametrize("params, value", [(ReferenceParams(1.0, 1.0), 1e-310),
+                                               (ReferenceParams(1e300, 1e5), 1e-10)])
+    def test_unshifted_sample_that_overflows_raises_as_pool_state_does(self, params, value):
+        # scale/value overflows near an axis, and both methods returned inf
+        curve = curve_for(params)
+        for method, axis, state in ((curve.y_from_x, "y", (value, math.inf)),
+                                    (curve.x_from_y, "x", (math.inf, value)),
+                                    (curve.state_from_x, "y", (value, math.inf))):
+            with pytest.raises(DomainError) as err:
+                method(value)
+            with pytest.raises(DomainError) as expected:
+                PoolState(*state)
+            raised = (err.value.field, err.value.reason)
+            assert raised == (axis, "must be finite")
+            assert raised == (expected.value.field, expected.value.reason)
+
     @pytest.mark.parametrize("params", WORKED_FORMS, ids=FORM_IDS)
     def test_x_from_y_inverts_y_from_x(self, params):
         # x across [0, x_int], or 1/8 to 8 times x0 on the unshifted curve; the

@@ -35,6 +35,7 @@ from clamm import (
     CurveGeometry,
     DomainError,
     InsufficientLiquidity,
+    NaturalCurve,
     NaturalParams,
     PoolState,
     ReferenceCurve,
@@ -47,7 +48,9 @@ from clamm import (
     curve_for,
 )
 from clamm.params import (
+    _ANCHOR_FIELDS,
     _MAX,
+    ANCHOR_KINDS,
     BOUNDS_SLACK,
     MIN_NORMAL,
     ShiftedProductCurve,
@@ -57,7 +60,6 @@ from clamm.params import (
     _check_finite_positive,
     _check_scale,
     _curve,
-    _delta,
     _geometry,
     _natural_params,
     _reference_params,
@@ -261,6 +263,75 @@ def old_carbon_constants(params):
     )
 
 
+def old_check_exceeds_one(value, name):
+    _require(math.isfinite(value), name, "must be finite")
+    _require(value > 1, name, "must exceed 1")
+    return value
+
+
+def old_natural_constants(params):
+    c = old_check_exceeds_one(params.c, "c")
+    anchor, ax, ay = params.anchor, params.anchor_x, params.anchor_y
+    _require(anchor in ANCHOR_KINDS, "anchor", f"must be one of {ANCHOR_KINDS}")
+    _require(math.isfinite(ax), "anchor_x", "must be finite")
+    _require(math.isfinite(ay), "anchor_y", "must be finite")
+    nx, ny = _ANCHOR_FIELDS[anchor]
+    if anchor == "asymptotes":
+        _require(ax < 0, nx, "must be negative")
+        _require(ay < 0, ny, "must be negative")
+        x_asym, y_asym = ax, ay
+    else:
+        _require(ax > 0, nx, "must be positive")
+        _require(ay > 0, ny, "must be positive")
+        if anchor == "intercepts":
+            gap = c - 1.0
+        else:
+            # center anchor: the shift is x0/(sqrt(c) - 1), with sqrt(c) - 1
+            # written as (c - 1)/(sqrt(c) + 1) so that it does not cancel as c -> 1
+            gap = (c - 1.0) / (math.sqrt(c) + 1.0)
+        x_asym, y_asym = -ax / gap, -ay / gap
+    scale = old_check_scale(c * x_asym * y_asym, "c", "c*x_asym*y_asym")
+    p0 = y_asym / x_asym
+    return scale, CurveGeometry(
+        x_int=-x_asym * (c - 1.0),
+        y_int=-y_asym * (c - 1.0),
+        x_asym=x_asym,
+        y_asym=y_asym,
+        p_high=p0 * c,
+        p_low=p0 / c,
+        p0=p0,
+        c=c,
+    )
+
+
+def old_y_from_x(curve, x):
+    x_int = curve.geom.x_int
+    if not 0.0 < x < x_int * (1.0 + BOUNDS_SLACK):
+        curve._check_bounds("x", x, x_int)
+        _require(x <= _MAX, "x", "must be finite")
+    y = curve.scale / (x + curve.shift_x) - curve.shift_y
+    return relative_snap(y, curve.shift_y)
+
+
+def old_x_from_y(curve, y):
+    y_int = curve.geom.y_int
+    if not 0.0 < y < y_int * (1.0 + BOUNDS_SLACK):
+        curve._check_bounds("y", y, y_int)
+        _require(y <= _MAX, "y", "must be finite")
+    x = curve.scale / (y + curve.shift_y) - curve.shift_x
+    return relative_snap(x, curve.shift_x)
+
+
+def finite_sample(old_sample, axis):
+    """The old sampling body, then the one new rule: a sample that overflowed
+    raises the error ``PoolState`` raises for it, where it was returned."""
+    def sample(curve, value):
+        out = old_sample(curve, value)
+        _require(math.isfinite(out), axis, "must be finite")
+        return (out,)
+    return sample
+
+
 def old_check_derived(shift_x, shift_y, geom, bounded):
     if bounded:
         named = (("shift_x", shift_x), ("shift_y", shift_y), ("x_int", geom.x_int),
@@ -388,6 +459,38 @@ def test_swap_guards_match_the_old_checks(params):
     assert checked > 100
 
 
+# the swap curves, the unshifted curves whose samples overflow near an axis,
+# and a bounded curve below unit scale
+SAMPLE_CURVES = SWAP_CURVES + [ReferenceParams(1.0, 1.0), ReferenceParams(1e300, 1e5),
+                               BancorV2Params(1e-13, 1e-13, 2.0)]
+
+
+def sample_values(intercept):
+    """The grid, subnormals, interior balances, and balances on, around and
+    past the intercept's slack."""
+    values = GRID + [2.5e-320, 1e-310, MIN_NORMAL, 1e-10, 37.0, 1e300]
+    if math.isfinite(intercept):
+        top = intercept * (1.0 + BOUNDS_SLACK)
+        values += [intercept, intercept * 0.5, intercept * (1.0 - BOUNDS_SLACK), top,
+                   math.nextafter(top, 0.0), math.nextafter(top, math.inf),
+                   math.nextafter(intercept, 0.0), math.nextafter(intercept, math.inf)]
+    return values
+
+
+@pytest.mark.parametrize("params", SAMPLE_CURVES, ids=[p.form for p in SAMPLE_CURVES])
+def test_sampling_matches_the_old_checks(params):
+    curve = curve_for(params)
+    changed = 0
+    for new, old, axis, intercept in ((curve.y_from_x, old_y_from_x, "y", curve.geom.x_int),
+                                      (curve.x_from_y, old_x_from_y, "x", curve.geom.y_int)):
+        for value in sample_values(intercept):
+            sampled = outcome(lambda v: (new(v),), value)
+            assert sampled == outcome(finite_sample(old, axis), curve, value), (value, new.__name__)
+            changed += sampled != outcome(lambda v: (old(curve, v),), value)
+    # only the unshifted curves overflow, at the grid's subnormals
+    assert (changed > 0) == (not curve.bounded), changed
+
+
 def test_apply_delta_matches_the_old_snap():
     states = [PoolState(100.0, 100.0), PoolState(0.0, 0.0), PoolState(1e-300, 5.0)]
     deltas = [SwapDelta(0.0, 0.0), SwapDelta(1.0, -100.0), SwapDelta(1.0, -100.0 - 1e-12),
@@ -422,24 +525,41 @@ def new_curve(cls, params):
             *(getattr(curve.geom, f.name) for f in fields(curve.geom)))
 
 
+def natural_params(anchor):
+    """NaturalParams of one anchor kind from (c, anchor_x, anchor_y)."""
+    return lambda c, ax, ay: NaturalParams(c, anchor, ax, ay)
+
+
+# (curve class, makers of its parameter sets from `arity` grid values, old hook, arity)
 HOOKS = [
-    (ReferenceCurve, ReferenceParams, old_reference_constants, 2),
-    (BancorCurve, BancorV2Params, old_bancor_constants, 3),
-    (UniswapCurve, UniswapV3Params, old_uniswap_constants, 3),
-    (CarbonCurve, CarbonParams, old_carbon_constants, 3),
+    (ReferenceCurve, [ReferenceParams], old_reference_constants, 2),
+    (BancorCurve, [BancorV2Params], old_bancor_constants, 3),
+    (UniswapCurve, [UniswapV3Params], old_uniswap_constants, 3),
+    (CarbonCurve, [CarbonParams], old_carbon_constants, 3),
+    # the three anchor kinds and one that is not
+    (NaturalCurve, [natural_params(kind) for kind in ANCHOR_KINDS + ("corner",)],
+     old_natural_constants, 3),
 ]
 
 
-@pytest.mark.parametrize("cls, params_type, old_hook, arity", HOOKS,
+@pytest.mark.parametrize("cls, makers, old_hook, arity", HOOKS,
                          ids=[cls.__name__ for cls, *_ in HOOKS])
-def test_form_hooks_match_the_old_checks(cls, params_type, old_hook, arity):
+def test_form_hooks_match_the_old_checks(cls, makers, old_hook, arity):
     # the grid, plus values that make valid curves of every form, and Decimals,
-    # whose NaN raises from a comparison where math.isfinite returns False
-    values = GRID + [0.25, 4.0, 100.0, 2.0, Decimal("NaN"), Decimal("sNaN"), Decimal("2")]
-    for args in itertools.product(values, repeat=arity):
-        params = params_type(*args)
-        assert (outcome(new_curve, cls, params)
-                == outcome(old_curve, old_hook, cls.bounded, params)), params
+    # whose NaN raises from a comparison where math.isfinite returns False;
+    # -100.0 makes a valid asymptote anchor
+    values = GRID + [0.25, 4.0, 100.0, -100.0, 2.0, Decimal("NaN"), Decimal("sNaN"), Decimal("2")]
+    built = []
+    for make in makers:
+        count = 0
+        for args in itertools.product(values, repeat=arity):
+            params = make(*args)
+            new = outcome(new_curve, cls, params)
+            assert new == outcome(old_curve, old_hook, cls.bounded, params), params
+            count += isinstance(new[0], tuple)  # stored values, not an error
+        built.append(count)
+    # every form, and every anchor kind, builds curves from the grid
+    assert all(built[:len(ANCHOR_KINDS)]), built
 
 
 def test_derived_check_matches_the_old_checks():
@@ -465,6 +585,43 @@ def test_derived_check_matches_the_old_checks():
         for bounded in (True, False):
             assert (outcome(check, _check_derived, bounded, changed)
                     == outcome(check, shift_rule, bounded, changed)), (changed, bounded)
+
+
+def test_curve_build_accepts_derived_constants_as_the_checks_do(monkeypatch):
+    """``_curve`` runs the derived checks only when its own comparison fails:
+    each derived constant a form hook could return, asymptotes included, moved
+    over the same values, must build a curve exactly where the checks pass."""
+    base = curve_for(NaturalParams(4.0, "asymptotes", -100.0, -100.0))
+    names = [f.name for f in fields(base.geom) if f.init]
+    values = [v for v in GRID if not isinstance(v, str)] + [
+        -(2.0 ** -511), -math.nextafter(2.0 ** -511, 0.0), 2.0 ** -511, 1e-160, 1e-300, 0.5, 1.0,
+        math.nextafter(1.0, 2.0), -100.0]
+    hooked = {}
+    for cls in (NaturalCurve, ReferenceCurve):
+        monkeypatch.setattr(cls, "_constants", staticmethod(lambda params: hooked["constants"]))
+
+    def geometry(changed):
+        valid = {f.name: getattr(base.geom, f.name) for f in fields(base.geom) if f.init}
+        valid.update(changed)
+        return CurveGeometry(**valid)
+
+    def built(cls, changed):
+        hooked["constants"] = (base.scale, geometry(changed))
+        curve = _curve(cls, base.params)
+        return curve.shift_x, curve.shift_y
+
+    def checked(cls, changed):
+        geom = geometry(changed)
+        shift_x, shift_y = 0.0 - geom.x_asym, 0.0 - geom.y_asym
+        shift_rule(shift_x, shift_y, geom, cls.bounded)
+        return shift_x, shift_y
+
+    rng = random.Random(11)
+    changes = [{name: value} for name in names for value in values]
+    changes += [dict(zip(rng.sample(names, 2), rng.sample(values, 2))) for _ in range(3000)]
+    for changed in changes:
+        for cls in (NaturalCurve, ReferenceCurve):
+            assert outcome(built, cls, changed) == outcome(checked, cls, changed), (changed, cls)
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +766,7 @@ BUILT = [
     (_state(-0.0, 5e-324), {"y": 0.5}),
     (curve_for(WORKED_BANCOR).state_from_x(37.0), {"x": 0.5}),
     (apply_delta(PoolState(100.0, 100.0), SwapDelta(100.0, -50.0)), {"x": 0.5}),
-    (_delta(1.0, -2.0), {"dy": -0.25}),
+    (curve_for(WORKED_UNISWAP).swap_exact_in_x(PoolState(100.0, 100.0), 10.0), {"dy": -0.25}),
     (curve_for(WORKED_CARBON).swap_exact_out_y(PoolState(100.0, 100.0), -10.0), {"dy": -0.25}),
     (_geometry(*GEOMETRY_ARGS), {"c": 16.0}),
     (curve_for(WORKED_NATURAL).geom, {"c": 16.0}),
@@ -669,10 +826,44 @@ def exact_outcome(make, *args):
 EDGES = GRID + [_MAX, -_MAX, MIN_NORMAL, -MIN_NORMAL, 2.0, -2.0, 1j, None, [1.0]]
 
 
+class QuotedCurve:
+    """A stand-in curve whose swap formulas quote a fixed amount, so that a swap
+    builds its delta from any traded and quoted pair.  It has the unshifted
+    curve's bounds, which a trade from a full state leaves only at -_MAX."""
+
+    geom = curve_for(ReferenceParams(1.0, 1.0)).geom
+    _check_bounds = ShiftedProductCurve._check_bounds
+
+    def __init__(self, quote):
+        self.quote = quote
+
+    def _dy(self, state, dx, x_new):
+        return self.quote
+
+    def _dx(self, state, dy, y_new):
+        return self.quote
+
+
+def built_delta(swap, *args):
+    """The delta a swap returns, with its type."""
+    delta = swap(*args)
+    return type(delta), delta.dx, delta.dy
+
+
 def test_builders_accept_and_reject_as_the_constructors_do():
+    full = PoolState(_MAX, _MAX)
+    old_in = lambda *args: SwapDelta(*old_swap_exact_in_x(*args))  # noqa: E731
+    old_out = lambda *args: SwapDelta(*old_swap_exact_out_y(*args))  # noqa: E731
     for a, b in itertools.product(EDGES, repeat=2):
         assert exact_outcome(_state, a, b) == exact_outcome(PoolState, a, b), (a, b)
-        assert exact_outcome(_delta, a, b) == exact_outcome(SwapDelta, a, b), (a, b)
+        # each swap stores (a, b) as its delta on SwapDelta's own guard; a
+        # non-number fails a different comparison there, so a TypeError is
+        # told apart by type only
+        for swap, old, traded, quoted in ((ShiftedProductCurve.swap_exact_in_x, old_in, a, b),
+                                          (ShiftedProductCurve.swap_exact_out_y, old_out, b, a)):
+            curve = QuotedCurve(quoted)
+            assert (outcome(built_delta, swap, curve, full, traded)
+                    == outcome(built_delta, old, curve, full, traded)), (a, b, swap.__name__)
 
 
 @pytest.mark.parametrize("cls", [PoolState, SwapDelta, CurveGeometry, ComparisonReport, ReferenceParams,
