@@ -1,16 +1,15 @@
-"""The value types and the swap guards: one comparison accepts, the old checks name a failure.
+"""The value types, the swap guards and curve construction, stated as rules.
 
-``PoolState`` and ``SwapDelta`` accept a value on one chained range
-comparison and run their field checks only when it fails; the swap guards,
-``apply_delta``, the form hooks and the core's check of the derived constants
-do the same.  ``adaptive_gauss_kronrod`` runs the checks of the
-``IntegralSpec`` value its arguments once were, in full.  The ``old_*``
-functions below are the checks as they stood when every value ran all of
-them.  Over a grid of edge inputs, the library must store the same value or
-raise the same error; the two new rules, a bounded curve's shifts of at least
-2**-511 and a snap relative to the balance at every scale, are stated beside
-them.  The builders the library makes its hot values with must give what the
-public constructors give, value for value and error for error.
+Each value type, guard and form hook accepts on one range comparison and runs
+its named checks only to name a failure.  Over a grid of edge inputs, each
+must store the value, or raise the error, that a stated rule gives: the first
+failing row of a rule table (``ruled``), the hook's own named-check path (a
+``Named`` float fails its ``type(v) is float`` guard), an exact value on the
+curve's stored constants, or the primitives a swap is stated in,
+``_check_bounds`` and ``_dy``/``_dx``.  The bits of the formulas are pinned by
+the golden digest of ``tests/test_curve_bits.py``.  The builders the library
+makes its hot values with must give what the public constructors give, value
+for value and error for error.
 """
 
 import copy
@@ -22,19 +21,18 @@ import random
 from dataclasses import FrozenInstanceError, asdict, fields, replace
 from decimal import Decimal
 from fractions import Fraction
+from operator import attrgetter
 
 import pytest
 
 from clamm import (
     BancorCurve,
     BancorV2Params,
-    BoundsExceeded,
     CarbonCurve,
     CarbonParams,
     ComparisonReport,
     CurveGeometry,
     DomainError,
-    InsufficientLiquidity,
     NaturalCurve,
     NaturalParams,
     PoolState,
@@ -48,7 +46,6 @@ from clamm import (
     curve_for,
 )
 from clamm.params import (
-    _ANCHOR_FIELDS,
     _MAX,
     ANCHOR_KINDS,
     BOUNDS_SLACK,
@@ -57,6 +54,7 @@ from clamm.params import (
     _bancor_params,
     _carbon_params,
     _check_derived,
+    _check_exceeds_one,
     _check_finite_positive,
     _check_scale,
     _curve,
@@ -69,15 +67,7 @@ from clamm.params import (
     spec_from_dict,
     validate,
 )
-from clamm.quadrature import (
-    _MAX_DEPTH,
-    DEFAULT_ABS_TOL,
-    _adaptive,
-    _panel,
-    battery_cases,
-    oracle_compare,
-    random_bancor_params,
-)
+from clamm.quadrature import DEFAULT_ABS_TOL, battery_cases, oracle_compare, random_bancor_params
 from clamm.rosetta import translate
 
 from .conftest import WORKED_BANCOR, WORKED_CARBON, WORKED_NATURAL, WORKED_UNISWAP
@@ -88,284 +78,126 @@ GRID = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1e308, -1e308, math.inf, -math.in
 
 
 # ---------------------------------------------------------------------------
-# The checks as they stood, verbatim
+# The rules
 # ---------------------------------------------------------------------------
 
 
-def _require(cond, name, reason):
-    if not cond:
-        raise DomainError(name, reason)
+def ruled(rules, accept=lambda *args: args):
+    """A stand-in that raises the DomainError of the first of ``rules``, rows
+    of (field, predicate, reason) in check order, that its arguments fail,
+    and else returns ``accept(*args)``.  A reason may be a function of the
+    arguments; a predicate raises on a non-number as the library does."""
+    def make(*args):
+        for field, holds, reason in rules:
+            if not holds(*args):
+                raise DomainError(field, reason(*args) if callable(reason) else reason)
+        return accept(*args)
+    return make
 
 
-def old_pool_state(x, y):
-    _require(math.isfinite(x), "x", "must be finite")
-    _require(math.isfinite(y), "y", "must be finite")
-    _require(x >= 0, "x", "must be nonnegative")
-    _require(y >= 0, "y", "must be nonnegative")
-    return x, y
+finite = math.isfinite
 
 
-def old_swap_delta(dx, dy):
-    _require(math.isfinite(dx), "dx", "must be finite")
-    _require(math.isfinite(dy), "dy", "must be finite")
-    if (dx == 0) != (dy == 0):
-        raise DomainError("dx", "dx and dy must both be zero or both nonzero")
-    if dx != 0 and (dx > 0) == (dy > 0):
-        raise DomainError("dx", "dx and dy must have opposite signs")
-    return dx, dy
+def positive(name, get=None):
+    get = get or attrgetter(name)
+    return [(name, lambda p: isinstance(get(p), (int, float)) and finite(get(p)), "must be finite"),
+            (name, lambda p: get(p) > 0, "must be positive")]
 
 
-def old_integral_spec(lower, upper, abs_tol=DEFAULT_ABS_TOL, max_depth=_MAX_DEPTH):
-    if not (math.isfinite(lower) and math.isfinite(upper)):
-        raise DomainError("lower", "bounds must be finite")
-    if not lower < upper:
-        raise DomainError("lower", "must be below upper")
-    if not abs_tol > 0:
-        raise DomainError("abs_tol", "must be positive")
-    return lower, upper, abs_tol, max_depth
+def above_one(name, get=None):
+    get = get or attrgetter(name)
+    return [(name, lambda p: finite(get(p)), "must be finite"),
+            (name, lambda p: get(p) > 1, "must exceed 1")]
 
 
-def old_check_bounds(axis, new, intercept):
-    if math.isinf(intercept):
-        if new <= 0:
-            raise InsufficientLiquidity(f"trade would fully deplete the {axis} reserve")
-        return
-    if new < 0 or new > intercept * (1.0 + BOUNDS_SLACK):
-        raise BoundsExceeded(f"{axis} would leave [0, {intercept}]")
+POOL_STATE_RULES = [
+    ("x", lambda x, y: finite(x), "must be finite"),
+    ("y", lambda x, y: finite(y), "must be finite"),
+    ("x", lambda x, y: x >= 0, "must be nonnegative"),
+    ("y", lambda x, y: y >= 0, "must be nonnegative"),
+]
+
+SWAP_DELTA_RULES = [
+    ("dx", lambda dx, dy: finite(dx), "must be finite"),
+    ("dy", lambda dx, dy: finite(dy), "must be finite"),
+    ("dx", lambda dx, dy: (dx == 0) == (dy == 0), "dx and dy must both be zero or both nonzero"),
+    ("dx", lambda dx, dy: dx == 0 or (dx > 0) != (dy > 0), "dx and dy must have opposite signs"),
+]
+
+INTEGRAL_RULES = [
+    ("lower", lambda lower, upper, tol: finite(lower) and finite(upper), "bounds must be finite"),
+    ("lower", lambda lower, upper, tol: lower < upper, "must be below upper"),
+    ("abs_tol", lambda lower, upper, tol: tol > 0, "must be positive"),
+]
+
+SCALE_RULES = [
+    ("s", lambda v: finite(v), "expr must be finite"),
+    ("s", lambda v: v >= MIN_NORMAL, lambda v: f"expr must be a positive normal float, not {v!r}"),
+]
+
+# Each form's field rules.  The natural form names an anchor's sign failure
+# by the anchor kind's JSON fields.
+FORM_RULES = {
+    ReferenceCurve: [*positive("x0"), *positive("y0")],
+    BancorCurve: [*positive("x0"), *positive("y0"), *above_one("A")],
+    UniswapCurve: [*positive("L"), *positive("p_high"), *positive("p_low"),
+                   ("p_low", lambda p: p.p_low < p.p_high, "must be < p_high")],
+    CarbonCurve: [*positive("a"), *positive("b"), *positive("z")],
+    NaturalCurve: [
+        *above_one("c"),
+        ("anchor", lambda p: p.anchor in ANCHOR_KINDS, f"must be one of {ANCHOR_KINDS}"),
+        ("anchor_x", lambda p: finite(p.anchor_x), "must be finite"),
+        ("anchor_y", lambda p: finite(p.anchor_y), "must be finite"),
+        ("x0", lambda p: p.anchor != "center" or p.anchor_x > 0, "must be positive"),
+        ("y0", lambda p: p.anchor != "center" or p.anchor_y > 0, "must be positive"),
+        ("x_int", lambda p: p.anchor != "intercepts" or p.anchor_x > 0, "must be positive"),
+        ("y_int", lambda p: p.anchor != "intercepts" or p.anchor_y > 0, "must be positive"),
+        ("x_asym", lambda p: p.anchor != "asymptotes" or p.anchor_x < 0, "must be negative"),
+        ("y_asym", lambda p: p.anchor != "asymptotes" or p.anchor_y < 0, "must be negative"),
+    ],
+}
 
 
-def old_make_delta(dx, dy):
-    if (dx == 0) != (dy == 0):
-        raise DomainError("dx", "trade too small to resolve at this scale")
-    return old_swap_delta(dx, dy)
+def derived_rules(bounded):
+    """The rules on the constants a hook derives, over a dict of the shifts
+    and the geometry's fields.  A bounded curve's shifts are at least
+    2**-511, so that a shift's square is a normal float."""
+    names = ["shift_x", "shift_y", "x_int", "y_int", "p_high", "p_low", "p0"] if bounded else ["p0"]
+    rules = [("spec", lambda v, n=name: 0.0 < v[n] < math.inf,
+              lambda v, n=name: f"derived {n} must be finite and positive, not {v[n]!r}") for name in names]
+    if bounded:
+        rules.append(("spec", lambda v: 1.0 < v["c"] < math.inf,
+                      lambda v: f"derived c must be finite and above 1, not {v['c']!r}"))
+        rules += [("spec", lambda v, n=name: v[n] >= 2.0 ** -511,
+                   lambda v, n=name: f"derived {n} must be at least 2**-511, not {v[n]!r}")
+                  for name in ("shift_x", "shift_y")]
+    return rules
 
 
-def old_swap_exact_in_x(curve, state, dx):
-    _require(math.isfinite(dx), "dx", "must be finite")
-    if dx == 0:
-        return old_swap_delta(0.0, 0.0)
-    x_new = state.x + dx
-    old_check_bounds("x", x_new, curve.geom.x_int)
-    return old_make_delta(dx, curve._dy(state, dx, x_new))
-
-
-def old_swap_exact_out_y(curve, state, dy):
-    _require(math.isfinite(dy), "dy", "must be finite")
-    if dy == 0:
-        return old_swap_delta(0.0, 0.0)
-    y_new = state.y + dy
-    old_check_bounds("y", y_new, curve.geom.y_int)
-    return old_make_delta(curve._dx(state, dy, y_new), dy)
-
-
-def old_snap_nonnegative(value, reference):
-    if value < 0 and abs(value) <= max(abs(reference), 1.0) * 1e-12:
-        return 0.0
-    return value
-
-
-def relative_snap(value, reference):
-    """The old snap, then the one new rule: a negative snaps to 0 only within
-    1e-12 of the balance it came from, with no unit floor below 1."""
-    if value < 0 and abs(value) > abs(reference) * 1e-12:
-        return value
-    return old_snap_nonnegative(value, reference)
-
-
-def old_apply_delta(state, delta, snap=old_snap_nonnegative):
-    x = state.x + delta.dx
-    y = state.y + delta.dy
-    return old_pool_state(snap(x, state.x), snap(y, state.y))
-
-
-def old_check_finite_positive(value, name):
-    _require(isinstance(value, (int, float)) and math.isfinite(value), name, "must be finite")
-    _require(value > 0, name, "must be positive")
-    return value
-
-
-def old_check_scale(scale, name, expr):
-    if not math.isfinite(scale):
-        raise DomainError(name, f"{expr} must be finite")
-    if scale < MIN_NORMAL:
-        raise DomainError(name, f"{expr} must be a positive normal float, not {scale!r}")
-    return scale
-
-
-def old_reference_constants(params):
-    x0 = old_check_finite_positive(params.x0, "x0")
-    y0 = old_check_finite_positive(params.y0, "y0")
-    scale = old_check_scale(x0 * y0, "x0", "x0*y0")
-    return scale, CurveGeometry(
-        x_int=math.inf, y_int=math.inf, x_asym=0.0, y_asym=0.0,
-        p_high=math.inf, p_low=0.0, p0=y0 / x0, c=math.inf,
-    )
-
-
-def old_bancor_constants(params):
-    x0 = old_check_finite_positive(params.x0, "x0")
-    y0 = old_check_finite_positive(params.y0, "y0")
-    amp = params.A
-    _require(math.isfinite(amp), "A", "must be finite")
-    _require(amp > 1, "A", "must exceed 1")
-    scale = old_check_scale(amp * amp * x0 * y0, "A", "A^2*x0*y0")
-    c = amp * amp / ((amp - 1.0) * (amp - 1.0))
-    p0 = y0 / x0
-    return scale, CurveGeometry(
-        x_int=x0 * (2.0 * amp - 1.0) / (amp - 1.0),
-        y_int=y0 * (2.0 * amp - 1.0) / (amp - 1.0),
-        x_asym=-x0 * (amp - 1.0),
-        y_asym=-y0 * (amp - 1.0),
-        p_high=c * p0,
-        p_low=p0 / c,
-        p0=p0,
-        c=c,
-    )
-
-
-def old_uniswap_constants(params):
-    liq = old_check_finite_positive(params.L, "L")
-    p_high = old_check_finite_positive(params.p_high, "p_high")
-    p_low = old_check_finite_positive(params.p_low, "p_low")
-    _require(p_low < p_high, "p_low", "must be < p_high")
-    scale = old_check_scale(liq * liq, "L", "L^2")
-    sqrt_high = math.sqrt(p_high)
-    sqrt_low = math.sqrt(p_low)
-    root_gap = (p_high - p_low) / (sqrt_high + sqrt_low)
-    return scale, CurveGeometry(
-        x_int=liq * root_gap / (sqrt_high * sqrt_low),
-        y_int=liq * root_gap,
-        x_asym=-liq / sqrt_high,
-        y_asym=-liq * sqrt_low,
-        p_high=p_high,
-        p_low=p_low,
-        p0=sqrt_high * sqrt_low,
-        c=sqrt_high / sqrt_low,
-    )
-
-
-def old_carbon_constants(params):
-    a = old_check_finite_positive(params.a, "a")
-    b = old_check_finite_positive(params.b, "b")
-    z = old_check_finite_positive(params.z, "z")
-    scale = old_check_scale((z / a) * (z / a), "z", "(z/a)^2")
-    gap = old_check_scale(a * (a + b), "a", "a*(a+b)")
-    p0 = old_check_scale(b * (a + b), "b", "b*(a+b)")
-    return scale, CurveGeometry(
-        x_int=z / p0,
-        y_int=z,
-        x_asym=-z / gap,
-        y_asym=-b * z / a,
-        p_high=(a + b) * (a + b),
-        p_low=b * b,
-        p0=p0,
-        c=(a + b) / b,
-    )
-
-
-def old_check_exceeds_one(value, name):
-    _require(math.isfinite(value), name, "must be finite")
-    _require(value > 1, name, "must exceed 1")
-    return value
-
-
-def old_natural_constants(params):
-    c = old_check_exceeds_one(params.c, "c")
-    anchor, ax, ay = params.anchor, params.anchor_x, params.anchor_y
-    _require(anchor in ANCHOR_KINDS, "anchor", f"must be one of {ANCHOR_KINDS}")
-    _require(math.isfinite(ax), "anchor_x", "must be finite")
-    _require(math.isfinite(ay), "anchor_y", "must be finite")
-    nx, ny = _ANCHOR_FIELDS[anchor]
-    if anchor == "asymptotes":
-        _require(ax < 0, nx, "must be negative")
-        _require(ay < 0, ny, "must be negative")
-        x_asym, y_asym = ax, ay
-    else:
-        _require(ax > 0, nx, "must be positive")
-        _require(ay > 0, ny, "must be positive")
-        if anchor == "intercepts":
-            gap = c - 1.0
+def stated_swap(axis):
+    """A swap on ``axis`` with the curve's own bounds check and formula: a
+    finite amount; the zero delta for a zero trade; else the new balance
+    passes ``_check_bounds`` and the coupled amount, ``_dy`` or ``_dx``, is
+    nonzero, since no delta represents a trade below the curve's resolution."""
+    def swap(curve, state, amount):
+        if not finite(amount):
+            raise DomainError("dx" if axis == "x" else "dy", "must be finite")
+        if amount == 0:
+            return SwapDelta(0.0, 0.0)
+        if axis == "x":
+            curve._check_bounds("x", state.x + amount, curve.geom.x_int)
+            pair = amount, curve._dy(state, amount, state.x + amount)
         else:
-            # center anchor: the shift is x0/(sqrt(c) - 1), with sqrt(c) - 1
-            # written as (c - 1)/(sqrt(c) + 1) so that it does not cancel as c -> 1
-            gap = (c - 1.0) / (math.sqrt(c) + 1.0)
-        x_asym, y_asym = -ax / gap, -ay / gap
-    scale = old_check_scale(c * x_asym * y_asym, "c", "c*x_asym*y_asym")
-    p0 = y_asym / x_asym
-    return scale, CurveGeometry(
-        x_int=-x_asym * (c - 1.0),
-        y_int=-y_asym * (c - 1.0),
-        x_asym=x_asym,
-        y_asym=y_asym,
-        p_high=p0 * c,
-        p_low=p0 / c,
-        p0=p0,
-        c=c,
-    )
-
-
-def old_y_from_x(curve, x):
-    x_int = curve.geom.x_int
-    if not 0.0 < x < x_int * (1.0 + BOUNDS_SLACK):
-        curve._check_bounds("x", x, x_int)
-        _require(x <= _MAX, "x", "must be finite")
-    y = curve.scale / (x + curve.shift_x) - curve.shift_y
-    return relative_snap(y, curve.shift_y)
-
-
-def old_x_from_y(curve, y):
-    y_int = curve.geom.y_int
-    if not 0.0 < y < y_int * (1.0 + BOUNDS_SLACK):
-        curve._check_bounds("y", y, y_int)
-        _require(y <= _MAX, "y", "must be finite")
-    x = curve.scale / (y + curve.shift_y) - curve.shift_x
-    return relative_snap(x, curve.shift_x)
-
-
-def finite_sample(old_sample, axis):
-    """The old sampling body, then the one new rule: a sample that overflowed
-    raises the error ``PoolState`` raises for it, where it was returned."""
-    def sample(curve, value):
-        out = old_sample(curve, value)
-        _require(math.isfinite(out), axis, "must be finite")
-        return (out,)
-    return sample
-
-
-def old_check_derived(shift_x, shift_y, geom, bounded):
-    if bounded:
-        named = (("shift_x", shift_x), ("shift_y", shift_y), ("x_int", geom.x_int),
-                 ("y_int", geom.y_int), ("p_high", geom.p_high), ("p_low", geom.p_low),
-                 ("p0", geom.p0))
-    else:
-        named = (("p0", geom.p0),)
-    for name, value in named:
-        if not 0.0 < value < math.inf:
-            raise DomainError("spec", f"derived {name} must be finite and positive, not {value!r}")
-    if bounded and not 1.0 < geom.c < math.inf:
-        raise DomainError("spec", f"derived c must be finite and above 1, not {geom.c!r}")
-
-
-def shift_rule(shift_x, shift_y, geom, bounded):
-    """The old derived checks, then the one new rule: a bounded curve's shifts
-    are at least 2**-511, so that a shift's square is a normal float."""
-    old_check_derived(shift_x, shift_y, geom, bounded)
-    if bounded:
-        for name, value in (("shift_x", shift_x), ("shift_y", shift_y)):
-            if value < 2.0 ** -511:
-                raise DomainError("spec", f"derived {name} must be at least 2**-511, not {value!r}")
-
-
-def old_curve(hook, bounded, params):
-    scale, geom = hook(params)
-    shift_x = 0.0 - geom.x_asym
-    shift_y = 0.0 - geom.y_asym
-    shift_rule(shift_x, shift_y, geom, bounded)
-    return shift_x, shift_y, scale, *(getattr(geom, f.name) for f in fields(geom))
+            curve._check_bounds("y", state.y + amount, curve.geom.y_int)
+            pair = curve._dx(state, amount, state.y + amount), amount
+        if 0 in pair:
+            raise DomainError("dx", "trade too small to resolve at this scale")
+        return SwapDelta(*pair)
+    return swap
 
 
 # ---------------------------------------------------------------------------
-# Differential tests
+# The grids against the rules
 # ---------------------------------------------------------------------------
 
 
@@ -373,7 +205,7 @@ def outcome(make, *args):
     """What a constructor or guard does with args: the stored values, with their
     types and signs, or the error.  A DomainError is told apart by field and
     reason, any other error by type and message; a TypeError (a non-number)
-    by type only, since the range comparison words it differently."""
+    by type only, since a comparison and a predicate word it differently."""
     try:
         value = make(*args)
     except DomainError as exc:
@@ -388,35 +220,31 @@ def outcome(make, *args):
 
 
 def test_pool_state_matches_the_old_checks():
-    # more non-numbers: the range test raises TypeError on them where
-    # math.isfinite would, and stops at the first field that fails
+    # more non-numbers, which stop the checks at the first field that fails
     for x, y in itertools.product(GRID + [1j, None, [1.0]], repeat=2):
-        assert outcome(PoolState, x, y) == outcome(old_pool_state, x, y), (x, y)
+        assert outcome(PoolState, x, y) == outcome(ruled(POOL_STATE_RULES), x, y), (x, y)
 
 
 def test_swap_delta_matches_the_old_checks():
     for dx, dy in itertools.product(GRID, repeat=2):
-        assert outcome(SwapDelta, dx, dy) == outcome(old_swap_delta, dx, dy), (dx, dy)
+        assert outcome(SwapDelta, dx, dy) == outcome(ruled(SWAP_DELTA_RULES), dx, dy), (dx, dy)
 
 
 def test_integral_spec_matches_the_old_checks():
-    # the kernel is IntegralSpec's checks, then the kernel's body as it stood
-    # behind them; the integral of 0 is 0 on every interval but one, too wide
-    # for a float, whose bisection halves an int tolerance past the float range
-    def zero(x):
-        return 0.0
+    def integral_of_zero(lower, upper, abs_tol):
+        # an interval wider than the float range has a NaN first-panel error,
+        # so the kernel bisects it and halves abs_tol, which an int past
+        # binary64 cannot take
+        if upper - lower == math.inf:
+            0.5 * abs_tol  # noqa: B018
+        return (0.0,)
 
-    def new(*args):
-        return (adaptive_gauss_kronrod(zero, *args),)
-
-    def old(*args):
-        lower, upper, abs_tol, max_depth = old_integral_spec(*args)
-        whole, err = _panel(zero, lower, upper)
-        return (_adaptive(zero, lower, upper, abs_tol, whole, err, max_depth),)
+    def kernel(*args):
+        return (adaptive_gauss_kronrod(lambda x: 0.0, *args),)
 
     for args in itertools.product(GRID, repeat=3):
-        assert outcome(new, *args) == outcome(old, *args), args
-    assert outcome(new, 0.0, 1.0) == outcome(old, 0.0, 1.0)
+        assert outcome(kernel, *args) == outcome(ruled(INTEGRAL_RULES, integral_of_zero), *args), args
+    assert outcome(kernel, 0.0, 1.0) == ((float, "0.0"),)
 
 
 SWAP_CURVES = [ReferenceParams(100.0, 100.0), WORKED_BANCOR, WORKED_UNISWAP, WORKED_CARBON,
@@ -449,12 +277,11 @@ def test_swap_guards_match_the_old_checks(params):
     curve = curve_for(params)
     checked = 0
     for state in swap_states(curve):
-        for new, old, intercept in (
-                (curve.swap_exact_in_x, old_swap_exact_in_x, curve.geom.x_int),
-                (curve.swap_exact_out_y, old_swap_exact_out_y, curve.geom.y_int)):
+        for swap, axis, intercept in ((curve.swap_exact_in_x, "x", curve.geom.x_int),
+                                      (curve.swap_exact_out_y, "y", curve.geom.y_int)):
             for amount in swap_amounts(state, intercept):
-                assert outcome(new, state, amount) == outcome(old, curve, state, amount), (
-                    state, amount, new.__name__)
+                assert outcome(swap, state, amount) == outcome(stated_swap(axis), curve, state, amount), (
+                    state, amount, swap.__name__)
                 checked += 1
     assert checked > 100
 
@@ -477,18 +304,50 @@ def sample_values(intercept):
     return values
 
 
+def exact_sample(curve, axis, value):
+    """The exact other balance, on the curve's stored constants, of a finite
+    balance that passes the curve's bounds check, with the shift it is read
+    from; one whose exact value overflows raises the error ``PoolState``
+    raises for it."""
+    if isinstance(value, int) and value > _MAX and not curve.bounded:
+        # the unshifted curve's range test admits an int past binary64, and
+        # the float arithmetic behind it raises
+        raise OverflowError("int too large to convert to float")
+    shift, other_shift = (curve.shift_x, curve.shift_y) if axis == "x" else (curve.shift_y, curve.shift_x)
+    curve._check_bounds(axis, value, curve.geom.x_int if axis == "x" else curve.geom.y_int)
+    if not value <= _MAX:
+        raise DomainError(axis, "must be finite")
+    exact = Fraction(curve.scale) / (Fraction(value) + Fraction(shift)) - Fraction(other_shift)
+    if exact > _MAX:
+        raise DomainError("y" if axis == "x" else "x", "must be finite")
+    return exact, Fraction(other_shift)
+
+
 @pytest.mark.parametrize("params", SAMPLE_CURVES, ids=[p.form for p in SAMPLE_CURVES])
 def test_sampling_matches_the_old_checks(params):
+    """A balance is checked as ``exact_sample`` states; it then samples to
+    within 4*2**-53 of the exact value, relative to the shifted balance
+    (measured worst 1.1), and one past the intercept, within its slack,
+    samples to 0.0."""
     curve = curve_for(params)
-    changed = 0
-    for new, old, axis, intercept in ((curve.y_from_x, old_y_from_x, "y", curve.geom.x_int),
-                                      (curve.x_from_y, old_x_from_y, "x", curve.geom.y_int)):
+    overflowed = 0
+    for sample, axis, intercept in ((curve.y_from_x, "x", curve.geom.x_int),
+                                    (curve.x_from_y, "y", curve.geom.y_int)):
         for value in sample_values(intercept):
-            sampled = outcome(lambda v: (new(v),), value)
-            assert sampled == outcome(finite_sample(old, axis), curve, value), (value, new.__name__)
-            changed += sampled != outcome(lambda v: (old(curve, v),), value)
+            got = outcome(lambda v: (sample(v),), value)
+            stated = outcome(lambda v: (exact_sample(curve, axis, v),), value)
+            if not isinstance(stated[0], tuple):  # an error
+                assert got == stated, (value, sample.__name__)
+                overflowed += stated[1:] == ("y" if axis == "x" else "x", "must be finite")
+                continue
+            exact, shift = exact_sample(curve, axis, value)
+            # the snap's slack is relative to the shift the balance is read from
+            assert -exact <= shift * Fraction(BOUNDS_SLACK), (value, sample.__name__)
+            assert got[0][0] is float, (value, sample.__name__, got)
+            bound = 4 * Fraction(2) ** -53 * (abs(exact) + shift) + Fraction(2) ** -1074
+            assert abs(Fraction(sample(value)) - max(exact, 0)) <= bound, (value, sample.__name__)
     # only the unshifted curves overflow, at the grid's subnormals
-    assert (changed > 0) == (not curve.bounded), changed
+    assert (overflowed > 0) == (not curve.bounded), overflowed
 
 
 def test_apply_delta_matches_the_old_snap():
@@ -497,15 +356,23 @@ def test_apply_delta_matches_the_old_snap():
               SwapDelta(1.0, -100.0 - 1e-9), SwapDelta(-100.0 - 1e-13, 1.0),
               SwapDelta(-1e-300, 5e-324), SwapDelta(-2e-300, 1.0), SwapDelta(-5e-324, 1.0),
               SwapDelta(-1e308, 1e308), SwapDelta(1e308, -1.0)]
-    changed = 0
+
+    def snapped(value, held):
+        # a negative within BOUNDS_SLACK of the balance it came from is 0.0
+        return 0.0 if value < 0 and -value <= held * BOUNDS_SLACK else value
+
+    def stated(state, delta):
+        return PoolState(snapped(state.x + delta.dx, state.x), snapped(state.y + delta.dy, state.y))
+
+    snaps = rejects = 0
     for state, delta in itertools.product(states, deltas):
-        new = outcome(apply_delta, state, delta)
-        assert new == outcome(old_apply_delta, state, delta, relative_snap), (state, delta)
-        # the relative rule moves only snaps that the old unit floor absorbed
-        if new != outcome(old_apply_delta, state, delta):
-            changed += 1
-            assert min(state.x + delta.dx, state.y + delta.dy) >= -1e-12, (state, delta)
-    assert changed > 0
+        got = outcome(apply_delta, state, delta)
+        assert got == outcome(stated, state, delta), (state, delta)
+        lowest = min(state.x + delta.dx, state.y + delta.dy)
+        snaps += lowest < 0 and got[0] != "DomainError"
+        rejects += -1e-12 <= lowest < 0 and got[0] == "DomainError"
+    # both sides of the slack, which is relative to the balance at every scale
+    assert snaps and rejects, (snaps, rejects)
 
 
 def test_field_checks_match_the_old_checks():
@@ -513,16 +380,21 @@ def test_field_checks_match_the_old_checks():
         return (check(*args),)
 
     for value in GRID + [MIN_NORMAL, math.nextafter(MIN_NORMAL, 0.0), 1.7976931348623157e308]:
-        assert (outcome(stored, _check_finite_positive, value, "v")
-                == outcome(stored, old_check_finite_positive, value, "v")), value
-        assert (outcome(stored, _check_scale, value, "s", "expr")
-                == outcome(stored, old_check_scale, value, "s", "expr")), value
+        for check, rules in ((_check_finite_positive, positive("v", lambda v: v)),
+                             (_check_exceeds_one, above_one("v", lambda v: v))):
+            assert outcome(stored, check, value, "v") == outcome(ruled(rules), value), value
+        assert outcome(stored, _check_scale, value, "s", "expr") == outcome(ruled(SCALE_RULES), value), value
 
 
-def new_curve(cls, params):
+class Named(float):
+    """A float that fails each form hook's ``type(v) is float`` guard."""
+
+
+def curve_values(cls, params):
+    """A curve's shifts, scale and geometry, a ``Named`` field read back as a float."""
     curve = cls(params)
-    return (curve.shift_x, curve.shift_y, curve.scale,
-            *(getattr(curve.geom, f.name) for f in fields(curve.geom)))
+    values = (curve.shift_x, curve.shift_y, curve.scale, *(getattr(curve.geom, f.name) for f in fields(curve.geom)))
+    return tuple(float(v) if type(v) is Named else v for v in values)
 
 
 def natural_params(anchor):
@@ -530,69 +402,91 @@ def natural_params(anchor):
     return lambda c, ax, ay: NaturalParams(c, anchor, ax, ay)
 
 
-# (curve class, makers of its parameter sets from `arity` grid values, old hook, arity)
+# (curve class, makers of its parameter sets from `arity` grid values, arity)
 HOOKS = [
-    (ReferenceCurve, [ReferenceParams], old_reference_constants, 2),
-    (BancorCurve, [BancorV2Params], old_bancor_constants, 3),
-    (UniswapCurve, [UniswapV3Params], old_uniswap_constants, 3),
-    (CarbonCurve, [CarbonParams], old_carbon_constants, 3),
+    (ReferenceCurve, [ReferenceParams], 2),
+    (BancorCurve, [BancorV2Params], 3),
+    (UniswapCurve, [UniswapV3Params], 3),
+    (CarbonCurve, [CarbonParams], 3),
     # the three anchor kinds and one that is not
-    (NaturalCurve, [natural_params(kind) for kind in ANCHOR_KINDS + ("corner",)],
-     old_natural_constants, 3),
+    (NaturalCurve, [natural_params(kind) for kind in ANCHOR_KINDS + ("corner",)], 3),
 ]
 
 
-@pytest.mark.parametrize("cls, makers, old_hook, arity", HOOKS,
-                         ids=[cls.__name__ for cls, *_ in HOOKS])
-def test_form_hooks_match_the_old_checks(cls, makers, old_hook, arity):
+@pytest.mark.parametrize("cls, makers, arity", HOOKS, ids=[cls.__name__ for cls, *_ in HOOKS])
+def test_form_hooks_match_the_old_checks(cls, makers, arity):
+    """A parameter set that fails a field rule raises that rule's error; any
+    other builds what the hook's named-check path builds, bit for bit, or
+    raises the error a derived constant gives there."""
     # the grid, plus values that make valid curves of every form, and Decimals,
     # whose NaN raises from a comparison where math.isfinite returns False;
     # -100.0 makes a valid asymptote anchor
     values = GRID + [0.25, 4.0, 100.0, -100.0, 2.0, Decimal("NaN"), Decimal("sNaN"), Decimal("2")]
+    field_reasons = {reason for _, _, reason in FORM_RULES[cls] if isinstance(reason, str)}
     built = []
     for make in makers:
         count = 0
         for args in itertools.product(values, repeat=arity):
             params = make(*args)
-            new = outcome(new_curve, cls, params)
-            assert new == outcome(old_curve, old_hook, cls.bounded, params), params
-            count += isinstance(new[0], tuple)  # stored values, not an error
+            got = outcome(curve_values, cls, params)
+            stated = outcome(ruled(FORM_RULES[cls], lambda params: ()), params)
+            if stated:  # a field rule fails
+                assert got == stated, params
+                continue
+            named = replace(params, **{f.name: Named(v) for f in fields(params)
+                                       if type(v := getattr(params, f.name)) is float})
+            assert got == outcome(curve_values, cls, named), params
+            # the rules are the whole of the field checks
+            assert got[0] != "DomainError" or got[2] not in field_reasons, (params, got)
+            count += isinstance(got[0], tuple)  # stored values, not an error
         built.append(count)
     # every form, and every anchor kind, builds curves from the grid
     assert all(built[:len(ANCHOR_KINDS)]), built
 
 
+NATURAL_BASE = curve_for(NaturalParams(4.0, "asymptotes", -100.0, -100.0))
+GEOMETRY_NAMES = [f.name for f in fields(CurveGeometry) if f.init]
+
+
+def moved(changed):
+    """The base curve's shifts and geometry fields with some changed, as the
+    dict the derived rules read, and the geometry they make."""
+    values = {"shift_x": NATURAL_BASE.shift_x, "shift_y": NATURAL_BASE.shift_y,
+              **{name: getattr(NATURAL_BASE.geom, name) for name in GEOMETRY_NAMES}, **changed}
+    return values, CurveGeometry(*(values[name] for name in GEOMETRY_NAMES))
+
+
+def changes(names, values, seed):
+    """Each name moved to each value, then 3000 random pairs of moves."""
+    rng = random.Random(seed)
+    single = [{name: value} for name in names for value in values]
+    return single + [dict(zip(rng.sample(names, 2), rng.sample(values, 2))) for _ in range(3000)]
+
+
 def test_derived_check_matches_the_old_checks():
     """Each derived constant of a valid curve, and each shift, moved over the grid
     and the edges of the shift rule, one at a time and in random pairs."""
-    base = curve_for(NaturalParams(4.0, "asymptotes", -100.0, -100.0))
-    names = ["shift_x", "shift_y"] + [f.name for f in fields(base.geom) if f.init]
     values = [v for v in GRID if not isinstance(v, str)] + [
         2.0 ** -511, math.nextafter(2.0 ** -511, 0.0), 1e-160, 1e-300, 0.5, 1.0,
         math.nextafter(1.0, 2.0)]
 
-    def check(check_derived, bounded, changed):
-        valid = {"shift_x": base.shift_x, "shift_y": base.shift_y,
-                 **{f.name: getattr(base.geom, f.name) for f in fields(base.geom) if f.init}}
-        valid.update(changed)
-        shift_x, shift_y = valid.pop("shift_x"), valid.pop("shift_y")
-        return (check_derived(shift_x, shift_y, CurveGeometry(**valid), bounded),)
+    def checked(bounded, changed):
+        values, geom = moved(changed)
+        return (_check_derived(values["shift_x"], values["shift_y"], geom, bounded),)
 
-    rng = random.Random(10)
-    changes = [{name: value} for name in names for value in values]
-    changes += [dict(zip(rng.sample(names, 2), rng.sample(values, 2))) for _ in range(3000)]
-    for changed in changes:
+    def stated(bounded, changed):
+        return ruled(derived_rules(bounded), lambda values: (None,))(moved(changed)[0])
+
+    for changed in changes(["shift_x", "shift_y"] + GEOMETRY_NAMES, values, 10):
         for bounded in (True, False):
-            assert (outcome(check, _check_derived, bounded, changed)
-                    == outcome(check, shift_rule, bounded, changed)), (changed, bounded)
+            assert outcome(checked, bounded, changed) == outcome(stated, bounded, changed), (changed, bounded)
 
 
 def test_curve_build_accepts_derived_constants_as_the_checks_do(monkeypatch):
     """``_curve`` runs the derived checks only when its own comparison fails:
     each derived constant a form hook could return, asymptotes included, moved
-    over the same values, must build a curve exactly where the checks pass."""
-    base = curve_for(NaturalParams(4.0, "asymptotes", -100.0, -100.0))
-    names = [f.name for f in fields(base.geom) if f.init]
+    over the same values, must build a curve exactly where the rules pass,
+    with the negated asymptotes as its shifts, +0.0 on the unshifted curve."""
     values = [v for v in GRID if not isinstance(v, str)] + [
         -(2.0 ** -511), -math.nextafter(2.0 ** -511, 0.0), 2.0 ** -511, 1e-160, 1e-300, 0.5, 1.0,
         math.nextafter(1.0, 2.0), -100.0]
@@ -600,33 +494,42 @@ def test_curve_build_accepts_derived_constants_as_the_checks_do(monkeypatch):
     for cls in (NaturalCurve, ReferenceCurve):
         monkeypatch.setattr(cls, "_constants", staticmethod(lambda params: hooked["constants"]))
 
-    def geometry(changed):
-        valid = {f.name: getattr(base.geom, f.name) for f in fields(base.geom) if f.init}
-        valid.update(changed)
-        return CurveGeometry(**valid)
-
     def built(cls, changed):
-        hooked["constants"] = (base.scale, geometry(changed))
-        curve = _curve(cls, base.params)
+        hooked["constants"] = (NATURAL_BASE.scale, moved(changed)[1])
+        curve = _curve(cls, NATURAL_BASE.params)
         return curve.shift_x, curve.shift_y
 
-    def checked(cls, changed):
-        geom = geometry(changed)
-        shift_x, shift_y = 0.0 - geom.x_asym, 0.0 - geom.y_asym
-        shift_rule(shift_x, shift_y, geom, cls.bounded)
-        return shift_x, shift_y
+    def stated(cls, changed):
+        values, geom = moved(changed)
+        values.update(shift_x=0.0 - geom.x_asym, shift_y=0.0 - geom.y_asym)
+        return ruled(derived_rules(cls.bounded), lambda v: (v["shift_x"], v["shift_y"]))(values)
 
-    rng = random.Random(11)
-    changes = [{name: value} for name in names for value in values]
-    changes += [dict(zip(rng.sample(names, 2), rng.sample(values, 2))) for _ in range(3000)]
-    for changed in changes:
+    for changed in changes(GEOMETRY_NAMES, values, 11):
         for cls in (NaturalCurve, ReferenceCurve):
-            assert outcome(built, cls, changed) == outcome(checked, cls, changed), (changed, cls)
+            assert outcome(built, cls, changed) == outcome(stated, cls, changed), (changed, cls)
 
 
 # ---------------------------------------------------------------------------
 # The value-type contract
 # ---------------------------------------------------------------------------
+
+
+def assert_frozen(value, names):
+    """Neither a store nor a delete gets past a frozen, slotted value."""
+    for name in names:
+        with pytest.raises(FrozenInstanceError):
+            setattr(value, name, 1.0)
+        with pytest.raises(FrozenInstanceError):
+            delattr(value, name)
+    assert not hasattr(value, "__dict__")  # slots: no instance dict to write around
+
+
+def assert_clones(value):
+    """A pickle round trip and both copies give the value, of its type and repr."""
+    for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert clone == value
+        assert type(clone) is type(value)
+        assert repr(clone) == repr(value)
 
 VALUES = [
     (PoolState, (1.5, 2.5), "PoolState(x=1.5, y=2.5)", {"x": 0.5}),
@@ -646,13 +549,8 @@ class TestValueContract:
 
     def test_frozen(self, cls, args, text, change):
         value = cls(*args)
-        name = next(iter(change))
-        with pytest.raises(FrozenInstanceError):
-            setattr(value, name, change[name])
-        with pytest.raises(FrozenInstanceError):
-            delattr(value, name)
+        assert_frozen(value, change)
         assert value == cls(*args)
-        assert not hasattr(value, "__dict__")  # slots: no instance dict to write around
 
     def test_fields_replace_and_asdict(self, cls, args, text, change):
         value = cls(*args)
@@ -667,10 +565,7 @@ class TestValueContract:
             replace(cls(*args), **{next(iter(change)): math.nan})
 
     def test_pickle_and_copy(self, cls, args, text, change):
-        value = cls(*args)
-        for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
-            assert clone == value
-            assert type(clone) is cls
+        assert_clones(cls(*args))
 
 
 def test_integral_spec_defaults():
@@ -712,12 +607,7 @@ class TestDerivedValueContract:
 
     def test_frozen_and_slotted(self):
         for value in (CurveGeometry(*GEOMETRY_ARGS), ComparisonReport(*REPORT_ARGS)):
-            name = fields(value)[0].name
-            with pytest.raises(FrozenInstanceError):
-                setattr(value, name, 1.0)
-            with pytest.raises(FrozenInstanceError):
-                delattr(value, name)
-            assert not hasattr(value, "__dict__")
+            assert_frozen(value, [fields(value)[0].name])
 
     def test_geometry_fields_replace_and_asdict(self):
         geom = CurveGeometry(*GEOMETRY_ARGS)
@@ -741,10 +631,7 @@ class TestDerivedValueContract:
 
     def test_pickle_and_copy(self):
         for value in (CurveGeometry(*GEOMETRY_ARGS), ComparisonReport(*REPORT_ARGS)):
-            for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
-                assert clone == value
-                assert type(clone) is type(value)
-                assert asdict(clone) == asdict(value)
+            assert_clones(value)
 
 
 # ---------------------------------------------------------------------------
@@ -797,29 +684,9 @@ def test_builders_keep_the_value_contract(built, change):
     assert hash(built) == hash(public)
     assert replace(built, **change) == replace(public, **change)
     assert type(replace(built, **change)) is cls
-    for clone in (pickle.loads(pickle.dumps(built)), copy.copy(built), copy.deepcopy(built)):
-        assert type(clone) is cls
-        assert repr(clone) == repr(public)
-    for f in fields(built):
-        with pytest.raises(FrozenInstanceError):
-            setattr(built, f.name, 1.0)
-        with pytest.raises(FrozenInstanceError):
-            delattr(built, f.name)
+    assert_clones(built)
+    assert_frozen(built, [f.name for f in fields(built)])
     assert repr(built) == repr(public)
-    assert not hasattr(built, "__dict__")
-
-
-def exact_outcome(make, *args):
-    """The stored values with their types and signs, or the error: a DomainError
-    by field and reason, any other by type and message."""
-    try:
-        value = make(*args)
-    except DomainError as exc:
-        return DomainError, exc.field, exc.reason
-    except Exception as exc:
-        return type(exc), str(exc)
-    stored = (getattr(value, f.name) for f in fields(value))
-    return type(value), tuple((type(v), repr(v)) for v in stored)
 
 
 # The grid, the float range's ends, and non-numbers of several kinds
@@ -852,18 +719,16 @@ def built_delta(swap, *args):
 
 def test_builders_accept_and_reject_as_the_constructors_do():
     full = PoolState(_MAX, _MAX)
-    old_in = lambda *args: SwapDelta(*old_swap_exact_in_x(*args))  # noqa: E731
-    old_out = lambda *args: SwapDelta(*old_swap_exact_out_y(*args))  # noqa: E731
     for a, b in itertools.product(EDGES, repeat=2):
-        assert exact_outcome(_state, a, b) == exact_outcome(PoolState, a, b), (a, b)
+        assert outcome(_state, a, b) == outcome(PoolState, a, b), (a, b)
         # each swap stores (a, b) as its delta on SwapDelta's own guard; a
         # non-number fails a different comparison there, so a TypeError is
         # told apart by type only
-        for swap, old, traded, quoted in ((ShiftedProductCurve.swap_exact_in_x, old_in, a, b),
-                                          (ShiftedProductCurve.swap_exact_out_y, old_out, b, a)):
+        for swap, axis, traded, quoted in ((ShiftedProductCurve.swap_exact_in_x, "x", a, b),
+                                           (ShiftedProductCurve.swap_exact_out_y, "y", b, a)):
             curve = QuotedCurve(quoted)
             assert (outcome(built_delta, swap, curve, full, traded)
-                    == outcome(built_delta, old, curve, full, traded)), (a, b, swap.__name__)
+                    == outcome(built_delta, stated_swap(axis), curve, full, traded)), (a, b, swap.__name__)
 
 
 @pytest.mark.parametrize("cls", [PoolState, SwapDelta, CurveGeometry, ComparisonReport, ReferenceParams,
@@ -907,13 +772,8 @@ class TestCurveContract:
 
     def test_frozen(self, params, other):
         curve = curve_for(params)
-        for name in ("params", "shift_x", "geom"):
-            with pytest.raises(FrozenInstanceError):
-                setattr(curve, name, None)
-            with pytest.raises(FrozenInstanceError):
-                delattr(curve, name)
+        assert_frozen(curve, ("params", "shift_x", "geom"))
         assert curve == curve_for(params)
-        assert not hasattr(curve, "__dict__")
         assert not hasattr(type(curve)(params), "__dict__")
 
     def test_fields_replace_and_asdict(self, params, other):
@@ -935,11 +795,7 @@ class TestCurveContract:
             replace(curve_for(params), params=bad)
 
     def test_pickle_and_copy(self, params, other):
-        curve = curve_for(params)
-        for clone in (pickle.loads(pickle.dumps(curve)), copy.copy(curve), copy.deepcopy(curve)):
-            assert clone == curve
-            assert type(clone) is type(curve)
-            assert repr(clone) == repr(curve)
+        assert_clones(curve_for(params))
 
 
 @pytest.mark.parametrize("params, other", CURVE_PARAMS, ids=[p.form for p, _ in CURVE_PARAMS])
@@ -957,12 +813,7 @@ class TestParamsContract:
                                 + ")")
 
     def test_frozen_and_slotted(self, params, other):
-        for f in fields(params):
-            with pytest.raises(FrozenInstanceError):
-                setattr(params, f.name, 1.0)
-            with pytest.raises(FrozenInstanceError):
-                delattr(params, f.name)
-        assert not hasattr(params, "__dict__")
+        assert_frozen(params, [f.name for f in fields(params)])
         assert type(params).__slots__ == tuple(f.name for f in fields(params))
         assert params.form == type(params).form  # the form tag stays a class attribute
 
@@ -975,10 +826,7 @@ class TestParamsContract:
         assert asdict(moved) == {**asdict(params), **changes}
 
     def test_pickle_and_copy(self, params, other):
-        for clone in (pickle.loads(pickle.dumps(params)), copy.copy(params), copy.deepcopy(params)):
-            assert clone == params
-            assert type(clone) is type(params)
-            assert repr(clone) == repr(params)
+        assert_clones(params)
 
 
 # (builder, public class); a generated __init__ stores whatever it is given
@@ -996,7 +844,8 @@ def test_params_builders_store_what_the_constructors_store(builder, cls):
     values = [1.5, -0.0, 5e-324, math.nan, math.inf, None, "asymptotes"]
     for args in itertools.product(values, repeat=len(fields(cls))):
         # the same type and the same stored values, with their types and signs
-        assert exact_outcome(builder, *args) == exact_outcome(cls, *args), args
+        assert type(builder(*args)) is cls
+        assert outcome(builder, *args) == outcome(cls, *args), args
 
 
 @pytest.mark.parametrize("params", [p for pair in CURVE_PARAMS for p in pair], ids=lambda p: p.form)
