@@ -16,6 +16,7 @@ from .params import (
     NaturalParams,
     ShiftedProductCurve,
     _check_exceeds_one,
+    _check_finite,
     _check_scale,
     _curve,
     _geometry,
@@ -45,8 +46,8 @@ class NaturalCurve(ShiftedProductCurve, params_type=NaturalParams):
                      and 0.0 < ax <= _MAX and 0.0 < ay <= _MAX)):
             _check_exceeds_one(c, "c")
             _require(anchor in ANCHOR_KINDS, "anchor", f"must be one of {ANCHOR_KINDS}")
-            _require(math.isfinite(ax), "anchor_x", "must be finite")
-            _require(math.isfinite(ay), "anchor_y", "must be finite")
+            _check_finite(ax, "anchor_x")
+            _check_finite(ay, "anchor_y")
             nx, ny = _ANCHOR_FIELDS[anchor]
             if anchor == "asymptotes":
                 _require(ax < 0, nx, "must be negative")

@@ -86,18 +86,40 @@ def _require(cond: bool, name: str, reason: str) -> None:
         raise DomainError(name, reason)
 
 
+def _finite(value) -> bool:
+    """``math.isfinite``, but False, not OverflowError, for an int or Fraction
+    beyond the binary64 range; a non-number still raises TypeError."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _number(value, name: str):
+    """A parameter field, unchanged, if it is a number: a non-bool int within
+    the binary64 range, or a float, subclasses included.  A JSON field and a
+    field of a parameter set take this one rule; bool (JSON true/false) is
+    not a number.  A float's NaN or infinity is left to the form's rules,
+    which name the field."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DomainError(name, f"must be a number, not {type(value).__name__}")
+    _require(isinstance(value, float) or _finite(value), name, "must be finite")
+    return value
+
+
+def _check_finite(value: float, name: str) -> float:
+    """A parameter field that is a number, and finite."""
+    _require(math.isfinite(_number(value, name)), name, "must be finite")
+    return value
+
+
 def _check_finite_positive(value: float, name: str) -> float:
-    # An int, bool or Fraction takes the checks below, as every failure does.
-    if type(value) is float and 0.0 < value <= _MAX:
-        return value
-    _require(isinstance(value, (int, float)) and math.isfinite(value), name, "must be finite")
-    _require(value > 0, name, "must be positive")
+    _require(_check_finite(value, name) > 0, name, "must be positive")
     return value
 
 
 def _check_exceeds_one(value: float, name: str) -> float:
-    _require(math.isfinite(value), name, "must be finite")
-    _require(value > 1, name, "must exceed 1")
+    _require(_check_finite(value, name) > 1, name, "must exceed 1")
     return value
 
 
@@ -106,7 +128,7 @@ def _check_scale(scale: float, name: str, expr: str) -> float:
     # finite positive fields can still overflow it or underflow it to a
     # subnormal or zero; an underflowed scale flattens the curve to y = 0 and
     # divides by zero in swaps.
-    if not math.isfinite(scale):
+    if not _finite(scale):
         raise DomainError(name, f"{expr} must be finite")
     if scale < MIN_NORMAL:
         raise DomainError(name, f"{expr} must be a positive normal float, not {scale!r}")
@@ -262,10 +284,10 @@ class PoolState:
     y: float
 
     def __init__(self, x: float, y: float):
-        # A non-number raises TypeError here, as math.isfinite would below.
+        # A non-number raises TypeError here, as _finite would below.
         if not (0.0 <= x <= _MAX and 0.0 <= y <= _MAX):
-            _require(math.isfinite(x), "x", "must be finite")
-            _require(math.isfinite(y), "y", "must be finite")
+            _require(_finite(x), "x", "must be finite")
+            _require(_finite(y), "y", "must be finite")
             _require(x >= 0, "x", "must be nonnegative")
             _require(y >= 0, "y", "must be nonnegative")
         _set(self, "x", x)
@@ -283,8 +305,8 @@ class SwapDelta:
         # A zero trade takes the checks below too.  dx is bounded first, so a
         # NaN dx fails before dy is compared and the checks name dx.
         if not (-_MAX <= dx <= _MAX and -_MAX <= dy <= _MAX and (dx < 0.0 < dy or dy < 0.0 < dx)):
-            _require(math.isfinite(dx), "dx", "must be finite")
-            _require(math.isfinite(dy), "dy", "must be finite")
+            _require(_finite(dx), "dx", "must be finite")
+            _require(_finite(dy), "dy", "must be finite")
             if (dx == 0) != (dy == 0):
                 raise DomainError("dx", "dx and dy must both be zero or both nonzero")
             if dx != 0 and (dx > 0) == (dy > 0):
@@ -397,17 +419,6 @@ def curve_class(params: CurveParams) -> type[ShiftedProductCurve]:
 # ---------------------------------------------------------------------------
 # JSON spec schema: {"form": <tag>, ...fields}
 # ---------------------------------------------------------------------------
-
-
-def _number(value, name: str):
-    """A JSON number field, unchanged; bool (JSON true/false) is not a number."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise DomainError(name, f"must be a number, not {type(value).__name__}")
-    try:
-        float(value)  # a JSON integer can lie beyond the binary64 range
-    except OverflowError:
-        raise DomainError(name, "must be finite") from None
-    return value
 
 
 def spec_from_dict(data: dict) -> CurveParams:
@@ -564,7 +575,7 @@ class ShiftedProductCurve:
 
     def state_at_price(self, price: float) -> PoolState:
         """On-curve state whose marginal price magnitude equals ``price``."""
-        _require(price > 0 and math.isfinite(price), "price", "must be a positive finite magnitude")
+        _require(price > 0 and _finite(price), "price", "must be a positive finite magnitude")
         x = _snap_nonnegative(math.sqrt(self.scale / price) - self.shift_x, self.shift_x)
         y = _snap_nonnegative(math.sqrt(self.scale * price) - self.shift_y, self.shift_y)
         self._check_bounds("x", x, self.geom.x_int)
@@ -593,7 +604,7 @@ class ShiftedProductCurve:
     def swap_exact_in_x(self, state: PoolState, dx: float) -> SwapDelta:
         """Trade a signed amount of x; returns the coupled dy."""
         if not -_MAX <= dx <= _MAX:
-            _require(math.isfinite(dx), "dx", "must be finite")
+            _require(_finite(dx), "dx", "must be finite")
         if dx == 0:
             return SwapDelta(0.0, 0.0)
         x_new = state.x + dx
@@ -614,7 +625,7 @@ class ShiftedProductCurve:
     def swap_exact_out_y(self, state: PoolState, dy: float) -> SwapDelta:
         """Trade a signed amount of y; returns the coupled dx."""
         if not -_MAX <= dy <= _MAX:
-            _require(math.isfinite(dy), "dy", "must be finite")
+            _require(_finite(dy), "dy", "must be finite")
         if dy == 0:
             return SwapDelta(0.0, 0.0)
         y_new = state.y + dy

@@ -28,6 +28,7 @@ from .params import (
     _SLACK_BOUND,
     _SMALLEST,
     _bancor_params,
+    _finite,
     _reference_params,
     _slots_twin,
 )
@@ -128,7 +129,7 @@ def adaptive_gauss_kronrod(f: Callable[[float], float], lower: float, upper: flo
     an interval still above its share of abs_tol after ``_MAX_DEPTH``
     bisections raises ConvergenceFailure.
     """
-    if not (math.isfinite(lower) and math.isfinite(upper)):
+    if not (_finite(lower) and _finite(upper)):
         raise DomainError("lower", "bounds must be finite")
     if not lower < upper:
         raise DomainError("lower", "must be below upper")

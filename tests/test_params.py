@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -44,12 +45,12 @@ FORM_IDS = [params.form for params in WORKED_FORMS]
 
 def json_spelling(params):
     """params as the dict of a JSON spec file, or None where JSON cannot spell it:
-    JSON has no inf or nan, and an unknown anchor kind has no field names."""
+    JSON has no inf, nan or fraction, and an unknown anchor kind has no field names."""
     if isinstance(params, NaturalParams) and params.anchor not in ANCHOR_KINDS:
         return None
     try:
         return json.loads(json.dumps(spec_to_dict(params), allow_nan=False))
-    except ValueError:
+    except (TypeError, ValueError):
         return None
 
 
@@ -87,6 +88,12 @@ class TestValidate:
         (NaturalParams(4.0, "asymptotes", math.inf, -100), "anchor_x"),
         (NaturalParams(4.0, "intercepts", 300, 0), "y_int"),
         *[(params, field) for params, field, _ in OUT_OF_RANGE_PARAMS],
+        # a field must be a number as JSON's are, a non-bool int or a float,
+        # within the binary64 range
+        (BancorV2Params(10**400, 2.0, 2.0), "x0"),
+        (BancorV2Params(True, 2.0, 2.0), "x0"),
+        (UniswapV3Params(200.0, Fraction(4), 0.25), "p_high"),
+        (CarbonParams(1.5, 0.5, -10**400), "z"),
     ])
     def test_invalid_fields(self, params, field):
         # validate, curve construction, the translation to the set's own form
@@ -125,7 +132,8 @@ class TestBoundsMessages:
     # swap formulas included; the worked curves all pass through (100, 100).
 
     @pytest.mark.parametrize("params", WORKED_FORMS, ids=FORM_IDS)
-    @pytest.mark.parametrize("amount", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("amount", [math.inf, -math.inf, math.nan, pytest.param(10**400, id="int_past_binary64"),
+                                        pytest.param(-10**400, id="-int_past_binary64")])
     def test_non_finite_trade_names_its_amount(self, params, amount):
         curve = curve_for(params)
         state = PoolState(100.0, 100.0)
@@ -135,6 +143,12 @@ class TestBoundsMessages:
         with pytest.raises(DomainError) as err:
             curve.swap_exact_out_y(state, amount)
         assert err.value.field == "dy"
+
+    @pytest.mark.parametrize("price", [0.0, -1.0, math.inf, math.nan, pytest.param(10**400, id="int_past_binary64")])
+    def test_bad_price_names_its_field(self, price):
+        with pytest.raises(DomainError) as err:
+            curve_for(WORKED_BANCOR).state_at_price(price)
+        assert (err.value.field, err.value.reason) == ("price", "must be a positive finite magnitude")
 
     @pytest.mark.parametrize("params", WORKED_FORMS, ids=FORM_IDS)
     def test_zero_trade_is_exactly_zero(self, params):

@@ -95,19 +95,27 @@ def ruled(rules, accept=lambda *args: args):
     return make
 
 
-finite = math.isfinite
+def finite(v):
+    """Within the binary64 range: NaN, the infinities and an int past it are not."""
+    return -_MAX <= v <= _MAX
+
+
+def number(name, get):
+    """A parameter field's first rules, a JSON field's too: a non-bool int or a
+    float, subclasses included, then finite."""
+    return [(name, lambda p: isinstance(get(p), (int, float)) and not isinstance(get(p), bool),
+             lambda p: f"must be a number, not {type(get(p)).__name__}"),
+            (name, lambda p: finite(get(p)), "must be finite")]
 
 
 def positive(name, get=None):
     get = get or attrgetter(name)
-    return [(name, lambda p: isinstance(get(p), (int, float)) and finite(get(p)), "must be finite"),
-            (name, lambda p: get(p) > 0, "must be positive")]
+    return [*number(name, get), (name, lambda p: get(p) > 0, "must be positive")]
 
 
 def above_one(name, get=None):
     get = get or attrgetter(name)
-    return [(name, lambda p: finite(get(p)), "must be finite"),
-            (name, lambda p: get(p) > 1, "must exceed 1")]
+    return [*number(name, get), (name, lambda p: get(p) > 1, "must exceed 1")]
 
 
 POOL_STATE_RULES = [
@@ -146,8 +154,8 @@ FORM_RULES = {
     NaturalCurve: [
         *above_one("c"),
         ("anchor", lambda p: p.anchor in ANCHOR_KINDS, f"must be one of {ANCHOR_KINDS}"),
-        ("anchor_x", lambda p: finite(p.anchor_x), "must be finite"),
-        ("anchor_y", lambda p: finite(p.anchor_y), "must be finite"),
+        *number("anchor_x", attrgetter("anchor_x")),
+        *number("anchor_y", attrgetter("anchor_y")),
         ("x0", lambda p: p.anchor != "center" or p.anchor_x > 0, "must be positive"),
         ("y0", lambda p: p.anchor != "center" or p.anchor_y > 0, "must be positive"),
         ("x_int", lambda p: p.anchor != "intercepts" or p.anchor_x > 0, "must be positive"),
