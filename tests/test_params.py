@@ -132,7 +132,8 @@ class TestBoundsMessages:
     # swap formulas included; the worked curves all pass through (100, 100).
 
     @pytest.mark.parametrize("params", WORKED_FORMS, ids=FORM_IDS)
-    @pytest.mark.parametrize("amount", [math.inf, -math.inf, math.nan, pytest.param(10**400, id="int_past_binary64"),
+    @pytest.mark.parametrize("amount", [math.inf, -math.inf, math.nan,
+                                        pytest.param(10**400, id="int_past_binary64"),
                                         pytest.param(-10**400, id="-int_past_binary64")])
     def test_non_finite_trade_names_its_amount(self, params, amount):
         curve = curve_for(params)
@@ -144,7 +145,8 @@ class TestBoundsMessages:
             curve.swap_exact_out_y(state, amount)
         assert err.value.field == "dy"
 
-    @pytest.mark.parametrize("price", [0.0, -1.0, math.inf, math.nan, pytest.param(10**400, id="int_past_binary64")])
+    @pytest.mark.parametrize("price", [0.0, -1.0, math.inf, math.nan,
+                                       pytest.param(10**400, id="int_past_binary64")])
     def test_bad_price_names_its_field(self, price):
         with pytest.raises(DomainError) as err:
             curve_for(WORKED_BANCOR).state_at_price(price)
