@@ -187,8 +187,10 @@ def test_native_forms_are_bit_identical_to_their_expressions():
     carbon cases of ``battery_cases(0, 4000)``.  The swaps are read with the
     trade and the end balance they are given.  Each form rounds a handful of
     times and never cancels, so each stays within 8*2**-53 of exact (measured
-    worst 4.8, on dx); the swaps' bits are pinned by the golden digest of
-    ``tests/test_curve_bits.py``."""
+    worst 4.8, on dx).  The test checks that bound, not bits, whatever its
+    name says: the golden digest of ``tests/test_curve_bits.py`` pins the
+    swaps' bits, and no test pins the bits of the price and the slopes
+    (ROADMAP item 14)."""
     checked = 0
     for curve, state, dx in battery_cases(0, 4000):
         if type(curve) is not CarbonCurve:

@@ -216,6 +216,15 @@ class TestSampling:
             assert raised == (axis, "must be finite")
             assert raised == (expected.value.field, expected.value.reason)
 
+    @pytest.mark.xfail(raises=OverflowError, reason="x + shift_x converts the int (ROADMAP item 12)")
+    def test_unshifted_int_past_binary64_raises_as_pool_state_does(self):
+        # the range rule's bound is inf here, so it admits the int
+        curve = curve_for(ReferenceParams(2.0, 3.0))
+        for method, axis in ((curve.y_from_x, "x"), (curve.x_from_y, "y"), (curve.state_from_x, "x")):
+            with pytest.raises(DomainError) as err:
+                method(10**400)
+            assert (err.value.field, err.value.reason) == (axis, "must be finite")
+
     @pytest.mark.parametrize("params, value", [(ReferenceParams(1.0, 1.0), 1e-310),
                                                (ReferenceParams(1e300, 1e5), 1e-10)])
     def test_unshifted_sample_that_overflows_raises_as_pool_state_does(self, params, value):

@@ -222,6 +222,11 @@ class TestIntegralSpec:
                 adaptive_gauss_kronrod(math.exp, 0.0, 1.0, abs_tol)
             assert (err.value.field, err.value.reason) == ("abs_tol", "must be positive")
 
+    @pytest.mark.xfail(raises=OverflowError, reason="bisecting halves the tolerance (ROADMAP item 12)")
+    def test_int_tolerance_past_binary64_on_a_range_wider_than_binary64(self):
+        # the range's width overflows, so the first panel's error is NaN and the kernel bisects
+        assert adaptive_gauss_kronrod(lambda x: 0.0, -1e308, 1e308, 10**400) == 0.0
+
 
 class TestAdaptiveSimpson:
     """The public adaptive kernel, adaptive_gauss_kronrod.  The class keeps the

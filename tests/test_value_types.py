@@ -5,8 +5,10 @@ its named checks only to name a failure.  Over a grid of edge inputs, each
 must do what a stated rule says: a rule table's first failing row (``ruled``),
 the hook's own named-check path (a ``Named`` float fails its type guard), an
 exact value on the curve's stored constants, or ``_check_bounds`` and the
-``_dy``/``_dx`` formulas; ``tests/test_curve_bits.py`` pins the formulas' bits.
-The builders of the hot values must give what the public constructors give.
+``_dy``/``_dx`` formulas.  A sample is checked against a bound, not its
+bits; ``tests/test_curve_bits.py`` pins the curve constants' and the swaps'
+bits.  The builders of the hot values must give what the public constructors
+give.
 """
 
 import copy
@@ -196,21 +198,23 @@ def stated_swap(curve, state, amount, axis):
     return SwapDelta(amount, coupled) if axis == "x" else SwapDelta(coupled, amount)
 
 
-def outcome(make, *args):
+def outcome(make, *args, exact=False):
     """What a constructor or guard does with args: the stored values, with their
     types and signs, or the error: a DomainError by field and reason, a TypeError
-    (a non-number) by type only, any other error by type and message."""
+    (a non-number) by type only, any other error by type and message.  An
+    ``exact`` outcome tells a TypeError by its message too, and records the
+    class of a returned value."""
     try:
         value = make(*args)
     except DomainError as exc:
         return ("DomainError", exc.field, exc.reason)
-    except TypeError:
-        return ("TypeError",)
+    except TypeError as exc:
+        return ("TypeError", str(exc)) if exact else ("TypeError",)
     except Exception as exc:
         return (type(exc).__name__, str(exc))
-    if not isinstance(value, tuple):
-        value = tuple(getattr(value, f.name) for f in fields(value))
-    return tuple((type(v), repr(v)) for v in value)
+    stored = value if isinstance(value, tuple) else tuple(getattr(value, f.name) for f in fields(value))
+    stored = tuple((type(v), repr(v)) for v in stored)
+    return (type(value), stored) if exact else stored
 
 
 def test_pool_state_matches_the_old_checks():
@@ -225,19 +229,13 @@ def test_swap_delta_matches_the_old_checks():
 
 
 def test_integral_spec_matches_the_old_checks():
-    def integral_of_zero(lower, upper, abs_tol):
-        # an interval wider than the float range has a NaN first-panel error,
-        # so the kernel bisects it and halves abs_tol, which an int past
-        # binary64 cannot take
-        if upper - lower == math.inf:
-            0.5 * abs_tol  # noqa: B018
-        return (0.0,)
-
     def kernel(*args):
         return (adaptive_gauss_kronrod(lambda x: 0.0, *args),)
 
+    stated = ruled(INTEGRAL_RULES, lambda *args: (0.0,))
     for args in itertools.product(GRID, repeat=3):
-        assert outcome(kernel, *args) == outcome(ruled(INTEGRAL_RULES, integral_of_zero), *args), args
+        if args != (-1e308, 1e308, 10**400):  # an xfail of test_quadrature.py's TestIntegralSpec
+            assert outcome(kernel, *args) == outcome(stated, *args), args
     assert outcome(kernel, 0.0, 1.0) == ((float, "0.0"),)
 
 
@@ -299,9 +297,6 @@ def exact_sample(curve, axis, value):
     balance that passes the curve's bounds check, with the shift it is read
     from; one whose exact value overflows raises the error ``PoolState``
     raises for it."""
-    if isinstance(value, int) and value > _MAX and not curve.bounded:
-        # an int past binary64 passes the unshifted curve's range test; its float arithmetic raises
-        raise OverflowError("int too large to convert to float")
     shift, other_shift = (curve.shift_x, curve.shift_y) if axis == "x" else (curve.shift_y, curve.shift_x)
     curve._check_bounds(axis, value, curve.geom.x_int if axis == "x" else curve.geom.y_int)
     if not value <= _MAX:
@@ -316,13 +311,15 @@ def exact_sample(curve, axis, value):
 def test_sampling_matches_the_old_checks(params):
     """A balance is checked as ``exact_sample`` states; it then samples to
     within 4*2**-53 of the exact value, relative to the shifted balance
-    (measured worst 1.1), and one past the intercept, within its slack,
-    samples to 0.0."""
+    (measured worst 1.1), never below +0.0, and to +0.0 where the exact value
+    is not positive: past the intercept, within its slack."""
     curve = curve_for(params)
     overflowed = 0
     for sample, axis, intercept in ((curve.y_from_x, "x", curve.geom.x_int),
                                     (curve.x_from_y, "y", curve.geom.y_int)):
         for value in sample_values(intercept):
+            if value == 10**400 and not curve.bounded:
+                continue  # an xfail of test_params.py's TestSampling
             got = outcome(lambda v: (sample(v),), value)
             stated = outcome(lambda v: (exact_sample(curve, axis, v),), value)
             if not isinstance(stated[0], tuple):  # an error
@@ -331,7 +328,10 @@ def test_sampling_matches_the_old_checks(params):
                 continue
             exact, shift = exact_sample(curve, axis, value)
             bound = 4 * Fraction(2) ** -53 * (abs(exact) + shift) + Fraction(2) ** -1074
-            assert abs(Fraction(sample(value)) - max(exact, 0)) <= bound, (value, sample.__name__)
+            sampled = sample(value)
+            assert abs(Fraction(sampled) - max(exact, 0)) <= bound, (value, sample.__name__)
+            assert sampled == 0.0 if exact <= 0 else sampled >= 0.0, (value, sample.__name__)
+            assert math.copysign(1.0, sampled) == 1.0, (value, sample.__name__)  # not -0.0
     # only the unshifted curves overflow, at the grid's subnormals
     assert (overflowed > 0) == (not curve.bounded), overflowed
 
@@ -641,7 +641,6 @@ def test_builders_keep_the_value_contract(built, change):
     assert type(replace(built, **change)) is type(built)
     assert_clones(built)
     assert_frozen(built, [f.name for f in fields(built)])
-    assert repr(built) == repr(public)
 
 
 # The grid, the float range's ends, and non-numbers of several kinds
@@ -674,7 +673,7 @@ def built_delta(swap, *args):
 def test_builders_accept_and_reject_as_the_constructors_do():
     full = PoolState(_MAX, _MAX)
     for a, b in itertools.product(EDGES, repeat=2):
-        assert outcome(_state, a, b) == outcome(PoolState, a, b), (a, b)
+        assert outcome(_state, a, b, exact=True) == outcome(PoolState, a, b, exact=True), (a, b)
         # each swap stores (a, b) as its delta on SwapDelta's own guard
         for swap, axis, traded, quoted in ((ShiftedProductCurve.swap_exact_in_x, "x", a, b),
                                            (ShiftedProductCurve.swap_exact_out_y, "y", b, a)):
@@ -794,9 +793,8 @@ PARAMS_BUILDERS = [
 def test_params_builders_store_what_the_constructors_store(builder, cls):
     values = [1.5, -0.0, 5e-324, math.nan, math.inf, None, "asymptotes"]
     for args in itertools.product(values, repeat=len(fields(cls))):
-        # the same type and the same stored values, with their types and signs
-        assert type(builder(*args)) is cls
-        assert outcome(builder, *args) == outcome(cls, *args), args
+        # the same class and the same stored values, with their types and signs
+        assert outcome(builder, *args, exact=True) == outcome(cls, *args, exact=True), args
 
 
 @pytest.mark.parametrize("params", [p for pair in CURVE_PARAMS for p in pair], ids=lambda p: p.form)
