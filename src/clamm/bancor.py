@@ -35,7 +35,8 @@ class BancorCurve(ShiftedProductCurve, params_type=BancorV2Params):
             _check_finite_positive(x0, "x0")
             _check_finite_positive(y0, "y0")
             _check_exceeds_one(amp, "A")
-        scale = amp * amp * x0 * y0
+        # x0*y0 first, so that the pool with its tokens swapped has the same bits
+        scale = x0 * y0 * (amp * amp)
         if not MIN_NORMAL <= scale <= _MAX:
             _check_scale(scale, "A", "A^2*x0*y0")
         # c = A^2/(A-1)^2 = p_high/p0 = p0/p_low

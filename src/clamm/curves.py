@@ -65,7 +65,8 @@ class NaturalCurve(ShiftedProductCurve, params_type=NaturalParams):
                 # written as (c - 1)/(sqrt(c) + 1) so that it does not cancel as c -> 1
                 gap = (c - 1.0) / (math.sqrt(c) + 1.0)
             x_asym, y_asym = -ax / gap, -ay / gap
-        scale = c * x_asym * y_asym
+        # x_asym*y_asym first, so that the pool with its tokens swapped has the same bits
+        scale = x_asym * y_asym * c
         if not MIN_NORMAL <= scale <= _MAX:
             _check_scale(scale, "c", "c*x_asym*y_asym")
         p0 = y_asym / x_asym

@@ -543,14 +543,16 @@ class ShiftedProductCurve:
     # -- curve sampling ----------------------------------------------------
     # A balance is checked as a swap checks the balance it ends on, and as
     # ``PoolState`` checks it: the unshifted curve's bound is inf, which the
-    # range rule alone would admit.  The guard's strict upper test sends a
-    # balance on the bound itself to the full checks, which accept it.  The
-    # result is returned on one range test; a negative one takes the snap,
-    # and one that overflowed raises the error ``PoolState`` would raise.
+    # range rule alone would admit, so the guard also bounds the balance by
+    # the largest float, which an int past binary64 fails.  The guard's
+    # strict upper test sends a balance on the bound itself to the full
+    # checks, which accept it.  The result is returned on one range test; a
+    # negative one takes the snap, and one that overflowed raises the error
+    # ``PoolState`` would raise.
 
     def y_from_x(self, x: float) -> float:
         x_int = self.geom.x_int
-        if not 0.0 < x < x_int * _SLACK_BOUND:
+        if not (0.0 < x < x_int * _SLACK_BOUND and x <= _MAX):
             self._check_bounds("x", x, x_int)
             _require(x <= _MAX, "x", "must be finite")
         y = self.scale / (x + self.shift_x) - self.shift_y
@@ -561,7 +563,7 @@ class ShiftedProductCurve:
 
     def x_from_y(self, y: float) -> float:
         y_int = self.geom.y_int
-        if not 0.0 < y < y_int * _SLACK_BOUND:
+        if not (0.0 < y < y_int * _SLACK_BOUND and y <= _MAX):
             self._check_bounds("y", y, y_int)
             _require(y <= _MAX, "y", "must be finite")
         x = self.scale / (y + self.shift_y) - self.shift_x

@@ -126,8 +126,9 @@ def adaptive_gauss_kronrod(f: Callable[[float], float], lower: float, upper: flo
     """Adaptive Gauss-Kronrod 7-15 integral of f over [lower, upper] to abs_tol.
 
     Bounds must be finite and increasing and abs_tol positive (DomainError);
-    an interval still above its share of abs_tol after ``_MAX_DEPTH``
-    bisections raises ConvergenceFailure.
+    an abs_tol past the float range is taken as inf.  An interval still above
+    its share of abs_tol after ``_MAX_DEPTH`` bisections raises
+    ConvergenceFailure.
     """
     if not (_finite(lower) and _finite(upper)):
         raise DomainError("lower", "bounds must be finite")
@@ -135,6 +136,9 @@ def adaptive_gauss_kronrod(f: Callable[[float], float], lower: float, upper: flo
         raise DomainError("lower", "must be below upper")
     if not abs_tol > 0:
         raise DomainError("abs_tol", "must be positive")
+    if not _finite(abs_tol):
+        # an int past binary64 would overflow where bisection halves it
+        abs_tol = math.inf
     whole, err = _panel(f, lower, upper)
     return _adaptive(f, lower, upper, abs_tol, whole, err, _MAX_DEPTH)
 
@@ -182,11 +186,11 @@ def _angle_panel(f, s, shift, width):
 
 
 def _check_trade(x: float, dx: float, x_int: float) -> None:
-    # The domain checks of integrate_price_curve, run when its range test
-    # fails: the trade's start x and its end x + dx must lie on the curve.
-    if not math.isfinite(x):
+    # The domain checks of integrate_price_curve, run when a range test of
+    # its fails: the trade's start x and its end x + dx must lie on the curve.
+    if not _finite(x):
         raise DomainError("x", "must be finite")
-    if not math.isfinite(dx):
+    if not _finite(dx):
         raise DomainError("dx", "must be finite")
     top = x_int * _SLACK_BOUND if math.isfinite(x_int) else _MAX
     for name, value in (("x", x), ("dx", x + dx)):
@@ -212,9 +216,15 @@ def integrate_price_curve(curve: ShiftedProductCurve, x: float, dx: float,
     if dx == 0:
         return 0.0
     geom = curve.geom
-    x_new = x + dx
     top = geom.x_int * _SLACK_BOUND
-    if not (0.0 < x <= _MAX and 0.0 < x_new <= _MAX and x <= top and x_new <= top):
+    if not top <= _MAX:  # inf on the unshifted curve
+        top = _MAX
+    # x and dx are range-tested before they are added, which an int past
+    # binary64 would overflow
+    if not (0.0 < x <= top and -_MAX <= dx <= _MAX):
+        _check_trade(x, dx, geom.x_int)
+    x_new = x + dx
+    if not 0.0 < x_new <= top:
         _check_trade(x, dx, geom.x_int)
     shift = 0.0 - geom.x_asym
     s = x + shift

@@ -189,8 +189,8 @@ def test_native_forms_are_bit_identical_to_their_expressions():
     times and never cancels, so each stays within 8*2**-53 of exact (measured
     worst 4.8, on dx).  The test checks that bound, not bits, whatever its
     name says: the golden digest of ``tests/test_curve_bits.py`` pins the
-    swaps' bits, and no test pins the bits of the price and the slopes
-    (ROADMAP item 14)."""
+    bits of the swaps, the marginal price and both slopes, on the carbon
+    cases of ``battery_cases(3, 32000)``."""
     checked = 0
     for curve, state, dx in battery_cases(0, 4000):
         if type(curve) is not CarbonCurve:

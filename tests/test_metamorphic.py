@@ -3,10 +3,13 @@
 A power-of-two scale is exact until something over- or underflows, so
 scaling a pool's scale fields, its state and a trade by 2**40 must scale
 every quote bit for bit, on every form and every natural anchor.  Naming the
-tokens the other way round mirrors a pool: on the reference form, whose swap
-formulas are one mirrored pair, the mirror's quotes must equal the
-original's, bit for bit.  (Chen et al., "Metamorphic Testing: A Review of
-Challenges and Opportunities", ACM Computing Surveys 51(1), 2018.)
+tokens the other way round mirrors a pool, and the core's swap and sampling
+formulas are mirrored pairs: on the reference, Bancor and natural forms, whose
+fields mirror exactly, the mirror's quotes must equal the original's, bit for
+bit.  The uniswap mirror needs 1/p_high and 1/p_low, which round, and carbon's
+fields are one-sided by design, so those two need a stated bound instead
+(ROADMAP item 5) and are left out.  (Chen et al., "Metamorphic Testing: A
+Review of Challenges and Opportunities", ACM Computing Surveys 51(1), 2018.)
 """
 
 from collections import Counter
@@ -59,20 +62,35 @@ def test_a_power_of_two_scale_scales_every_quote_exactly():
     assert len(checked) == 7 and sum(checked.values()) == 26000, checked
 
 
-def test_the_reference_pool_quotes_alike_with_its_tokens_swapped():
-    """On the mirror, which holds (y, x) on x*y = y0*x0, buying x quotes what
-    selling y quotes on the original, and the other way round, and the curve
-    read along y is the original read along x: 6000 relations over the 2000
-    reference cases of ``battery_cases(11, 8000)``."""
-    checked = 0
-    for curve, state, dx in battery_cases(11, 8000):
-        if curve.bounded:
-            continue
-        mirror = curve_for(ReferenceParams(curve.params.y0, curve.params.x0))
+def mirrored(params):
+    """The parameter set of the same pool with its tokens named the other way
+    round: reference, Bancor or natural."""
+    if isinstance(params, ReferenceParams):
+        return ReferenceParams(params.y0, params.x0)
+    if isinstance(params, BancorV2Params):
+        return BancorV2Params(params.y0, params.x0, params.A)
+    return NaturalParams(params.c, params.anchor, params.anchor_y, params.anchor_x)
+
+
+def test_a_pool_quotes_alike_with_its_tokens_swapped():
+    """On the mirror, which holds (y, x), buying x quotes what selling y quotes
+    on the original, and the other way round, and the curve read along y is
+    the original read along x, and the other way round.  The reference and
+    Bancor cases of ``battery_cases(11, 8000)``, and every bounded case's
+    curve rebuilt from its three natural anchors: 22000 curves."""
+    checked = Counter()
+    for source, state, dx in battery_cases(11, 8000):
+        curves = [source] if isinstance(source.params, (ReferenceParams, BancorV2Params)) else []
+        if source.bounded:
+            curves += [curve_for(params) for params in _natural_anchors(source)]
         flipped = PoolState(state.y, state.x)
         dy = -state.y / 3
-        assert mirror.swap_exact_in_x(flipped, dy).dy == curve.swap_exact_out_y(state, dy).dx, (curve, state)
-        assert mirror.swap_exact_out_y(flipped, dx).dx == curve.swap_exact_in_x(state, dx).dy, (curve, state)
-        assert mirror.x_from_y(state.x) == curve.y_from_x(state.x), (curve, state)
-        checked += 1
-    assert checked == 2000
+        for curve in curves:
+            mirror = curve_for(mirrored(curve.params))
+            case = (curve.params, state, dx)
+            assert mirror.swap_exact_in_x(flipped, dy).dy == curve.swap_exact_out_y(state, dy).dx, case
+            assert mirror.swap_exact_out_y(flipped, dx).dx == curve.swap_exact_in_x(state, dx).dy, case
+            assert mirror.x_from_y(state.x) == curve.y_from_x(state.x), case
+            assert mirror.y_from_x(state.y) == curve.x_from_y(state.y), case
+            checked[curve.params.form, getattr(curve.params, "anchor", None)] += 1
+    assert len(checked) == 5 and sum(checked.values()) == 22000, checked

@@ -216,9 +216,8 @@ class TestSampling:
             assert raised == (axis, "must be finite")
             assert raised == (expected.value.field, expected.value.reason)
 
-    @pytest.mark.xfail(raises=OverflowError, reason="x + shift_x converts the int (ROADMAP item 12)")
     def test_unshifted_int_past_binary64_raises_as_pool_state_does(self):
-        # the range rule's bound is inf here, so it admits the int
+        # the range rule's bound is inf here, and it alone would admit the int
         curve = curve_for(ReferenceParams(2.0, 3.0))
         for method, axis in ((curve.y_from_x, "x"), (curve.x_from_y, "y"), (curve.state_from_x, "x")):
             with pytest.raises(DomainError) as err:
