@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import math
 import sys
 
@@ -139,18 +140,6 @@ def _sweep_rows(curve, axis: str, points: int):
         yield state.x, state.y, marginal, t_hat_from_price(-marginal), u_hat_from_price(-marginal)
 
 
-# Every value in a sweep row is finite: PoolState checks x and y, the hypertrig
-# functions reject a non-finite price, and t_hat and u_hat are finite for any
-# finite positive price.  json spells a finite float as float.__repr__, so %r
-# gives the bytes of json.dumps(rows, indent=2) and of the repr-joined CSV.
-_SWEEP_FORMATS = {
-    # output: (head, row template, row separator, tail)
-    "json": ("[\n",
-             '  {\n    "x": %r,\n    "y": %r,\n    "marginal_price": %r,\n'
-             '    "t_hat": %r,\n    "u_hat": %r\n  }',
-             ",\n", "\n]\n"),
-    "csv": ("x,y,marginal_price,t_hat,u_hat\n", "%r,%r,%r,%r,%r\n", "", ""),
-}
 # Rows per stdout write: large enough to amortise the write, small enough to
 # keep memory flat in --points.  512 JSON rows are at most about 90 KB, under
 # glibc malloc's 128 KiB mmap threshold, so each chunk's strings are carved
@@ -159,18 +148,33 @@ _SWEEP_FORMATS = {
 SWEEP_CHUNK = 512
 
 
+# Every value in a sweep row is finite: PoolState checks x and y, the hypertrig
+# functions reject a non-finite price, and t_hat and u_hat are finite for any
+# finite positive price.  json spells a finite float as float.__repr__, so a
+# row's f-string, with !r on every value, gives the bytes of
+# json.dumps(rows, indent=2) and of the repr-joined CSV.
 def cmd_sweep(args) -> int:
     if args.points < 2:
         raise DomainError("points", "must be at least 2")
     curve = curve_for(_load(args))
-    head, template, sep, tail = _SWEEP_FORMATS[args.output]
     rows = _sweep_rows(curve, args.axis, args.points)
+    if args.output == "json":
+        head, sep, tail = "[\n", ",\n", "\n]\n"
+    else:
+        head, sep, tail = "x,y,marginal_price,t_hat,u_hat\n", "", ""
     # The head goes out with the first chunk, so an error there leaves stdout
-    # empty; an error in a later chunk leaves a truncated table.
+    # empty; an error in a later chunk leaves a truncated table.  The lead and
+    # the chunk are two writes, so that no chunk is copied to join them.
     lead = head
-    for start in range(0, args.points, SWEEP_CHUNK):
-        count = min(SWEEP_CHUNK, args.points - start)
-        sys.stdout.write(lead + sep.join([template % next(rows) for _ in range(count)]))
+    for _ in range(0, args.points, SWEEP_CHUNK):
+        chunk = itertools.islice(rows, SWEEP_CHUNK)
+        if args.output == "json":
+            text = sep.join([f'  {{\n    "x": {x!r},\n    "y": {y!r},\n    "marginal_price": {p!r},\n'
+                             f'    "t_hat": {t!r},\n    "u_hat": {u!r}\n  }}' for x, y, p, t, u in chunk])
+        else:
+            text = "".join([f"{x!r},{y!r},{p!r},{t!r},{u!r}\n" for x, y, p, t, u in chunk])
+        sys.stdout.write(lead)
+        sys.stdout.write(text)
         lead = sep
     sys.stdout.write(tail)
     return EXIT_OK

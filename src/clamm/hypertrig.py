@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .params import REL_TOL
+from .params import _MAX, REL_TOL
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -59,7 +59,7 @@ def normalize(point: RotatedPoint, k: float) -> UnitPoint:
     difference's rounding error, which grows with the balance ratio, and
     their squares must be finite.
     """
-    if not (k > 0 and math.isfinite(k)):
+    if not 0.0 < k <= _MAX:
         raise DomainError("k", "must be a positive finite scale")
     denom = math.sqrt(2.0 * k)
     t_hat = point.t / denom
@@ -77,9 +77,9 @@ def unit_from_state(x: float, y: float) -> UnitPoint:
     reference and virtual views of a pool coincide here.  Axis points have no
     finite image under this form; use the price-based forms there.
     """
-    if not (x > 0 and math.isfinite(x)):
+    if not 0.0 < x <= _MAX:
         raise DomainError("x", "must be positive and finite")
-    if not (y > 0 and math.isfinite(y)):
+    if not 0.0 < y <= _MAX:
         raise DomainError("y", "must be positive and finite")
     denom = 2.0 * math.sqrt(x) * math.sqrt(y)
     return UnitPoint(t_hat=(x + y) / denom, u_hat=(y - x) / denom)
@@ -90,14 +90,14 @@ def u_hat_from_price(price: float) -> float:
 
     Strictly increasing in price, odd under price -> 1/price.
     """
-    if not (price > 0 and math.isfinite(price)):
+    if not 0.0 < price <= _MAX:
         raise DomainError("price", "must be positive and finite")
     return (price - 1.0) / (2.0 * math.sqrt(price))
 
 
 def t_hat_from_price(price: float) -> float:
     """Horizontal companion of u_hat_from_price."""
-    if not (price > 0 and math.isfinite(price)):
+    if not 0.0 < price <= _MAX:
         raise DomainError("price", "must be positive and finite")
     return (price + 1.0) / (2.0 * math.sqrt(price))
 
@@ -108,9 +108,9 @@ arsinh = math.asinh
 
 
 def _check_range(p_high: float, p_low: float) -> None:
-    if not (p_low > 0 and math.isfinite(p_low)):
+    if not 0.0 < p_low <= _MAX:
         raise DomainError("p_low", "must be positive and finite")
-    if not (p_high > p_low and math.isfinite(p_high)):
+    if not p_low < p_high <= _MAX:
         raise DomainError("p_high", "must be finite and exceed p_low")
 
 
@@ -147,7 +147,7 @@ def trig_identities(phi: float) -> TrigValues:
     (p_high - p_low) and (p_high + p_low) over twice the geometric mean of the
     bounds, their quotient, and the concentration constant.
     """
-    if not math.isfinite(phi):
+    if not -_MAX <= phi <= _MAX:
         raise DomainError("phi", "must be finite")
     try:
         return TrigValues(

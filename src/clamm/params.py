@@ -576,11 +576,24 @@ class ShiftedProductCurve:
         return _state(x, self.y_from_x(x))
 
     def state_at_price(self, price: float) -> PoolState:
-        """On-curve state whose marginal price magnitude equals ``price``."""
-        _require(price > 0 and _finite(price), "price", "must be a positive finite magnitude")
-        x = _snap_nonnegative(math.sqrt(self.scale / price) - self.shift_x, self.shift_x)
-        y = _snap_nonnegative(math.sqrt(self.scale * price) - self.shift_y, self.shift_y)
-        self._check_bounds("x", x, self.geom.x_int)
+        """On-curve state whose marginal price magnitude equals ``price``.
+
+        Each value is accepted on one comparison; the snap and
+        ``_check_bounds`` run only when it fails.  The test of x is strict
+        below, as in the swaps, so that x == 0 takes ``_check_bounds``, which
+        rejects it on the unshifted curve.  y is not range-checked.
+        """
+        if not 0.0 < price <= _MAX:
+            raise DomainError("price", "must be a positive finite magnitude")
+        x = math.sqrt(self.scale / price) - self.shift_x
+        if not x >= 0.0:
+            x = _snap_nonnegative(x, self.shift_x)
+        y = math.sqrt(self.scale * price) - self.shift_y
+        if not y >= 0.0:
+            y = _snap_nonnegative(y, self.shift_y)
+        x_int = self.geom.x_int
+        if not 0.0 < x <= x_int * _SLACK_BOUND:
+            self._check_bounds("x", x, x_int)
         return _state(x, y)
 
     # -- invariants ---------------------------------------------------------

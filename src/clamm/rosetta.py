@@ -72,9 +72,11 @@ def translate(source: CurveParams | ShiftedProductCurve, target_form: str) -> Cu
     if target_form == "uniswap_v3":
         return _uniswap_params(curve.liquidity(), geom.p_high, geom.p_low)
     if target_form == "carbon":
-        sqrt_high = math.sqrt(geom.p_high)
-        sqrt_low = math.sqrt(geom.p_low)
-        return _carbon_params(sqrt_high - sqrt_low, sqrt_low, geom.y_int)
+        # a = sqrt(p_high) - sqrt(p_low) = b*(c - 1), where c = sqrt(p_high/p_low)
+        # and the geometry holds c - 1 as x_int/(-x_asym): on a narrow range the
+        # difference of the roots cancels, and the quotient keeps every digit
+        b = math.sqrt(geom.p_low)
+        return _carbon_params(b * (geom.x_int / -geom.x_asym), b, geom.y_int)
     # natural: keep c plus the singularity-free asymptote anchor
     return _natural_params(geom.c, "asymptotes", geom.x_asym, geom.y_asym)
 

@@ -86,6 +86,11 @@ class TestNormalize:
         with pytest.raises(DomainError):
             normalize(RotatedPoint(1.0, 0.0), 0.0)
 
+    def test_int_scale_past_binary64_rejected(self):
+        with pytest.raises(DomainError) as err:
+            normalize(RotatedPoint(1.0, 0.0), 10**400)
+        assert err.value.field == "k"
+
     @pytest.mark.parametrize("t, u", [(math.nan, 0.0), (0.0, math.nan), (math.inf, math.inf),
                                       (math.inf, 0.0), (1e200, 0.0)])
     def test_non_finite_point_flagged(self, t, u):
@@ -134,6 +139,13 @@ class TestUnitFromState:
         with pytest.raises(DomainError):
             unit_from_state(0.0, 300.0)
 
+    @pytest.mark.parametrize("x, y, field", [(10**400, 1.0, "x"), (1.0, 10**400, "y")],
+                             ids=["x", "y"])
+    def test_int_balance_past_binary64_rejected(self, x, y, field):
+        with pytest.raises(DomainError) as err:
+            unit_from_state(x, y)
+        assert err.value.field == field
+
     @settings(max_examples=200)
     @given(
         x=st.floats(min_value=1e-3, max_value=1e3),
@@ -172,6 +184,12 @@ class TestPriceForms:
         with pytest.raises(DomainError):
             u_hat_from_price(0.0)
 
+    @pytest.mark.parametrize("form", [t_hat_from_price, u_hat_from_price], ids=["t_hat", "u_hat"])
+    def test_int_price_past_binary64_rejected(self, form):
+        with pytest.raises(DomainError) as err:
+            form(10**400)
+        assert (err.value.field, err.value.reason) == ("price", "must be positive and finite")
+
 
 class TestArsinh:
     @settings(max_examples=500)
@@ -197,7 +215,9 @@ class TestHyperbolicAngle:
         assert_rel(hyperbolic_angle(16.0, 1.0), LN4, rel=1e-12)
 
     @pytest.mark.parametrize("p_high, p_low", [(1.0, 2.0), (2.0, 2.0), (2.0, 0.0),
-                                               (math.inf, 1.0), (2.0, math.nan)])
+                                               (math.inf, 1.0), (2.0, math.nan),
+                                               pytest.param(10**400, 1.0, id="int_p_high"),
+                                               pytest.param(2.0, 10**400, id="int_p_low")])
     def test_both_routes_reject_the_same_ranges(self, p_high, p_low):
         fields = []
         for route in (hyperbolic_angle, hyperbolic_angle_from_unit):
@@ -299,7 +319,8 @@ class TestTrigIdentities:
         assert_rel(trig.tanh, 15.0 / 17.0, rel=1e-12)
         assert_rel(trig.e_phi, 4.0, rel=1e-12)
 
-    @pytest.mark.parametrize("phi", [800.0, -800.0, 710.0])
+    @pytest.mark.parametrize("phi", [800.0, -800.0, 710.0,
+                                     pytest.param(10**400, id="int"), pytest.param(-10**400, id="-int")])
     def test_overflowing_angle_names_phi(self, phi):
         with pytest.raises(DomainError) as err:
             trig_identities(phi)

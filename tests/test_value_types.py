@@ -333,6 +333,47 @@ def test_sampling_matches_the_old_checks(params):
     assert (overflowed > 0) == (not curve.bounded), overflowed
 
 
+# the sample curves, and an unshifted one whose x underflows to 0 at a high price
+PRICE_CURVES = SAMPLE_CURVES + [ReferenceParams(1e-150, 1e-150)]
+
+
+def price_values(geom):
+    """The grid, a price far past binary64, extreme prices, and each bound
+    and the center price with their float neighbours."""
+    values = GRID + [10**400, 1e300, 1e-300]
+    for price in (geom.p_high, geom.p_low, geom.p0):
+        values += [price, math.nextafter(price, 0.0), math.nextafter(price, math.inf)]
+    return values
+
+
+def snapped(value, reference):
+    """A balance below zero by at most BOUNDS_SLACK of the balance or shift it
+    came from reads as 0.0."""
+    return 0.0 if -abs(reference) * BOUNDS_SLACK <= value < 0.0 else value
+
+
+def stated_state_at_price(curve, price):
+    """A positive finite price; x and y from the curve's stored constants,
+    snapped; then x, not y, passes ``_check_bounds``."""
+    if not (price > 0 and finite(price)):
+        raise DomainError("price", "must be a positive finite magnitude")
+    x = snapped(math.sqrt(curve.scale / price) - curve.shift_x, curve.shift_x)
+    y = snapped(math.sqrt(curve.scale * price) - curve.shift_y, curve.shift_y)
+    curve._check_bounds("x", x, curve.geom.x_int)
+    return PoolState(x, y)
+
+
+@pytest.mark.parametrize("params", PRICE_CURVES, ids=[p.form for p in PRICE_CURVES])
+def test_state_at_price_matches_its_rule(params):
+    """On ``ReferenceParams(1e-150, 1e-150)`` the rule sends price 1e300,
+    where x underflows to 0, to ``InsufficientLiquidity``, and gives
+    ``PoolState(1.0, 0.0)`` at 1e-300, where y underflows: y is not
+    range-checked (ROADMAP item 3)."""
+    curve = curve_for(params)
+    for price in price_values(curve.geom):
+        assert outcome(curve.state_at_price, price) == outcome(stated_state_at_price, curve, price), price
+
+
 def test_apply_delta_matches_the_old_snap():
     states = [PoolState(100.0, 100.0), PoolState(0.0, 0.0), PoolState(1e-300, 5.0)]
     deltas = [SwapDelta(0.0, 0.0), SwapDelta(1.0, -100.0), SwapDelta(1.0, -100.0 - 1e-12),
@@ -341,9 +382,7 @@ def test_apply_delta_matches_the_old_snap():
               SwapDelta(-1e308, 1e308), SwapDelta(1e308, -1.0)]
 
     def stated(state, delta):
-        # a negative within BOUNDS_SLACK of the balance it came from is 0.0
-        ends = ((state.x + delta.dx, state.x), (state.y + delta.dy, state.y))
-        return PoolState(*(0.0 if v < 0 and -v <= held * BOUNDS_SLACK else v for v, held in ends))
+        return PoolState(snapped(state.x + delta.dx, state.x), snapped(state.y + delta.dy, state.y))
 
     snaps = rejects = 0
     for state, delta in itertools.product(states, deltas):
