@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Regenerate the committed golden CLI outputs under tests/golden/.
+"""Regenerate every committed golden file under tests/golden/.
 
-Run from the repository root after any intentional output-format change, then
-review the diff before committing.  With --check nothing is written: the
-script compares each command's output with its golden file and exits 1,
-naming every file that drifted.
+Each golden is the stdout of one command in ``COMMANDS``, run with this
+interpreter from the repository root with src/ first on PYTHONPATH, so that
+it pins this checkout's code, not whatever clamm is installed.  Run it after
+any intentional change of output, then review the diff before committing.
+With --check nothing is written: the script compares each command's output
+with its golden file and exits 1, naming every file that drifted.
 
 Usage: python3 scripts/regen_cli_golden.py [--check]
 """
@@ -16,24 +18,25 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-DATA = ROOT / "tests" / "data"
 GOLDEN = ROOT / "tests" / "golden"
 SRC = ROOT / "src"
 
+WORKED = "tests/data/worked_bancor.json"
+
+# golden file name: the argv after the interpreter that writes it
 COMMANDS = {
-    "quote.json": ["quote", "--spec", str(DATA / "worked_bancor.json"),
-                   "--x", "100", "--y", "100", "--dx", "100"],
-    "translate_carbon.json": ["translate", "--spec", str(DATA / "worked_bancor.json"),
-                              "--to", "carbon"],
-    "geometry.json": ["geometry", "--spec", str(DATA / "worked_bancor.json")],
-    "angle.json": ["angle", "--spec", str(DATA / "worked_bancor.json")],
-    "sweep_points3.json": ["sweep", "--spec", str(DATA / "worked_bancor.json"),
-                           "--points", "3"],
-    "sweep_points3.csv": ["sweep", "--spec", str(DATA / "worked_bancor.json"),
-                          "--points", "3", "--output", "csv"],
-    "sweep_price_points5.csv": ["sweep", "--spec", str(DATA / "worked_bancor.json"),
-                                "--axis", "price", "--points", "5", "--output", "csv"],
-    "verify_cases2000.json": ["verify", "--cases", "2000", "--seed", "0"],
+    "quote.json": ["-m", "clamm", "quote", "--spec", WORKED, "--x", "100", "--y", "100", "--dx", "100"],
+    "translate_carbon.json": ["-m", "clamm", "translate", "--spec", WORKED, "--to", "carbon"],
+    "geometry.json": ["-m", "clamm", "geometry", "--spec", WORKED],
+    "angle.json": ["-m", "clamm", "angle", "--spec", WORKED],
+    "sweep_points3.json": ["-m", "clamm", "sweep", "--spec", WORKED, "--points", "3"],
+    "sweep_points3.csv": ["-m", "clamm", "sweep", "--spec", WORKED, "--points", "3", "--output", "csv"],
+    "sweep_price_points5.csv": ["-m", "clamm", "sweep", "--spec", WORKED, "--axis", "price",
+                                "--points", "5", "--output", "csv"],
+    "verify_cases2000.json": ["-m", "clamm", "verify", "--cases", "2000", "--seed", "0"],
+    # digests: the verify battery's curve bits, and 16 sweeps of the worked specs
+    "curve_bits.sha256": ["-m", "tests.test_curve_bits"],
+    "sweep_bits.sha256": ["-m", "tests.test_sweep_bits"],
 }
 
 
@@ -44,13 +47,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if not args.check:
         GOLDEN.mkdir(parents=True, exist_ok=True)
-    # The goldens pin this checkout's CLI, not whatever clamm is installed.
     path_var = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
     env = {**os.environ, "PYTHONPATH": path_var}
     drifted = []
-    for name, cli_args in COMMANDS.items():
-        result = subprocess.run([sys.executable, "-m", "clamm", *cli_args],
-                                capture_output=True, check=True, env=env)
+    for name, command in COMMANDS.items():
+        result = subprocess.run([sys.executable, *command], cwd=ROOT, env=env, capture_output=True)
+        if result.returncode:
+            sys.exit(f"{name}: {' '.join(command)} exited {result.returncode}\n{result.stderr.decode()}")
         path = GOLDEN / name
         if not args.check:
             path.write_bytes(result.stdout)

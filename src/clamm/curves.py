@@ -7,10 +7,9 @@ import math
 # Importing the form modules registers their curve classes with curve_class.
 from . import bancor, carbon, reference, uniswap  # noqa: F401
 from .params import (
-    _MAX,
     ANCHOR_KINDS,
-    MIN_NORMAL,
     _ANCHOR_FIELDS,
+    _ANCHOR_REASON,
     CurveGeometry,
     CurveParams,
     NaturalParams,
@@ -40,35 +39,24 @@ class NaturalCurve(ShiftedProductCurve, params_type=NaturalParams):
     @staticmethod
     def _constants(params: NaturalParams):
         c, anchor, ax, ay = params.c, params.anchor, params.anchor_x, params.anchor_y
-        if not (type(c) is float and type(ax) is float and type(ay) is float and 1.0 < c <= _MAX
-                and (-_MAX <= ax < 0.0 and -_MAX <= ay < 0.0 if anchor == "asymptotes"
-                     else (anchor == "intercepts" or anchor == "center")
-                     and 0.0 < ax <= _MAX and 0.0 < ay <= _MAX)):
-            _check_exceeds_one(c, "c")
-            _require(anchor in ANCHOR_KINDS, "anchor", f"must be one of {ANCHOR_KINDS}")
-            _check_finite(ax, "anchor_x")
-            _check_finite(ay, "anchor_y")
-            nx, ny = _ANCHOR_FIELDS[anchor]
-            if anchor == "asymptotes":
-                _require(ax < 0, nx, "must be negative")
-                _require(ay < 0, ny, "must be negative")
-            else:
-                _require(ax > 0, nx, "must be positive")
-                _require(ay > 0, ny, "must be positive")
+        _check_exceeds_one(c, "c")
+        _require(anchor in ANCHOR_KINDS, "anchor", _ANCHOR_REASON)
+        _check_finite(ax, "anchor_x")
+        _check_finite(ay, "anchor_y")
+        nx, ny = _ANCHOR_FIELDS[anchor]
         if anchor == "asymptotes":
+            _require(ax < 0, nx, "must be negative")
+            _require(ay < 0, ny, "must be negative")
             x_asym, y_asym = ax, ay
         else:
-            if anchor == "intercepts":
-                gap = c - 1.0
-            else:
-                # center anchor: the shift is x0/(sqrt(c) - 1), with sqrt(c) - 1
-                # written as (c - 1)/(sqrt(c) + 1) so that it does not cancel as c -> 1
-                gap = (c - 1.0) / (math.sqrt(c) + 1.0)
+            _require(ax > 0, nx, "must be positive")
+            _require(ay > 0, ny, "must be positive")
+            # the shift is the anchor over c - 1, or at the center over sqrt(c) - 1,
+            # written (c - 1)/(sqrt(c) + 1) so that it does not cancel as c -> 1
+            gap = c - 1.0 if anchor == "intercepts" else (c - 1.0) / (math.sqrt(c) + 1.0)
             x_asym, y_asym = -ax / gap, -ay / gap
         # x_asym*y_asym first, so that the pool with its tokens swapped has the same bits
-        scale = x_asym * y_asym * c
-        if not MIN_NORMAL <= scale <= _MAX:
-            _check_scale(scale, "c", "c*x_asym*y_asym")
+        scale = _check_scale(x_asym * y_asym * c, "c", "c*x_asym*y_asym")
         p0 = y_asym / x_asym
         # (x_int, y_int, x_asym, y_asym, p_high, p_low, p0, c)
         return scale, _geometry(

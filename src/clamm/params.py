@@ -78,6 +78,7 @@ def _slots_twin(cls: type) -> type:
 
 
 def rel_close(a: float, b: float) -> bool:
+    _check_in_range(a=a, b=b)
     return math.isclose(a, b, rel_tol=REL_TOL)
 
 
@@ -93,6 +94,13 @@ def _finite(value) -> bool:
         return math.isfinite(value)
     except OverflowError:
         return False
+
+
+def _check_in_range(**values) -> None:
+    """``_number``'s range rule for plain arguments: DomainError(name, "must be finite")
+    for the first int or Fraction past the binary64 range; any float passes."""
+    for name, value in values.items():
+        _require(isinstance(value, float) or _finite(value), name, "must be finite")
 
 
 def _number(value, name: str):
@@ -184,6 +192,7 @@ class CarbonParams:
 
 
 ANCHOR_KINDS = ("center", "intercepts", "asymptotes")
+_ANCHOR_REASON = f"must be one of {ANCHOR_KINDS}"
 
 # JSON field names for the anchor coordinates, per anchor kind.
 _ANCHOR_FIELDS = {
@@ -216,14 +225,13 @@ FORM_REGISTRY = {
     for cls in (ReferenceParams, BancorV2Params, UniswapV3Params, CarbonParams, NaturalParams)
 }
 
-# Builders of the parameter sets the library makes itself.  A generated
-# __init__ checks nothing, so each returns exactly what the public constructor
-# would; the curve built from the set checks it.
+# Builders of the parameter sets the library makes on its timed paths, where
+# no natural set is made.  A generated __init__ checks nothing, so each returns
+# exactly what the public constructor would; the curve built from the set checks it.
 _ReferenceParamsTwin = _slots_twin(ReferenceParams)
 _BancorV2ParamsTwin = _slots_twin(BancorV2Params)
 _UniswapV3ParamsTwin = _slots_twin(UniswapV3Params)
 _CarbonParamsTwin = _slots_twin(CarbonParams)
-_NaturalParamsTwin = _slots_twin(NaturalParams)
 
 
 def _reference_params(x0: float, y0: float) -> ReferenceParams:
@@ -258,16 +266,6 @@ def _carbon_params(a: float, b: float, z: float) -> CarbonParams:
     params.b = b
     params.z = z
     params.__class__ = CarbonParams
-    return params
-
-
-def _natural_params(c: float, anchor: str, anchor_x: float, anchor_y: float) -> NaturalParams:
-    params = _NaturalParamsTwin()
-    params.c = c
-    params.anchor = anchor
-    params.anchor_x = anchor_x
-    params.anchor_y = anchor_y
-    params.__class__ = NaturalParams
     return params
 
 
@@ -432,8 +430,7 @@ def spec_from_dict(data: dict) -> CurveParams:
     extra = {}
     if cls is NaturalParams:
         anchor = body.pop("anchor", None)
-        if anchor not in ANCHOR_KINDS:
-            raise DomainError("anchor", f"must be one of {ANCHOR_KINDS}")
+        _require(anchor in ANCHOR_KINDS, "anchor", _ANCHOR_REASON)
         nx, ny = _ANCHOR_FIELDS[anchor]
         keys = {"c": "c", "anchor_x": nx, "anchor_y": ny}
         extra["anchor"] = anchor

@@ -241,7 +241,10 @@ def integrate_price_curve(curve: ShiftedProductCurve, x: float, dx: float,
     f = curve.price_slope_at_x
     # The first panel both sets the tolerance and, on most trades, is the integral.
     whole, err = _angle_panel(f, s, shift, width)
-    tol = abs(whole) * max(rel_tol, _DOUBLE_REL_FLOOR)
+    try:
+        tol = abs(whole) * max(rel_tol, _DOUBLE_REL_FLOOR)
+    except OverflowError:  # a rel_tol past the float range is taken as inf
+        tol = abs(whole) * math.inf
     if not tol >= MIN_NORMAL:
         # tiny, or NaN: a NaN rel_tol is an error, a NaN slope fails to converge
         if math.isnan(rel_tol):
@@ -262,7 +265,11 @@ def oracle_compare(curve: ShiftedProductCurve, state: PoolState, dx: float,
                    rel_tol: float = VERIFY_REL_TOL) -> ComparisonReport:
     """Check one closed-form swap against the quadrature route."""
     closed = curve.swap_exact_in_x(state, dx).dy
-    quad = integrate_price_curve(curve, state.x, dx, rel_tol=rel_tol * _ORACLE_REL_MARGIN)
+    try:
+        quad_tol = rel_tol * _ORACLE_REL_MARGIN
+    except OverflowError:  # a rel_tol past the float range: the infinity of its sign
+        quad_tol = math.inf if rel_tol > 0 else -math.inf
+    quad = integrate_price_curve(curve, state.x, dx, rel_tol=quad_tol)
     abs_dev = abs(closed - quad)
     rel_dev = abs_dev / max(abs(closed), abs(quad), _SMALLEST)
     # built with plain slot stores (see params._slots_twin), not the
@@ -288,8 +295,11 @@ def random_bancor_params(rng: random.Random,
                          scale_exp_range: tuple[float, float] = (-3.0, 9.0)) -> BancorV2Params:
     """Balances log-uniform over the decades of scale_exp_range, A in [1.01, 100]."""
     lo, hi = scale_exp_range
-    x0 = 10.0 ** (lo + (hi - lo) * rng.random())
-    y0 = 10.0 ** (lo + (hi - lo) * rng.random())
+    try:
+        x0 = 10.0 ** (lo + (hi - lo) * rng.random())
+        y0 = 10.0 ** (lo + (hi - lo) * rng.random())
+    except OverflowError:
+        raise DomainError("scale_exp_range", "a balance of 10**exponent must be a finite float") from None
     return _bancor_params(x0, y0, 1.01 + (100.0 - 1.01) * rng.random())
 
 

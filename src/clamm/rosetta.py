@@ -19,12 +19,13 @@ from .params import (
     CurveGeometry,
     CurveParams,
     FORM_REGISTRY,
+    NaturalParams,
     PoolState,
     ShiftedProductCurve,
     _SMALLEST,
+    _check_in_range,
     _bancor_params,
     _carbon_params,
-    _natural_params,
     _uniswap_params,
     rel_close,
     root_concentration,
@@ -78,7 +79,7 @@ def translate(source: CurveParams | ShiftedProductCurve, target_form: str) -> Cu
         b = math.sqrt(geom.p_low)
         return _carbon_params(b * (geom.x_int / -geom.x_asym), b, geom.y_int)
     # natural: keep c plus the singularity-free asymptote anchor
-    return _natural_params(geom.c, "asymptotes", geom.x_asym, geom.y_asym)
+    return NaturalParams(geom.c, "asymptotes", geom.x_asym, geom.y_asym)
 
 
 def translation_report(source: CurveParams, target: CurveParams) -> TranslationReport:
@@ -106,6 +107,7 @@ def translate_with_report(params: CurveParams, target_form: str) -> tuple[CurveP
 
 def concentration_from_center(state: PoolState, x0: float, y0: float) -> float:
     """(x-x0)^2 (y-y0)^2 / (xy - x0*y0)^2; 0/0 at the center itself."""
+    _check_in_range(x0=x0, y0=y0)
     den = state.x * state.y - x0 * y0
     if den == 0:
         raise Indeterminate("the center form is 0/0 at (x0, y0); use another anchor")
@@ -115,6 +117,7 @@ def concentration_from_center(state: PoolState, x0: float, y0: float) -> float:
 
 def concentration_from_intercepts(state: PoolState, x_int: float, y_int: float) -> float:
     """(x_int - x)(y_int - y) / (x*y); 0/0 at either intercept."""
+    _check_in_range(x_int=x_int, y_int=y_int)
     x, y = state.x, state.y
     if x == 0 or y == 0:
         raise Indeterminate("the intercept form divides by zero on an axis; use another anchor")
@@ -126,6 +129,7 @@ def concentration_from_intercepts(state: PoolState, x_int: float, y_int: float) 
 
 def concentration_from_asymptotes(state: PoolState, x_asym: float, y_asym: float) -> float:
     """(x - x_asym)(y - y_asym) / (x_asym * y_asym); defined on the whole curve."""
+    _check_in_range(x_asym=x_asym, y_asym=y_asym)
     return (state.x - x_asym) * (state.y - y_asym) / (x_asym * y_asym)
 
 

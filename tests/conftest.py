@@ -97,6 +97,14 @@ def exact_curve(params):
     return -ax, -ay, c * ax * ay
 
 
+def natural_anchors(curve):
+    """The natural parameter sets of a bounded curve, one per anchor kind."""
+    geom = curve.geom
+    yield NaturalParams(geom.c, "asymptotes", geom.x_asym, geom.y_asym)
+    yield NaturalParams(geom.c, "intercepts", geom.x_int, geom.y_int)
+    yield NaturalParams(geom.c, "center", *curve.center())
+
+
 def load_script(name):
     """A module of scripts/ loaded from its file, without running its main."""
     path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"

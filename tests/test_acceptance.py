@@ -5,8 +5,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 
 import math
 import random
-import subprocess
-import sys
 import time
 from contextlib import contextmanager
 
@@ -28,7 +26,6 @@ from clamm.rosetta import (
 )
 
 from .conftest import (
-    GOLDEN_DIR,
     LN4,
     WORKED_BANCOR,
     WORKED_CARBON,
@@ -193,13 +190,6 @@ def test_criterion_7_conservation_and_signs():
 
 
 def test_criterion_8_cli_golden_files():
-    with criterion(8, "CLI golden files", budget=60.0):
-        # the table that scripts/regen_cli_golden.py writes the goldens from
-        for name, argv in load_script("regen_cli_golden").COMMANDS.items():
-            result = subprocess.run(
-                [sys.executable, "-m", "clamm", *argv],
-                capture_output=True, check=False,
-            )
-            assert result.returncode == 0, result.stderr.decode()
-            golden = (GOLDEN_DIR / name).read_bytes()
-            assert result.stdout == golden, f"{name} drifted from its golden output"
+    with criterion(8, "golden files", budget=60.0):
+        # each file under tests/golden/ against the stdout of its one command
+        assert load_script("regen_cli_golden").main(["--check"]) == 0, "a golden drifted; see stderr"

@@ -15,20 +15,18 @@ construction, to a native closed form, to sampling or to the battery's draw
 that moves any of these bits moves the digest in
 ``tests/golden/curve_bits.sha256``.
 
-Regenerate the golden, on purpose only, with
-``PYTHONPATH=src python3 -m tests.test_curve_bits --write``; without
-``--write`` the module prints the digest and exits 1 if it differs from the
-golden.
+Run as a module, ``PYTHONPATH=src python3 -m tests.test_curve_bits``, it
+prints the digest, which is the golden's bytes; ``scripts/regen_cli_golden.py``
+writes and checks it with every other golden.
 """
 
 import hashlib
-import sys
-from pathlib import Path
 
-from clamm import CurveError, NaturalParams, curve_for
+from clamm import CurveError, curve_for
 from clamm.quadrature import battery_cases
 
-GOLDEN = Path(__file__).parent / "golden" / "curve_bits.sha256"
+from .conftest import natural_anchors
+
 SEED, CASES = 3, 32000
 
 
@@ -50,19 +48,12 @@ def _record(curve, state, dx) -> str:
                  _outcome(curve.x_from_y, state.y)))
 
 
-def _natural_anchors(curve):
-    geom = curve.geom
-    yield NaturalParams(geom.c, "asymptotes", geom.x_asym, geom.y_asym)
-    yield NaturalParams(geom.c, "intercepts", geom.x_int, geom.y_int)
-    yield NaturalParams(geom.c, "center", *curve.center())
-
-
 def curve_bits_digest(seed: int = SEED, cases: int = CASES) -> str:
     h = hashlib.sha256()
     for curve, state, dx in battery_cases(seed, cases):
         h.update(_record(curve, state, dx).encode())
         if curve.bounded:
-            for params in _natural_anchors(curve):
+            for params in natural_anchors(curve):
                 try:
                     record = _record(curve_for(params), state, dx)
                 except CurveError as exc:
@@ -71,15 +62,5 @@ def curve_bits_digest(seed: int = SEED, cases: int = CASES) -> str:
     return h.hexdigest()
 
 
-def test_curve_bits_match_the_golden():
-    assert curve_bits_digest() == GOLDEN.read_text().strip()
-
-
 if __name__ == "__main__":
-    digest = curve_bits_digest()
-    print(digest)
-    if sys.argv[1:] == ["--write"]:
-        GOLDEN.write_text(digest + "\n")
-    elif digest != GOLDEN.read_text().strip():
-        print(f"differs from {GOLDEN.name}", file=sys.stderr)
-        sys.exit(1)
+    print(curve_bits_digest())

@@ -25,7 +25,7 @@ from clamm import (
 )
 from clamm.quadrature import battery_cases
 
-from .test_curve_bits import _natural_anchors
+from .conftest import natural_anchors
 
 SCALE = 2.0 ** 40
 
@@ -48,7 +48,7 @@ def test_a_power_of_two_scale_scales_every_quote_exactly():
     curve rebuilt from its three natural anchors: 26000 curves."""
     checked = Counter()
     for source, state, dx in battery_cases(11, 8000):
-        anchored = [curve_for(params) for params in _natural_anchors(source)] if source.bounded else []
+        anchored = [curve_for(params) for params in natural_anchors(source)] if source.bounded else []
         for curve in [source, *anchored]:
             big = curve_for(scaled(curve.params))
             big_state = PoolState(state.x * SCALE, state.y * SCALE)
@@ -82,7 +82,7 @@ def test_a_pool_quotes_alike_with_its_tokens_swapped():
     for source, state, dx in battery_cases(11, 8000):
         curves = [source] if isinstance(source.params, (ReferenceParams, BancorV2Params)) else []
         if source.bounded:
-            curves += [curve_for(params) for params in _natural_anchors(source)]
+            curves += [curve_for(params) for params in natural_anchors(source)]
         flipped = PoolState(state.y, state.x)
         dy = -state.y / 3
         for curve in curves:

@@ -25,7 +25,7 @@ from clamm import (
     spec_to_dict,
     validate,
 )
-from clamm.params import ANCHOR_KINDS
+from clamm.params import ANCHOR_KINDS, rel_close
 from clamm.quadrature import random_bancor_params
 from clamm.rosetta import translate
 
@@ -277,6 +277,15 @@ class TestStateAndDelta:
         state = PoolState(100.0, 100.0)
         snapped = apply_delta(state, SwapDelta(1.0, -100.0 - 1e-12))
         assert snapped.y == 0.0
+
+
+@pytest.mark.parametrize("a, b, field", [(10**400, 1.0, "a"), (1.0, -10**400, "b")], ids=["a", "b"])
+def test_rel_close_names_an_int_past_binary64(a, b, field):
+    with pytest.raises(DomainError) as err:
+        rel_close(a, b)
+    assert (err.value.field, err.value.reason) == (field, "must be finite")
+    # a float takes math.isclose's rule, infinities included
+    assert rel_close(math.inf, math.inf) and not rel_close(math.nan, math.nan)
 
 
 class TestJsonSchema:

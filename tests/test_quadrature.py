@@ -31,6 +31,7 @@ from clamm.quadrature import (
     _panel,
     battery_cases,
     random_admissible_swap,
+    random_bancor_params,
     random_cases,
 )
 from clamm.params import REL_TOL
@@ -565,6 +566,12 @@ class TestAngleOracle:
             integrate_price_curve(bounded, 100.0, 1.0, rel_tol=math.nan)
         assert err.value.field == "rel_tol"
 
+    def test_rel_tol_past_binary64_is_inf(self):
+        bounded, unshifted = curve_for(WORKED_BANCOR), curve_for(ReferenceParams(1.0, 1.0))
+        for curve, x, dx in ((bounded, 100.0, 100.0), (unshifted, 1.0, 1e6)):
+            assert (integrate_price_curve(curve, x, dx, rel_tol=10**400)
+                    == integrate_price_curve(curve, x, dx, rel_tol=math.inf))
+
 
 class TestOracleCompare:
     def test_worked_curve_passes(self, bancor_curve):
@@ -605,6 +612,13 @@ class TestOracleCompare:
         assert report.closed_form_dy == float(exact_dy(curve, state.x, dx))
         assert not report.passed
         assert report.rel_deviation > 5e-4
+
+    def test_rel_tol_past_binary64_is_the_infinity_of_its_sign(self, bancor_curve):
+        state = PoolState(100.0, 100.0)
+        for big, inf in ((10**400, math.inf), (-10**400, -math.inf)):
+            report = oracle_compare(bancor_curve, state, 100.0, rel_tol=big)
+            assert report == oracle_compare(bancor_curve, state, 100.0, rel_tol=inf)
+            assert report.passed is (big > 0)
 
 
 class TestBattery:
@@ -653,6 +667,18 @@ class TestBattery:
         summary = verify_cases(battery_cases(3, 40))
         assert summary["cases"] == summary["passed"] == 40
         assert summary["max_rel_deviation"] < 1e-9
+
+    def test_rel_tol_past_binary64_is_inf(self):
+        summary = verify_cases(battery_cases(3, 8), rel_tol=10**400)
+        assert summary == verify_cases(battery_cases(3, 8), rel_tol=math.inf)
+        assert summary["passed"] == 8
+
+    @pytest.mark.parametrize("scale_exp_range", [(0, 10**400), (-10**400, 0), (0.0, 400.0)],
+                             ids=["int_hi", "int_lo", "float_hi"])
+    def test_scale_exp_range_past_the_float_range_names_its_argument(self, scale_exp_range):
+        with pytest.raises(DomainError) as err:
+            random_bancor_params(random.Random(0), scale_exp_range)
+        assert err.value.field == "scale_exp_range"
 
     def test_battery_covers_every_integrand_form(self):
         forms = {params.form for params, _, _ in random_cases(0, 8)}

@@ -172,6 +172,19 @@ class TestConcentrationForms:
         with pytest.raises(Indeterminate):
             concentration_from_intercepts(PoolState(0, 300), 300.0, 300.0)
 
+    @pytest.mark.parametrize("form, anchor, names", [
+        (concentration_from_center, (100.0, 100.0), ("x0", "y0")),
+        (concentration_from_intercepts, (300.0, 300.0), ("x_int", "y_int")),
+        (concentration_from_asymptotes, (-100.0, -100.0), ("x_asym", "y_asym")),
+    ], ids=["center", "intercepts", "asymptotes"])
+    def test_int_anchor_past_binary64_names_its_field(self, form, anchor, names):
+        state = PoolState(200.0, 100.0 / 3.0)
+        for i, name in enumerate(names):
+            for big in (10**400, -10**400):
+                with pytest.raises(DomainError) as err:
+                    form(state, *(big if j == i else value for j, value in enumerate(anchor)))
+                assert (err.value.field, err.value.reason) == (name, "must be finite")
+
     def test_asymptote_form_everywhere(self):
         for state in (PoolState(100, 100), PoolState(0, 300), PoolState(300, 0)):
             assert_rel(concentration_from_asymptotes(state, -100.0, -100.0), 4.0)

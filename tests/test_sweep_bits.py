@@ -9,22 +9,19 @@ Each sweep adds its arguments, exit code and stdout to the digest in
 price functions or to the row formatting that moves any byte of a sweep
 moves the digest.
 
-Regenerate the golden, on purpose only, with
-``PYTHONPATH=src python3 -m tests.test_sweep_bits --write``; without
-``--write`` the module prints the digest and exits 1 if it differs from the
-golden.
+Run as a module, ``PYTHONPATH=src python3 -m tests.test_sweep_bits``, it
+prints the digest, which is the golden's bytes; ``scripts/regen_cli_golden.py``
+writes and checks it with every other golden.
 """
 
 import contextlib
 import hashlib
 import io
-import sys
-from pathlib import Path
 
 from clamm.cli import main
 
-DATA_DIR = Path(__file__).parent / "data"
-GOLDEN = Path(__file__).parent / "golden" / "sweep_bits.sha256"
+from .conftest import DATA_DIR
+
 SPECS = ("bancor", "uniswap", "carbon", "natural")
 POINTS = 4097
 
@@ -44,15 +41,5 @@ def sweep_bits_digest(points: int = POINTS) -> str:
     return h.hexdigest()
 
 
-def test_sweep_bits_match_the_golden():
-    assert sweep_bits_digest() == GOLDEN.read_text().strip()
-
-
 if __name__ == "__main__":
-    digest = sweep_bits_digest()
-    print(digest)
-    if sys.argv[1:] == ["--write"]:
-        GOLDEN.write_text(digest + "\n")
-    elif digest != GOLDEN.read_text().strip():
-        print(f"differs from {GOLDEN.name}", file=sys.stderr)
-        sys.exit(1)
+    print(sweep_bits_digest())

@@ -1,14 +1,14 @@
 """The value types, the swap guards and curve construction, stated as rules.
 
-Each value type, guard and form hook accepts on one range comparison and runs
-its named checks only to name a failure.  Over a grid of edge inputs, each
-must do what a stated rule says: a rule table's first failing row (``ruled``),
-the hook's own named-check path (a ``Named`` float fails its type guard), an
-exact value on the curve's stored constants, or ``_check_bounds`` and the
-``_dy``/``_dx`` formulas.  A sample is checked against a bound, not its
-bits; ``tests/test_curve_bits.py`` pins the bits of the curve constants, the
-swaps and the samples over the verify battery.  The builders of the hot values must give what the public constructors
-give.
+Each value type, guard and form hook but the natural one accepts on one range
+comparison and runs its named checks only to name a failure.  Over a grid of
+edge inputs, each must do what a stated rule says: a rule table's first
+failing row (``ruled``), the hook's own named-check path (a ``Named`` float
+fails its type guard), an exact value on the curve's stored constants, or
+``_check_bounds`` and the ``_dy``/``_dx`` formulas.  A sample is checked
+against a bound, not its bits; ``tests/test_curve_bits.py`` pins the bits of
+the curve constants, the swaps and the samples over the verify battery.  The
+builders of the hot values must give what the public constructors give.
 """
 
 import copy
@@ -59,7 +59,6 @@ from clamm.params import (
     _check_scale,
     _curve,
     _geometry,
-    _natural_params,
     _reference_params,
     _slots_twin,
     _state,
@@ -821,7 +820,6 @@ PARAMS_BUILDERS = [
     (_bancor_params, BancorV2Params),
     (_uniswap_params, UniswapV3Params),
     (_carbon_params, CarbonParams),
-    (_natural_params, NaturalParams),
 ]
 
 
