@@ -36,6 +36,9 @@ def main(argv=None) -> int:
     parser.add_argument("--cases-per-decade", type=int, default=20)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
+    if args.cases_per_decade < 1:
+        # zero cases would print a deviation of 0 for every decade, having checked nothing
+        parser.error("--cases-per-decade must be at least 1")
 
     rng = random.Random(args.seed)
     failed = 0

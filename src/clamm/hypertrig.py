@@ -47,6 +47,10 @@ class TrigValues:
 
 def rotate(x: float, y: float) -> RotatedPoint:
     """Map (x, y) to (t, u) = ((x+y)/sqrt2, (y-x)/sqrt2)."""
+    if not -_MAX <= x <= _MAX:
+        raise DomainError("x", "must be finite")
+    if not -_MAX <= y <= _MAX:
+        raise DomainError("y", "must be finite")
     (m00, m01), (m10, m11) = AXIS_ALIGNMENT
     return RotatedPoint(t=m00 * x + m01 * y, u=m10 * x + m11 * y)
 

@@ -299,7 +299,10 @@ def random_bancor_params(rng: random.Random,
         x0 = 10.0 ** (lo + (hi - lo) * rng.random())
         y0 = 10.0 ** (lo + (hi - lo) * rng.random())
     except OverflowError:
-        raise DomainError("scale_exp_range", "a balance of 10**exponent must be a finite float") from None
+        x0 = y0 = math.inf
+    # 10**exponent is 0.0 far below the float range, and NaN for a NaN bound
+    if not _MAX >= x0 > 0.0 < y0 <= _MAX:
+        raise DomainError("scale_exp_range", "a balance of 10**exponent must be a positive finite float")
     return _bancor_params(x0, y0, 1.01 + (100.0 - 1.01) * rng.random())
 
 

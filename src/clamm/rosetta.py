@@ -23,9 +23,9 @@ from .params import (
     PoolState,
     ShiftedProductCurve,
     _SMALLEST,
-    _check_in_range,
     _bancor_params,
     _carbon_params,
+    _finite,
     _uniswap_params,
     rel_close,
     root_concentration,
@@ -105,9 +105,17 @@ def translate_with_report(params: CurveParams, target_form: str) -> tuple[CurveP
 # ---------------------------------------------------------------------------
 
 
+def _check_anchor(**anchor: float) -> None:
+    """DomainError(<coordinate>, "must be finite") for the first anchor
+    coordinate that is NaN, infinite or an int past the binary64 range."""
+    for name, value in anchor.items():
+        if not _finite(value):
+            raise DomainError(name, "must be finite")
+
+
 def concentration_from_center(state: PoolState, x0: float, y0: float) -> float:
     """(x-x0)^2 (y-y0)^2 / (xy - x0*y0)^2; 0/0 at the center itself."""
-    _check_in_range(x0=x0, y0=y0)
+    _check_anchor(x0=x0, y0=y0)
     den = state.x * state.y - x0 * y0
     if den == 0:
         raise Indeterminate("the center form is 0/0 at (x0, y0); use another anchor")
@@ -117,7 +125,7 @@ def concentration_from_center(state: PoolState, x0: float, y0: float) -> float:
 
 def concentration_from_intercepts(state: PoolState, x_int: float, y_int: float) -> float:
     """(x_int - x)(y_int - y) / (x*y); 0/0 at either intercept."""
-    _check_in_range(x_int=x_int, y_int=y_int)
+    _check_anchor(x_int=x_int, y_int=y_int)
     x, y = state.x, state.y
     if x == 0 or y == 0:
         raise Indeterminate("the intercept form divides by zero on an axis; use another anchor")
@@ -129,7 +137,7 @@ def concentration_from_intercepts(state: PoolState, x_int: float, y_int: float) 
 
 def concentration_from_asymptotes(state: PoolState, x_asym: float, y_asym: float) -> float:
     """(x - x_asym)(y - y_asym) / (x_asym * y_asym); defined on the whole curve."""
-    _check_in_range(x_asym=x_asym, y_asym=y_asym)
+    _check_anchor(x_asym=x_asym, y_asym=y_asym)
     return (state.x - x_asym) * (state.y - y_asym) / (x_asym * y_asym)
 
 

@@ -13,18 +13,17 @@ from clamm import (
     ReferenceParams,
     UniswapV3Params,
     curve_for,
+    load_spec,
 )
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
-# One real curve expressed in every bounded parameter form.  All worked
-# expectations in the suite were derived by hand-substitution on this curve
-# and cross-checked by quadrature.
-WORKED_BANCOR = BancorV2Params(x0=100.0, y0=100.0, A=2.0)
-WORKED_UNISWAP = UniswapV3Params(L=200.0, p_high=4.0, p_low=0.25)
-WORKED_CARBON = CarbonParams(a=1.5, b=0.5, z=300.0)
-WORKED_NATURAL = NaturalParams(c=4.0, anchor="asymptotes", anchor_x=-100.0, anchor_y=-100.0)
+# One real curve expressed in every bounded parameter form, read from the
+# spec files that the CLI goldens also use.  Its values are stated once, in
+# the worked-curve table of tests/test_encodings.py.
+WORKED_BANCOR, WORKED_UNISWAP, WORKED_CARBON, WORKED_NATURAL = (
+    load_spec(DATA_DIR / f"worked_{form}.json") for form in ("bancor", "uniswap", "carbon", "natural"))
 
 LN4 = math.log(4.0)
 

@@ -9,7 +9,6 @@ import time
 from contextlib import contextmanager
 
 from clamm import (
-    PoolState,
     apply_delta,
     curve_for,
     geometry,
@@ -25,15 +24,8 @@ from clamm.rosetta import (
     translate,
 )
 
-from .conftest import (
-    LN4,
-    WORKED_BANCOR,
-    WORKED_CARBON,
-    WORKED_UNISWAP,
-    assert_rel,
-    load_script,
-    rel_dev,
-)
+from .conftest import WORKED_BANCOR, load_script, rel_dev
+from .test_encodings import WORKED, WORKED_TABLE, assert_worked
 
 BOUNDED_FORMS = ("bancor_v2", "uniswap_v3", "carbon", "natural")
 
@@ -55,19 +47,9 @@ def criterion(num, name, budget=None):
 
 
 def test_criterion_1_worked_curve_suite():
-    with criterion(1, "worked-curve suite", budget=1.0):
-        expected = {
-            "x_int": 300.0, "y_int": 300.0,
-            "x_asym": -100.0, "y_asym": -100.0,
-            "p_high": 4.0, "p_low": 0.25, "p0": 1.0,
-            "c": 4.0, "phi": LN4,
-        }
-        for params in (WORKED_BANCOR, WORKED_UNISWAP, WORKED_CARBON):
-            geom = geometry(params)
-            for name, want in expected.items():
-                assert_rel(getattr(geom, name), want, rel=1e-9)
-            delta = curve_for(params).swap_exact_in_x(PoolState(100.0, 100.0), 100.0)
-            assert_rel(delta.dy, -200.0 / 3.0, rel=1e-9)
+    with criterion(1, "worked-curve table", budget=1.0):
+        for encoding in WORKED:
+            assert_worked(encoding, *WORKED_TABLE)
 
 
 def test_criterion_2_three_way_equivalence():

@@ -1,69 +1,52 @@
-import math
+"""The (a, b, z) encoding: its own checks (native closed forms,
+``price_gap_above_center`` and (a, b, z) quotients), and its rows and
+identities of the worked-curve table in test_encodings.py, named by what they
+check."""
+
 from decimal import Decimal, localcontext
 
-import pytest
-
-from clamm import (
-    BancorCurve,
-    BoundsExceeded,
-    CarbonCurve,
-    PoolState,
-    ShiftedProductCurve,
-    UniswapCurve,
-    integrate_price_curve,
-)
+from clamm import CarbonCurve, ShiftedProductCurve
 from clamm.quadrature import battery_cases, random_bancor_params
 from clamm.rosetta import translate
 
 from .conftest import assert_rel, exact_curve, rel_dev
+from .test_encodings import assert_identities, assert_worked
 
 
 class TestSwap:
-    def test_worked_swap(self, carbon_curve):
-        delta = carbon_curve.swap_exact_in_x(PoolState(100, 100), 100.0)
-        assert_rel(delta.dy, -200.0 / 3.0)
+    def test_worked_swap(self):
+        assert_worked("carbon", "swap")
 
-    def test_zero_trade(self, carbon_curve):
-        assert carbon_curve.swap_exact_in_x(PoolState(100, 100), 0.0).dy == 0.0
+    def test_zero_trade(self):
+        assert_worked("carbon", "zero_trade")
 
-    def test_full_traversal(self, carbon_curve):
-        # x intercept is z/(b*(a+b)) = 300
-        assert_rel(carbon_curve.geom.x_int, 300.0)
-        delta = carbon_curve.swap_exact_in_x(PoolState(0, 300), 300.0)
-        assert_rel(delta.dy, -300.0)
+    def test_full_traversal(self):
+        assert_worked("carbon", "geometry", "full_traversal")
 
-    def test_overshoot_rejected(self, carbon_curve):
-        with pytest.raises(BoundsExceeded):
-            carbon_curve.swap_exact_in_x(PoolState(0, 300), 301.0)
+    def test_overshoot_rejected(self):
+        assert_worked("carbon", "overshoots_from_y_int")
 
-    def test_exact_out_inverts_exact_in(self, carbon_curve):
-        state = PoolState(100, 100)
-        delta = carbon_curve.swap_exact_in_x(state, 100.0)
-        assert_rel(carbon_curve.swap_exact_out_y(state, delta.dy).dx, 100.0)
+    def test_exact_out_inverts_exact_in(self):
+        assert_worked("carbon", "exact_out_round_trip")
 
-    def test_quadrature_agreement(self, carbon_curve):
-        quad = integrate_price_curve(carbon_curve, 100.0, 100.0)
-        assert_rel(quad, -200.0 / 3.0, rel=1e-8)
+    def test_quadrature_agreement(self):
+        assert_worked("carbon", "integral")
 
 
 class TestMarginalPrice:
-    def test_y_intercept(self, carbon_curve):
-        assert_rel(carbon_curve.marginal_price(PoolState(0, 300)), -4.0)
+    def test_y_intercept(self):
+        assert_worked("carbon", "marginal_price_y_int")
 
-    def test_x_intercept(self, carbon_curve):
-        assert_rel(carbon_curve.marginal_price(PoolState(300, 0)), -0.25)
+    def test_x_intercept(self):
+        assert_worked("carbon", "marginal_price_x_int")
 
-    def test_center(self, carbon_curve):
-        assert_rel(carbon_curve.marginal_price(PoolState(100, 100)), -1.0)
+    def test_center(self):
+        assert_worked("carbon", "marginal_price_center")
 
 
 class TestPriceIdentities:
-    def test_worked_curve(self, carbon_curve):
-        g = carbon_curve.geom
-        p_high, p_low, p0 = g.p_high, g.p_low, g.p0
-        assert_rel(p_high, 4.0)
-        assert_rel(p_low, 0.25)
-        assert_rel(p0, 1.0)
+    def test_worked_curve(self):
+        assert_worked("carbon", "geometry")
 
     def test_gap_above_center(self, carbon_curve):
         p_high, p0 = carbon_curve.geom.p_high, carbon_curve.geom.p0
@@ -72,51 +55,31 @@ class TestPriceIdentities:
 
 
 class TestVirtualBounds:
-    def test_worked_curve(self, carbon_curve):
-        vb = carbon_curve.virtual_bounds()
-        assert_rel(vb.min_xv, 100.0)
-        assert_rel(vb.max_xv, 400.0)
-        assert_rel(vb.min_yv, 100.0)
-        assert_rel(vb.max_yv, 400.0)
+    def test_worked_curve(self):
+        assert_worked("carbon", "virtual_bounds")
 
-    def test_extreme_quotient_is_concentration(self, carbon_curve):
-        vb = carbon_curve.virtual_bounds()
-        assert_rel(vb.max_xv / vb.min_xv, 4.0, rel=1e-12)
-        assert_rel(carbon_curve.concentration(), 4.0)
+    def test_extreme_quotient_is_concentration(self):
+        assert_worked("carbon", "virtual_bounds", "concentration")
 
-    def test_geometric_means_locate_virtual_center(self, carbon_curve):
-        vb = carbon_curve.virtual_bounds()
-        assert_rel(math.sqrt(vb.min_xv * vb.max_xv), 200.0)
-        assert_rel(math.sqrt(vb.min_yv * vb.max_yv), 200.0)
+    def test_geometric_means_locate_virtual_center(self):
+        assert_worked("carbon", "virtual_bound_means")
 
 
 class TestCenterAndReference:
-    def test_worked_curve(self, carbon_curve):
-        x0, y0 = carbon_curve.center()
-        k, amp = carbon_curve.reference_scale(), carbon_curve.amplification()
-        assert_rel(x0, 100.0)
-        assert_rel(y0, 100.0)
-        assert_rel(k, 10000.0)
-        assert_rel(amp, 2.0)
+    def test_worked_curve(self):
+        assert_worked("carbon", "center", "reference_scale", "amplification")
 
-    def test_center_price_ratio(self, rng):
-        for _ in range(100):
-            curve = CarbonCurve(translate(random_bancor_params(rng), "carbon"))
-            x0, y0 = curve.center()
-            assert_rel(y0 / x0, curve.geom.p0, rel=1e-9)
+    def test_center_price_ratio(self):
+        assert_identities("carbon", "center quotient = p0")
 
-    def test_reference_bound_points(self, carbon_curve):
-        min_x, max_x, min_y, max_y = carbon_curve.reference_bound_points()
-        assert_rel(min_x, 50.0)
-        assert_rel(max_x, 200.0)
-        assert_rel(min_y, 50.0)
-        assert_rel(max_y, 200.0)
+    def test_reference_bound_points(self):
+        assert_worked("carbon", "reference_bound_points")
 
 
 class TestLegacyConstantProduct:
     def test_square_of_balance_over_spread(self, carbon_curve):
         a, z = carbon_curve.params.a, carbon_curve.params.z
-        assert_rel(z * z / (a * a), 40000.0)
+        assert_worked("carbon", "scale")
         assert_rel(z * z / (a * a), carbon_curve.scale, rel=1e-12)
 
     def test_intercept_quotients(self, rng):
@@ -129,33 +92,13 @@ class TestLegacyConstantProduct:
 
 
 class TestThreeWayEquivalence:
-    def test_swap_outputs_agree_across_forms(self, rng):
-        for _ in range(100):
-            src = random_bancor_params(rng)
-            bancor = BancorCurve(src)
-            uni = UniswapCurve(translate(src, "uniswap_v3"))
-            carbon = CarbonCurve(translate(src, "carbon"))
-            x = rng.uniform(0.05, 0.9) * bancor.geom.x_int
-            state = bancor.state_from_x(x)
-            dx = rng.uniform(0.05, 0.9) * (bancor.geom.x_int - x)
-            dy_b = bancor.swap_exact_in_x(state, dx).dy
-            dy_u = uni.swap_exact_in_x(state, dx).dy
-            dy_c = carbon.swap_exact_in_x(state, dx).dy
-            assert_rel(dy_b, dy_u, rel=1e-9)
-            assert_rel(dy_u, dy_c, rel=1e-9)
-            assert_rel(dy_c, dy_b, rel=1e-9)
+    def test_swap_outputs_agree_across_forms(self):
+        for encoding in ("uniswap_v3", "carbon"):
+            assert_identities(encoding, "quotes the source's swap")
 
 
-def test_random_swaps_match_price_integral(rng):
-    for _ in range(20):
-        params = translate(random_bancor_params(rng, (-1.0, 4.0)), "carbon")
-        curve = CarbonCurve(params)
-        x = rng.uniform(0.05, 0.9) * curve.geom.x_int
-        state = curve.state_from_x(x)
-        dx = rng.uniform(0.05, 0.9) * (curve.geom.x_int - x)
-        closed = curve.swap_exact_in_x(state, dx).dy
-        quad = integrate_price_curve(curve, state.x, dx)
-        assert_rel(quad, closed, rel=1e-8)
+def test_random_swaps_match_price_integral():
+    assert_identities("carbon", "quotes the price integral")
 
 
 def test_native_y_slope_matches_the_core_and_an_exact_value():

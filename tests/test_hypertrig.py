@@ -47,6 +47,14 @@ class TestRotation:
         assert_rel(p.t, 150.0 * SQRT2)
         assert_rel(p.u, 150.0 * SQRT2)
 
+    @pytest.mark.parametrize("point, field", [((10**400, 1.0), "x"), ((math.nan, 1.0), "x"),
+                                              ((1.0, math.inf), "y"), ((1.0, -10**400), "y")],
+                             ids=["int_x", "nan_x", "inf_y", "int_y"])
+    def test_non_finite_coordinate_names_its_axis(self, point, field):
+        with pytest.raises(DomainError) as err:
+            rotate(*point)
+        assert (err.value.field, err.value.reason) == (field, "must be finite")
+
     def test_quadratic_form_along_curve(self):
         # every point of x*y = 10000 maps to t^2 - u^2 = 20000
         for x in (1.0, 10.0, 100.0, 2500.0):

@@ -21,15 +21,16 @@ from clamm import (
     apply_delta,
     curve_for,
     geometry,
+    load_spec,
     spec_from_dict,
     spec_to_dict,
     validate,
 )
 from clamm.params import ANCHOR_KINDS, rel_close
-from clamm.quadrature import random_bancor_params
 from clamm.rosetta import translate
 
 from .conftest import (
+    DATA_DIR,
     OUT_OF_RANGE_PARAMS,
     WORKED_BANCOR,
     WORKED_CARBON,
@@ -37,8 +38,9 @@ from .conftest import (
     WORKED_UNISWAP,
     assert_rel,
 )
+from .test_encodings import WORKED, assert_identities, assert_worked
 
-WORKED_REFERENCE = ReferenceParams(100.0, 100.0)
+WORKED_REFERENCE = load_spec(DATA_DIR / "reference.json")
 WORKED_FORMS = [WORKED_REFERENCE, WORKED_BANCOR, WORKED_UNISWAP, WORKED_CARBON, WORKED_NATURAL]
 FORM_IDS = [params.form for params in WORKED_FORMS]
 
@@ -323,39 +325,18 @@ class TestJsonSchema:
 
 
 class TestGeometry:
-    def test_worked_geometry(self, bancor_curve):
-        g = bancor_curve.geom
-        assert_rel(g.x_int, 300.0)
-        assert_rel(g.y_int, 300.0)
-        assert_rel(g.x_asym, -100.0)
-        assert_rel(g.y_asym, -100.0)
-        assert_rel(g.p_high, 4.0)
-        assert_rel(g.p_low, 0.25)
-        assert_rel(g.p0, 1.0)
-        assert_rel(g.c, 4.0)
-        assert_rel(g.phi, math.log(4.0))
+    def test_worked_geometry(self):
+        assert_worked("bancor_v2", "geometry")
 
-    def test_geometry_is_parameterization_invariant(self, rng):
-        for _ in range(50):
-            src = random_bancor_params(rng)
-            base = geometry(src)
-            for form in ("uniswap_v3", "carbon", "natural"):
-                other = geometry(translate(src, form))
-                for name in ("x_int", "y_int", "x_asym", "y_asym",
-                             "p_high", "p_low", "p0", "c", "phi"):
-                    assert_rel(getattr(other, name), getattr(base, name), rel=1e-9)
+    def test_geometry_is_parameterization_invariant(self):
+        for encoding in list(WORKED)[1:]:  # all but bancor_v2, the source
+            assert_identities(encoding, "has the source's geometry")
 
-    def test_center_price_is_geometric_mean(self, rng):
-        for _ in range(200):
-            g = geometry(random_bancor_params(rng))
-            assert_rel(g.p0 * g.p0, g.p_high * g.p_low, rel=1e-12)
+    def test_center_price_is_geometric_mean(self):
+        assert_identities("bancor_v2", "p0^2 = p_high*p_low")
 
-    def test_concentration_from_axis_offsets(self, rng):
-        # c equals the intercept-to-asymptote over asymptote quotient per axis
-        for _ in range(100):
-            g = geometry(random_bancor_params(rng))
-            assert_rel((g.x_int - g.x_asym) / (0.0 - g.x_asym), g.c, rel=1e-12)
-            assert_rel((g.y_int - g.y_asym) / (0.0 - g.y_asym), g.c, rel=1e-12)
+    def test_concentration_from_axis_offsets(self):
+        assert_identities("bancor_v2", "(int - asym)/-asym = c")
 
     def test_reference_geometry_is_unbounded(self):
         g = geometry(ReferenceParams(100.0, 400.0))

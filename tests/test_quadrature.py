@@ -673,8 +673,9 @@ class TestBattery:
         assert summary == verify_cases(battery_cases(3, 8), rel_tol=math.inf)
         assert summary["passed"] == 8
 
-    @pytest.mark.parametrize("scale_exp_range", [(0, 10**400), (-10**400, 0), (0.0, 400.0)],
-                             ids=["int_hi", "int_lo", "float_hi"])
+    @pytest.mark.parametrize("scale_exp_range", [(0, 10**400), (-10**400, 0), (0.0, 400.0), (0, math.inf),
+                                                 (0, math.nan), (-400.0, -330.0)],
+                             ids=["int_hi", "int_lo", "float_hi", "inf", "nan", "float_lo"])
     def test_scale_exp_range_past_the_float_range_names_its_argument(self, scale_exp_range):
         with pytest.raises(DomainError) as err:
             random_bancor_params(random.Random(0), scale_exp_range)

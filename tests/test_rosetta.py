@@ -50,6 +50,24 @@ def assert_params_close(got, want, rel=1e-9):
             assert_rel(a, b, rel=rel)
 
 
+ANCHORED_FORMS = pytest.mark.parametrize("form, anchor, names", [
+    (concentration_from_center, (100.0, 100.0), ("x0", "y0")),
+    (concentration_from_intercepts, (300.0, 300.0), ("x_int", "y_int")),
+    (concentration_from_asymptotes, (-100.0, -100.0), ("x_asym", "y_asym")),
+], ids=["center", "intercepts", "asymptotes"])
+
+
+def assert_each_coordinate_rejected(form, anchor, names, values):
+    """Each value in place of each anchor coordinate raises DomainError naming
+    that coordinate, at a point of the worked curve."""
+    state = PoolState(200.0, 100.0 / 3.0)
+    for i, name in enumerate(names):
+        for value in values:
+            with pytest.raises(DomainError) as err:
+                form(state, *(value if j == i else v for j, v in enumerate(anchor)))
+            assert (err.value.field, err.value.reason) == (name, "must be finite")
+
+
 class TestTranslate:
     def test_worked_triangle(self):
         assert_params_close(translate(WORKED_BANCOR, "uniswap_v3"), WORKED_UNISWAP)
@@ -172,18 +190,13 @@ class TestConcentrationForms:
         with pytest.raises(Indeterminate):
             concentration_from_intercepts(PoolState(0, 300), 300.0, 300.0)
 
-    @pytest.mark.parametrize("form, anchor, names", [
-        (concentration_from_center, (100.0, 100.0), ("x0", "y0")),
-        (concentration_from_intercepts, (300.0, 300.0), ("x_int", "y_int")),
-        (concentration_from_asymptotes, (-100.0, -100.0), ("x_asym", "y_asym")),
-    ], ids=["center", "intercepts", "asymptotes"])
+    @ANCHORED_FORMS
     def test_int_anchor_past_binary64_names_its_field(self, form, anchor, names):
-        state = PoolState(200.0, 100.0 / 3.0)
-        for i, name in enumerate(names):
-            for big in (10**400, -10**400):
-                with pytest.raises(DomainError) as err:
-                    form(state, *(big if j == i else value for j, value in enumerate(anchor)))
-                assert (err.value.field, err.value.reason) == (name, "must be finite")
+        assert_each_coordinate_rejected(form, anchor, names, (10**400, -10**400))
+
+    @ANCHORED_FORMS
+    def test_non_finite_float_anchor_names_its_field(self, form, anchor, names):
+        assert_each_coordinate_rejected(form, anchor, names, (math.nan, math.inf, -math.inf))
 
     def test_asymptote_form_everywhere(self):
         for state in (PoolState(100, 100), PoolState(0, 300), PoolState(300, 0)):

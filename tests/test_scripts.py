@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from clamm import ShiftedProductCurve, SwapDelta
 
 from .conftest import load_script
@@ -55,6 +57,15 @@ def test_oracle_deviation_sweep_runs():
     assert result.returncode == 0, result.stderr
     assert "DISAGREEMENT" not in result.stdout
     assert len(result.stdout.splitlines()) == 14  # header plus 13 decades
+
+
+@pytest.mark.parametrize("count", ["0", "-5"])
+def test_oracle_deviation_sweep_rejects_a_count_below_one(count, capsys):
+    # zero cases printed a deviation of 0 for every decade and exited 0
+    with pytest.raises(SystemExit) as exit_:
+        load_script("oracle_deviation_sweep").main(["--cases-per-decade", count])
+    assert exit_.value.code == 2
+    assert "--cases-per-decade" in capsys.readouterr().err
 
 
 def test_oracle_deviation_sweep_checks_every_bounded_form():

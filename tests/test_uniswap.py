@@ -1,61 +1,48 @@
+"""The (L, p_high, p_low) encoding: its own checks (recovering L, and the wider
+16/1 curve), and its rows and identities of the worked-curve table in
+test_encodings.py, named by what they check."""
+
 import math
 
-import pytest
-
-from clamm import (
-    BancorCurve,
-    BoundsExceeded,
-    PoolState,
-    UniswapCurve,
-    UniswapV3Params,
-    integrate_price_curve,
-)
+from clamm import PoolState, UniswapCurve, UniswapV3Params
 from clamm.quadrature import random_bancor_params
 from clamm.rosetta import translate
 
 from .conftest import assert_rel
+from .test_encodings import assert_identities, assert_worked
 
 
 class TestSwap:
-    def test_worked_swap(self, uniswap_curve):
-        delta = uniswap_curve.swap_exact_in_x(PoolState(100, 100), 100.0)
-        assert_rel(delta.dy, -200.0 / 3.0)
+    def test_worked_swap(self):
+        assert_worked("uniswap_v3", "swap")
 
-    def test_zero_trade(self, uniswap_curve):
-        delta = uniswap_curve.swap_exact_in_x(PoolState(100, 100), 0.0)
-        assert delta.dy == 0.0
+    def test_zero_trade(self):
+        assert_worked("uniswap_v3", "zero_trade")
 
-    def test_full_traversal(self, uniswap_curve):
-        delta = uniswap_curve.swap_exact_in_x(PoolState(0, 300), 300.0)
-        assert_rel(delta.dy, -300.0)
+    def test_full_traversal(self):
+        assert_worked("uniswap_v3", "full_traversal")
 
-    def test_overshoot_rejected(self, uniswap_curve):
-        with pytest.raises(BoundsExceeded):
-            uniswap_curve.swap_exact_in_x(PoolState(0, 300), 300.5)
+    def test_overshoot_rejected(self):
+        assert_worked("uniswap_v3", "overshoots_from_y_int")
 
-    def test_quadrature_agreement(self, uniswap_curve):
-        quad = integrate_price_curve(uniswap_curve, 100.0, 100.0)
-        assert_rel(quad, -200.0 / 3.0, rel=1e-8)
+    def test_quadrature_agreement(self):
+        assert_worked("uniswap_v3", "integral")
 
 
 class TestMarginalPrice:
-    def test_y_intercept(self, uniswap_curve):
-        assert_rel(uniswap_curve.marginal_price(PoolState(0, 300)), -4.0)
+    def test_y_intercept(self):
+        assert_worked("uniswap_v3", "marginal_price_y_int")
 
-    def test_x_intercept(self, uniswap_curve):
-        assert_rel(uniswap_curve.marginal_price(PoolState(300, 0)), -0.25)
+    def test_x_intercept(self):
+        assert_worked("uniswap_v3", "marginal_price_x_int")
 
-    def test_center(self, uniswap_curve):
-        assert_rel(uniswap_curve.marginal_price(PoolState(100, 100)), -1.0)
+    def test_center(self):
+        assert_worked("uniswap_v3", "marginal_price_center")
 
 
 class TestVirtualBounds:
-    def test_worked_curve(self, uniswap_curve):
-        vb = uniswap_curve.virtual_bounds()
-        assert_rel(vb.min_xv, 100.0)
-        assert_rel(vb.max_xv, 400.0)
-        assert_rel(vb.min_yv, 100.0)
-        assert_rel(vb.max_yv, 400.0)
+    def test_worked_curve(self):
+        assert_worked("uniswap_v3", "virtual_bounds")
 
     def test_x_extreme_mean_recovers_liquidity_over_price(self, rng):
         for _ in range(100):
@@ -69,10 +56,8 @@ class TestVirtualBounds:
 
 
 class TestCenter:
-    def test_worked_curve(self, uniswap_curve):
-        x0, y0 = uniswap_curve.center()
-        assert_rel(x0, 100.0)
-        assert_rel(y0, 100.0)
+    def test_worked_curve(self):
+        assert_worked("uniswap_v3", "center")
 
     def test_wider_curve(self):
         # hand-substitution with fourth roots 2 and 1; confirmed on-curve below
@@ -82,34 +67,22 @@ class TestCenter:
         assert_rel(y0, 200.0)
         assert curve.on_curve(PoolState(x0, y0), rel_tol=1e-12)
 
-    def test_center_price_ratio(self, rng):
-        for _ in range(100):
-            curve = UniswapCurve(translate(random_bancor_params(rng), "uniswap_v3"))
-            x0, y0 = curve.center()
-            assert_rel(y0 / x0, curve.geom.p0, rel=1e-9)
+    def test_center_price_ratio(self):
+        assert_identities("uniswap_v3", "center quotient = p0")
 
-    def test_center_is_on_real_curve(self, rng):
-        for _ in range(100):
-            curve = UniswapCurve(translate(random_bancor_params(rng), "uniswap_v3"))
-            x0, y0 = curve.center()
-            assert curve.on_curve(PoolState(x0, y0), rel_tol=1e-9)
+    def test_center_is_on_real_curve(self):
+        assert_identities("uniswap_v3", "the center is on the curve")
 
 
 class TestReferenceScale:
-    def test_worked_curve(self, uniswap_curve):
-        assert_rel(uniswap_curve.reference_scale(), 10000.0)
+    def test_worked_curve(self):
+        assert_worked("uniswap_v3", "reference_scale")
 
-    def test_concentration_shrinks_reference(self, rng):
-        for _ in range(100):
-            params = translate(random_bancor_params(rng), "uniswap_v3")
-            assert UniswapCurve(params).reference_scale() < params.L ** 2
+    def test_concentration_shrinks_reference(self):
+        assert_identities("uniswap_v3", "reference_scale < scale")
 
-    def test_reference_bound_points(self, uniswap_curve):
-        min_x, max_x, min_y, max_y = uniswap_curve.reference_bound_points()
-        assert_rel(min_x, 50.0)
-        assert_rel(max_x, 200.0)
-        assert_rel(min_y, 50.0)
-        assert_rel(max_y, 200.0)
+    def test_reference_bound_points(self):
+        assert_worked("uniswap_v3", "reference_bound_points")
 
 
 class TestTranslationEquivalence:
@@ -121,34 +94,13 @@ class TestTranslationEquivalence:
             recovered = curve.amplification() * math.sqrt(x0) * math.sqrt(y0)
             assert_rel(recovered, params.L, rel=1e-12)
 
-    def test_every_operation_matches_source_curve(self, rng):
-        for _ in range(50):
-            src = random_bancor_params(rng)
-            bancor = BancorCurve(src)
-            uni = UniswapCurve(translate(src, "uniswap_v3"))
-            x = rng.uniform(0.05, 0.9) * bancor.geom.x_int
-            state = bancor.state_from_x(x)
-            dx = rng.uniform(0.05, 0.9) * (bancor.geom.x_int - x)
-            assert_rel(uni.swap_exact_in_x(state, dx).dy,
-                       bancor.swap_exact_in_x(state, dx).dy, rel=1e-9)
-            assert_rel(uni.marginal_price(state), bancor.marginal_price(state), rel=1e-9)
-            for got, want in zip(uni.reference_bound_points(), bancor.reference_bound_points()):
-                assert_rel(got, want, rel=1e-9)
+    def test_every_operation_matches_source_curve(self):
+        assert_identities("uniswap_v3", "quotes the source's swap", "quotes the source's marginal price",
+                          "quotes the source's reference bound points")
 
-    def test_intercept_quotients(self, rng):
-        for _ in range(100):
-            g = UniswapCurve(translate(random_bancor_params(rng), "uniswap_v3")).geom
-            assert_rel(g.y_int / g.x_int, g.p0, rel=1e-12)
-            assert_rel(g.y_asym / g.x_asym, g.p0, rel=1e-12)
+    def test_intercept_quotients(self):
+        assert_identities("uniswap_v3", "intercept and asymptote quotients = p0")
 
 
-def test_random_swaps_match_price_integral(rng):
-    for _ in range(20):
-        params = translate(random_bancor_params(rng, (-1.0, 4.0)), "uniswap_v3")
-        curve = UniswapCurve(params)
-        x = rng.uniform(0.05, 0.9) * curve.geom.x_int
-        state = curve.state_from_x(x)
-        dx = rng.uniform(0.05, 0.9) * (curve.geom.x_int - x)
-        closed = curve.swap_exact_in_x(state, dx).dy
-        quad = integrate_price_curve(curve, state.x, dx)
-        assert_rel(quad, closed, rel=1e-8)
+def test_random_swaps_match_price_integral():
+    assert_identities("uniswap_v3", "quotes the price integral")
