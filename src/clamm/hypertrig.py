@@ -52,7 +52,10 @@ def rotate(x: float, y: float) -> RotatedPoint:
     if not -_MAX <= y <= _MAX:
         raise DomainError("y", "must be finite")
     (m00, m01), (m10, m11) = AXIS_ALIGNMENT
-    return RotatedPoint(t=m00 * x + m01 * y, u=m10 * x + m11 * y)
+    t, u = m00 * x + m01 * y, m10 * x + m11 * y
+    if not (-_MAX <= t <= _MAX and -_MAX <= u <= _MAX):
+        raise DomainError("t" if -_MAX <= u <= _MAX else "u", "overflows the float range")
+    return RotatedPoint(t=t, u=u)
 
 
 def normalize(point: RotatedPoint, k: float) -> UnitPoint:
@@ -85,8 +88,9 @@ def unit_from_state(x: float, y: float) -> UnitPoint:
         raise DomainError("x", "must be positive and finite")
     if not 0.0 < y <= _MAX:
         raise DomainError("y", "must be positive and finite")
-    denom = 2.0 * math.sqrt(x) * math.sqrt(y)
-    return UnitPoint(t_hat=(x + y) / denom, u_hat=(y - x) / denom)
+    # halved balances, so that neither x + y nor 2*sqrt(x*y) overflows (exact above 2**-1021)
+    denom = math.sqrt(x) * math.sqrt(y)
+    return UnitPoint(t_hat=(0.5 * x + 0.5 * y) / denom, u_hat=0.5 * ((y - x) / denom))
 
 
 def u_hat_from_price(price: float) -> float:

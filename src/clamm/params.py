@@ -508,7 +508,9 @@ class ShiftedProductCurve:
         ShiftedProductCurve._classes[params_type] = cls
 
     def __init__(self, params: CurveParams):
-        # The slots _curve stores, after the checks it runs
+        # The slots _curve stores, after the checks it runs, for the form's own parameter type only
+        if ShiftedProductCurve._classes.get(type(params)) is not type(self):
+            raise DomainError("spec", f"{type(self).__name__} cannot build {type(params).__name__}")
         built = _curve(type(self), params)
         for name in ShiftedProductCurve.__slots__:
             _set(self, name, getattr(built, name))

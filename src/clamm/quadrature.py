@@ -37,9 +37,8 @@ from .rosetta import translate
 DEFAULT_ABS_TOL = 1e-10
 _MAX_DEPTH = 60  # bisections before an interval fails to converge
 
-# Quadrature runs two orders tighter than the comparison threshold, floored at
-# what binary64 can resolve relative to the integral's own magnitude.
-_ORACLE_REL_MARGIN = 1e-2
+# The quadrature's one accuracy target, relative to the integral's magnitude:
+# near what binary64 resolves, and met by the first panel on almost every trade.
 _DOUBLE_REL_FLOOR = 1e-13
 
 # Widest angle integrated: exp(u) is a finite normal float for |u| <= 708.
@@ -200,18 +199,16 @@ def _check_trade(x: float, dx: float, x_int: float) -> None:
             raise DomainError(name, "the unshifted curve is undefined at x = 0")
 
 
-def integrate_price_curve(curve: ShiftedProductCurve, x: float, dx: float,
-                          rel_tol: float = VERIFY_REL_TOL * _ORACLE_REL_MARGIN) -> float:
+def integrate_price_curve(curve: ShiftedProductCurve, x: float, dx: float) -> float:
     """dy produced by trading dx into a pool at balance x, by quadrature only.
 
     The curve may be any object with ``geom`` and ``price_slope_at_x``.  The
     slope is integrated along the hyperbolic angle of the virtual balance
     x + shift, shift = -geom.x_asym (see ``_angle_panel``), from 0 to the
     angle U the trade spans.  U is taken from dx, not from the rounded end
-    balance, so the width of the integral is exactly the trade.  The
-    tolerance is rel_tol, floored at what double precision permits, times the
-    first panel's estimate of the integral, floored at the smallest normal
-    float, so that curves of any magnitude converge.
+    balance, so the width of the integral is exactly the trade.  Every trade
+    has one accuracy target, the binary64 floor: ``_DOUBLE_REL_FLOOR`` times
+    the first panel's estimate, floored at the smallest normal float.
     """
     if dx == 0:
         return 0.0
@@ -241,16 +238,9 @@ def integrate_price_curve(curve: ShiftedProductCurve, x: float, dx: float,
     f = curve.price_slope_at_x
     # The first panel both sets the tolerance and, on most trades, is the integral.
     whole, err = _angle_panel(f, s, shift, width)
-    try:
-        tol = abs(whole) * max(rel_tol, _DOUBLE_REL_FLOOR)
-    except OverflowError:  # a rel_tol past the float range is taken as inf
-        tol = abs(whole) * math.inf
-    if not tol >= MIN_NORMAL:
-        # tiny, or NaN: a NaN rel_tol is an error, a NaN slope fails to converge
-        if math.isnan(rel_tol):
-            raise DomainError("rel_tol", "must be a number")
-        if tol < MIN_NORMAL:
-            tol = MIN_NORMAL
+    tol = abs(whole) * _DOUBLE_REL_FLOOR
+    if tol < MIN_NORMAL:  # a NaN tolerance stays, and a NaN slope fails to converge
+        tol = MIN_NORMAL
     if err <= tol:
         return whole
 
@@ -263,15 +253,15 @@ def integrate_price_curve(curve: ShiftedProductCurve, x: float, dx: float,
 
 def oracle_compare(curve: ShiftedProductCurve, state: PoolState, dx: float,
                    rel_tol: float = VERIFY_REL_TOL) -> ComparisonReport:
-    """Check one closed-form swap against the quadrature route."""
+    """Check one closed-form swap against the quadrature route, which does not
+    depend on rel_tol: rel_tol is only the pass/fail threshold (NaN: DomainError)."""
     closed = curve.swap_exact_in_x(state, dx).dy
-    try:
-        quad_tol = rel_tol * _ORACLE_REL_MARGIN
-    except OverflowError:  # a rel_tol past the float range: the infinity of its sign
-        quad_tol = math.inf if rel_tol > 0 else -math.inf
-    quad = integrate_price_curve(curve, state.x, dx, rel_tol=quad_tol)
+    quad = integrate_price_curve(curve, state.x, dx)
     abs_dev = abs(closed - quad)
     rel_dev = abs_dev / max(abs(closed), abs(quad), _SMALLEST)
+    passed = rel_dev <= rel_tol
+    if not passed and rel_tol != rel_tol:  # NaN passes nothing
+        raise DomainError("rel_tol", "must be a number")
     # built with plain slot stores (see params._slots_twin), not the
     # generated __init__'s five object.__setattr__ calls
     report = _ComparisonReportTwin()
@@ -279,7 +269,7 @@ def oracle_compare(curve: ShiftedProductCurve, state: PoolState, dx: float,
     report.quadrature_dy = quad
     report.abs_deviation = abs_dev
     report.rel_deviation = rel_dev
-    report.passed = rel_dev <= rel_tol
+    report.passed = passed
     report.__class__ = ComparisonReport
     return report
 
@@ -300,9 +290,10 @@ def random_bancor_params(rng: random.Random,
         y0 = 10.0 ** (lo + (hi - lo) * rng.random())
     except OverflowError:
         x0 = y0 = math.inf
-    # 10**exponent is 0.0 far below the float range, and NaN for a NaN bound
-    if not _MAX >= x0 > 0.0 < y0 <= _MAX:
-        raise DomainError("scale_exp_range", "a balance of 10**exponent must be a positive finite float")
+    # Every A drawn builds on balances in [1e-150, 1e150]: shifts above 2**-511,
+    # A^2*x0*y0 below 1e304.  An overflow's inf and a NaN bound's NaN fail.
+    if not 1e150 >= x0 >= 1e-150 <= y0 <= 1e150:
+        raise DomainError("scale_exp_range", "a balance of 10**exponent must lie in [1e-150, 1e150]")
     return _bancor_params(x0, y0, 1.01 + (100.0 - 1.01) * rng.random())
 
 

@@ -26,6 +26,7 @@ from .params import (
     _bancor_params,
     _carbon_params,
     _finite,
+    _require,
     _uniswap_params,
     rel_close,
     root_concentration,
@@ -113,32 +114,48 @@ def _check_anchor(**anchor: float) -> None:
             raise DomainError(name, "must be finite")
 
 
+def _below_one(state: PoolState, ax: float, ay: float) -> tuple[float, float, float, float]:
+    """(x, ax, y, ay), each axis's balance and anchor scaled below 1 by one power of
+    two, so that no product of them overflows.  The three forms are unchanged by
+    it, and keep every bit where no scaled value underflows."""
+    ex, ey = math.frexp(max(abs(state.x), abs(ax)))[1], math.frexp(max(abs(state.y), abs(ay)))[1]
+    return math.ldexp(state.x, -ex), math.ldexp(ax, -ex), math.ldexp(state.y, -ey), math.ldexp(ay, -ey)
+
+
 def concentration_from_center(state: PoolState, x0: float, y0: float) -> float:
     """(x-x0)^2 (y-y0)^2 / (xy - x0*y0)^2; 0/0 at the center itself."""
     _check_anchor(x0=x0, y0=y0)
-    den = state.x * state.y - x0 * y0
+    x, x0, y, y0 = _below_one(state, x0, y0)
+    den = x * y - x0 * y0
     if den == 0:
         raise Indeterminate("the center form is 0/0 at (x0, y0); use another anchor")
-    num = (state.x - x0) * (state.y - y0)
+    num = (x - x0) * (y - y0)
     return (num / den) * (num / den)
 
 
 def concentration_from_intercepts(state: PoolState, x_int: float, y_int: float) -> float:
     """(x_int - x)(y_int - y) / (x*y); 0/0 at either intercept."""
     _check_anchor(x_int=x_int, y_int=y_int)
-    x, y = state.x, state.y
+    x, x_int, y, y_int = _below_one(state, x_int, y_int)
     if x == 0 or y == 0:
         raise Indeterminate("the intercept form divides by zero on an axis; use another anchor")
     # x*y can underflow to 0 off the axes.  Along the curve (x_int - x)/y runs
     # from x_int/y_int to c*x_int/y_int, and (y_int - y)/x the other way round,
-    # so the cross quotients stay in range wherever c and x_int/y_int do.
+    # so the cross quotients stay in range wherever c does: x_int/y_int is now
+    # between 1/2 and 2.
     return (x_int - x) / y * ((y_int - y) / x)
 
 
 def concentration_from_asymptotes(state: PoolState, x_asym: float, y_asym: float) -> float:
     """(x - x_asym)(y - y_asym) / (x_asym * y_asym); defined on the whole curve."""
     _check_anchor(x_asym=x_asym, y_asym=y_asym)
-    return (state.x - x_asym) * (state.y - y_asym) / (x_asym * y_asym)
+    _require(x_asym != 0, "x_asym", "must be nonzero")
+    _require(y_asym != 0, "y_asym", "must be nonzero")
+    x, x_asym, y, y_asym = _below_one(state, x_asym, y_asym)
+    den = x_asym * y_asym
+    # the anchors' product underflows even scaled, and so c overflows
+    _require(den != 0, "state", "the asymptote form overflows the float range here")
+    return (x - x_asym) * (y - y_asym) / den
 
 
 def concentration_forms_agree(state: PoolState, geom: CurveGeometry) -> bool:

@@ -17,7 +17,6 @@ from clamm import (
 )
 
 DATA_DIR = Path(__file__).parent / "data"
-GOLDEN_DIR = Path(__file__).parent / "golden"
 
 # One real curve expressed in every bounded parameter form, read from the
 # spec files that the CLI goldens also use.  Its values are stated once, in

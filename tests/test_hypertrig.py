@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from decimal import Decimal, localcontext
 
 import pytest
@@ -10,6 +11,7 @@ from clamm import (
     AXIS_ALIGNMENT,
     DomainError,
     RotatedPoint,
+    UnitPoint,
     adaptive_gauss_kronrod,
     arsinh,
     curve_for,
@@ -54,6 +56,14 @@ class TestRotation:
         with pytest.raises(DomainError) as err:
             rotate(*point)
         assert (err.value.field, err.value.reason) == (field, "must be finite")
+
+    @pytest.mark.parametrize("point, field", [((1.7e308, 1.7e308), "t"), ((-1.7e308, 1.7e308), "u")],
+                             ids=["t", "u"])
+    def test_overflow_past_the_float_range_names_its_axis(self, point, field):
+        with pytest.raises(DomainError) as err:
+            rotate(*point)
+        assert err.value.field == field
+        assert "overflows" in err.value.reason
 
     def test_quadratic_form_along_curve(self):
         # every point of x*y = 10000 maps to t^2 - u^2 = 20000
@@ -153,6 +163,28 @@ class TestUnitFromState:
         with pytest.raises(DomainError) as err:
             unit_from_state(x, y)
         assert err.value.field == field
+
+    def test_balances_near_the_float_limit(self):
+        # x + y and 2*sqrt(x*y) overflow here, though the point is finite
+        assert unit_from_state(1e308, 1e308) == UnitPoint(1.0, 0.0)
+        x, y = 1e308, sys.float_info.max
+        with localcontext() as ctx:
+            ctx.prec = 40
+            den = 2 * Decimal(x).sqrt() * Decimal(y).sqrt()
+            want = ((Decimal(x) + Decimal(y)) / den, (Decimal(y) - Decimal(x)) / den)
+        unit = unit_from_state(x, y)
+        assert_rel(unit.t_hat, float(want[0]), rel=4e-16)
+        assert_rel(unit.u_hat, float(want[1]), rel=4e-16)
+
+    def test_halving_keeps_the_bits_of_every_finite_sum(self):
+        # halving a balance of 2**-1021 or more is exact, so wherever x + y and
+        # 2*sqrt(x)*sqrt(y) are finite the point is the unhalved quotient's
+        rng = random.Random(8)
+        for _ in range(20000):
+            x, y = (2.0 ** rng.uniform(-1021.0, 1024.0) for _ in range(2))
+            denom = 2.0 * math.sqrt(x) * math.sqrt(y)
+            if x + y <= sys.float_info.max and denom <= sys.float_info.max:
+                assert unit_from_state(x, y) == UnitPoint((x + y) / denom, (y - x) / denom)
 
     @settings(max_examples=200)
     @given(

@@ -77,7 +77,7 @@ def reference_adaptive_simpson(f, lower, upper, abs_tol):
     return _adaptive(f, lower, fa, upper, fb, abs_tol, whole, m, fm, _MAX_DEPTH)
 
 
-def reference_integral(curve, x, dx, rel_tol=1e-10):
+def reference_integral(curve, x, dx):
     """The dy of a trade of dx from x on the Simpson kernel, for in-range trades.
 
     It integrates t -> slope(x + t) over [0, dx], whose width is the trade
@@ -87,7 +87,7 @@ def reference_integral(curve, x, dx, rel_tol=1e-10):
     f = lambda t: slope(x + t)  # noqa: E731
     lo, hi = sorted((0.0, dx))
     _, _, coarse = _simpson_slice(f, lo, f(lo), hi, f(hi))
-    abs_tol = abs(coarse) * max(rel_tol, 1e-13)
+    abs_tol = abs(coarse) * 1e-13
     if abs_tol == 0.0:
         abs_tol = DEFAULT_ABS_TOL
     value = reference_adaptive_simpson(f, lo, hi, abs_tol)
@@ -176,10 +176,11 @@ def angle_integral(curve, x, dx):
     return g, lo, hi, (1.0 if width > 0 else -1.0)
 
 
-def derived_tolerance(curve, x, dx, rel_tol=1e-10):
-    """The tolerance integrate_price_curve derives from its first panel."""
+def derived_tolerance(curve, x, dx):
+    """The tolerance integrate_price_curve derives from its first panel: the
+    binary64 floor, 1e-13 of the panel's magnitude, or the smallest normal float."""
     g, lo, hi, _ = angle_integral(curve, x, dx)
-    return max(abs(_panel(g, lo, hi)[0]) * max(rel_tol, 1e-13), sys.float_info.min)
+    return max(abs(_panel(g, lo, hi)[0]) * 1e-13, sys.float_info.min)
 
 
 def kernel_integral(curve, x, dx, abs_tol=None):
@@ -562,15 +563,15 @@ class TestAngleOracle:
             with pytest.raises(DomainError) as err:
                 integrate_price_curve(curve, x, dx)
             assert err.value.field == field, (x, dx)
-        with pytest.raises(DomainError) as err:
-            integrate_price_curve(bounded, 100.0, 1.0, rel_tol=math.nan)
-        assert err.value.field == "rel_tol"
 
-    def test_rel_tol_past_binary64_is_inf(self):
-        bounded, unshifted = curve_for(WORKED_BANCOR), curve_for(ReferenceParams(1.0, 1.0))
-        for curve, x, dx in ((bounded, 100.0, 100.0), (unshifted, 1.0, 1e6)):
-            assert (integrate_price_curve(curve, x, dx, rel_tol=10**400)
-                    == integrate_price_curve(curve, x, dx, rel_tol=math.inf))
+    def test_quadrature_does_not_depend_on_the_threshold(self):
+        # the threshold only passes or fails a case: every trade is integrated
+        # to the binary64 floor
+        cases = [*near_pole_trades(), *battery_cases(20240702, 200)]
+        for curve, state, dx in cases:
+            quads = {oracle_compare(curve, state, dx, rel_tol=t).quadrature_dy
+                     for t in (1e-4, 1e-8, 1e-13)}
+            assert quads == {integrate_price_curve(curve, state.x, dx)}, (curve.params, dx)
 
 
 class TestOracleCompare:
@@ -619,6 +620,14 @@ class TestOracleCompare:
             report = oracle_compare(bancor_curve, state, 100.0, rel_tol=big)
             assert report == oracle_compare(bancor_curve, state, 100.0, rel_tol=inf)
             assert report.passed is (big > 0)
+
+    def test_nan_threshold_names_its_argument(self, bancor_curve):
+        # NaN passes nothing, whatever the deviation, and so is refused; the
+        # zero trade is its own integral, with no quadrature to run
+        for dx in (100.0, 0.0):
+            with pytest.raises(DomainError) as err:
+                oracle_compare(bancor_curve, PoolState(100.0, 100.0), dx, rel_tol=math.nan)
+            assert err.value.field == "rel_tol"
 
 
 class TestBattery:
@@ -674,12 +683,24 @@ class TestBattery:
         assert summary["passed"] == 8
 
     @pytest.mark.parametrize("scale_exp_range", [(0, 10**400), (-10**400, 0), (0.0, 400.0), (0, math.inf),
-                                                 (0, math.nan), (-400.0, -330.0)],
-                             ids=["int_hi", "int_lo", "float_hi", "inf", "nan", "float_lo"])
+                                                 (0, math.nan), (-400.0, -330.0), (-200.0, -199.0),
+                                                 (200.0, 201.0)],
+                             ids=["int_hi", "int_lo", "float_hi", "inf", "nan", "float_lo", "no_curve_lo",
+                                  "no_curve_hi"])
     def test_scale_exp_range_past_the_float_range_names_its_argument(self, scale_exp_range):
+        # no_curve_lo and no_curve_hi draw positive finite balances that no
+        # curve accepts: A^2*x0*y0 underflows or overflows
         with pytest.raises(DomainError) as err:
             random_bancor_params(random.Random(0), scale_exp_range)
         assert err.value.field == "scale_exp_range"
+
+    @pytest.mark.parametrize("scale_exp_range", [(-149.99, -149.9), (149.9, 149.99)], ids=["lo", "hi"])
+    def test_every_balance_it_accepts_builds_a_curve(self, scale_exp_range):
+        rng = random.Random(0)
+        for _ in range(200):
+            bancor = curve_for(random_bancor_params(rng, scale_exp_range))
+            for form in _BATTERY_FORMS[2:]:
+                curve_for(translate(bancor, form))
 
     def test_battery_covers_every_integrand_form(self):
         forms = {params.form for params, _, _ in random_cases(0, 8)}

@@ -186,6 +186,12 @@ class TestConcentrationForms:
                  / (Fraction(state.x) * Fraction(state.y)))
         assert_rel(concentration_from_intercepts(state, x_int, y_int), float(exact), rel=1e-15)
 
+    def test_intercept_form_where_one_quotient_overflows_and_the_other_underflows(self):
+        # the worked curve's center, its axes scaled by 1e298 and 1e-302:
+        # (x_int - x)/y overflows and (y_int - y)/x underflows
+        state = PoolState(1e300, 1e-300)
+        assert_rel(concentration_from_intercepts(state, 3e300, 3e-300), 4.0, rel=1e-15)
+
     def test_intercept_form_indeterminate_on_axis(self):
         with pytest.raises(Indeterminate):
             concentration_from_intercepts(PoolState(0, 300), 300.0, 300.0)
@@ -197,6 +203,43 @@ class TestConcentrationForms:
     @ANCHORED_FORMS
     def test_non_finite_float_anchor_names_its_field(self, form, anchor, names):
         assert_each_coordinate_rejected(form, anchor, names, (math.nan, math.inf, -math.inf))
+
+    def test_center_form_where_its_products_overflow(self):
+        # x*y and (x - x0)*(y - y0) both overflow; their quotient is near 1
+        state = PoolState(1e300, 1e300)
+        ratio = (Fraction(state.x) - 1) ** 2 / (Fraction(state.x) ** 2 - 1)
+        assert_rel(concentration_from_center(state, 1.0, 1.0), float(ratio * ratio), rel=1e-15)
+
+    def test_asymptote_form_where_its_products_underflow(self):
+        # x_asym*y_asym and the numerator both underflow to 0
+        assert_rel(concentration_from_asymptotes(PoolState(1e-200, 1e-200), -1e-200, -1e-200), 4.0,
+                   rel=1e-15)
+
+    @pytest.mark.parametrize("anchor, field", [((0.0, -1.0), "x_asym"), ((-1.0, 0.0), "y_asym")],
+                             ids=["x_asym", "y_asym"])
+    def test_asymptote_form_rejects_a_zero_anchor(self, anchor, field):
+        with pytest.raises(DomainError) as err:
+            concentration_from_asymptotes(PoolState(1.0, 1.0), *anchor)
+        assert (err.value.field, err.value.reason) == (field, "must be nonzero")
+
+    def test_asymptote_form_past_the_float_range_is_an_error(self):
+        # c is about 1e600
+        with pytest.raises(DomainError) as err:
+            concentration_from_asymptotes(PoolState(1.0, 1.0), -1e-300, -1e-300)
+        assert err.value.field == "state"
+
+    def test_scaling_keeps_every_bit(self, rng):
+        # each axis's pair is scaled by a power of two, which the unscaled
+        # expressions' rounding does not see
+        for _ in range(2000):
+            e = rng.uniform(-100.0, 100.0)
+            x, y, ax, ay = (10.0 ** (e + rng.uniform(-3.0, 3.0)) for _ in range(4))
+            num, den = (x - ax) * (y - ay), x * y - ax * ay
+            assert concentration_from_center(PoolState(x, y), ax, ay) == (num / den) * (num / den)
+            assert (concentration_from_asymptotes(PoolState(x, y), -ax, -ay)
+                    == (x + ax) * (y + ay) / (ax * ay))
+            assert (concentration_from_intercepts(PoolState(x, y), ax, ay)
+                    == (ax - x) / y * ((ay - y) / x))
 
     def test_asymptote_form_everywhere(self):
         for state in (PoolState(100, 100), PoolState(0, 300), PoolState(300, 0)):

@@ -775,6 +775,18 @@ class TestCurveContract:
         with pytest.raises(ValueError):
             replace(curve, scale=1.0)
 
+    def test_builds_only_its_own_form(self, params, other):
+        # another form's valid set has the fields of its own form, not these
+        curve = curve_for(params)
+        builds = [lambda: ShiftedProductCurve(params)]
+        for foreign, _ in CURVE_PARAMS:
+            if type(foreign) is not type(params):
+                builds += [lambda f=foreign: type(curve)(f), lambda f=foreign: replace(curve, params=f)]
+        for build in builds:
+            with pytest.raises(DomainError) as err:
+                build()
+            assert err.value.field == "spec"
+
     def test_replace_runs_the_checks(self, params, other):
         bad = replace(params, **{fields(params)[-1].name: math.nan})
         with pytest.raises(DomainError):
