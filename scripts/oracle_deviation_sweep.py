@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Measure closed-form vs quadrature deviation across curve scales.
 
-For each decade of pool size, runs a randomized battery over the four
-bounded parameter forms, bancor_v2, uniswap_v3, carbon and natural, and
-reports the worst relative deviation seen.  Useful as a quick confidence
-check that the closed forms hold up far from the worked examples.  Exits 1 if
-any case disagrees with the quadrature, 0 otherwise.
+For each decade of pool size from 1e-12 to 1e15, runs a randomized battery
+over the four bounded parameter forms, bancor_v2, uniswap_v3, carbon and
+natural, and reports the worst relative deviation seen.  Useful as a quick
+confidence check that the closed forms hold up far from the worked examples.
+Exits 1 if any case disagrees with the quadrature, 0 otherwise.
 
 Usage: python3 scripts/oracle_deviation_sweep.py [--cases-per-decade N] [--seed S]
 """
@@ -18,6 +18,7 @@ from clamm.quadrature import random_admissible_swap, random_bancor_params
 from clamm.rosetta import translate
 
 FORMS = ("bancor_v2", "uniswap_v3", "carbon", "natural")
+DECADES = range(-12, 16)  # pool scales 1e-12 to 1e15
 
 
 def decade_cases(rng, scale_exp, cases):
@@ -43,7 +44,7 @@ def main(argv=None) -> int:
     rng = random.Random(args.seed)
     failed = 0
     print(f"{'pool scale':>12}  {'worst rel deviation':>20}")
-    for scale_exp in range(-3, 10):
+    for scale_exp in DECADES:
         summary = verify_cases(decade_cases(rng, float(scale_exp), args.cases_per_decade))
         if summary["failed"]:
             failed += summary["failed"]

@@ -51,8 +51,8 @@ class CarbonCurve(ShiftedProductCurve, params_type=CarbonParams):
 
     @staticmethod
     def _check_native(params: CarbonParams) -> None:
-        # The native swap and slope denominators are at least z^2 and (b*z)^2,
-        # normal floats once z and b*z are at least 2**-511.  Checked after the
+        # The native swap denominators are at least z^2 and (b*z)^2, normal
+        # floats once z and b*z are at least 2**-511.  Checked after the
         # core's rules, so that a spec they reject keeps its error.
         if not _MIN_SHIFT <= params.z:
             raise DomainError("z", f"must be at least 2**-511, not {params.z!r}")
@@ -61,7 +61,8 @@ class CarbonCurve(ShiftedProductCurve, params_type=CarbonParams):
 
     # -- native closed forms ---------------------------------------------------
     # Each reads the parameter set once and forms a + b once; the operations
-    # run in the order of the formulas as written.
+    # run in the order of the formulas as written, except that the slopes
+    # divide before they square, like the core's.
 
     def _dy(self, state: PoolState, dx: float, x_new: float) -> float:
         params = self.params
@@ -86,14 +87,14 @@ class CarbonCurve(ShiftedProductCurve, params_type=CarbonParams):
         params = self.params
         a, z = params.a, params.z
         ab = a + params.b
-        den = x * a * ab + z
-        return -z * z * ab * ab / (den * den)
+        q = z * ab / (x * a * ab + z)
+        return -q * q
 
     def price_slope_at_y(self, y: float) -> float:
         params = self.params
         a, z = params.a, params.z
-        den = a * y + params.b * z
-        return -z * z / (den * den)
+        q = z / (a * y + params.b * z)
+        return -q * q
 
     def price_gap_above_center(self) -> float:
         """a*(a+b) = p_high - p0."""

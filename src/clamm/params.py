@@ -51,8 +51,8 @@ _SMALLEST = math.ulp(0.0)
 _MAX = sys.float_info.max
 
 # Smallest shift of a bounded curve.  Below 2**-511 a shift's square is no
-# longer a normal float, so the swap and slope denominators, each a product of
-# two shifted balances, underflow to zero on a curve's drained end.
+# longer a normal float, so the swap denominators, each a product of two
+# shifted balances, underflow to zero on a curve's drained end.
 _MIN_SHIFT = 2.0 ** -511
 
 # Stores a field of a frozen value type from its hand-written __init__.
@@ -680,13 +680,14 @@ class ShiftedProductCurve:
 
     def price_slope_at_x(self, x: float) -> float:
         """dy/dx as a function of x alone; the integrand behind dy."""
+        # Divided twice: the square under- or overflows long before the slope.
         s = x + self.shift_x
-        return -self.scale / (s * s)
+        return -(self.scale / s) / s
 
     def price_slope_at_y(self, y: float) -> float:
         """dx/dy as a function of y alone; the integrand behind dx."""
         s = y + self.shift_y
-        return -self.scale / (s * s)
+        return -(self.scale / s) / s
 
     # -- derived characterizations -------------------------------------------
     # Computed on demand, never at construction.  An unshifted curve has no

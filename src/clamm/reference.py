@@ -1,4 +1,4 @@
-"""The unshifted x*y = x0*y0 curve: swaps, prices, and the log-form identity."""
+"""The unshifted x*y = x0*y0 curve: swaps, the marginal price, and the log-form identity."""
 
 from __future__ import annotations
 
@@ -47,14 +47,6 @@ class ReferenceCurve(ShiftedProductCurve, params_type=ReferenceParams):
     def _dx(self, state: PoolState, dy: float, y_new: float) -> float:
         """dx = -dy*x/(y + dy); exact depletion (dy <= -y) is unreachable."""
         return -dy * state.x / y_new
-
-    def price_slope_at_x(self, x: float) -> float:
-        """-x0*y0/x**2, divided twice: x*x under- or overflows long before the slope."""
-        return -(self.scale / x) / x
-
-    def price_slope_at_y(self, y: float) -> float:
-        """-x0*y0/y**2, divided twice like ``price_slope_at_x``."""
-        return -(self.scale / y) / y
 
     def marginal_price(self, state: PoolState) -> float:
         if state.x == 0:

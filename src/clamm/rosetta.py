@@ -22,6 +22,7 @@ from .params import (
     NaturalParams,
     PoolState,
     ShiftedProductCurve,
+    _MAX,
     _SMALLEST,
     _bancor_params,
     _carbon_params,
@@ -122,15 +123,23 @@ def _below_one(state: PoolState, ax: float, ay: float) -> tuple[float, float, fl
     return math.ldexp(state.x, -ex), math.ldexp(ax, -ex), math.ldexp(state.y, -ey), math.ldexp(ay, -ey)
 
 
+def _in_range(c: float, form: str) -> float:
+    """c, or DomainError("state") for a c past the float range: an infinity,
+    which a zero denominator stands for, or the NaN of inf*0."""
+    if not -_MAX <= c <= _MAX:
+        raise DomainError("state", f"the {form} form overflows the float range here")
+    return c
+
+
 def concentration_from_center(state: PoolState, x0: float, y0: float) -> float:
     """(x-x0)^2 (y-y0)^2 / (xy - x0*y0)^2; 0/0 at the center itself."""
     _check_anchor(x0=x0, y0=y0)
     x, x0, y, y0 = _below_one(state, x0, y0)
     den = x * y - x0 * y0
-    if den == 0:
-        raise Indeterminate("the center form is 0/0 at (x0, y0); use another anchor")
     num = (x - x0) * (y - y0)
-    return (num / den) * (num / den)
+    if num == 0 == den:
+        raise Indeterminate("the center form is 0/0 at (x0, y0); use another anchor")
+    return _in_range((num / den) * (num / den) if den else math.inf, "center")
 
 
 def concentration_from_intercepts(state: PoolState, x_int: float, y_int: float) -> float:
@@ -143,7 +152,7 @@ def concentration_from_intercepts(state: PoolState, x_int: float, y_int: float) 
     # from x_int/y_int to c*x_int/y_int, and (y_int - y)/x the other way round,
     # so the cross quotients stay in range wherever c does: x_int/y_int is now
     # between 1/2 and 2.
-    return (x_int - x) / y * ((y_int - y) / x)
+    return _in_range((x_int - x) / y * ((y_int - y) / x), "intercept")
 
 
 def concentration_from_asymptotes(state: PoolState, x_asym: float, y_asym: float) -> float:
@@ -153,9 +162,8 @@ def concentration_from_asymptotes(state: PoolState, x_asym: float, y_asym: float
     _require(y_asym != 0, "y_asym", "must be nonzero")
     x, x_asym, y, y_asym = _below_one(state, x_asym, y_asym)
     den = x_asym * y_asym
-    # the anchors' product underflows even scaled, and so c overflows
-    _require(den != 0, "state", "the asymptote form overflows the float range here")
-    return (x - x_asym) * (y - y_asym) / den
+    # the anchors' product underflows even scaled only where c overflows
+    return _in_range((x - x_asym) * (y - y_asym) / den if den else math.inf, "asymptote")
 
 
 def concentration_forms_agree(state: PoolState, geom: CurveGeometry) -> bool:

@@ -3,8 +3,16 @@ the virtual emulation and the A*x0 chain), and its rows and identities of the
 worked-curve table in test_encodings.py, named by what they check."""
 
 import math
+from fractions import Fraction
 
-from clamm import BancorCurve, BancorV2Params, PoolState, ReferenceCurve, ReferenceParams
+from clamm import (
+    BancorCurve,
+    BancorV2Params,
+    PoolState,
+    ReferenceCurve,
+    ReferenceParams,
+    curve_for,
+)
 from clamm.quadrature import random_bancor_params
 
 from .conftest import assert_rel
@@ -88,6 +96,15 @@ class TestMarginalPrice:
 
     def test_x_intercept_quotes_low_bound(self):
         assert_worked("bancor_v2", "marginal_price_x_int")
+
+    def test_slopes_where_the_virtual_balance_squared_overflows(self):
+        # (1.5e200 + 1e200)**2 is past the float range, the slope -6.4e-101 is
+        # not: squaring first gave -0.0.  The token mirror quotes it on y.
+        curve = curve_for(BancorV2Params(1e200, 1e100, 2.0))
+        slope = curve.price_slope_at_x(1.5e200)
+        exact = -Fraction(curve.scale) / Fraction(1.5e200 + curve.shift_x) ** 2
+        assert_rel(slope, float(exact), rel=2 * 2.0 ** -53, abs_floor=0.0)
+        assert curve_for(BancorV2Params(1e100, 1e200, 2.0)).price_slope_at_y(1.5e200) == slope
 
 
 class TestReferenceBoundPoints:

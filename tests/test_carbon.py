@@ -4,9 +4,10 @@ identities of the worked-curve table in test_encodings.py, named by what they
 check."""
 
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
-from clamm import CarbonCurve, ShiftedProductCurve
-from clamm.quadrature import battery_cases, random_bancor_params
+from clamm import CarbonCurve, CarbonParams, ShiftedProductCurve, curve_for, integrate_price_curve
+from clamm.quadrature import battery_cases, oracle_compare, random_bancor_params
 from clamm.rosetta import translate
 
 from .conftest import assert_rel, exact_curve, rel_dev
@@ -104,10 +105,10 @@ def test_random_swaps_match_price_integral():
 def test_native_y_slope_matches_the_core_and_an_exact_value():
     """-z^2/(a*y + b*z)^2 against the core's -scale/(y + shift_y)^2 and a
     60-digit value, on the 5000 carbon translations of the battery.  The
-    native form rounds six times, one of them a square, so it stays within
-    8*2**-53 of exact (measured worst 5.0); the core's shifts and scale add
+    native form rounds five times, the last a square, so it stays within
+    8*2**-53 of exact (measured worst 5.4); the core's shifts and scale add
     their own roundings, so the two stay within 16*2**-53 (measured worst
-    6.3)."""
+    6.4)."""
     to_core = to_exact = 0.0
     for curve, state, _ in battery_cases(0, 20000):
         if type(curve) is not CarbonCurve:
@@ -124,13 +125,30 @@ def test_native_y_slope_matches_the_core_and_an_exact_value():
     assert to_exact <= 8 * 2.0 ** -53
 
 
+def test_native_slopes_where_their_squares_overflow():
+    """A carbon translation that ``random_bancor_params`` draws on balances
+    out to 1e150: z*(a+b) and a*y + b*z are about 2.3e161, whose squares are
+    past the float range, while the slopes are not.  Squaring first gave -inf on x and -0.0 on y, and the quadrature
+    of -inf did not converge."""
+    curve = curve_for(CarbonParams(a=6.622073457514659e+74, b=2.8268146404290487e+76, z=8.1141436606093e+84))
+    state = curve.state_from_x(3.6601070552228673e-69)
+    a, b, z = (Fraction(v) for v in (curve.params.a, curve.params.b, curve.params.z))
+    x, y = Fraction(state.x), Fraction(state.y)
+    exact = (-(z * (a + b) / (x * a * (a + b) + z)) ** 2, -(z / (a * y + b * z)) ** 2)
+    for slope, want in zip((curve.price_slope_at_x(state.x), curve.price_slope_at_y(state.y)), exact):
+        assert_rel(slope, float(want), rel=8 * 2.0 ** -53, abs_floor=0.0)
+    dx = state.x  # doubles x, inside the x intercept 9.9e-69
+    assert integrate_price_curve(curve, state.x, dx) < 0
+    assert oracle_compare(curve, state, dx, rel_tol=1e-13).passed
+
+
 def test_native_forms_are_bit_identical_to_their_expressions():
     """Carbon's native dy, dx, marginal price and both slopes against their
     60-digit values on the exact curve of the stored (a, b, z), over the 1000
     carbon cases of ``battery_cases(0, 4000)``.  The swaps are read with the
     trade and the end balance they are given.  Each form rounds a handful of
     times and never cancels, so each stays within 8*2**-53 of exact (measured
-    worst 4.8, on dx).  The test checks that bound, not bits, whatever its
+    worst 5.5, on the x slope).  The test checks that bound, not bits, whatever its
     name says: the golden digest of ``tests/test_curve_bits.py`` pins the
     bits of the swaps, the marginal price and both slopes, on the carbon
     cases of ``battery_cases(3, 32000)``."""

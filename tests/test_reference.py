@@ -15,7 +15,7 @@ from clamm import (
     apply_delta,
     integrate_price_curve,
 )
-from clamm.quadrature import random_admissible_swap, random_bancor_params
+from clamm.quadrature import battery_cases, random_admissible_swap, random_bancor_params
 
 from .conftest import assert_rel, rel_dev
 
@@ -81,6 +81,21 @@ class TestMarginalPrice:
         curve = ReferenceCurve(ReferenceParams(x0, y0))
         assert_rel(curve.price_slope_at_x(x0), -y0 / x0, rel=1e-15, abs_floor=0.0)
         assert_rel(curve.price_slope_at_y(y0), -x0 / y0, rel=1e-15, abs_floor=0.0)
+
+    def test_slopes_are_the_cores_with_zero_shifts(self):
+        # the form inherits the core's -(scale/s)/s, and x + 0.0 == x, so the
+        # slopes are -(x0*y0/x)/x bit for bit
+        assert ReferenceCurve.price_slope_at_x is ShiftedProductCurve.price_slope_at_x
+        assert ReferenceCurve.price_slope_at_y is ShiftedProductCurve.price_slope_at_y
+        checked = 0
+        for curve, state, dx in battery_cases(3, 4000):
+            if type(curve) is not ReferenceCurve:
+                continue
+            for x in (state.x, state.x + dx):
+                assert curve.price_slope_at_x(x) == -(curve.scale / x) / x
+            assert curve.price_slope_at_y(state.y) == -(curve.scale / state.y) / state.y
+            checked += 1
+        assert checked == 1000
 
     def test_reciprocal_point(self):
         curve = ReferenceCurve(ReferenceParams(50.0, 200.0))

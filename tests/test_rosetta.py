@@ -228,6 +228,19 @@ class TestConcentrationForms:
             concentration_from_asymptotes(PoolState(1.0, 1.0), -1e-300, -1e-300)
         assert err.value.field == "state"
 
+    @pytest.mark.parametrize("form, state, anchor, name", [
+        # off the center, where x*y == x0*y0 makes the form a nonzero number over 0
+        (concentration_from_center, PoolState(1e200, 1e-200), (1e-100, 1e100), "center"),
+        (concentration_from_intercepts, PoolState(1.0, 1e-300), (1e300, 1.0), "intercept"),
+        (concentration_from_asymptotes, PoolState(1.0, 1.0), (-1e-320, -1.0), "asymptote"),
+    ], ids=["center", "intercepts", "asymptotes"])
+    def test_c_past_the_float_range_is_an_error(self, form, state, anchor, name):
+        # one rule for all three forms: each returned inf, or called a state off the center 0/0
+        with pytest.raises(DomainError) as err:
+            form(state, *anchor)
+        assert (err.value.field, err.value.reason) == (
+            "state", f"the {name} form overflows the float range here")
+
     def test_scaling_keeps_every_bit(self, rng):
         # each axis's pair is scaled by a power of two, which the unscaled
         # expressions' rounding does not see

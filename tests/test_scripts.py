@@ -56,7 +56,7 @@ def test_oracle_deviation_sweep_runs():
     result = run_script("oracle_deviation_sweep.py", "--cases-per-decade", "1")
     assert result.returncode == 0, result.stderr
     assert "DISAGREEMENT" not in result.stdout
-    assert len(result.stdout.splitlines()) == 14  # header plus 13 decades
+    assert len(result.stdout.splitlines()) == 29  # header plus 28 decades, 1e-12 to 1e15
 
 
 @pytest.mark.parametrize("count", ["0", "-5"])
@@ -89,7 +89,7 @@ def test_oracle_deviation_sweep_fails_on_disagreement(monkeypatch, capsys):
 
     monkeypatch.setattr(ShiftedProductCurve, "swap_exact_in_x", corrupted_swap)
     assert sweep.main(["--cases-per-decade", "1"]) == 1
-    assert capsys.readouterr().out.count("DISAGREEMENT") == 13
+    assert capsys.readouterr().out.count("DISAGREEMENT") == 28
 
 
 def test_worked_curve_demo_runs():
