@@ -88,9 +88,13 @@ def unit_from_state(x: float, y: float) -> UnitPoint:
         raise DomainError("x", "must be positive and finite")
     if not 0.0 < y <= _MAX:
         raise DomainError("y", "must be positive and finite")
-    # halved balances, so that neither x + y nor 2*sqrt(x*y) overflows (exact above 2**-1021)
+    # Two small balances are scaled up by an even power of two, which moves no
+    # bit of the point and keeps their halves and sqrt(x)*sqrt(y) normal; the
+    # halves keep x + y, y - x and 2*sqrt(x*y) from overflowing.
+    if x < 2.0 ** -500 and y < 2.0 ** -500:
+        x, y = x * 2.0 ** 600, y * 2.0 ** 600
     denom = math.sqrt(x) * math.sqrt(y)
-    return UnitPoint(t_hat=(0.5 * x + 0.5 * y) / denom, u_hat=0.5 * ((y - x) / denom))
+    return UnitPoint(t_hat=(0.5 * x + 0.5 * y) / denom, u_hat=(0.5 * y - 0.5 * x) / denom)
 
 
 def u_hat_from_price(price: float) -> float:

@@ -1,7 +1,6 @@
 import importlib.util
 import math
 import random
-from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -70,29 +69,6 @@ def assert_rel(actual, expected, rel=1e-9, abs_floor=1e-12):
 
 def rel_dev(a, b):
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
-
-
-def exact_curve(params):
-    """(shift_x, shift_y, scale) of the stored parameters, as Decimals in the
-    caller's context.  Each stored float converts exactly, and Decimal.sqrt is
-    correctly rounded."""
-    if isinstance(params, ReferenceParams):
-        return Decimal(0), Decimal(0), Decimal(params.x0) * Decimal(params.y0)
-    if isinstance(params, BancorV2Params):
-        x0, y0, amp = Decimal(params.x0), Decimal(params.y0), Decimal(params.A)
-        return x0 * (amp - 1), y0 * (amp - 1), amp * amp * x0 * y0
-    if isinstance(params, UniswapV3Params):
-        liq, p_high, p_low = Decimal(params.L), Decimal(params.p_high), Decimal(params.p_low)
-        return liq / p_high.sqrt(), liq * p_low.sqrt(), liq * liq
-    if isinstance(params, CarbonParams):
-        a, b, z = Decimal(params.a), Decimal(params.b), Decimal(params.z)
-        return z / (a * (a + b)), b * z / a, (z / a) ** 2
-    c, ax, ay = Decimal(params.c), Decimal(params.anchor_x), Decimal(params.anchor_y)
-    if params.anchor == "intercepts":
-        ax, ay = -ax / (c - 1), -ay / (c - 1)
-    elif params.anchor == "center":
-        ax, ay = -ax / (c.sqrt() - 1), -ay / (c.sqrt() - 1)
-    return -ax, -ay, c * ax * ay
 
 
 def natural_anchors(curve):

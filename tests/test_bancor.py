@@ -3,7 +3,6 @@ the virtual emulation and the A*x0 chain), and its rows and identities of the
 worked-curve table in test_encodings.py, named by what they check."""
 
 import math
-from fractions import Fraction
 
 from clamm import (
     BancorCurve,
@@ -15,6 +14,7 @@ from clamm import (
 )
 from clamm.quadrature import random_bancor_params
 
+from . import exact
 from .conftest import assert_rel
 from .test_encodings import assert_identities, assert_worked
 
@@ -102,8 +102,9 @@ class TestMarginalPrice:
         # not: squaring first gave -0.0.  The token mirror quotes it on y.
         curve = curve_for(BancorV2Params(1e200, 1e100, 2.0))
         slope = curve.price_slope_at_x(1.5e200)
-        exact = -Fraction(curve.scale) / Fraction(1.5e200 + curve.shift_x) ** 2
-        assert_rel(slope, float(exact), rel=2 * 2.0 ** -53, abs_floor=0.0)
+        # exact on the virtual balance the core reads, 1.5e200 + shift_x rounded
+        want = exact.slope_at_x((0, 0, exact.of_curve(curve)[2]), 1.5e200 + curve.shift_x)
+        assert_rel(slope, float(want), rel=2 * 2.0 ** -53, abs_floor=0.0)
         assert curve_for(BancorV2Params(1e100, 1e200, 2.0)).price_slope_at_y(1.5e200) == slope
 
 

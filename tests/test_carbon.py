@@ -3,14 +3,12 @@
 identities of the worked-curve table in test_encodings.py, named by what they
 check."""
 
-from decimal import Decimal, localcontext
-from fractions import Fraction
-
 from clamm import CarbonCurve, CarbonParams, ShiftedProductCurve, curve_for, integrate_price_curve
 from clamm.quadrature import battery_cases, oracle_compare, random_bancor_params
 from clamm.rosetta import translate
 
-from .conftest import assert_rel, exact_curve, rel_dev
+from . import exact
+from .conftest import assert_rel, rel_dev
 from .test_encodings import assert_identities, assert_worked
 
 
@@ -103,8 +101,8 @@ def test_random_swaps_match_price_integral():
 
 
 def test_native_y_slope_matches_the_core_and_an_exact_value():
-    """-z^2/(a*y + b*z)^2 against the core's -scale/(y + shift_y)^2 and a
-    60-digit value, on the 5000 carbon translations of the battery.  The
+    """-z^2/(a*y + b*z)^2 against the core's -scale/(y + shift_y)^2 and its
+    exact value, on the 5000 carbon translations of the battery.  The
     native form rounds five times, the last a square, so it stays within
     8*2**-53 of exact (measured worst 5.4); the core's shifts and scale add
     their own roundings, so the two stay within 16*2**-53 (measured worst
@@ -116,11 +114,7 @@ def test_native_y_slope_matches_the_core_and_an_exact_value():
         y = state.y
         native = curve.price_slope_at_y(y)
         to_core = max(to_core, rel_dev(native, ShiftedProductCurve.price_slope_at_y(curve, y)))
-        a, b, z = (Decimal(v) for v in (curve.params.a, curve.params.b, curve.params.z))
-        with localcontext() as ctx:
-            ctx.prec = 60
-            exact = -z * z / (a * Decimal(y) + b * z) ** 2
-            to_exact = max(to_exact, float(abs((Decimal(native) - exact) / exact)))
+        to_exact = max(to_exact, exact.rel(native, exact.slope_at_y(exact.of_params(curve.params), y)))
     assert to_core <= 16 * 2.0 ** -53
     assert to_exact <= 8 * 2.0 ** -53
 
@@ -132,11 +126,9 @@ def test_native_slopes_where_their_squares_overflow():
     of -inf did not converge."""
     curve = curve_for(CarbonParams(a=6.622073457514659e+74, b=2.8268146404290487e+76, z=8.1141436606093e+84))
     state = curve.state_from_x(3.6601070552228673e-69)
-    a, b, z = (Fraction(v) for v in (curve.params.a, curve.params.b, curve.params.z))
-    x, y = Fraction(state.x), Fraction(state.y)
-    exact = (-(z * (a + b) / (x * a * (a + b) + z)) ** 2, -(z / (a * y + b * z)) ** 2)
-    for slope, want in zip((curve.price_slope_at_x(state.x), curve.price_slope_at_y(state.y)), exact):
-        assert_rel(slope, float(want), rel=8 * 2.0 ** -53, abs_floor=0.0)
+    constants = exact.of_params(curve.params)
+    assert exact.rel(curve.price_slope_at_x(state.x), exact.slope_at_x(constants, state.x)) <= 8 * 2.0 ** -53
+    assert exact.rel(curve.price_slope_at_y(state.y), exact.slope_at_y(constants, state.y)) <= 8 * 2.0 ** -53
     dx = state.x  # doubles x, inside the x intercept 9.9e-69
     assert integrate_price_curve(curve, state.x, dx) < 0
     assert oracle_compare(curve, state, dx, rel_tol=1e-13).passed
@@ -144,7 +136,7 @@ def test_native_slopes_where_their_squares_overflow():
 
 def test_native_forms_are_bit_identical_to_their_expressions():
     """Carbon's native dy, dx, marginal price and both slopes against their
-    60-digit values on the exact curve of the stored (a, b, z), over the 1000
+    exact values on the real curve of the stored (a, b, z), over the 1000
     carbon cases of ``battery_cases(0, 4000)``.  The swaps are read with the
     trade and the end balance they are given.  Each form rounds a handful of
     times and never cancels, so each stays within 8*2**-53 of exact (measured
@@ -160,14 +152,11 @@ def test_native_forms_are_bit_identical_to_their_expressions():
         x_new, y_new = state.x + dx, state.y + dy
         native = (curve._dy(state, dx, x_new), curve._dx(state, dy, y_new), curve.marginal_price(state),
                   curve.price_slope_at_x(state.x), curve.price_slope_at_y(state.y))
-        with localcontext() as ctx:
-            ctx.prec = 60
-            sx, sy, s = exact_curve(curve.params)
-            x, y = Decimal(state.x) + sx, Decimal(state.y) + sy
-            exact = (-Decimal(dx) * s / (x * (Decimal(x_new) + sx)),
-                     -Decimal(dy) * s / (y * (Decimal(y_new) + sy)),
-                     -y / x, -s / (x * x), -s / (y * y))
-            for got, want in zip(native, exact):
-                assert abs((Decimal(got) - want) / want) <= 8 * Decimal(2) ** -53, (curve, state, dx)
+        constants = exact.of_params(curve.params)
+        want = (exact.dy(constants, state.x, dx, x_new), exact.dx(constants, state.y, dy, y_new),
+                exact.marginal_price(constants, state.x, state.y),
+                exact.slope_at_x(constants, state.x), exact.slope_at_y(constants, state.y))
+        for got, value in zip(native, want):
+            assert exact.rel(got, value) <= 8 * 2.0 ** -53, (curve, state, dx)
         checked += 1
     assert checked == 1000

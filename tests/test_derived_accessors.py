@@ -1,13 +1,11 @@
-"""Accuracy of the core's derived accessors against a 60-digit evaluation.
+"""Accuracy of the core's derived accessors against an exact evaluation.
 
 The exact side starts from each form's stored parameters, computes the shifts
-and the scale of its real curve at 60 digits, and then reads every accessor
+and the scale of its real curve exactly, and then reads every accessor
 off the curve by its definition (the slope -p0 point, the virtual balances at
 the intercepts, the unamplified curve's bound points).  It shares no
 expression with the binary64 side beyond the form's own shift and scale.
 """
-
-from decimal import Decimal, localcontext
 
 import pytest
 
@@ -21,9 +19,8 @@ from clamm import (
     curve_for,
 )
 
-from .conftest import exact_curve
+from . import exact
 
-DIGITS = 60
 BOUND = 2e-15
 
 ACCESSORS = (
@@ -67,24 +64,22 @@ CASES = (
 
 def exact_accessors(params) -> dict:
     """Every accessor by its definition on the real curve (x + sx)(y + sy) = s."""
-    with localcontext() as ctx:
-        ctx.prec = DIGITS
-        sx, sy, s = exact_curve(params)
-        # slopes at the two intercepts, and the center where the slope is -p0
-        p_high, p_low = s / (sx * sx), sy * sy / s
-        p0 = (p_high * p_low).sqrt()
-        x0, y0 = (s / p0).sqrt() - sx, (s * p0).sqrt() - sy
-        k = x0 * y0
-        return {
-            "concentration": [(p_high / p_low).sqrt()],
-            "amplification": [(x0 + sx) / x0],
-            "center": [x0, y0],
-            "liquidity": [s.sqrt()],
-            "reference_scale": [k],
-            "virtual_bounds": [sx, s / sy, sy, s / sx],
-            "reference_bound_points": [(k / p_high).sqrt(), (k / p_low).sqrt(),
-                                       (k * p_low).sqrt(), (k * p_high).sqrt()],
-        }
+    sx, sy, s = exact.of_params(params)
+    # slopes at the two intercepts, and the center where the slope is -p0
+    p_high, p_low = s / (sx * sx), sy * sy / s
+    p0 = exact.sqrt(p_high * p_low)
+    x0, y0 = exact.sqrt(s / p0) - sx, exact.sqrt(s * p0) - sy
+    k = x0 * y0
+    return {
+        "concentration": [exact.sqrt(p_high / p_low)],
+        "amplification": [(x0 + sx) / x0],
+        "center": [x0, y0],
+        "liquidity": [exact.sqrt(s)],
+        "reference_scale": [k],
+        "virtual_bounds": [sx, s / sy, sy, s / sx],
+        "reference_bound_points": [exact.sqrt(k / p_high), exact.sqrt(k / p_low),
+                                   exact.sqrt(k * p_low), exact.sqrt(k * p_high)],
+    }
 
 
 def computed(curve, name) -> list:
@@ -98,9 +93,7 @@ def max_rel_error(params, name) -> float:
     got = computed(curve_for(params), name)
     want = exact_accessors(params)[name]
     assert len(got) == len(want)
-    with localcontext() as ctx:
-        ctx.prec = DIGITS
-        return max(float(abs(Decimal(g) - w) / abs(w)) for g, w in zip(got, want))
+    return max(exact.rel(g, w) for g, w in zip(got, want))
 
 
 def _cases():

@@ -26,6 +26,7 @@ from clamm import (
 )
 from clamm.quadrature import random_bancor_params
 
+from . import exact
 from .conftest import LN4, assert_rel
 
 SQRT2 = math.sqrt(2.0)
@@ -168,13 +169,24 @@ class TestUnitFromState:
         # x + y and 2*sqrt(x*y) overflow here, though the point is finite
         assert unit_from_state(1e308, 1e308) == UnitPoint(1.0, 0.0)
         x, y = 1e308, sys.float_info.max
-        with localcontext() as ctx:
-            ctx.prec = 40
-            den = 2 * Decimal(x).sqrt() * Decimal(y).sqrt()
-            want = ((Decimal(x) + Decimal(y)) / den, (Decimal(y) - Decimal(x)) / den)
+        want = exact.unit_point(x, y)
         unit = unit_from_state(x, y)
         assert_rel(unit.t_hat, float(want[0]), rel=4e-16)
         assert_rel(unit.u_hat, float(want[1]), rel=4e-16)
+
+    def test_subnormal_balances(self):
+        # halving a subnormal rounds, and sqrt(x)*sqrt(y) is itself subnormal:
+        # (5e-324, 5e-324) gave (0, 0), off the unit hyperbola, and
+        # (1.5e-323, 1.5e-323) a t_hat of 4/3.  Beside a large balance, y - x
+        # overflowed before it was halved, and u_hat 1.2e308 read inf.
+        assert unit_from_state(5e-324, 5e-324) == UnitPoint(1.0, 0.0)
+        rng = random.Random(9)
+        pairs = [(8.276687e-318, 4.5076215120663466e+299)]
+        pairs += [tuple(2.0 ** rng.uniform(-1074.0, -1021.0) for _ in range(2)) for _ in range(2000)]
+        for x, y in pairs:
+            unit, (t_hat, u_hat) = unit_from_state(x, y), exact.unit_point(x, y)
+            assert exact.rel(unit.t_hat, t_hat) <= 4 * 2.0 ** -53, (x, y)
+            assert exact.rel(unit.u_hat, u_hat) <= 4 * 2.0 ** -53, (x, y)
 
     def test_halving_keeps_the_bits_of_every_finite_sum(self):
         # halving a balance of 2**-1021 or more is exact, so wherever x + y and
@@ -288,9 +300,8 @@ class TestHyperbolicAngle:
                 p_low = 10.0 ** rng.uniform(-8.0, 8.0)
                 ranges.append((p_low * (1.0 + gap), p_low))
         for p_high, p_low in ranges:
-            exact = self.decimal_angle(p_high, p_low)
-            got = Decimal(hyperbolic_angle(p_high, p_low))
-            assert abs(got - exact) <= Decimal(4e-16) * exact, (p_high, p_low)
+            got = hyperbolic_angle(p_high, p_low)
+            assert exact.rel(got, self.decimal_angle(p_high, p_low)) <= 4e-16, (p_high, p_low)
 
     def test_wide_ranges_take_the_log_of_the_ratio(self):
         # above p_high = 2*p_low the angle is half the log of the rounded
@@ -305,8 +316,7 @@ class TestHyperbolicAngle:
                 assert phi == 0.5 * (math.log(p_high) - math.log(p_low))
             else:
                 assert phi == 0.5 * math.log(ratio)
-            exact = self.decimal_angle(p_high, p_low)
-            assert abs(Decimal(phi) - exact) <= Decimal(4e-16) * exact, (p_high, p_low)
+            assert exact.rel(phi, self.decimal_angle(p_high, p_low)) <= 4e-16, (p_high, p_low)
 
     @settings(max_examples=200)
     @given(

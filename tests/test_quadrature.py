@@ -2,8 +2,6 @@ import math
 import random
 import sys
 from collections import Counter
-from decimal import Decimal, localcontext
-from fractions import Fraction
 
 import pytest
 
@@ -43,9 +41,9 @@ from .conftest import (
     WORKED_NATURAL,
     WORKED_UNISWAP,
     assert_rel,
-    exact_curve,
     rel_dev,
 )
+from . import exact
 
 # ---------------------------------------------------------------------------
 # Second quadrature: adaptive Simpson.  It shares no code with the library's
@@ -136,26 +134,8 @@ def reference_group_cases(seed, cases):
     return out
 
 
-EXACT_DIGITS = 60
 EXACT_BOUND = 2e-15
 SIMPSON_BOUND = 1e-13
-
-
-def exact_rel_error(got, params, x, dx) -> float:
-    """Relative error of got against dy = y(x + dx) - y(x) on
-    (x + sx)(y + sy) = s, with x + dx unrounded, evaluated at 60 digits."""
-    with localcontext() as ctx:
-        ctx.prec = EXACT_DIGITS
-        sx, _, s = exact_curve(params)
-        x = Decimal(x)
-        want = s / (x + Decimal(dx) + sx) - s / (x + sx)
-        return float(abs(Decimal(got) - want) / abs(want))
-
-
-def exact_dy(curve, x, dx) -> Fraction:
-    """dy of a trade of dx from x on the curve's stored constants, exactly."""
-    sx, k, x = Fraction(curve.shift_x), Fraction(curve.scale), Fraction(x)
-    return k / (x + Fraction(dx) + sx) - k / (x + sx)
 
 
 def angle_integral(curve, x, dx):
@@ -401,7 +381,7 @@ class TestKronrodKernel:
 
 
 class TestKernelMatchesReference:
-    """The kernel against a 60-digit evaluation of the same integral and
+    """The kernel against an exact evaluation of the same integral and
     against the adaptive Simpson copy above."""
 
     @pytest.mark.parametrize("seed", [0, 3, 11, 2024])
@@ -419,21 +399,21 @@ class TestKernelMatchesReference:
     def test_battery_integrals_are_exact(self, seed):
         for curve, x, dx in battery_intervals(seed, 400):
             got = integrate_price_curve(curve, x, dx)
-            assert exact_rel_error(got, curve.params, x, dx) <= EXACT_BOUND
+            assert exact.rel(got, exact.dy(exact.of_params(curve.params), x, dx)) <= EXACT_BOUND
             assert rel_dev(got, reference_integral(curve, x, dx)) <= SIMPSON_BOUND
 
     def test_worked_curve_integrals_are_exact(self):
         for curve, x, dx in worked_intervals():
             got = integrate_price_curve(curve, x, dx)
-            assert exact_rel_error(got, curve.params, x, dx) <= EXACT_BOUND
+            assert exact.rel(got, exact.dy(exact.of_params(curve.params), x, dx)) <= EXACT_BOUND
             assert rel_dev(got, reference_integral(curve, x, dx)) <= SIMPSON_BOUND
 
     def test_adaptive_gauss_kronrod_agrees_with_simpson(self):
-        for f, lower, upper, abs_tol, exact in ((math.exp, 0.0, 1.0, 1e-12, math.e - 1.0),
-                                                (lambda x: 1.0 / (x * x), 1.0, 50.0, 1e-9, 0.98),
-                                                (math.sqrt, 0.0, 4.0, 1e-11, 16.0 / 3.0)):
+        for f, lower, upper, abs_tol, want in ((math.exp, 0.0, 1.0, 1e-12, math.e - 1.0),
+                                               (lambda x: 1.0 / (x * x), 1.0, 50.0, 1e-9, 0.98),
+                                               (math.sqrt, 0.0, 4.0, 1e-11, 16.0 / 3.0)):
             got = adaptive_gauss_kronrod(f, lower, upper, abs_tol)
-            assert abs(got - exact) <= abs_tol
+            assert abs(got - want) <= abs_tol
             simpson = reference_adaptive_simpson(f, lower, upper, abs_tol)
             assert abs(got - simpson) <= 2.0 * abs_tol
 
@@ -481,7 +461,7 @@ class TestAngleOracle:
             quad = integrate_price_curve(curve, state.x, dx)
             closed = curve.swap_exact_in_x(state, dx).dy
             assert rel_dev(quad, closed) <= 1e-14, (curve.params, dx)
-            assert abs(quad - exact_dy(curve, state.x, dx)) <= 1e-14 * abs(quad)
+            assert exact.rel(quad, exact.dy(exact.of_curve(curve), state.x, dx), quad) <= 1e-14
 
     def test_near_pole_trades_are_the_kernels_integral(self):
         # trades that bisect reach the public kernel's recursion on the
@@ -497,7 +477,7 @@ class TestAngleOracle:
         assert (state.x + dx) - state.x != dx
         report = oracle_compare(curve, state, dx)
         assert report.rel_deviation <= 2e-15
-        assert abs(report.quadrature_dy - exact_dy(curve, state.x, dx)) <= 2e-15 * abs(dx)
+        assert exact.rel(report.quadrature_dy, exact.dy(exact.of_curve(curve), state.x, dx), dx) <= 2e-15
 
     def test_large_sale_on_a_narrow_range(self):
         # x is far below the shift, so the end's virtual balance x + dx + shift
@@ -508,14 +488,14 @@ class TestAngleOracle:
             x = (0.001 + 0.999 * rng.random()) * curve.geom.x_int
             dx = -(0.5 + 0.5 * rng.random()) * x
             quad = integrate_price_curve(curve, x, dx)
-            assert abs(quad - exact_dy(curve, x, dx)) <= 2e-15 * abs(quad)
+            assert exact.rel(quad, exact.dy(exact.of_curve(curve), x, dx), quad) <= 2e-15
 
     def test_widest_trades(self):
         # exp(u) of every node stays a finite normal float up to |u| = 708;
         # a wider trade is rejected, not overflowed
         curve = curve_for(ReferenceParams(1e-300, 1.0))
         dy = integrate_price_curve(curve, 1e-300, 1e4)  # u = 700
-        assert abs(dy - exact_dy(curve, 1e-300, 1e4)) <= 1e-14 * abs(dy)
+        assert exact.rel(dy, exact.dy(exact.of_curve(curve), 1e-300, 1e4), dy) <= 1e-14
         for dx in (1e10, 1e300):
             with pytest.raises(DomainError) as err:
                 integrate_price_curve(curve, 1e-300, dx)
@@ -610,7 +590,7 @@ class TestOracleCompare:
         state, dx = random_admissible_swap(random.Random(0), curve)
         report = oracle_compare(curve, state, dx)
         assert 0.0 < abs(report.closed_form_dy) < sys.float_info.min
-        assert report.closed_form_dy == float(exact_dy(curve, state.x, dx))
+        assert report.closed_form_dy == float(exact.dy(exact.of_curve(curve), state.x, dx))
         assert not report.passed
         assert report.rel_deviation > 5e-4
 

@@ -1,8 +1,6 @@
 import dataclasses
 import math
 import statistics
-from decimal import Decimal, localcontext
-from fractions import Fraction
 
 import pytest
 
@@ -28,13 +26,13 @@ from clamm.rosetta import (
     translation_report,
 )
 
+from . import exact
 from .conftest import (
     WORKED_BANCOR,
     WORKED_CARBON,
     WORKED_NATURAL,
     WORKED_UNISWAP,
     assert_rel,
-    exact_curve,
 )
 
 BOUNDED_FORMS = ("bancor_v2", "uniswap_v3", "carbon", "natural")
@@ -126,18 +124,16 @@ class TestTranslate:
     @pytest.mark.parametrize("amp", [1e3, 1e6, 1e9, 1e12])
     def test_carbon_keeps_a_narrow_range(self, amp):
         """carbon's a = sqrt(p_high) - sqrt(p_low) and b = sqrt(p_low) lie
-        within 4*2**-53 of their 60-digit values on the stored Bancor curve
+        within 4*2**-53 of their exact values on the stored Bancor curve
         (measured worst 1.8); the difference of the roots cancelled, and was
         off by 7.8e-5 at A = 1e12."""
         params = BancorV2Params(100.0, 400.0, amp)
         carbon = translate(params, "carbon")
-        with localcontext() as ctx:
-            ctx.prec = 60
-            shift_x, shift_y, scale = exact_curve(params)
-            sqrt_low = (shift_y * shift_y / scale).sqrt()
-            width = (scale / (shift_x * shift_x)).sqrt() - sqrt_low
-            for got, want in ((carbon.a, width), (carbon.b, sqrt_low)):
-                assert abs(Decimal(got) - want) <= 4 * Decimal(2) ** -53 * want, (got, want)
+        shift_x, shift_y, scale = exact.of_params(params)
+        sqrt_low = exact.sqrt(shift_y * shift_y / scale)
+        width = exact.sqrt(scale / (shift_x * shift_x)) - sqrt_low
+        for got, want in ((carbon.a, width), (carbon.b, sqrt_low)):
+            assert exact.rel(got, want) <= 4 * 2.0 ** -53, (got, float(want))
 
     def test_natural_anchor_kinds_describe_same_curve(self):
         g = geometry(WORKED_BANCOR)
@@ -182,9 +178,8 @@ class TestConcentrationForms:
     def test_intercept_form_where_x_times_y_underflows(self):
         # a state off both axes whose x*y underflows to 0
         state, x_int, y_int = PoolState(5.58e-166, 6.32e-166), 1.19e-165, 1.19e-165
-        exact = ((Fraction(x_int) - Fraction(state.x)) * (Fraction(y_int) - Fraction(state.y))
-                 / (Fraction(state.x) * Fraction(state.y)))
-        assert_rel(concentration_from_intercepts(state, x_int, y_int), float(exact), rel=1e-15)
+        want = exact.concentration_from_intercepts(state, x_int, y_int)
+        assert_rel(concentration_from_intercepts(state, x_int, y_int), float(want), rel=1e-15)
 
     def test_intercept_form_where_one_quotient_overflows_and_the_other_underflows(self):
         # the worked curve's center, its axes scaled by 1e298 and 1e-302:
@@ -207,8 +202,8 @@ class TestConcentrationForms:
     def test_center_form_where_its_products_overflow(self):
         # x*y and (x - x0)*(y - y0) both overflow; their quotient is near 1
         state = PoolState(1e300, 1e300)
-        ratio = (Fraction(state.x) - 1) ** 2 / (Fraction(state.x) ** 2 - 1)
-        assert_rel(concentration_from_center(state, 1.0, 1.0), float(ratio * ratio), rel=1e-15)
+        want = exact.concentration_from_center(state, 1.0, 1.0)
+        assert_rel(concentration_from_center(state, 1.0, 1.0), float(want), rel=1e-15)
 
     def test_asymptote_form_where_its_products_underflow(self):
         # x_asym*y_asym and the numerator both underflow to 0

@@ -69,6 +69,7 @@ from clamm.params import (
 from clamm.quadrature import DEFAULT_ABS_TOL, battery_cases, oracle_compare, random_bancor_params
 from clamm.rosetta import translate
 
+from . import exact
 from .conftest import WORKED_BANCOR, WORKED_CARBON, WORKED_NATURAL, WORKED_UNISWAP
 
 GRID = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1e308, -1e308, math.inf, -math.inf,
@@ -295,14 +296,15 @@ def exact_sample(curve, axis, value):
     balance that passes the curve's bounds check, with the shift it is read
     from; one whose exact value overflows raises the error ``PoolState``
     raises for it."""
-    shift, other_shift = (curve.shift_x, curve.shift_y) if axis == "x" else (curve.shift_y, curve.shift_x)
+    shift_x, shift_y, _ = constants = exact.of_curve(curve)
+    sample, other_shift = (exact.y_from_x, shift_y) if axis == "x" else (exact.x_from_y, shift_x)
     curve._check_bounds(axis, value, curve.geom.x_int if axis == "x" else curve.geom.y_int)
     if not value <= _MAX:
         raise DomainError(axis, "must be finite")
-    exact = Fraction(curve.scale) / (Fraction(value) + Fraction(shift)) - Fraction(other_shift)
-    if exact > _MAX:
+    other = sample(constants, value)
+    if other > _MAX:
         raise DomainError("y" if axis == "x" else "x", "must be finite")
-    return exact, Fraction(other_shift)
+    return other, other_shift
 
 
 @pytest.mark.parametrize("params", SAMPLE_CURVES, ids=[p.form for p in SAMPLE_CURVES])
@@ -322,11 +324,12 @@ def test_sampling_matches_the_old_checks(params):
                 assert got == stated, (value, sample.__name__)
                 overflowed += stated[1:] == ("y" if axis == "x" else "x", "must be finite")
                 continue
-            exact, shift = exact_sample(curve, axis, value)
-            bound = 4 * Fraction(2) ** -53 * (abs(exact) + shift) + Fraction(2) ** -1074
+            want, shift = exact_sample(curve, axis, value)
+            shifted = abs(want) + shift
             sampled = sample(value)
-            assert abs(Fraction(sampled) - max(exact, 0)) <= bound, (value, sample.__name__)
-            assert sampled == 0.0 if exact <= 0 else sampled >= 0.0, (value, sample.__name__)
+            assert exact.rel(sampled, max(want, 0), shifted) <= 4 * 2.0 ** -53 + 2.0 ** -1074 / shifted, (
+                value, sample.__name__)
+            assert sampled == 0.0 if want <= 0 else sampled >= 0.0, (value, sample.__name__)
             assert math.copysign(1.0, sampled) == 1.0, (value, sample.__name__)  # not -0.0
     # only the unshifted curves overflow, at the grid's subnormals
     assert (overflowed > 0) == (not curve.bounded), overflowed
