@@ -8,14 +8,14 @@ Exit codes: 0 success, 1 verification failure, 2 input or domain error.
 
 The translation, angle and oracle layers (rosetta, hypertrig, quadrature) are
 imported inside the commands that use them, so quote and geometry never load
-them.  json, too, loads on first use: when a command reads a spec or writes
-JSON.
+them.  json and dataclasses, too, load on first use: json when a command
+reads a spec or writes JSON, dataclasses in translate and geometry, which
+write a value with ``asdict``.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import itertools
 import math
@@ -70,6 +70,8 @@ def cmd_quote(args) -> int:
 
 
 def cmd_translate(args) -> int:
+    import dataclasses
+
     from .rosetta import translate_with_report
 
     params = _load(args)
@@ -79,6 +81,8 @@ def cmd_translate(args) -> int:
 
 
 def cmd_geometry(args) -> int:
+    import dataclasses
+
     geom = geometry(_load(args))
     payload = dataclasses.asdict(geom)
     if not all(math.isfinite(v) for v in payload.values()):

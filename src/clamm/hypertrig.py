@@ -9,10 +9,9 @@ angle phi (an area, not a rotation), and e^phi is the concentration constant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
-from .params import _MAX, REL_TOL
+from .params import _MAX, REL_TOL, _set, _value_type
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -25,24 +24,44 @@ _SQUARES_ROUNDING = 16 * 2.0 ** -53
 AXIS_ALIGNMENT = ((1.0 / _SQRT2, 1.0 / _SQRT2), (-1.0 / _SQRT2, 1.0 / _SQRT2))
 
 
-@dataclass(frozen=True)
+@_value_type
 class RotatedPoint:
+    """A point in the rotated (t, u) frame."""
+
     t: float
     u: float
 
+    def __init__(self, t: float, u: float):
+        _set(self, "t", t)
+        _set(self, "u", u)
 
-@dataclass(frozen=True)
+
+@_value_type
 class UnitPoint:
+    """A point on the unit hyperbola t_hat^2 - u_hat^2 = 1."""
+
     t_hat: float
     u_hat: float
 
+    def __init__(self, t_hat: float, u_hat: float):
+        _set(self, "t_hat", t_hat)
+        _set(self, "u_hat", u_hat)
 
-@dataclass(frozen=True)
+
+@_value_type
 class TrigValues:
+    """sinh, cosh, tanh and e^phi of one hyperbolic angle phi."""
+
     sinh: float
     cosh: float
     tanh: float
     e_phi: float
+
+    def __init__(self, sinh: float, cosh: float, tanh: float, e_phi: float):
+        _set(self, "sinh", sinh)
+        _set(self, "cosh", cosh)
+        _set(self, "tanh", tanh)
+        _set(self, "e_phi", e_phi)
 
 
 def rotate(x: float, y: float) -> RotatedPoint:

@@ -3,7 +3,7 @@
 Every real concentrated-liquidity curve handled here is a shifted rectangular
 hyperbola ``(x + shift_x) * (y + shift_y) = scale`` restricted to the first
 quadrant.  Each parameterization encodes the three constants differently; the
-parameter dataclasses below are the configuration surface and
+frozen parameter sets below are the configuration surface and
 ``ShiftedProductCurve`` is the interface the per-form modules implement.
 
 Sign convention is the pool's frame of reference: a trade that adds x tokens
@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, fields
-from typing import ClassVar, Union
 
 from .errors import BoundsExceeded, DomainError, InsufficientLiquidity
 
@@ -59,6 +57,115 @@ _MIN_SHIFT = 2.0 ** -511
 _set = object.__setattr__
 
 
+# ---------------------------------------------------------------------------
+# Frozen value types
+# ---------------------------------------------------------------------------
+
+
+def _value_type(cls: type) -> type:
+    """The frozen, slotted value class of a class body, as ``dataclass(frozen=True,
+    slots=True)`` would make it, with no code generated.
+
+    The fields are the body's annotations other than ``ClassVar`` ones, which
+    are strings here, in order; they become ``__slots__``.  The body writes its
+    own ``__init__``, which stores the fields with ``_set``; its parameters are
+    the init fields and ``__match_args__``, and a field it does not take is
+    derived there.  The class gets the shared methods below: ``repr``, ``==``
+    and ``hash`` over the fields, a store or delete that raises
+    ``dataclasses.FrozenInstanceError``, pickling and ``__replace__`` (which
+    ``copy.replace`` calls from Python 3.13).  Its dataclass metadata is made
+    on first read (``_DataclassMetadata``), so that ``dataclasses``, with
+    ``inspect``, loads only when something uses it.  Like the dataclass
+    decorator, this returns a new class: a zero-argument ``super()`` in the
+    body would name the class it replaces.
+    """
+    names = tuple(name for name, kind in cls.__dict__.get("__annotations__", {}).items()
+                  if not kind.startswith("ClassVar"))
+    code = cls.__init__.__code__
+    body = {key: value for key, value in cls.__dict__.items() if key not in ("__dict__", "__weakref__")}
+    body.update(_VALUE_METHODS, __qualname__=cls.__qualname__, __slots__=names, _field_names=names,
+                __match_args__=code.co_varnames[1:code.co_argcount],
+                __dataclass_fields__=_DataclassMetadata(), __dataclass_params__=_DataclassMetadata())
+    return type(cls)(cls.__name__, cls.__bases__, body)
+
+
+def _values(value) -> tuple:
+    return tuple([getattr(value, name) for name in value._field_names])
+
+
+def _repr(self) -> str:
+    shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._field_names])
+    return f"{type(self).__qualname__}({shown})"
+
+
+def _eq(self, other):
+    if other.__class__ is self.__class__:
+        return _values(self) == _values(other)
+    return NotImplemented
+
+
+def _hash(self) -> int:
+    return hash(_values(self))
+
+
+def _frozen_setattr(self, name, value):
+    from dataclasses import FrozenInstanceError
+
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    from dataclasses import FrozenInstanceError
+
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _getstate(self) -> list:
+    return list(_values(self))
+
+
+def _setstate(self, state: list) -> None:
+    for name, value in zip(self._field_names, state):
+        _set(self, name, value)
+
+
+def _replace(self, /, **changes):
+    import dataclasses
+
+    return dataclasses.replace(self, **changes)
+
+
+_VALUE_METHODS = {"__repr__": _repr, "__eq__": _eq, "__hash__": _hash, "__setattr__": _frozen_setattr,
+                  "__delattr__": _frozen_delattr, "__getstate__": _getstate, "__setstate__": _setstate,
+                  "__replace__": _replace}
+
+
+class _DataclassMetadata:
+    """A value type's ``__dataclass_fields__`` or ``__dataclass_params__``, made
+    on first read: the dataclass decorator runs on a shadow class with the same
+    fields, each derived one ``field(init=False)``, and both of its results
+    replace the descriptors on the declaring class, whose subclasses share
+    them.  ``fields``, ``asdict``, ``astuple``, ``replace`` and
+    ``is_dataclass`` then run on dataclasses' own metadata."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.owner, self.name = owner, name
+
+    def __get__(self, instance, cls=None):
+        import dataclasses
+
+        owner = self.owner
+        body = {"__annotations__": {name: owner.__annotations__[name] for name in owner._field_names},
+                "__module__": owner.__module__, "__qualname__": owner.__qualname__}
+        for name in owner._field_names:
+            if name not in owner.__match_args__:
+                body[name] = dataclasses.field(init=False)
+        shadow = dataclasses.dataclass(frozen=True, slots=True)(type(owner.__name__, (), body))
+        owner.__dataclass_fields__ = shadow.__dataclass_fields__
+        owner.__dataclass_params__ = shadow.__dataclass_params__
+        return getattr(owner, self.name)
+
+
 def _slots_twin(cls: type) -> type:
     """A plain class with the slot layout of the slotted frozen value type cls.
 
@@ -70,8 +177,8 @@ def _slots_twin(cls: type) -> type:
     public constructor returns and raises what it raises: the value builders
     accept only on the constructor's own guard and hand everything else to
     it, ``_curve`` runs every check of curve construction itself, and the
-    parameter-set builders stand in for generated ``__init__``s that check
-    nothing.  A slotted class's subclasses share its twin if they add no slots
+    parameter-set builders stand in for ``__init__``s that check nothing.
+    A slotted class's subclasses share its twin if they add no slots
     (``__slots__ = ()``), as the curve forms do.
     """
     return type(f"_{cls.__name__}Twin", (), {"__slots__": cls.__slots__})
@@ -148,7 +255,10 @@ def _check_scale(scale: float, name: str, expr: str) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+# A parameter set's __init__ checks nothing: the curve built from the set does.
+
+
+@_value_type
 class ReferenceParams:
     """Unshifted hyperbola x*y = x0*y0 through the starting balances."""
 
@@ -157,8 +267,12 @@ class ReferenceParams:
 
     form: ClassVar[str] = "reference"
 
+    def __init__(self, x0: float, y0: float):
+        _set(self, "x0", x0)
+        _set(self, "y0", y0)
 
-@dataclass(frozen=True, slots=True)
+
+@_value_type
 class BancorV2Params:
     """Starting balances plus the amplification constant A > 1."""
 
@@ -168,8 +282,13 @@ class BancorV2Params:
 
     form: ClassVar[str] = "bancor_v2"
 
+    def __init__(self, x0: float, y0: float, A: float):
+        _set(self, "x0", x0)
+        _set(self, "y0", y0)
+        _set(self, "A", A)
 
-@dataclass(frozen=True, slots=True)
+
+@_value_type
 class UniswapV3Params:
     """Liquidity L and the marginal-price bounds of the tradeable range."""
 
@@ -179,8 +298,13 @@ class UniswapV3Params:
 
     form: ClassVar[str] = "uniswap_v3"
 
+    def __init__(self, L: float, p_high: float, p_low: float):
+        _set(self, "L", L)
+        _set(self, "p_high", p_high)
+        _set(self, "p_low", p_low)
 
-@dataclass(frozen=True, slots=True)
+
+@_value_type
 class CarbonParams:
     """One-balance form: a = sqrt(p_high) - sqrt(p_low), b = sqrt(p_low), z = y intercept."""
 
@@ -189,6 +313,11 @@ class CarbonParams:
     z: float
 
     form: ClassVar[str] = "carbon"
+
+    def __init__(self, a: float, b: float, z: float):
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "z", z)
 
 
 ANCHOR_KINDS = ("center", "intercepts", "asymptotes")
@@ -202,7 +331,7 @@ _ANCHOR_FIELDS = {
 }
 
 
-@dataclass(frozen=True, slots=True)
+@_value_type
 class NaturalParams:
     """Concentration constant c plus one anchor point of the real curve.
 
@@ -217,8 +346,14 @@ class NaturalParams:
 
     form: ClassVar[str] = "natural"
 
+    def __init__(self, c: float, anchor: str, anchor_x: float, anchor_y: float):
+        _set(self, "c", c)
+        _set(self, "anchor", anchor)
+        _set(self, "anchor_x", anchor_x)
+        _set(self, "anchor_y", anchor_y)
 
-CurveParams = Union[ReferenceParams, BancorV2Params, UniswapV3Params, CarbonParams, NaturalParams]
+
+CurveParams = ReferenceParams | BancorV2Params | UniswapV3Params | CarbonParams | NaturalParams
 
 FORM_REGISTRY = {
     cls.form: cls
@@ -226,8 +361,8 @@ FORM_REGISTRY = {
 }
 
 # Builders of the parameter sets the library makes on its timed paths, where
-# no natural set is made.  A generated __init__ checks nothing, so each returns
-# exactly what the public constructor would; the curve built from the set checks it.
+# no natural set is made.  Each returns exactly what the public constructor
+# would, which checks nothing; the curve built from the set checks it.
 _ReferenceParamsTwin = _slots_twin(ReferenceParams)
 _BancorV2ParamsTwin = _slots_twin(BancorV2Params)
 _UniswapV3ParamsTwin = _slots_twin(UniswapV3Params)
@@ -274,7 +409,7 @@ def _carbon_params(a: float, b: float, z: float) -> CarbonParams:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@_value_type
 class PoolState:
     """Current real token balances on a curve."""
 
@@ -292,7 +427,7 @@ class PoolState:
         _set(self, "y", y)
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@_value_type
 class SwapDelta:
     """Signed trade amounts in the pool frame: dx and dy have opposite signs."""
 
@@ -313,7 +448,7 @@ class SwapDelta:
         _set(self, "dy", dy)
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@_value_type
 class CurveGeometry:
     """Derived constants of a real curve.
 
@@ -332,7 +467,7 @@ class CurveGeometry:
     p_low: float
     p0: float
     c: float
-    phi: float = field(init=False)
+    phi: float
 
     def __init__(self, x_int: float, y_int: float, x_asym: float, y_asym: float,
                  p_high: float, p_low: float, p0: float, c: float):
@@ -378,7 +513,7 @@ def _geometry(x_int: float, y_int: float, x_asym: float, y_asym: float,
     return geom
 
 
-@dataclass(frozen=True)
+@_value_type
 class VirtualBounds:
     """Virtual-balance extremes over the tradeable range of the emulated curve."""
 
@@ -386,6 +521,12 @@ class VirtualBounds:
     max_xv: float
     min_yv: float
     max_yv: float
+
+    def __init__(self, min_xv: float, max_xv: float, min_yv: float, max_yv: float):
+        _set(self, "min_xv", min_xv)
+        _set(self, "max_xv", max_xv)
+        _set(self, "min_yv", min_yv)
+        _set(self, "max_yv", max_yv)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +576,7 @@ def spec_from_dict(data: dict) -> CurveParams:
         keys = {"c": "c", "anchor_x": nx, "anchor_y": ny}
         extra["anchor"] = anchor
     else:
-        keys = {f.name: f.name for f in fields(cls)}
+        keys = {name: name for name in cls.__slots__}
     missing = [key for key in keys.values() if key not in body]
     if missing:
         raise DomainError(missing[0], "missing field")
@@ -451,7 +592,7 @@ def spec_to_dict(params: CurveParams) -> dict:
         return {"form": params.form, "c": params.c, "anchor": params.anchor,
                 nx: params.anchor_x, ny: params.anchor_y}
     out = {"form": params.form}
-    out.update({f.name: getattr(params, f.name) for f in fields(params)})
+    out.update({name: getattr(params, name) for name in params.__slots__})
     return out
 
 
@@ -461,7 +602,9 @@ def load_spec(path: str) -> CurveParams:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # a JSONDecodeError, a UnicodeDecodeError of bytes that are not
+            # UTF-8, or a RecursionError of arrays or objects nested too deeply
             raise DomainError("spec", f"invalid JSON: {exc}") from None
     return spec_from_dict(data)
 
@@ -471,7 +614,7 @@ def load_spec(path: str) -> CurveParams:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@_value_type
 class ShiftedProductCurve:
     """Common operations on (x + shift_x)(y + shift_y) = scale, x, y >= 0.
 
@@ -490,10 +633,10 @@ class ShiftedProductCurve:
     """
 
     params: CurveParams
-    shift_x: float = field(init=False)
-    shift_y: float = field(init=False)
-    scale: float = field(init=False)
-    geom: CurveGeometry = field(init=False)
+    shift_x: float
+    shift_y: float
+    scale: float
+    geom: CurveGeometry
 
     # Parameter type -> the curve class that constructs it, one per form.
     _classes: ClassVar[dict[type, type[ShiftedProductCurve]]] = {}
@@ -503,7 +646,7 @@ class ShiftedProductCurve:
 
     def __init_subclass__(cls, params_type: type, **kwargs):
         # Not the zero-argument super(): its class cell names the class that
-        # the dataclass decorator replaced with a slotted copy.
+        # _value_type replaced with a slotted copy.
         super(ShiftedProductCurve, cls).__init_subclass__(**kwargs)
         ShiftedProductCurve._classes[params_type] = cls
 

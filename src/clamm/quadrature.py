@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from math import exp, log, log1p
 from typing import Callable, Iterable, Iterator
 
@@ -30,7 +29,9 @@ from .params import (
     _bancor_params,
     _finite,
     _reference_params,
+    _set,
     _slots_twin,
+    _value_type,
 )
 from .rosetta import translate
 
@@ -46,7 +47,7 @@ _DOUBLE_REL_FLOOR = 1e-13
 _MAX_ANGLE = 708.0
 
 
-@dataclass(frozen=True, slots=True)
+@_value_type
 class ComparisonReport:
     """Closed-form vs quadrature output for one swap."""
 
@@ -55,6 +56,14 @@ class ComparisonReport:
     abs_deviation: float
     rel_deviation: float
     passed: bool
+
+    def __init__(self, closed_form_dy: float, quadrature_dy: float, abs_deviation: float,
+                 rel_deviation: float, passed: bool):
+        _set(self, "closed_form_dy", closed_form_dy)
+        _set(self, "quadrature_dy", quadrature_dy)
+        _set(self, "abs_deviation", abs_deviation)
+        _set(self, "rel_deviation", rel_deviation)
+        _set(self, "passed", passed)
 
 
 _ComparisonReportTwin = _slots_twin(ComparisonReport)
@@ -263,7 +272,7 @@ def oracle_compare(curve: ShiftedProductCurve, state: PoolState, dx: float,
     if not passed and rel_tol != rel_tol:  # NaN passes nothing
         raise DomainError("rel_tol", "must be a number")
     # built with plain slot stores (see params._slots_twin), not the
-    # generated __init__'s five object.__setattr__ calls
+    # __init__'s five object.__setattr__ calls
     report = _ComparisonReportTwin()
     report.closed_form_dy = closed
     report.quadrature_dy = quad

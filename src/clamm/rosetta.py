@@ -11,7 +11,6 @@ from a state and one anchor, with no curve parameters at all.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 
 from .curves import curve_for, geometry
 from .errors import DomainError, Indeterminate
@@ -28,19 +27,26 @@ from .params import (
     _carbon_params,
     _finite,
     _require,
+    _set,
     _uniswap_params,
+    _value_type,
     rel_close,
     root_concentration,
 )
 
 
-@dataclass(frozen=True)
+@_value_type
 class TranslationReport:
     """Largest relative geometry deviation introduced by a translation."""
 
     source_form: str
     target_form: str
     max_rel_deviation: float
+
+    def __init__(self, source_form: str, target_form: str, max_rel_deviation: float):
+        _set(self, "source_form", source_form)
+        _set(self, "target_form", target_form)
+        _set(self, "max_rel_deviation", max_rel_deviation)
 
 
 def translate(source: CurveParams | ShiftedProductCurve, target_form: str) -> CurveParams:
@@ -88,9 +94,9 @@ def translation_report(source: CurveParams, target: CurveParams) -> TranslationR
     dev = 0.0
     src_geom = geometry(source)
     dst_geom = geometry(target)
-    for f in fields(CurveGeometry):
-        a = getattr(src_geom, f.name)
-        b = getattr(dst_geom, f.name)
+    for name in CurveGeometry.__slots__:
+        a = getattr(src_geom, name)
+        b = getattr(dst_geom, name)
         scale = max(abs(a), abs(b), _SMALLEST)
         dev = max(dev, abs(a - b) / scale)
     return TranslationReport(source.form, target.form, dev)

@@ -192,12 +192,14 @@ class TestGeometry:
         assert json.loads(err)["error"]["type"] == "DomainError"
 
     @pytest.mark.parametrize("text, reason", [
-        ("{not json", "invalid JSON"),
-        ("[1, 2]", "must be a JSON object"),
+        (b"{not json", "invalid JSON"),
+        (b"[1, 2]", "must be a JSON object"),
+        pytest.param(b'\xff\xfe{"form":1}', "invalid JSON", id="not UTF-8"),
+        pytest.param(b"[" * 100000, "invalid JSON", id="nested too deeply"),
     ])
     def test_spec_that_is_not_a_json_object(self, capsys, tmp_path, text, reason):
         path = tmp_path / "spec.json"
-        path.write_text(text)
+        path.write_bytes(text)
         code, out, err = run(capsys, "geometry", "--spec", str(path))
         assert code == 2
         assert out == ""

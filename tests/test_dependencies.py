@@ -12,34 +12,44 @@ SRC = ROOT / "src"
 
 # Runs in an isolated interpreter (-I: no PYTHONPATH, no user site; -B: no
 # bytecode written into the checkout) with src/ first on sys.path; prints the
-# modules that importing clamm and clamm.cli loads, the verify exit code and
-# the top-level names of every module loaded from the import of clamm on.
-# Modules that site's .pth files load at startup are not the library's doing
-# and are left out; the probe imports json only once it has looked.
+# modules that importing clamm and clamm.cli loads, the modules loaded once
+# quote and sweep have also run on the worked spec, the exit codes of those
+# two and of verify, and the top-level names of every module loaded from the
+# import of clamm on.  Modules that site's .pth files load at startup are not
+# the library's doing and are left out; the probe imports json only once it
+# has looked.
 PROBE = """
 import sys
 before = set(sys.modules)
 sys.path.insert(0, {src!r})
 import clamm, clamm.cli
 imported = sorted(set(sys.modules) - before)
-code = clamm.cli.main(["verify", "--cases", "20"])
+codes = [clamm.cli.main(["quote", "--spec", {spec!r}, "--x", "100", "--y", "100", "--dx", "100"]),
+         clamm.cli.main(["sweep", "--spec", {spec!r}, "--points", "3"])]
+ran = sorted(set(sys.modules) - before)
+codes.append(clamm.cli.main(["verify", "--cases", "20"]))
 loaded = {{name.partition(".")[0] for name in set(sys.modules) - before}}
 import json
-print(json.dumps([imported, code, sorted(loaded)]))
+print(json.dumps([imported, ran, codes, sorted(loaded)]))
 """
 
-# Modules that load on first use: the layers built on the curve core, and json,
-# which only reading a spec and writing JSON need.
-ON_FIRST_USE = ("clamm.hypertrig", "clamm.quadrature", "clamm.rosetta", "json")
+# Modules that load on first use: the layers built on the curve core; json,
+# which only reading a spec and writing JSON need; and dataclasses with
+# inspect, which only the value types' dataclass metadata and the translate
+# and geometry commands need.
+ON_FIRST_USE = ("clamm.hypertrig", "clamm.quadrature", "clamm.rosetta", "json", "dataclasses", "inspect")
 
 
 def test_core_imports_only_the_standard_library():
-    result = subprocess.run([sys.executable, "-I", "-B", "-c", PROBE.format(src=str(SRC))],
+    spec = str(ROOT / "tests" / "data" / "worked_bancor.json")
+    result = subprocess.run([sys.executable, "-I", "-B", "-c", PROBE.format(src=str(SRC), spec=spec)],
                             capture_output=True, text=True, check=True)
-    imported, code, loaded = json.loads(result.stdout.splitlines()[-1])
+    imported, ran, codes, loaded = json.loads(result.stdout.splitlines()[-1])
     assert "clamm.cli" in imported
     assert not set(imported) & set(ON_FIRST_USE), f"import clamm, clamm.cli loads {imported}"
-    assert code == 0, result.stdout
+    # a cold quote or sweep builds values but reads no dataclass metadata
+    assert not set(ran) & {"dataclasses", "inspect"}, f"quote and sweep load {ran}"
+    assert codes == [0, 0, 0], result.stdout
     foreign = [name for name in loaded
                if name not in sys.stdlib_module_names and name not in ("clamm", "__main__")]
     assert foreign == [], f"modules outside the standard library: {foreign}"

@@ -17,7 +17,8 @@ import itertools
 import math
 import pickle
 import random
-from dataclasses import FrozenInstanceError, asdict, fields, replace
+import sys
+from dataclasses import FrozenInstanceError, asdict, astuple, fields, replace
 from decimal import Decimal
 from fractions import Fraction
 from operator import attrgetter
@@ -45,12 +46,14 @@ from clamm import (
     apply_delta,
     curve_for,
 )
+from clamm.hypertrig import RotatedPoint, TrigValues, UnitPoint
 from clamm.params import (
     _MAX,
     ANCHOR_KINDS,
     BOUNDS_SLACK,
     MIN_NORMAL,
     ShiftedProductCurve,
+    VirtualBounds,
     _bancor_params,
     _carbon_params,
     _check_derived,
@@ -67,7 +70,7 @@ from clamm.params import (
     validate,
 )
 from clamm.quadrature import DEFAULT_ABS_TOL, battery_cases, oracle_compare, random_bancor_params
-from clamm.rosetta import translate
+from clamm.rosetta import TranslationReport, translate
 
 from . import exact
 from .conftest import WORKED_BANCOR, WORKED_CARBON, WORKED_NATURAL, WORKED_UNISWAP
@@ -519,6 +522,10 @@ def test_curve_build_accepts_derived_constants_as_the_checks_do(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+# What dataclasses.replace raises for a change of an init=False field
+DERIVED_FIELD_ERROR = ValueError if sys.version_info < (3, 13) else TypeError
+
+
 def assert_frozen(value, names):
     """Neither a store nor a delete gets past a frozen, slotted value."""
     for name in names:
@@ -537,9 +544,20 @@ def assert_clones(value):
         assert repr(clone) == repr(value)
 
 
+# (class, init fields, repr, a change); PoolState and SwapDelta check their
+# fields, the others store what they are given
 VALUES = [
     (PoolState, (1.5, 2.5), "PoolState(x=1.5, y=2.5)", {"x": 0.5}),
     (SwapDelta, (1.0, -2.0), "SwapDelta(dx=1.0, dy=-2.0)", {"dy": -0.25}),
+    (VirtualBounds, (100.0, 400.0, 100.0, 400.0),
+     "VirtualBounds(min_xv=100.0, max_xv=400.0, min_yv=100.0, max_yv=400.0)", {"max_yv": 800.0}),
+    (RotatedPoint, (1.5, -0.5), "RotatedPoint(t=1.5, u=-0.5)", {"u": 0.5}),
+    (UnitPoint, (1.25, 0.75), "UnitPoint(t_hat=1.25, u_hat=0.75)", {"u_hat": -0.75}),
+    (TrigValues, (1.875, 2.125, 0.8823529411764706, 4.0),
+     "TrigValues(sinh=1.875, cosh=2.125, tanh=0.8823529411764706, e_phi=4.0)", {"tanh": 0.5}),
+    (TranslationReport, ("bancor_v2", "carbon", 2.220446049250313e-16),
+     "TranslationReport(source_form='bancor_v2', target_form='carbon', max_rel_deviation=2.220446049250313e-16)",
+     {"max_rel_deviation": 0.0}),
 ]
 
 
@@ -559,14 +577,25 @@ class TestValueContract:
 
     def test_fields_replace_and_asdict(self, cls, args, text, change):
         value = cls(*args)
-        assert asdict(value) == dict(zip((f.name for f in fields(value)), args))
+        names = tuple(f.name for f in fields(value))
+        assert names == cls.__slots__ == cls.__match_args__
+        assert fields(value) == fields(cls)
+        assert asdict(value) == dict(zip(names, args))
+        assert astuple(value) == args
         changed = replace(value, **change)
         assert type(changed) is cls
         assert asdict(changed) == {**asdict(value), **change}
 
     def test_replace_runs_the_checks(self, cls, args, text, change):
-        with pytest.raises(DomainError):
-            replace(cls(*args), **{next(iter(change)): math.nan})
+        # replace builds through the constructor: a NaN fails PoolState's and
+        # SwapDelta's checks, and the other types store it
+        name = next(iter(change))
+        nan_args = [math.nan if f.name == name else a for f, a in zip(fields(cls), args)]
+        assert (outcome(lambda: replace(cls(*args), **{name: math.nan}))
+                == outcome(cls, *nan_args))
+        if cls in (PoolState, SwapDelta):
+            with pytest.raises(DomainError):
+                replace(cls(*args), **{name: math.nan})
 
     def test_pickle_and_copy(self, cls, args, text, change):
         assert_clones(cls(*args))
@@ -593,7 +622,7 @@ REPORT_TEXT = ("ComparisonReport(closed_form_dy=-2.0, quadrature_dy=-2.000000000
 
 class TestDerivedValueContract:
     """``CurveGeometry`` and ``ComparisonReport``: slotted frozen values whose
-    hand-written __init__ stores the fields the generated one did."""
+    __init__ stores the fields as given, ``CurveGeometry`` deriving phi."""
 
     def test_equality_hash_and_repr(self):
         for cls, args, text, last in ((CurveGeometry, GEOMETRY_ARGS, GEOMETRY_TEXT, 2.0),
@@ -617,7 +646,7 @@ class TestDerivedValueContract:
         wider = replace(geom, c=16.0)
         assert type(wider) is CurveGeometry
         assert wider.phi == math.log(16.0)  # phi follows c, never set on its own
-        with pytest.raises(ValueError):
+        with pytest.raises(DERIVED_FIELD_ERROR):
             replace(geom, phi=0.0)
 
     def test_report_fields_replace_and_asdict(self):
@@ -775,7 +804,7 @@ class TestCurveContract:
         moved = replace(curve, params=other)
         assert type(moved) is type(curve)
         assert moved == curve_for(other)
-        with pytest.raises(ValueError):
+        with pytest.raises(DERIVED_FIELD_ERROR):
             replace(curve, scale=1.0)
 
     def test_builds_only_its_own_form(self, params, other):
@@ -801,7 +830,7 @@ class TestCurveContract:
 
 @pytest.mark.parametrize("params, other", CURVE_PARAMS, ids=[p.form for p, _ in CURVE_PARAMS])
 class TestParamsContract:
-    """Each parameter set is a slotted frozen value with the generated dataclass API."""
+    """Each parameter set is a slotted frozen value with the dataclass API."""
 
     def test_equality_hash_and_repr(self, params, other):
         cls = type(params)
@@ -829,7 +858,29 @@ class TestParamsContract:
         assert_clones(params)
 
 
-# (builder, public class); a generated __init__ stores whatever it is given
+# Every public value type, with a change of its init fields
+REPLACEABLE = [
+    *((cls(*args), change) for cls, args, _, change in VALUES),
+    (CurveGeometry(*GEOMETRY_ARGS), {"c": 16.0}),
+    (ComparisonReport(*REPORT_ARGS), {"passed": False}),
+    *((params, {f.name: getattr(other, f.name) for f in fields(other)}) for params, other in CURVE_PARAMS),
+    *((curve_for(params), {"params": other}) for params, other in CURVE_PARAMS),
+]
+
+
+@pytest.mark.parametrize("value, change", REPLACEABLE, ids=[type(v).__name__ for v, _ in REPLACEABLE])
+def test_copy_replace_is_dataclasses_replace(value, change):
+    # copy.replace, from Python 3.13 on, calls __replace__, which every value
+    # type defines on every version
+    changed = replace(value, **change)
+    assert value.__replace__(**change) == changed
+    assert type(value.__replace__(**change)) is type(value)
+    if sys.version_info >= (3, 13):
+        assert copy.replace(value, **change) == changed
+        assert copy.replace(value) == value
+
+
+# (builder, public class); a parameter set's __init__ stores whatever it is given
 PARAMS_BUILDERS = [
     (_reference_params, ReferenceParams),
     (_bancor_params, BancorV2Params),
