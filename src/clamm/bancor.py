@@ -12,11 +12,12 @@ from .params import (
     _MAX,
     MIN_NORMAL,
     BancorV2Params,
+    CurveGeometry,
     ShiftedProductCurve,
     _check_exceeds_one,
     _check_finite_positive,
     _check_scale,
-    _geometry,
+    _new_CurveGeometry,
 )
 
 
@@ -43,7 +44,8 @@ class BancorCurve(ShiftedProductCurve, params_type=BancorV2Params):
         c = amp * amp / ((amp - 1.0) * (amp - 1.0))
         p0 = y0 / x0
         # (x_int, y_int, x_asym, y_asym, p_high, p_low, p0, c)
-        return scale, _geometry(
+        return scale, _new_CurveGeometry(
+            CurveGeometry,
             x0 * (2.0 * amp - 1.0) / (amp - 1.0),
             y0 * (2.0 * amp - 1.0) / (amp - 1.0),
             -x0 * (amp - 1.0),

@@ -12,13 +12,15 @@ from .errors import DomainError
 from .params import (
     _MAX,
     _MIN_SHIFT,
+    _POLE,
     MIN_NORMAL,
     CarbonParams,
+    CurveGeometry,
     PoolState,
     ShiftedProductCurve,
     _check_finite_positive,
     _check_scale,
-    _geometry,
+    _new_CurveGeometry,
 )
 
 
@@ -47,7 +49,8 @@ class CarbonCurve(ShiftedProductCurve, params_type=CarbonParams):
             _check_scale(gap, "a", "a*(a+b)")
             _check_scale(p0, "b", "b*(a+b)")
         # (x_int, y_int, x_asym, y_asym, p_high, p_low, p0, c)
-        return scale, _geometry(z / p0, z, -z / gap, -b * z / a, ab * ab, b * b, p0, ab / b)
+        return scale, _new_CurveGeometry(CurveGeometry, z / p0, z, -z / gap, -b * z / a,
+                                         ab * ab, b * b, p0, ab / b)
 
     @staticmethod
     def _check_native(params: CarbonParams) -> None:
@@ -87,13 +90,23 @@ class CarbonCurve(ShiftedProductCurve, params_type=CarbonParams):
         params = self.params
         a, z = params.a, params.z
         ab = a + params.b
-        q = z * ab / (x * a * ab + z)
+        try:
+            q = z * ab / (x * a * ab + z)
+        except ZeroDivisionError:
+            raise DomainError("x", _POLE) from None
+        except OverflowError:
+            raise DomainError("x", "must be finite") from None
         return -q * q
 
     def price_slope_at_y(self, y: float) -> float:
         params = self.params
         a, z = params.a, params.z
-        q = z / (a * y + params.b * z)
+        try:
+            q = z / (a * y + params.b * z)
+        except ZeroDivisionError:
+            raise DomainError("y", _POLE) from None
+        except OverflowError:
+            raise DomainError("y", "must be finite") from None
         return -q * q
 
     def price_gap_above_center(self) -> float:

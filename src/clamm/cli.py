@@ -42,7 +42,7 @@ def _load(args):
     return load_spec(args.spec)
 
 
-def _state(curve, args) -> PoolState:
+def _read_state(curve, args) -> PoolState:
     state = PoolState(args.x, args.y)
     if not curve.on_curve(state, rel_tol=args.tolerance):
         raise DomainError("state", "balances do not satisfy the curve invariant")
@@ -54,7 +54,7 @@ def cmd_quote(args) -> int:
     if not (math.isfinite(args.tolerance) and args.tolerance > 0):
         raise DomainError("tolerance", "must be positive and finite")
     curve = curve_for(_load(args))
-    state = _state(curve, args)
+    state = _read_state(curve, args)
     if args.dx is not None:
         delta = curve.swap_exact_in_x(state, args.dx)
     else:

@@ -18,7 +18,7 @@ from .params import (
     _check_finite,
     _check_scale,
     _curve,
-    _geometry,
+    _new_CurveGeometry,
     _require,
     curve_class,
 )
@@ -59,7 +59,8 @@ class NaturalCurve(ShiftedProductCurve, params_type=NaturalParams):
         scale = _check_scale(x_asym * y_asym * c, "c", "c*x_asym*y_asym")
         p0 = y_asym / x_asym
         # (x_int, y_int, x_asym, y_asym, p_high, p_low, p0, c)
-        return scale, _geometry(
+        return scale, _new_CurveGeometry(
+            CurveGeometry,
             -x_asym * (c - 1.0),
             -y_asym * (c - 1.0),
             x_asym,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError
-from .params import _MAX, REL_TOL, _set, _value_type
+from .params import _MAX, REL_TOL, _value_type
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -31,9 +31,12 @@ class RotatedPoint:
     t: float
     u: float
 
-    def __init__(self, t: float, u: float):
-        _set(self, "t", t)
-        _set(self, "u", u)
+    def __new__(cls, t: float, u: float):
+        point = cls._twin()
+        point.t = t
+        point.u = u
+        point.__class__ = cls
+        return point
 
 
 @_value_type
@@ -43,9 +46,12 @@ class UnitPoint:
     t_hat: float
     u_hat: float
 
-    def __init__(self, t_hat: float, u_hat: float):
-        _set(self, "t_hat", t_hat)
-        _set(self, "u_hat", u_hat)
+    def __new__(cls, t_hat: float, u_hat: float):
+        point = cls._twin()
+        point.t_hat = t_hat
+        point.u_hat = u_hat
+        point.__class__ = cls
+        return point
 
 
 @_value_type
@@ -57,11 +63,14 @@ class TrigValues:
     tanh: float
     e_phi: float
 
-    def __init__(self, sinh: float, cosh: float, tanh: float, e_phi: float):
-        _set(self, "sinh", sinh)
-        _set(self, "cosh", cosh)
-        _set(self, "tanh", tanh)
-        _set(self, "e_phi", e_phi)
+    def __new__(cls, sinh: float, cosh: float, tanh: float, e_phi: float):
+        values = cls._twin()
+        values.sinh = sinh
+        values.cosh = cosh
+        values.tanh = tanh
+        values.e_phi = e_phi
+        values.__class__ = cls
+        return values
 
 
 def rotate(x: float, y: float) -> RotatedPoint:
@@ -83,13 +92,17 @@ def normalize(point: RotatedPoint, k: float) -> UnitPoint:
     Rejects points that do not actually sit on that curve: the normalized
     coordinates must satisfy t_hat^2 - u_hat^2 = 1 within REL_TOL plus the
     difference's rounding error, which grows with the balance ratio, and
-    their squares must be finite.
+    their squares must be finite.  A coordinate that is an int past binary64
+    is rejected as not finite.
     """
     if not 0.0 < k <= _MAX:
         raise DomainError("k", "must be a positive finite scale")
     denom = math.sqrt(2.0 * k)
-    t_hat = point.t / denom
-    u_hat = point.u / denom
+    try:
+        t_hat = point.t / denom
+        u_hat = point.u / denom
+    except OverflowError:
+        raise DomainError("point", "coordinates must be finite") from None
     tt, uu = t_hat * t_hat, u_hat * u_hat
     if not abs(tt - uu - 1.0) <= REL_TOL + _SQUARES_ROUNDING * (tt + uu) < math.inf:
         raise DomainError("point", "not on the curve with the given scale")

@@ -22,15 +22,14 @@ from .params import (
     BancorV2Params,
     CurveParams,
     PoolState,
+    ReferenceParams,
     ShiftedProductCurve,
     _MAX,
     _SLACK_BOUND,
     _SMALLEST,
-    _bancor_params,
     _finite,
-    _reference_params,
-    _set,
-    _slots_twin,
+    _new_BancorV2Params,
+    _new_ReferenceParams,
     _value_type,
 )
 from .rosetta import translate
@@ -57,16 +56,20 @@ class ComparisonReport:
     rel_deviation: float
     passed: bool
 
-    def __init__(self, closed_form_dy: float, quadrature_dy: float, abs_deviation: float,
-                 rel_deviation: float, passed: bool):
-        _set(self, "closed_form_dy", closed_form_dy)
-        _set(self, "quadrature_dy", quadrature_dy)
-        _set(self, "abs_deviation", abs_deviation)
-        _set(self, "rel_deviation", rel_deviation)
-        _set(self, "passed", passed)
+    def __new__(cls, closed_form_dy: float, quadrature_dy: float, abs_deviation: float,
+                rel_deviation: float, passed: bool):
+        report = cls._twin()
+        report.closed_form_dy = closed_form_dy
+        report.quadrature_dy = quadrature_dy
+        report.abs_deviation = abs_deviation
+        report.rel_deviation = rel_deviation
+        report.passed = passed
+        report.__class__ = cls
+        return report
 
 
-_ComparisonReportTwin = _slots_twin(ComparisonReport)
+# Called by oracle_compare, once per verify case, without ``type.__call__``
+_new_ComparisonReport = ComparisonReport.__new__
 
 
 # QUADPACK qk15 (Piessens et al., 1983): the Kronrod abscissae in [0, 1),
@@ -271,16 +274,7 @@ def oracle_compare(curve: ShiftedProductCurve, state: PoolState, dx: float,
     passed = rel_dev <= rel_tol
     if not passed and rel_tol != rel_tol:  # NaN passes nothing
         raise DomainError("rel_tol", "must be a number")
-    # built with plain slot stores (see params._slots_twin), not the
-    # __init__'s five object.__setattr__ calls
-    report = _ComparisonReportTwin()
-    report.closed_form_dy = closed
-    report.quadrature_dy = quad
-    report.abs_deviation = abs_dev
-    report.rel_deviation = rel_dev
-    report.passed = passed
-    report.__class__ = ComparisonReport
-    return report
+    return _new_ComparisonReport(ComparisonReport, closed, quad, abs_dev, rel_dev, passed)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +297,7 @@ def random_bancor_params(rng: random.Random,
     # A^2*x0*y0 below 1e304.  An overflow's inf and a NaN bound's NaN fail.
     if not 1e150 >= x0 >= 1e-150 <= y0 <= 1e150:
         raise DomainError("scale_exp_range", "a balance of 10**exponent must lie in [1e-150, 1e150]")
-    return _bancor_params(x0, y0, 1.01 + (100.0 - 1.01) * rng.random())
+    return _new_BancorV2Params(BancorV2Params, x0, y0, 1.01 + (100.0 - 1.01) * rng.random())
 
 
 def random_admissible_swap(rng: random.Random, curve: ShiftedProductCurve) -> tuple[PoolState, float]:
@@ -338,7 +332,7 @@ def battery_cases(seed: int, cases: int) -> Iterator[tuple[ShiftedProductCurve, 
         slot = i % len(_BATTERY_FORMS)
         if slot == 0:
             bancor = random_bancor_params(rng)
-            curve = curve_for(_reference_params(bancor.x0, bancor.y0))
+            curve = curve_for(_new_ReferenceParams(ReferenceParams, bancor.x0, bancor.y0))
         elif slot == 1:
             source = curve = curve_for(bancor)
         else:

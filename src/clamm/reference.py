@@ -8,13 +8,14 @@ from .errors import DomainError
 from .params import (
     _MAX,
     MIN_NORMAL,
+    CurveGeometry,
     PoolState,
     ReferenceParams,
     ShiftedProductCurve,
     SwapDelta,
     _check_finite_positive,
     _check_scale,
-    _geometry,
+    _new_CurveGeometry,
     rel_close,
 )
 
@@ -38,7 +39,8 @@ class ReferenceCurve(ShiftedProductCurve, params_type=ReferenceParams):
             _check_scale(scale, "x0", "x0*y0")
         # No finite intercepts: the axes are the asymptotes.
         # (x_int, y_int, x_asym, y_asym, p_high, p_low, p0, c)
-        return scale, _geometry(math.inf, math.inf, 0.0, 0.0, math.inf, 0.0, y0 / x0, math.inf)
+        return scale, _new_CurveGeometry(CurveGeometry, math.inf, math.inf, 0.0, 0.0,
+                                         math.inf, 0.0, y0 / x0, math.inf)
 
     def _dy(self, state: PoolState, dx: float, x_new: float) -> float:
         """dy = -dx*y/(x + dx); any dx > -x is admissible."""

@@ -15,20 +15,22 @@ import math
 from .curves import curve_for, geometry
 from .errors import DomainError, Indeterminate
 from .params import (
+    BancorV2Params,
+    CarbonParams,
     CurveGeometry,
     CurveParams,
     FORM_REGISTRY,
     NaturalParams,
     PoolState,
     ShiftedProductCurve,
+    UniswapV3Params,
     _MAX,
     _SMALLEST,
-    _bancor_params,
-    _carbon_params,
     _finite,
+    _new_BancorV2Params,
+    _new_CarbonParams,
+    _new_UniswapV3Params,
     _require,
-    _set,
-    _uniswap_params,
     _value_type,
     rel_close,
     root_concentration,
@@ -43,10 +45,13 @@ class TranslationReport:
     target_form: str
     max_rel_deviation: float
 
-    def __init__(self, source_form: str, target_form: str, max_rel_deviation: float):
-        _set(self, "source_form", source_form)
-        _set(self, "target_form", target_form)
-        _set(self, "max_rel_deviation", max_rel_deviation)
+    def __new__(cls, source_form: str, target_form: str, max_rel_deviation: float):
+        report = cls._twin()
+        report.source_form = source_form
+        report.target_form = target_form
+        report.max_rel_deviation = max_rel_deviation
+        report.__class__ = cls
+        return report
 
 
 def translate(source: CurveParams | ShiftedProductCurve, target_form: str) -> CurveParams:
@@ -77,15 +82,15 @@ def translate(source: CurveParams | ShiftedProductCurve, target_form: str) -> Cu
     geom = curve.geom
     if target_form == "bancor_v2":
         x0, y0 = curve.center()
-        return _bancor_params(x0, y0, curve.amplification())
+        return _new_BancorV2Params(BancorV2Params, x0, y0, curve.amplification())
     if target_form == "uniswap_v3":
-        return _uniswap_params(curve.liquidity(), geom.p_high, geom.p_low)
+        return _new_UniswapV3Params(UniswapV3Params, curve.liquidity(), geom.p_high, geom.p_low)
     if target_form == "carbon":
         # a = sqrt(p_high) - sqrt(p_low) = b*(c - 1), where c = sqrt(p_high/p_low)
         # and the geometry holds c - 1 as x_int/(-x_asym): on a narrow range the
         # difference of the roots cancels, and the quotient keeps every digit
         b = math.sqrt(geom.p_low)
-        return _carbon_params(b * (geom.x_int / -geom.x_asym), b, geom.y_int)
+        return _new_CarbonParams(CarbonParams, b * (geom.x_int / -geom.x_asym), b, geom.y_int)
     # natural: keep c plus the singularity-free asymptote anchor
     return NaturalParams(geom.c, "asymptotes", geom.x_asym, geom.y_asym)
 

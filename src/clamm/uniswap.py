@@ -12,11 +12,12 @@ from .errors import DomainError
 from .params import (
     _MAX,
     MIN_NORMAL,
+    CurveGeometry,
     ShiftedProductCurve,
     UniswapV3Params,
     _check_finite_positive,
     _check_scale,
-    _geometry,
+    _new_CurveGeometry,
 )
 
 
@@ -46,7 +47,8 @@ class UniswapCurve(ShiftedProductCurve, params_type=UniswapV3Params):
         # (Sterbenz) when the range is narrow, where the roots' difference is not
         root_gap = (p_high - p_low) / (sqrt_high + sqrt_low)
         # (x_int, y_int, x_asym, y_asym, p_high, p_low, p0, c)
-        return scale, _geometry(
+        return scale, _new_CurveGeometry(
+            CurveGeometry,
             liq * root_gap / (sqrt_high * sqrt_low),
             liq * root_gap,
             -liq / sqrt_high,

@@ -111,9 +111,11 @@ class TestNormalize:
         assert err.value.field == "k"
 
     @pytest.mark.parametrize("t, u", [(math.nan, 0.0), (0.0, math.nan), (math.inf, math.inf),
-                                      (math.inf, 0.0), (1e200, 0.0)])
+                                      (math.inf, 0.0), (1e200, 0.0),
+                                      pytest.param(0.0, 2**1100, id="int_past_binary64")])
     def test_non_finite_point_flagged(self, t, u):
-        # its residual is NaN, or its square and so its tolerance infinite
+        # its residual is NaN, or its square and so its tolerance infinite, or
+        # it is an int that no float holds
         with pytest.raises(DomainError) as err:
             normalize(RotatedPoint(t, u), 1.0)
         assert err.value.field == "point"

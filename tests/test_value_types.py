@@ -7,8 +7,9 @@ failing row (``ruled``), the hook's own named-check path (a ``Named`` float
 fails its type guard), an exact value on the curve's stored constants, or
 ``_check_bounds`` and the ``_dy``/``_dx`` formulas.  A sample is checked
 against a bound, not its bits; ``tests/test_curve_bits.py`` pins the bits of
-the curve constants, the swaps and the samples over the verify battery.  The
-builders of the hot values must give what the public constructors give.
+the curve constants, the swaps and the samples over the verify battery.  Each
+value type's ``__new__`` is its one construction body, and every library path
+that builds a value must give what the public constructor gives.
 """
 
 import copy
@@ -54,18 +55,11 @@ from clamm.params import (
     MIN_NORMAL,
     ShiftedProductCurve,
     VirtualBounds,
-    _bancor_params,
-    _carbon_params,
     _check_derived,
     _check_exceeds_one,
     _check_finite_positive,
     _check_scale,
     _curve,
-    _geometry,
-    _reference_params,
-    _slots_twin,
-    _state,
-    _uniswap_params,
     spec_from_dict,
     validate,
 )
@@ -537,8 +531,10 @@ def assert_frozen(value, names):
 
 
 def assert_clones(value):
-    """A pickle round trip and both copies give the value, of its type and repr."""
-    for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+    """A pickle round trip on every protocol and both copies give the value, of
+    its type and repr; each rebuilds it through the constructor."""
+    pickled = [pickle.loads(pickle.dumps(value, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for clone in (*pickled, copy.copy(value), copy.deepcopy(value)):
         assert clone == value
         assert type(clone) is type(value)
         assert repr(clone) == repr(value)
@@ -622,7 +618,7 @@ REPORT_TEXT = ("ComparisonReport(closed_form_dy=-2.0, quadrature_dy=-2.000000000
 
 class TestDerivedValueContract:
     """``CurveGeometry`` and ``ComparisonReport``: slotted frozen values whose
-    __init__ stores the fields as given, ``CurveGeometry`` deriving phi."""
+    __new__ stores the fields as given, ``CurveGeometry`` deriving phi."""
 
     def test_equality_hash_and_repr(self):
         for cls, args, text, last in ((CurveGeometry, GEOMETRY_ARGS, GEOMETRY_TEXT, 2.0),
@@ -663,26 +659,28 @@ class TestDerivedValueContract:
 
 
 # ---------------------------------------------------------------------------
-# The builders: the public constructors' values from plain slot stores
+# The library's paths that build values, on the one construction body
 # ---------------------------------------------------------------------------
 
 
 WORKED_OF_FORM = {"reference": ReferenceParams(100.0, 100.0), "bancor_v2": WORKED_BANCOR,
                   "uniswap_v3": WORKED_UNISWAP, "carbon": WORKED_CARBON}
 
-# (value built by its builder or by a library call that uses one, a field change)
+# (value built by a library path: a call of a type's __new__ that skips
+# type.__call__, one of the three inline twin fills, or a keyword or positional
+# constructor call; a field change)
 BUILT = [
-    (_state(1.5, 2.5), {"x": 0.5}),
-    (_state(-0.0, 5e-324), {"y": 0.5}),
+    (curve_for(WORKED_UNISWAP).state_at_price(1.0), {"x": 0.5}),
+    (curve_for(WORKED_NATURAL).state_from_x(0.0), {"y": 0.5}),
     (curve_for(WORKED_BANCOR).state_from_x(37.0), {"x": 0.5}),
     (apply_delta(PoolState(100.0, 100.0), SwapDelta(100.0, -50.0)), {"x": 0.5}),
     (curve_for(WORKED_UNISWAP).swap_exact_in_x(PoolState(100.0, 100.0), 10.0), {"dy": -0.25}),
     (curve_for(WORKED_CARBON).swap_exact_out_y(PoolState(100.0, 100.0), -10.0), {"dy": -0.25}),
-    (_geometry(*GEOMETRY_ARGS), {"c": 16.0}),
+    (curve_for(WORKED_CARBON).geom, {"c": 16.0}),
     (curve_for(WORKED_NATURAL).geom, {"c": 16.0}),
     (curve_for(ReferenceParams(2.0, 3.0)).geom, {"p0": 2.0}),
     (oracle_compare(curve_for(WORKED_UNISWAP), PoolState(100.0, 100.0), 10.0), {"passed": False}),
-    (_reference_params(2.0, 3.0), {"y0": 4.0}),
+    (spec_from_dict({"form": "reference", "x0": 2.0, "y0": 3.0}), {"y0": 4.0}),
     (random_bancor_params(random.Random(1)), {"A": 2.0}),
     (translate(curve_for(WORKED_BANCOR), "uniswap_v3"), {"L": 1.0}),
     (translate(curve_for(WORKED_BANCOR), "carbon"), {"z": 1.0}),
@@ -740,7 +738,6 @@ def built_delta(swap, *args):
 def test_builders_accept_and_reject_as_the_constructors_do():
     full = PoolState(_MAX, _MAX)
     for a, b in itertools.product(EDGES, repeat=2):
-        assert outcome(_state, a, b, exact=True) == outcome(PoolState, a, b, exact=True), (a, b)
         # each swap stores (a, b) as its delta on SwapDelta's own guard
         for swap, axis, traded, quoted in ((ShiftedProductCurve.swap_exact_in_x, "x", a, b),
                                            (ShiftedProductCurve.swap_exact_out_y, "y", b, a)):
@@ -756,7 +753,7 @@ def test_a_filled_twin_becomes_its_class(cls):
     # the __class__ store needs the two slot layouts to match, which CPython
     # checks on every version the package supports
     values = [float(i) for i in range(len(cls.__slots__))]
-    twin = _slots_twin(cls)()
+    twin = cls._twin()
     for name, value in zip(cls.__slots__, values):
         setattr(twin, name, value)
     twin.__class__ = cls
@@ -880,21 +877,18 @@ def test_copy_replace_is_dataclasses_replace(value, change):
         assert copy.replace(value) == value
 
 
-# (builder, public class); a parameter set's __init__ stores whatever it is given
-PARAMS_BUILDERS = [
-    (_reference_params, ReferenceParams),
-    (_bancor_params, BancorV2Params),
-    (_uniswap_params, UniswapV3Params),
-    (_carbon_params, CarbonParams),
-]
-
-
-@pytest.mark.parametrize("builder, cls", PARAMS_BUILDERS, ids=[cls.__name__ for _, cls in PARAMS_BUILDERS])
-def test_params_builders_store_what_the_constructors_store(builder, cls):
-    values = [1.5, -0.0, 5e-324, math.nan, math.inf, None, "asymptotes"]
-    for args in itertools.product(values, repeat=len(fields(cls))):
-        # the same class and the same stored values, with their types and signs
-        assert outcome(builder, *args, exact=True) == outcome(cls, *args, exact=True), args
+@pytest.mark.parametrize("value", [v for v, _ in REPLACEABLE], ids=[type(v).__name__ for v, _ in REPLACEABLE])
+def test_constructor_contract(value):
+    # __new__ is the constructor: its parameters are the match args and the
+    # init fields, taken by position or by keyword alike
+    cls = type(value)
+    names = tuple(inspect.signature(cls).parameters)
+    assert names == cls.__match_args__ == tuple(f.name for f in fields(cls) if f.init)
+    args = [getattr(value, name) for name in names]
+    for built in (cls(*args), cls(**dict(zip(names, args)))):
+        assert type(built) is cls
+        assert built == value
+        assert repr(built) == repr(value)
 
 
 @pytest.mark.parametrize("params", [p for pair in CURVE_PARAMS for p in pair], ids=lambda p: p.form)
@@ -914,7 +908,8 @@ def test_curve_builder_matches_the_constructor(params):
 def test_a_filled_curve_twin_becomes_every_form(form_cls):
     # every form adds no slots, so the base class's twin fits each of them
     assert form_cls.__slots__ == ()
-    twin = _slots_twin(ShiftedProductCurve)()
+    assert form_cls._twin is ShiftedProductCurve._twin
+    twin = form_cls._twin()
     for name in ShiftedProductCurve.__slots__:
         setattr(twin, name, 1.0)
     twin.__class__ = form_cls
