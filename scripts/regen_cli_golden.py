@@ -26,6 +26,9 @@ WORKED = "tests/data/worked_bancor.json"
 # golden file name: the argv after the interpreter that writes it
 COMMANDS = {
     "quote.json": ["-m", "clamm", "quote", "--spec", WORKED, "--x", "100", "--y", "100", "--dx", "100"],
+    # the same quote through carbon's (a, b, z) parameter set, which quotes through the core
+    "quote_carbon.json": ["-m", "clamm", "quote", "--spec", "tests/data/worked_carbon.json",
+                          "--x", "100", "--y", "100", "--dx", "100"],
     "translate_carbon.json": ["-m", "clamm", "translate", "--spec", WORKED, "--to", "carbon"],
     "geometry.json": ["-m", "clamm", "geometry", "--spec", WORKED],
     "angle.json": ["-m", "clamm", "angle", "--spec", WORKED],

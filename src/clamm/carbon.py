@@ -1,9 +1,10 @@
 """The (a, b, z) curve family: the whole curve is pinned to one token balance.
 
 With a = sqrt(p_high) - sqrt(p_low), b = sqrt(p_low) and z the y intercept,
-the real curve is (x + z/(a*(a+b))) * (y + b*z/a) = z^2/a^2.  The closed forms
-below are kept in their native (a, b, z) phenotype rather than reduced to the
-cached shifts, so cross-parameterization agreement is a real check.
+the real curve is (x + z/(a*(a+b))) * (y + b*z/a) = z^2/a^2.  The form gives
+only its constructor: it quotes and prices through the core's closed forms on
+those shifts and scale.  Its native (a, b, z) closed forms are kept beside the
+test suite's exact oracle, in tests/native.py, as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -12,11 +13,9 @@ from .errors import DomainError
 from .params import (
     _MAX,
     _MIN_SHIFT,
-    _POLE,
     MIN_NORMAL,
     CarbonParams,
     CurveGeometry,
-    PoolState,
     ShiftedProductCurve,
     _check_finite_positive,
     _check_scale,
@@ -54,60 +53,17 @@ class CarbonCurve(ShiftedProductCurve, params_type=CarbonParams):
 
     @staticmethod
     def _check_native(params: CarbonParams) -> None:
-        # The native swap denominators are at least z^2 and (b*z)^2, normal
-        # floats once z and b*z are at least 2**-511.  Checked after the
-        # core's rules, so that a spec they reject keeps its error.
+        # The form's own floors, checked after the core's rules so that a
+        # spec those reject keeps its error.  Below z = 2**-511 the scale
+        # (z/a)^2 is so small that a swap's dx*scale underflows, and no
+        # trade on the curve resolves.  The b*z floor, which keeps the native
+        # dx denominator (b*z)^2 of tests/native.py a normal float, stays so
+        # that the form's domain does not move until the swaps' operation
+        # order is settled.
         if not _MIN_SHIFT <= params.z:
             raise DomainError("z", f"must be at least 2**-511, not {params.z!r}")
         if not _MIN_SHIFT <= params.b * params.z:
             raise DomainError("b", f"b*z must be at least 2**-511, not {params.b * params.z!r}")
-
-    # -- native closed forms ---------------------------------------------------
-    # Each reads the parameter set once and forms a + b once; the operations
-    # run in the order of the formulas as written, except that the slopes
-    # divide before they square, like the core's.
-
-    def _dy(self, state: PoolState, dx: float, x_new: float) -> float:
-        params = self.params
-        a, b, z = params.a, params.b, params.z
-        ab = a + b
-        gain = a * ab
-        return -dx * z * z * ab * ab / ((state.x * gain + z) * (x_new * gain + z))
-
-    def _dx(self, state: PoolState, dy: float, y_new: float) -> float:
-        params = self.params
-        a, z = params.a, params.z
-        bz = params.b * z
-        return -dy * z * z / ((a * state.y + bz) * (a * y_new + bz))
-
-    def marginal_price(self, state: PoolState) -> float:
-        params = self.params
-        a, b, z = params.a, params.b, params.z
-        ab = a + b
-        return -ab * (a * state.y + b * z) / (state.x * a * ab + z)
-
-    def price_slope_at_x(self, x: float) -> float:
-        params = self.params
-        a, z = params.a, params.z
-        ab = a + params.b
-        try:
-            q = z * ab / (x * a * ab + z)
-        except ZeroDivisionError:
-            raise DomainError("x", _POLE) from None
-        except OverflowError:
-            raise DomainError("x", "must be finite") from None
-        return -q * q
-
-    def price_slope_at_y(self, y: float) -> float:
-        params = self.params
-        a, z = params.a, params.z
-        try:
-            q = z / (a * y + params.b * z)
-        except ZeroDivisionError:
-            raise DomainError("y", _POLE) from None
-        except OverflowError:
-            raise DomainError("y", "must be finite") from None
-        return -q * q
 
     def price_gap_above_center(self) -> float:
         """a*(a+b) = p_high - p0."""

@@ -384,10 +384,11 @@ class PoolState:
     y: float
 
     def __new__(cls, x: float, y: float):
-        # A non-number raises TypeError here, as _finite would below.
-        if not (0.0 <= x <= _MAX and 0.0 <= y <= _MAX):
-            _require(_finite(x), "x", "must be finite")
-            _require(_finite(y), "y", "must be finite")
+        # An int takes the full checks, which accept it; a bool or any other
+        # non-number fails their number rule, as a parameter field does.
+        if not (type(x) is float and type(y) is float and 0.0 <= x <= _MAX and 0.0 <= y <= _MAX):
+            _check_finite(x, "x")
+            _check_finite(y, "y")
             _require(x >= 0, "x", "must be nonnegative")
             _require(y >= 0, "y", "must be nonnegative")
         state = cls._twin()
@@ -405,11 +406,13 @@ class SwapDelta:
     dy: float
 
     def __new__(cls, dx: float, dy: float):
-        # A zero trade takes the checks below too.  dx is bounded first, so a
-        # NaN dx fails before dy is compared and the checks name dx.
-        if not (-_MAX <= dx <= _MAX and -_MAX <= dy <= _MAX and (dx < 0.0 < dy or dy < 0.0 < dx)):
-            _require(_finite(dx), "dx", "must be finite")
-            _require(_finite(dy), "dy", "must be finite")
+        # A zero trade, an int and a non-number take the checks below too.
+        # dx is checked first, so a NaN dx fails before dy is compared and
+        # the checks name dx.
+        if not (type(dx) is float and type(dy) is float and -_MAX <= dx <= _MAX and -_MAX <= dy <= _MAX
+                and (dx < 0.0 < dy or dy < 0.0 < dx)):
+            _check_finite(dx, "dx")
+            _check_finite(dy, "dy")
             if (dx == 0) != (dy == 0):
                 raise DomainError("dx", "dx and dy must both be zero or both nonzero")
             if dx != 0 and (dx > 0) == (dy > 0):
@@ -584,14 +587,14 @@ class ShiftedProductCurve:
     params_type=P)``, sets ``__slots__ = ()``, and supplies one hook,
     ``_constants``, that checks a parameter set of that type and maps it to
     ``(scale, geom)``; the shifts are the negated asymptotes, and everything
-    else is derived here.  A subclass may also override a closed form, or the
-    ``_dy``/``_dx`` swap formulas, with the native phenotype of its
-    parameterization, which then stays an independent cross-check.  A form
-    whose native formulas need more than the core's derived checks sets a
-    second hook, ``_check_native``, which runs after them so that a spec the
-    core rejects keeps the core's error (the carbon form does this).
-    ``_curve`` runs the hooks and builds every curve.  Instances are immutable
-    values, safe to share across threads.
+    else, every quote, price, slope and sample included, is derived here
+    (the unshifted curve keeps its own swap formulas).  A form's native
+    closed forms, where the paper states them, are test-side cross-checks,
+    not overrides.  A form whose domain is narrower than the
+    core's derived checks sets a second hook, ``_check_native``, which runs
+    after them so that a spec the core rejects keeps the core's error (the
+    carbon form does this).  ``_curve`` runs the hooks and builds every curve.
+    Instances are immutable values, safe to share across threads.
     """
 
     params: CurveParams
@@ -631,15 +634,15 @@ class ShiftedProductCurve:
         position.  It gives neither the shifts, which the core reads off the
         asymptotes, nor phi, which ``CurveGeometry`` derives from c.  The core then checks the other
         constants the hook derived, the same way for every form, and a form's
-        ``_check_native`` may add rules its native formulas need after that.
+        ``_check_native`` may add rules of its own domain after that.
         Curve construction, ``_curve``, which ``validate`` runs, is the one
         place all of these happen, so every curve is checked once, when it is
         built.
         """
         raise NotImplementedError
 
-    # A form's static ``_check_native(params)``: rules of its native formulas
-    # beyond the core's, or DomainError.  None for a form that has none.
+    # A form's static ``_check_native(params)``: rules of its domain beyond
+    # the core's, or DomainError.  None for a form that has none.
     _check_native: ClassVar = None
 
     # -- curve sampling ----------------------------------------------------
@@ -709,7 +712,8 @@ class ShiftedProductCurve:
     # -- trades -------------------------------------------------------------
 
     # Each guard is a range test that accepts; the full check behind it runs
-    # only when the test fails, to name the failure.  A balance that lands
+    # only when the test fails, to accept an int or name the failure (a bool
+    # is not a number, as in ``PoolState``).  A balance that lands
     # exactly on 0 takes ``_check_bounds`` too, which accepts it on a bounded
     # curve and rejects it on the unshifted one.  The delta is stored on
     # ``SwapDelta``'s own guard, whose test of the traded amount has already
@@ -720,8 +724,8 @@ class ShiftedProductCurve:
 
     def swap_exact_in_x(self, state: PoolState, dx: float) -> SwapDelta:
         """Trade a signed amount of x; returns the coupled dy."""
-        if not -_MAX <= dx <= _MAX:
-            _require(_finite(dx), "dx", "must be finite")
+        if not (type(dx) is float and -_MAX <= dx <= _MAX):
+            _check_finite(dx, "dx")
         if dx == 0:
             return SwapDelta(0.0, 0.0)
         x_new = state.x + dx
@@ -729,7 +733,7 @@ class ShiftedProductCurve:
         if not 0.0 < x_new <= x_int * _SLACK_BOUND:
             self._check_bounds("x", x_new, x_int)
         dy = self._dy(state, dx, x_new)
-        if dx < 0.0 < dy <= _MAX or -_MAX <= dy < 0.0 < dx:
+        if type(dy) is float and (dx < 0.0 < dy <= _MAX or -_MAX <= dy < 0.0 < dx):
             # filled inline: SwapDelta.__new__ here cost 13.6 % of pool_sim
             delta = _SwapDeltaTwin()
             delta.dx = dx
@@ -742,8 +746,8 @@ class ShiftedProductCurve:
 
     def swap_exact_out_y(self, state: PoolState, dy: float) -> SwapDelta:
         """Trade a signed amount of y; returns the coupled dx."""
-        if not -_MAX <= dy <= _MAX:
-            _require(_finite(dy), "dy", "must be finite")
+        if not (type(dy) is float and -_MAX <= dy <= _MAX):
+            _check_finite(dy, "dy")
         if dy == 0:
             return SwapDelta(0.0, 0.0)
         y_new = state.y + dy
@@ -751,7 +755,7 @@ class ShiftedProductCurve:
         if not 0.0 < y_new <= y_int * _SLACK_BOUND:
             self._check_bounds("y", y_new, y_int)
         dx = self._dx(state, dy, y_new)
-        if -_MAX <= dx < 0.0 < dy or dy < 0.0 < dx <= _MAX:
+        if type(dx) is float and (-_MAX <= dx < 0.0 < dy or dy < 0.0 < dx <= _MAX):
             # filled inline: SwapDelta.__new__ here cost 13.6 % of pool_sim
             delta = _SwapDeltaTwin()
             delta.dx = dx
@@ -779,12 +783,17 @@ class ShiftedProductCurve:
 
     # -- prices -------------------------------------------------------------
 
+    # The price and the slopes catch their errors rather than guard against
+    # them: the slope is quadrature's integrand, and a try costs nothing on
+    # Python 3.11+ until it raises.
+
     def marginal_price(self, state: PoolState) -> float:
         """Instantaneous dy/dx at the state (negative in the pool frame)."""
-        return -(state.y + self.shift_y) / (state.x + self.shift_x)
-
-    # The slope is quadrature's integrand, so its errors are caught, not
-    # guarded against: a try costs nothing on Python 3.11+ until it raises.
+        try:
+            return -(state.y + self.shift_y) / (state.x + self.shift_x)
+        except ZeroDivisionError:
+            # only the unshifted curve, at x = 0: a bounded one's shift_x is positive
+            raise DomainError("x", "marginal price is undefined at x = 0") from None
 
     def price_slope_at_x(self, x: float) -> float:
         """dy/dx as a function of x alone; the integrand behind dy."""

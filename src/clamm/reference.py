@@ -1,10 +1,9 @@
-"""The unshifted x*y = x0*y0 curve: swaps, the marginal price, and the log-form identity."""
+"""The unshifted x*y = x0*y0 curve: swaps and the log-form identity."""
 
 from __future__ import annotations
 
 import math
 
-from .errors import DomainError
 from .params import (
     _MAX,
     MIN_NORMAL,
@@ -49,11 +48,6 @@ class ReferenceCurve(ShiftedProductCurve, params_type=ReferenceParams):
     def _dx(self, state: PoolState, dy: float, y_new: float) -> float:
         """dx = -dy*x/(y + dy); exact depletion (dy <= -y) is unreachable."""
         return -dy * state.x / y_new
-
-    def marginal_price(self, state: PoolState) -> float:
-        if state.x == 0:
-            raise DomainError("x", "marginal price is undefined at x = 0")
-        return -state.y / state.x
 
     def log_swap_identity_check(self, state: PoolState, delta: SwapDelta) -> bool:
         """True iff (y+dy)/y equals x/(x+dx), the separated-variable form."""

@@ -51,12 +51,12 @@ OUT_OF_RANGE_PARAMS = [
     (BancorV2Params(x0=1e-160, y0=1.0, A=2.0), "spec", "shift_x"),
     # shift_y = b*z/a = 1e-200
     (CarbonParams(a=1.0, b=1e-100, z=1e-100), "spec", "shift_y"),
-    # both shifts pass, but the native swap denominators, at least z^2,
-    # underflowed to zero
+    # both shifts pass, but the scale (z/a)^2 is about 8e-247: a swap's
+    # dx*scale underflows, and no trade on the curve resolves
     (CarbonParams(a=2.4527236170724957e-44, b=1.7153003546970856e-30, z=2.2445642270581992e-167),
      "z", "2**-511"),
-    # (b*z)^2 bounds the native dx denominator from below and is subnormal:
-    # draining y quoted dx 1.1e-4 short of the intercept
+    # (b*z)^2 is subnormal; it bounded the (a, b, z) form's dx denominator,
+    # and carbon's domain keeps the floor
     (CarbonParams(a=1e-100, b=1e-100, z=1e-60), "b", "b*z"),
 ]
 

@@ -1,13 +1,13 @@
-"""The (a, b, z) encoding: its own checks (native closed forms,
-``price_gap_above_center`` and (a, b, z) quotients), and its rows and
-identities of the worked-curve table in test_encodings.py, named by what they
-check."""
+"""The (a, b, z) encoding: its own checks (``price_gap_above_center``, (a, b,
+z) quotients, and the native closed forms of ``tests/native.py`` against the
+core's quotes and the exact oracle), and its rows and identities of the
+worked-curve table in test_encodings.py, named by what they check."""
 
-from clamm import CarbonCurve, CarbonParams, ShiftedProductCurve, curve_for, integrate_price_curve
+from clamm import CarbonCurve, CarbonParams, curve_for, integrate_price_curve
 from clamm.quadrature import battery_cases, oracle_compare, random_bancor_params
 from clamm.rosetta import translate
 
-from . import exact
+from . import exact, native
 from .conftest import assert_rel, rel_dev
 from .test_encodings import assert_identities, assert_worked
 
@@ -101,20 +101,19 @@ def test_random_swaps_match_price_integral():
 
 
 def test_native_y_slope_matches_the_core_and_an_exact_value():
-    """-z^2/(a*y + b*z)^2 against the core's -scale/(y + shift_y)^2 and its
-    exact value, on the 5000 carbon translations of the battery.  The
-    native form rounds five times, the last a square, so it stays within
-    8*2**-53 of exact (measured worst 5.4); the core's shifts and scale add
-    their own roundings, so the two stay within 16*2**-53 (measured worst
-    6.4)."""
+    """The native -z^2/(a*y + b*z)^2 against the core's slope and its exact
+    value, on the 5000 carbon translations of the battery.  The native form
+    rounds five times, the last a square, so it stays within 8*2**-53 of
+    exact (measured worst 5.4); the core's shifts and scale add their own
+    roundings, so the two stay within 16*2**-53 (measured worst 6.4)."""
     to_core = to_exact = 0.0
     for curve, state, _ in battery_cases(0, 20000):
         if type(curve) is not CarbonCurve:
             continue
         y = state.y
-        native = curve.price_slope_at_y(y)
-        to_core = max(to_core, rel_dev(native, ShiftedProductCurve.price_slope_at_y(curve, y)))
-        to_exact = max(to_exact, exact.rel(native, exact.slope_at_y(exact.of_params(curve.params), y)))
+        value = native.slope_at_y(curve.params, y)
+        to_core = max(to_core, rel_dev(value, curve.price_slope_at_y(y)))
+        to_exact = max(to_exact, exact.rel(value, exact.slope_at_y(exact.of_params(curve.params), y)))
     assert to_core <= 16 * 2.0 ** -53
     assert to_exact <= 8 * 2.0 ** -53
 
@@ -122,41 +121,48 @@ def test_native_y_slope_matches_the_core_and_an_exact_value():
 def test_native_slopes_where_their_squares_overflow():
     """A carbon translation that ``random_bancor_params`` draws on balances
     out to 1e150: z*(a+b) and a*y + b*z are about 2.3e161, whose squares are
-    past the float range, while the slopes are not.  Squaring first gave -inf on x and -0.0 on y, and the quadrature
-    of -inf did not converge."""
+    past the float range, while the slopes are not.  Squaring first gave -inf
+    on x and -0.0 on y, and the quadrature of -inf did not converge.  The
+    native slopes and the core's, which the curve quotes with, both divide
+    first."""
     curve = curve_for(CarbonParams(a=6.622073457514659e+74, b=2.8268146404290487e+76, z=8.1141436606093e+84))
     state = curve.state_from_x(3.6601070552228673e-69)
     constants = exact.of_params(curve.params)
-    assert exact.rel(curve.price_slope_at_x(state.x), exact.slope_at_x(constants, state.x)) <= 8 * 2.0 ** -53
-    assert exact.rel(curve.price_slope_at_y(state.y), exact.slope_at_y(constants, state.y)) <= 8 * 2.0 ** -53
+    for slope_at_x, slope_at_y in ((curve.price_slope_at_x, curve.price_slope_at_y),
+                                   (lambda x: native.slope_at_x(curve.params, x),
+                                    lambda y: native.slope_at_y(curve.params, y))):
+        assert exact.rel(slope_at_x(state.x), exact.slope_at_x(constants, state.x)) <= 8 * 2.0 ** -53
+        assert exact.rel(slope_at_y(state.y), exact.slope_at_y(constants, state.y)) <= 8 * 2.0 ** -53
     dx = state.x  # doubles x, inside the x intercept 9.9e-69
     assert integrate_price_curve(curve, state.x, dx) < 0
     assert oracle_compare(curve, state, dx, rel_tol=1e-13).passed
 
 
 def test_native_forms_are_bit_identical_to_their_expressions():
-    """Carbon's native dy, dx, marginal price and both slopes against their
-    exact values on the real curve of the stored (a, b, z), over the 1000
-    carbon cases of ``battery_cases(0, 4000)``.  The swaps are read with the
-    trade and the end balance they are given.  Each form rounds a handful of
-    times and never cancels, so each stays within 8*2**-53 of exact (measured
-    worst 5.5, on the x slope).  The test checks that bound, not bits, whatever its
-    name says: the golden digest of ``tests/test_curve_bits.py`` pins the
-    bits of the swaps, the marginal price and both slopes, on the carbon
-    cases of ``battery_cases(3, 32000)``."""
+    """The native dy, dx, marginal price and both slopes of ``tests/native.py``
+    against their exact values on the real curve of the stored (a, b, z),
+    over the 1000 carbon cases of ``battery_cases(0, 4000)``.  The swaps are
+    read with the trade the curve quotes and the end balance it reaches.
+    Each form rounds a handful of times and never cancels, so each stays
+    within 8*2**-53 of exact (measured worst 5.5, on the x slope).  The test
+    checks that bound, not bits, whatever its name says: the golden digest of
+    ``tests/test_curve_bits.py`` pins the bits of the core's quotes that the
+    curve gives."""
     checked = 0
     for curve, state, dx in battery_cases(0, 4000):
         if type(curve) is not CarbonCurve:
             continue
+        params = curve.params
         dy = curve.swap_exact_in_x(state, dx).dy
         x_new, y_new = state.x + dx, state.y + dy
-        native = (curve._dy(state, dx, x_new), curve._dx(state, dy, y_new), curve.marginal_price(state),
-                  curve.price_slope_at_x(state.x), curve.price_slope_at_y(state.y))
-        constants = exact.of_params(curve.params)
+        got = (native.dy(params, state.x, dx, x_new), native.dx(params, state.y, dy, y_new),
+               native.marginal_price(params, state.x, state.y),
+               native.slope_at_x(params, state.x), native.slope_at_y(params, state.y))
+        constants = exact.of_params(params)
         want = (exact.dy(constants, state.x, dx, x_new), exact.dx(constants, state.y, dy, y_new),
                 exact.marginal_price(constants, state.x, state.y),
                 exact.slope_at_x(constants, state.x), exact.slope_at_y(constants, state.y))
-        for got, value in zip(native, want):
-            assert exact.rel(got, value) <= 8 * 2.0 ** -53, (curve, state, dx)
+        for value, exact_value in zip(got, want):
+            assert exact.rel(value, exact_value) <= 8 * 2.0 ** -53, (curve, state, dx)
         checked += 1
     assert checked == 1000

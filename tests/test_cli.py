@@ -707,7 +707,7 @@ def fuzz_specs(draw):
     return spec
 
 
-# every field tiny: the corner where carbon's native denominators underflow
+# every field tiny: the corner where carbon's scale (z/a)^2 and shifts under- or overflow
 tiny = st.floats(-320.0, -100.0).map(lambda e: 10.0 ** e)
 tiny_carbon_specs = st.builds(lambda a, b, z: {"form": "carbon", "a": a, "b": b, "z": z}, tiny, tiny, tiny)
 

@@ -10,9 +10,10 @@ record is the repr of ``(form, shift_x, shift_y, scale, geom)`` and of the
 outcome of ``swap_exact_in_x`` (its dy), ``swap_exact_out_y`` of half the y
 balance (its dx), ``marginal_price``, ``price_slope_at_x``,
 ``price_slope_at_y``, ``y_from_x`` and ``x_from_y`` at the case's state,
-where an outcome is the value or the error raised.  A change to curve
-construction, to a native closed form, to sampling or to the battery's draw
-that moves any of these bits moves the digest in
+where an outcome is the value or the error raised.  Every form quotes
+through the core's closed forms, so the digest pins those on every form's
+constants.  A change to curve construction, to a closed form, to sampling or
+to the battery's draw that moves any of these bits moves the digest in
 ``tests/golden/curve_bits.sha256``.
 
 Run as a module, ``PYTHONPATH=src python3 -m tests.test_curve_bits``, it

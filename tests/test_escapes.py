@@ -54,22 +54,13 @@ CURVES = [curve_for(params) for params in
           (ReferenceParams(100.0, 100.0), WORKED_BANCOR, WORKED_UNISWAP, WORKED_CARBON, WORKED_NATURAL)]
 
 
-def pole_x(curve):
-    """Where the slope in x divides by zero: carbon's native form at -z/(a(a+b)),
-    every other form at -shift_x."""
-    if curve.params.form == "carbon":
-        a, b, z = curve.params.a, curve.params.b, curve.params.z
-        return -z / (a * (a + b))
-    return -curve.shift_x
-
-
 def curve_rows(curve):
     form = curve.params.form
     return [
         (f"{form}-y_from_x", curve.y_from_x, [EDGES]),
         (f"{form}-x_from_y", curve.x_from_y, [EDGES]),
         (f"{form}-state_at_price", curve.state_at_price, [EDGES]),
-        (f"{form}-price_slope_at_x", curve.price_slope_at_x, [EDGES + [pole_x(curve)]]),
+        (f"{form}-price_slope_at_x", curve.price_slope_at_x, [EDGES + [-curve.shift_x]]),
         (f"{form}-price_slope_at_y", curve.price_slope_at_y, [EDGES + [-curve.shift_y]]),
         (f"{form}-marginal_price", curve.marginal_price, [STATES]),
         (f"{form}-swap_exact_in_x", curve.swap_exact_in_x, [STATES, EDGES]),
@@ -108,8 +99,8 @@ def test_only_curve_errors_escape(function, grids):
 
 @pytest.mark.parametrize("curve", CURVES, ids=[curve.params.form for curve in CURVES])
 def test_slopes_name_their_argument(curve):
-    # at the hyperbola's pole, and for an int past binary64
-    for slope, axis, pole in ((curve.price_slope_at_x, "x", pole_x(curve)),
+    # at the hyperbola's pole, -shift, and for an int past binary64
+    for slope, axis, pole in ((curve.price_slope_at_x, "x", -curve.shift_x),
                               (curve.price_slope_at_y, "y", -curve.shift_y)):
         for value, reason in ((pole, "the slope is unbounded where the virtual balance is 0"),
                               (2**1100, "must be finite")):

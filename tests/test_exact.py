@@ -16,11 +16,11 @@ from .test_encodings import WORKED, random_curves
 # _BATTERY_FORMS, over battery_cases(7, 8000): the measured worst plus one ulp,
 # rounded up.
 ULP_BOUNDS = {
-    "dy": (4, 4, 4, 7),
-    "dx": (3, 4, 4, 8),
-    "marginal_price": (2, 3, 3, 4),
-    "slope_at_x": (3, 4, 4, 7),
-    "slope_at_y": (3, 3, 3, 6),
+    "dy": (4, 4, 4, 4),
+    "dx": (3, 4, 4, 4),
+    "marginal_price": (2, 3, 3, 3),
+    "slope_at_x": (3, 4, 4, 4),
+    "slope_at_y": (3, 3, 3, 3),
     "y_from_x": (2, 3, 3, 3),
     "x_from_y": (2, 2, 2, 2),
 }
@@ -32,15 +32,15 @@ def test_closed_forms_keep_their_ulp_bounds():
     Measured worst, in ulps (``python -m tests.exact`` prints this table)::
 
                         reference   bancor_v2  uniswap_v3      carbon
-        dy                   2.47        2.31        2.76        5.91
-        dx                   1.97        2.64        2.18        6.21
-        marginal_price       0.50        1.21        1.37        2.73
-        slope_at_x           1.27        2.60        2.68        5.52
-        slope_at_y           1.29        1.18        1.46        4.87
+        dy                   2.47        2.31        2.76        2.75
+        dx                   1.97        2.64        2.18        2.14
+        marginal_price       0.50        1.21        1.37        1.24
+        slope_at_x           1.27        2.60        2.68        2.63
+        slope_at_y           1.29        1.18        1.46        1.37
         y_from_x             0.50        1.27        1.33        1.41
         x_from_y             0.50        0.68        0.72        0.89
 
-    Carbon's rows are its native (a, b, z) forms.  A sample is measured in
+    A sample is measured in
     ulps of its shifted balance: in ulps of the sample itself, uniswap's
     y_from_x reaches 1766, where the sample cancels near the intercept.  The
     domain is the battery's: balances over the decades 1e-3 to 1e9 and A in

@@ -130,8 +130,8 @@ class TestBoundsMessages:
         with pytest.raises(BoundsExceeded, match=r"^y would leave \[0, 300.0\]$"):
             curve.swap_exact_out_y(state, 201)
 
-    # The guards below run on every form, the carbon and reference native
-    # swap formulas included; the worked curves all pass through (100, 100).
+    # The guards below run on every form, the reference curve's own swap
+    # formulas included; the worked curves all pass through (100, 100).
 
     @pytest.mark.parametrize("params", WORKED_FORMS, ids=FORM_IDS)
     @pytest.mark.parametrize("amount", [math.inf, -math.inf, math.nan,

@@ -97,13 +97,15 @@ def finite(v):
     return -_MAX <= v <= _MAX
 
 
-def number(name):
-    """A parameter field's first rules, a JSON field's too: a non-bool int or a
-    float, subclasses included, then finite."""
-    get = attrgetter(name)
-    return [(name, lambda p: isinstance(get(p), (int, float)) and not isinstance(get(p), bool),
-             lambda p: f"must be a number, not {type(get(p)).__name__}"),
-            (name, lambda p: finite(get(p)), "must be finite")]
+def number(name, get=None):
+    """A parameter field's first rules, a JSON field's, a balance's and a
+    trade's too: a non-bool int or a float, subclasses included, then finite.
+    ``get`` reads the value off a rule's arguments; by default it is the
+    attribute ``name`` of a parameter set."""
+    get = get or attrgetter(name)
+    return [(name, lambda *args: isinstance(get(*args), (int, float)) and not isinstance(get(*args), bool),
+             lambda *args: f"must be a number, not {type(get(*args)).__name__}"),
+            (name, lambda *args: finite(get(*args)), "must be finite")]
 
 
 def positive(name):
@@ -115,15 +117,15 @@ def above_one(name):
 
 
 POOL_STATE_RULES = [
-    ("x", lambda x, y: finite(x), "must be finite"),
-    ("y", lambda x, y: finite(y), "must be finite"),
+    *number("x", lambda x, y: x),
+    *number("y", lambda x, y: y),
     ("x", lambda x, y: x >= 0, "must be nonnegative"),
     ("y", lambda x, y: y >= 0, "must be nonnegative"),
 ]
 
 SWAP_DELTA_RULES = [
-    ("dx", lambda dx, dy: finite(dx), "must be finite"),
-    ("dy", lambda dx, dy: finite(dy), "must be finite"),
+    *number("dx", lambda dx, dy: dx),
+    *number("dy", lambda dx, dy: dy),
     ("dx", lambda dx, dy: (dx == 0) == (dy == 0), "dx and dy must both be zero or both nonzero"),
     ("dx", lambda dx, dy: dx == 0 or (dx > 0) != (dy > 0), "dx and dy must have opposite signs"),
 ]
@@ -177,11 +179,11 @@ def derived_rules(bounded):
 
 def stated_swap(curve, state, amount, axis):
     """A swap on ``axis`` with the curve's own bounds check and formula: a
-    finite amount; the zero delta for a zero trade; else the new balance
-    passes ``_check_bounds`` and the coupled amount, ``_dy`` or ``_dx``, is
-    nonzero, since no delta represents a trade below the curve's resolution."""
-    if not finite(amount):
-        raise DomainError("dx" if axis == "x" else "dy", "must be finite")
+    finite number, not a bool; the zero delta for a zero trade; else the new
+    balance passes ``_check_bounds`` and the coupled amount, ``_dy`` or
+    ``_dx``, is nonzero, since no delta represents a trade below the curve's
+    resolution."""
+    ruled(number("dx" if axis == "x" else "dy", lambda amount: amount))(amount)
     if amount == 0:
         return SwapDelta(0.0, 0.0)
     if axis == "x":
@@ -270,6 +272,19 @@ def test_swap_guards_match_the_old_checks(params):
                     state, amount, swap.__name__)
                 checked += 1
     assert checked > 100
+
+
+@pytest.mark.parametrize("params", SWAP_CURVES, ids=[p.form for p in SWAP_CURVES])
+def test_a_bool_is_not_a_trade_amount(params):
+    # True == 1 passed the range test, and the swap returned SwapDelta(dx=True, ...)
+    curve = curve_for(params)
+    state = PoolState(100.0, 100.0)
+    for swap, field in ((curve.swap_exact_in_x, "dx"), (curve.swap_exact_out_y, "dy")):
+        with pytest.raises(DomainError) as info:
+            swap(state, True)
+        assert (info.value.field, info.value.reason) == (field, "must be a number, not bool")
+    # an int that is not a bool stays a number
+    assert curve.swap_exact_in_x(PoolState(100, 100), 1) == curve.swap_exact_in_x(state, 1.0)
 
 
 # the swap curves, unshifted curves whose samples overflow, and one below unit scale
