@@ -9,10 +9,8 @@ test suite's exact oracle, in tests/native.py, as an independent cross-check.
 
 from __future__ import annotations
 
-from .errors import DomainError
 from .params import (
     _MAX,
-    _MIN_SHIFT,
     MIN_NORMAL,
     CarbonParams,
     CurveGeometry,
@@ -50,20 +48,6 @@ class CarbonCurve(ShiftedProductCurve, params_type=CarbonParams):
         # (x_int, y_int, x_asym, y_asym, p_high, p_low, p0, c)
         return scale, _new_CurveGeometry(CurveGeometry, z / p0, z, -z / gap, -b * z / a,
                                          ab * ab, b * b, p0, ab / b)
-
-    @staticmethod
-    def _check_native(params: CarbonParams) -> None:
-        # The form's own floors, checked after the core's rules so that a
-        # spec those reject keeps its error.  Below z = 2**-511 the scale
-        # (z/a)^2 is so small that a swap's dx*scale underflows, and no
-        # trade on the curve resolves.  The b*z floor, which keeps the native
-        # dx denominator (b*z)^2 of tests/native.py a normal float, stays so
-        # that the form's domain does not move until the swaps' operation
-        # order is settled.
-        if not _MIN_SHIFT <= params.z:
-            raise DomainError("z", f"must be at least 2**-511, not {params.z!r}")
-        if not _MIN_SHIFT <= params.b * params.z:
-            raise DomainError("b", f"b*z must be at least 2**-511, not {params.b * params.z!r}")
 
     def price_gap_above_center(self) -> float:
         """a*(a+b) = p_high - p0."""

@@ -406,17 +406,16 @@ class SwapDelta:
     dy: float
 
     def __new__(cls, dx: float, dy: float):
-        # A zero trade, an int and a non-number take the checks below too.
+        # The swaps store a delta that passes these checks themselves, and
+        # call here only for a zero trade or one their own test rejected.
         # dx is checked first, so a NaN dx fails before dy is compared and
         # the checks name dx.
-        if not (type(dx) is float and type(dy) is float and -_MAX <= dx <= _MAX and -_MAX <= dy <= _MAX
-                and (dx < 0.0 < dy or dy < 0.0 < dx)):
-            _check_finite(dx, "dx")
-            _check_finite(dy, "dy")
-            if (dx == 0) != (dy == 0):
-                raise DomainError("dx", "dx and dy must both be zero or both nonzero")
-            if dx != 0 and (dx > 0) == (dy > 0):
-                raise DomainError("dx", "dx and dy must have opposite signs")
+        _check_finite(dx, "dx")
+        _check_finite(dy, "dy")
+        if (dx == 0) != (dy == 0):
+            raise DomainError("dx", "dx and dy must both be zero or both nonzero")
+        if dx != 0 and (dx > 0) == (dy > 0):
+            raise DomainError("dx", "dx and dy must have opposite signs")
         delta = cls._twin()
         delta.dx = dx
         delta.dy = dy
@@ -529,7 +528,8 @@ def spec_from_dict(data: dict) -> CurveParams:
     if not isinstance(data, dict):
         raise DomainError("spec", "must be a JSON object")
     form = data.get("form")
-    if form not in FORM_REGISTRY:
+    # a JSON array or object is unhashable, so it is not looked up
+    if not isinstance(form, str) or form not in FORM_REGISTRY:
         raise DomainError("form", f"unknown form {form!r}; expected one of {sorted(FORM_REGISTRY)}")
     body = {k: v for k, v in data.items() if k != "form"}
     cls = FORM_REGISTRY[form]
@@ -553,6 +553,7 @@ def spec_from_dict(data: dict) -> CurveParams:
 
 def spec_to_dict(params: CurveParams) -> dict:
     if isinstance(params, NaturalParams):
+        _require(params.anchor in ANCHOR_KINDS, "anchor", _ANCHOR_REASON)
         nx, ny = _ANCHOR_FIELDS[params.anchor]
         return {"form": params.form, "c": params.c, "anchor": params.anchor,
                 nx: params.anchor_x, ny: params.anchor_y}
@@ -590,10 +591,10 @@ class ShiftedProductCurve:
     else, every quote, price, slope and sample included, is derived here
     (the unshifted curve keeps its own swap formulas).  A form's native
     closed forms, where the paper states them, are test-side cross-checks,
-    not overrides.  A form whose domain is narrower than the
-    core's derived checks sets a second hook, ``_check_native``, which runs
-    after them so that a spec the core rejects keeps the core's error (the
-    carbon form does this).  ``_curve`` runs the hooks and builds every curve.
+    not overrides.  A form's domain is its field rules and the core's derived
+    checks, which are the same for every form: ``_constants`` is the only hook
+    a form supplies.  ``_curve`` runs it and those checks and builds every
+    curve.
     Instances are immutable values, safe to share across threads.
     """
 
@@ -632,18 +633,13 @@ class ShiftedProductCurve:
         fails, in their fixed order, to name the failure.  It builds the
         geometry with ``_new_CurveGeometry``, passing its arguments by
         position.  It gives neither the shifts, which the core reads off the
-        asymptotes, nor phi, which ``CurveGeometry`` derives from c.  The core then checks the other
-        constants the hook derived, the same way for every form, and a form's
-        ``_check_native`` may add rules of its own domain after that.
-        Curve construction, ``_curve``, which ``validate`` runs, is the one
-        place all of these happen, so every curve is checked once, when it is
-        built.
+        asymptotes, nor phi, which ``CurveGeometry`` derives from c.  The core
+        then checks the other constants the hook derived, the same way for
+        every form; a form adds no rule past them.  Curve construction,
+        ``_curve``, which ``validate`` runs, is the one place all of these
+        happen, so every curve is checked once, when it is built.
         """
         raise NotImplementedError
-
-    # A form's static ``_check_native(params)``: rules of its domain beyond
-    # the core's, or DomainError.  None for a form that has none.
-    _check_native: ClassVar = None
 
     # -- curve sampling ----------------------------------------------------
     # A balance is checked as a swap checks the balance it ends on, and as
@@ -715,12 +711,11 @@ class ShiftedProductCurve:
     # only when the test fails, to accept an int or name the failure (a bool
     # is not a number, as in ``PoolState``).  A balance that lands
     # exactly on 0 takes ``_check_bounds`` too, which accepts it on a bounded
-    # curve and rejects it on the unshifted one.  The delta is stored on
-    # ``SwapDelta``'s own guard, whose test of the traded amount has already
-    # passed; anything else goes to the public constructor, after the one rule
-    # it does not know: a nonzero amount whose coupled amount rounds to zero
-    # is below the resolution of the curve, and no delta can represent it
-    # honestly.
+    # curve and rejects it on the unshifted one.  A delta whose coupled amount
+    # passes ``SwapDelta``'s rules on one test is stored inline; anything else
+    # goes to the public constructor, after the one rule it does not know: a
+    # nonzero amount whose coupled amount rounds to zero is below the
+    # resolution of the curve, and no delta can represent it honestly.
 
     def swap_exact_in_x(self, state: PoolState, dx: float) -> SwapDelta:
         """Trade a signed amount of x; returns the coupled dy."""
@@ -913,9 +908,6 @@ def _curve(cls: type[ShiftedProductCurve], params: CurveParams) -> ShiftedProduc
             _check_derived(shift_x, shift_y, geom, True)
     elif not 0.0 < geom.p0 <= _MAX:
         _check_derived(shift_x, shift_y, geom, False)
-    check_native = cls._check_native
-    if check_native is not None:
-        check_native(params)
     curve = cls._twin()
     curve.params = params
     curve.shift_x = shift_x

@@ -64,10 +64,10 @@ def translate(source: CurveParams | ShiftedProductCurve, target_form: str) -> Cu
     source's own form returns its parameter set.
 
     The result is not validated, and it can be a set that the target form
-    rejects: a valid uniswap curve with a narrow range at a tiny scale
-    translates to carbon parameters whose ``z`` lies below carbon's
-    ``2**-511`` rule.  ``curve_for`` on the result checks it, and
-    ``translation_report`` builds both sides.
+    rejects: the valid curve of ``BancorV2Params(9.687981966452493e-27,
+    3.869908481896332e+222, 70027609285.68109)`` translates to carbon
+    parameters whose ``shift_y = b*z/a`` overflows.  ``curve_for`` on the
+    result checks it, and ``translation_report`` builds both sides.
     """
     if target_form not in FORM_REGISTRY:
         raise DomainError("target", f"unknown form {target_form!r}; expected one of {sorted(FORM_REGISTRY)}")

@@ -13,6 +13,7 @@ from clamm import (
     UniswapV3Params,
     curve_for,
     load_spec,
+    translate,
 )
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -28,7 +29,7 @@ LN4 = math.log(4.0)
 # (params, the error's field, a word of its reason): parameter sets whose
 # fields pass their form's rules but whose derived constants leave the
 # binary64 range, or whose shifts fall below 2**-511, where a shift's square
-# stops being a normal float.
+# stops being a normal float.  The same derived checks hold for every form.
 OUT_OF_RANGE_PARAMS = [
     # a*(a+b) underflows to zero before the shifts divide by it
     (CarbonParams(a=1e-200, b=1e-200, z=1e-200), "a", "a*(a+b)"),
@@ -51,13 +52,23 @@ OUT_OF_RANGE_PARAMS = [
     (BancorV2Params(x0=1e-160, y0=1.0, A=2.0), "spec", "shift_x"),
     # shift_y = b*z/a = 1e-200
     (CarbonParams(a=1.0, b=1e-100, z=1e-100), "spec", "shift_y"),
-    # both shifts pass, but the scale (z/a)^2 is about 8e-247: a swap's
-    # dx*scale underflows, and no trade on the curve resolves
-    (CarbonParams(a=2.4527236170724957e-44, b=1.7153003546970856e-30, z=2.2445642270581992e-167),
-     "z", "2**-511"),
-    # (b*z)^2 is subnormal; it bounded the (a, b, z) form's dx denominator,
-    # and carbon's domain keeps the floor
-    (CarbonParams(a=1e-100, b=1e-100, z=1e-60), "b", "b*z"),
+    # the scale (z/a)^2 is subnormal: the one rule on z beyond its field's
+    (CarbonParams(a=1.0, b=1.0, z=1e-160), "z", "(z/a)^2"),
+    # shift_x = z/(a*(a+b)) is about 1e-156, while shift_y = b*z/a passes
+    (CarbonParams(a=1.0, b=1e6, z=1e-150), "spec", "shift_x"),
+]
+
+# Carbon sets whose fields and derived constants all pass, with b*z or z far
+# below 2**-511; the uniswap_v3 and natural forms of their curves build too.
+# On the first two every trade resolves.  On the last two the scale is so
+# small that a swap's dx*scale underflows, and no trade resolves.
+RESOLVED_TINY_CARBON = [
+    CarbonParams(1e-100, 1e-100, 1e-60),
+    CarbonParams(2.0 ** -40, 2.0 ** -300, 2.0 ** -250),
+]
+UNRESOLVED_TINY_CARBON = [
+    CarbonParams(2.4527236170724957e-44, 1.7153003546970856e-30, 2.2445642270581992e-167),
+    translate(curve_for(UniswapV3Params(2.0 ** -500, 1.0 + 1e-10, 1.0)), "carbon"),
 ]
 
 

@@ -540,6 +540,14 @@ class TestErrorPaths:
         assert code == 2
         assert json.loads(err)["error"]["type"] == "DomainError"
 
+    @pytest.mark.parametrize("form", [[], {"a": 1}, 1, None], ids=["array", "object", "number", "null"])
+    def test_a_form_that_is_not_a_string_is_unknown(self, capsys, tmp_path, form):
+        code, out, err = run(capsys, "geometry", "--spec", write_spec(tmp_path, {"form": form}))
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert (error["type"], error["field"]) == ("DomainError", "form")
+        assert error["reason"].startswith(f"unknown form {form!r}; expected one of")
+
     def test_missing_spec_file(self, capsys):
         code, _, err = run(capsys, "geometry", "--spec", str(DATA_DIR / "nope.json"))
         assert code == 2
@@ -695,14 +703,16 @@ ANCHOR_FIELDS = {"center": ("x0", "y0"), "intercepts": ("x_int", "y_int"),
 
 @st.composite
 def fuzz_specs(draw):
-    form = draw(st.sampled_from([*SPEC_FIELDS, "natural", "bogus"]))
+    # a JSON value of any type may stand where a string belongs; an array or
+    # object is unhashable, so the field names are looked up by its str()
+    form = draw(st.sampled_from([*SPEC_FIELDS, "natural", "bogus", None, 1, [], ["carbon"], {"a": 1}]))
     if form == "natural":
-        anchor = draw(st.sampled_from([*ANCHOR_FIELDS, "nowhere"]))
+        anchor = draw(st.sampled_from([*ANCHOR_FIELDS, "nowhere", None, 2.5, [], ["center"], {"a": 1}]))
         spec = {"form": form, "anchor": anchor}
-        names = ("c", *ANCHOR_FIELDS.get(anchor, ("x0", "y0")))
+        names = ("c", *ANCHOR_FIELDS.get(str(anchor), ("x0", "y0")))
     else:
         spec = {"form": form}
-        names = SPEC_FIELDS.get(form, ("x0",))
+        names = SPEC_FIELDS.get(str(form), ("x0",))
     spec.update({name: draw(spec_values) for name in names})
     return spec
 

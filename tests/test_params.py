@@ -315,6 +315,13 @@ class TestJsonSchema:
         with pytest.raises(DomainError):
             spec_from_dict({"form": "balancer", "w": 0.8})
 
+    @pytest.mark.parametrize("anchor", ["bogus", ["center"], None])
+    def test_an_unknown_anchor_is_named_when_written(self, anchor):
+        # as validate names it, not a KeyError or, for a list, a TypeError
+        with pytest.raises(DomainError) as err:
+            spec_to_dict(NaturalParams(4.0, anchor, -1.0, -1.0))
+        assert (err.value.field, err.value.reason) == ("anchor", f"must be one of {ANCHOR_KINDS}")
+
     def test_missing_field(self):
         with pytest.raises(DomainError):
             spec_from_dict({"form": "bancor_v2", "x0": 1, "y0": 1})

@@ -63,11 +63,19 @@ from clamm.params import (
     spec_from_dict,
     validate,
 )
-from clamm.quadrature import DEFAULT_ABS_TOL, battery_cases, oracle_compare, random_bancor_params
+from clamm.quadrature import _BATTERY_FORMS, DEFAULT_ABS_TOL, battery_cases, oracle_compare, random_bancor_params
 from clamm.rosetta import TranslationReport, translate
 
 from . import exact
-from .conftest import WORKED_BANCOR, WORKED_CARBON, WORKED_NATURAL, WORKED_UNISWAP
+from .conftest import (
+    RESOLVED_TINY_CARBON,
+    UNRESOLVED_TINY_CARBON,
+    WORKED_BANCOR,
+    WORKED_CARBON,
+    WORKED_NATURAL,
+    WORKED_UNISWAP,
+)
+from .test_exact import ULP_BOUNDS
 
 GRID = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1e308, -1e308, math.inf, -math.inf,
         math.nan, 0, 1, -1, 7, 10**400, -10**400, True, False, Fraction(1, 3),
@@ -933,13 +941,14 @@ def test_a_filled_curve_twin_becomes_every_form(form_cls):
         twin.scale = 2.0
 
 
-# Carbon parameter sets that the core's shift rule, the z rule and the b*z rule
-# reject, each with the field and reason every construction path reports.
+# Carbon parameter sets that the core's shift rule, the scale rule on z and the
+# p0 rule on b reject, each with the field and reason every construction path
+# reports.
 CARBON_REJECTS = [
     (CarbonParams(1, 1e-100, 1e-100), "spec", "derived shift_y must be at least 2**-511, not 1e-200"),
-    (CarbonParams(2.0 ** -40, 1.0, 2.0 ** -520), "z", "must be at least 2**-511, not 2.913414348125081e-157"),
-    (CarbonParams(2.0 ** -40, 2.0 ** -300, 2.0 ** -250), "b",
-     "b*z must be at least 2**-511, not 2.7133285516175262e-166"),
+    (CarbonParams(2.0 ** -40, 1.0, 2.0 ** 1000), "z", "(z/a)^2 must be finite"),
+    (CarbonParams(2.0 ** -40, 2.0 ** -1000, 1.0), "b",
+     "b*(a+b) must be a positive normal float, not 8.487983164e-314"),
 ]
 CARBON_PATHS = {
     "CarbonCurve": CarbonCurve,
@@ -959,11 +968,57 @@ def test_carbon_rules_hold_on_every_construction_path(path, params, field, reaso
 
 
 def test_carbon_rule_rejects_a_translation_of_a_valid_curve():
-    # a narrow uniswap range at a tiny scale is a valid curve whose y intercept,
-    # the carbon z, lies below 2**-511
-    carbon = translate(curve_for(UniswapV3Params(2.0 ** -500, 1.0 + 1e-10, 1.0)), "carbon")
+    # a valid bancor curve whose carbon translation overflows shift_y = b*z/a
+    carbon = translate(curve_for(BancorV2Params(9.687981966452493e-27, 3.869908481896332e+222,
+                                                70027609285.68109)), "carbon")
     assert type(carbon) is CarbonParams
     with pytest.raises(DomainError) as info:
         curve_for(carbon)
-    assert info.value.field == "z"
-    assert info.value.reason.startswith("must be at least 2**-511")
+    assert (info.value.field, info.value.reason) == ("spec", "derived shift_y must be finite and positive, not inf")
+
+
+def _three_trades(curve, state):
+    """A buy of a quarter of x, a sale of a quarter of y and a full drain of y
+    from ``state``: each a ``SwapDelta``, or the (field, reason) it raised."""
+    outcomes = []
+    for swap, amount in ((curve.swap_exact_in_x, -state.x / 4), (curve.swap_exact_out_y, state.y / 4),
+                         (curve.swap_exact_out_y, -state.y)):
+        try:
+            outcomes.append(swap(state, amount))
+        except DomainError as err:
+            outcomes.append((err.field, err.reason))
+    return outcomes
+
+
+@pytest.mark.parametrize("params", RESOLVED_TINY_CARBON, ids=["b*z_1e-160", "b*z_2**-550"])
+def test_one_curve_has_one_domain(params):
+    # b*z is far below 2**-511, yet the curve builds on every construction
+    # path and quotes as its other encodings do: carbon's domain is its field
+    # rules and the core's derived checks, as every form's is
+    for path in (CarbonCurve, curve_for, validate, CARBON_PATHS["spec_from_dict"]):
+        path(params)
+    curve = CarbonCurve(params)
+    state = curve.state_from_x(curve.geom.x_int / 2)
+    constants = exact.of_curve(curve)
+    buy, sale, drain = outcomes = _three_trades(curve, state)
+    carbon = _BATTERY_FORMS.index("carbon")
+    assert exact.ulps(buy.dy, exact.dy(constants, state.x, buy.dx)) <= ULP_BOUNDS["dy"][carbon]
+    for delta in (sale, drain):
+        assert exact.ulps(delta.dx, exact.dx(constants, state.y, delta.dy)) <= ULP_BOUNDS["dx"][carbon]
+    # the translations' quotes are within 1.5e-16 of carbon's, relative
+    for form in ("uniswap_v3", "natural"):
+        for delta, other in zip(outcomes, _three_trades(curve_for(translate(curve, form)), state)):
+            assert math.isclose(other.dx, delta.dx, rel_tol=1e-15), form
+            assert math.isclose(other.dy, delta.dy, rel_tol=1e-15), form
+
+
+@pytest.mark.parametrize("params", UNRESOLVED_TINY_CARBON, ids=["z_2e-167", "uniswap_translation"])
+def test_a_curve_too_small_to_trade_builds_in_every_form(params):
+    # z is far below 2**-511.  Each curve builds in every form, and every trade
+    # on it raises alike, since the swap forms dx*scale, which underflows;
+    # quoting from the state (ROADMAP item 2) will turn these into values.
+    curve = CarbonCurve(params)
+    state = curve.state_from_x(curve.geom.x_int / 2)
+    unresolved = ("dx", "trade too small to resolve at this scale")
+    for form in ("carbon", "uniswap_v3", "natural"):
+        assert _three_trades(curve_for(translate(curve, form)), state) == [unresolved] * 3, form
