@@ -23,7 +23,7 @@ import sys
 
 from .curves import curve_for, geometry
 from .errors import CurveError, DomainError
-from .params import REL_TOL, VERIFY_REL_TOL, PoolState, apply_delta, load_spec, spec_to_dict
+from .params import _MAX, REL_TOL, VERIFY_REL_TOL, PoolState, apply_delta, load_spec, spec_to_dict
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -123,25 +123,48 @@ def cmd_angle(args) -> int:
 
 
 def _sweep_rows(curve, axis: str, points: int):
-    """Rows of a sweep as (x, y, marginal_price, t_hat, u_hat) tuples, one at a time."""
-    from .hypertrig import t_hat_from_price, u_hat_from_price
+    """Rows of a sweep as (x, y, marginal_price, t_hat, u_hat) tuples, one at a time.
+
+    One row kernel: each row is bit for bit the row of the public functions,
+    ``state_from_x`` (or ``state_at_price``), ``marginal_price``, and
+    ``t_hat_from_price`` and ``u_hat_from_price`` of its negation, and
+    raises the error they raise, with the same field and reason.  The x axis
+    samples ``y_from_x``, whose range rule and snap ``state_from_x`` runs,
+    and builds no ``PoolState``: only a y that ``PoolState`` rejects is
+    passed to it, to raise its error.  The price is ``marginal_price``'s
+    expression without its sign, which negation keeps exact, and one square
+    root serves both unit coordinates; a price the hypertrig functions
+    reject goes to ``t_hat_from_price``, to raise its error.
+    """
+    from .hypertrig import t_hat_from_price
 
     geom = curve.geom
     if not math.isfinite(geom.x_int):
         raise DomainError("spec", "sweeps need a curve with finite intercepts")
+    x_int, p_high, p_low = geom.x_int, geom.p_high, geom.p_low
+    shift_x, shift_y = curve.shift_x, curve.shift_y
+    y_from_x, state_at_price = curve.y_from_x, curve.state_at_price
+    sqrt = math.sqrt
     last = points - 1
     for i in range(points):
         frac = i / last
         if axis == "x":
-            state = curve.state_from_x(geom.x_int * frac)
+            x = x_int * frac
+            y = y_from_x(x)
+            if not 0.0 <= y:
+                PoolState(x, y)
         elif i == last:
             # the x intercept itself: the interpolation can round past p_low,
             # and state_at_price(p_low) cancels past x_int on a narrow range
-            state = PoolState(geom.x_int, 0.0)
+            x, y = x_int, 0.0
         else:
-            state = curve.state_at_price(geom.p_high + (geom.p_low - geom.p_high) * frac)
-        marginal = curve.marginal_price(state)
-        yield state.x, state.y, marginal, t_hat_from_price(-marginal), u_hat_from_price(-marginal)
+            state = state_at_price(p_high + (p_low - p_high) * frac)
+            x, y = state.x, state.y
+        price = (y + shift_y) / (x + shift_x)
+        if not 0.0 < price <= _MAX:
+            t_hat_from_price(price)
+        root = 2.0 * sqrt(price)
+        yield x, y, -price, (price + 1.0) / root, (price - 1.0) / root
 
 
 # Rows per stdout write: large enough to amortise the write, small enough to
@@ -152,11 +175,11 @@ def _sweep_rows(curve, axis: str, points: int):
 SWEEP_CHUNK = 512
 
 
-# Every value in a sweep row is finite: PoolState checks x and y, the hypertrig
-# functions reject a non-finite price, and t_hat and u_hat are finite for any
-# finite positive price.  json spells a finite float as float.__repr__, so a
-# row's f-string, with !r on every value, gives the bytes of
-# json.dumps(rows, indent=2) and of the repr-joined CSV.
+# Every value in a sweep row is finite: x and y pass y_from_x's or PoolState's
+# checks, the row kernel rejects a price the hypertrig functions reject, and
+# t_hat and u_hat are finite for any finite positive price.  json spells a
+# finite float as float.__repr__, so a row's f-string, with !r on every value,
+# gives the bytes of json.dumps(rows, indent=2) and of the repr-joined CSV.
 def cmd_sweep(args) -> int:
     if args.points < 2:
         raise DomainError("points", "must be at least 2")

@@ -69,7 +69,8 @@ def translate(source: CurveParams | ShiftedProductCurve, target_form: str) -> Cu
     parameters whose ``shift_y = b*z/a`` overflows.  ``curve_for`` on the
     result checks it, and ``translation_report`` builds both sides.
     """
-    if target_form not in FORM_REGISTRY:
+    # a list or dict is unhashable, so it is not looked up
+    if not isinstance(target_form, str) or target_form not in FORM_REGISTRY:
         raise DomainError("target", f"unknown form {target_form!r}; expected one of {sorted(FORM_REGISTRY)}")
     curve = source if isinstance(source, ShiftedProductCurve) else curve_for(source)
     if curve.params.form == target_form:

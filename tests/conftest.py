@@ -9,11 +9,14 @@ from clamm import (
     BancorV2Params,
     CarbonParams,
     NaturalParams,
+    PoolState,
     ReferenceParams,
     UniswapV3Params,
     curve_for,
     load_spec,
+    t_hat_from_price,
     translate,
+    u_hat_from_price,
 )
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -88,6 +91,24 @@ def natural_anchors(curve):
     yield NaturalParams(geom.c, "asymptotes", geom.x_asym, geom.y_asym)
     yield NaturalParams(geom.c, "intercepts", geom.x_int, geom.y_int)
     yield NaturalParams(geom.c, "center", *curve.center())
+
+
+def public_sweep_rows(curve, axis, points):
+    """The rows of ``clamm sweep`` built from the public functions: the state
+    from ``state_from_x`` or ``state_at_price`` (the last price row is the x
+    intercept), its ``marginal_price``, and the hypertrig coordinates of its
+    negation."""
+    geom = curve.geom
+    for i in range(points):
+        frac = i / (points - 1)
+        if axis == "x":
+            state = curve.state_from_x(geom.x_int * frac)
+        elif i == points - 1:
+            state = PoolState(geom.x_int, 0.0)
+        else:
+            state = curve.state_at_price(geom.p_high + (geom.p_low - geom.p_high) * frac)
+        marginal = curve.marginal_price(state)
+        yield state.x, state.y, marginal, t_hat_from_price(-marginal), u_hat_from_price(-marginal)
 
 
 def load_script(name):

@@ -10,20 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import clamm.cli
-from clamm import (
-    PoolState,
-    curve_for,
-    load_spec,
-    oracle_compare,
-    spec_to_dict,
-    t_hat_from_price,
-    u_hat_from_price,
-)
+from clamm import curve_for, load_spec, oracle_compare, spec_to_dict
 from clamm.cli import main
 from clamm.errors import DomainError
 from clamm.quadrature import battery_cases, random_admissible_swap, random_cases
 
-from .conftest import DATA_DIR, OUT_OF_RANGE_PARAMS, assert_rel
+from .conftest import DATA_DIR, OUT_OF_RANGE_PARAMS, assert_rel, public_sweep_rows
 
 BANCOR = str(DATA_DIR / "worked_bancor.json")
 UNISWAP = str(DATA_DIR / "worked_uniswap.json")
@@ -55,19 +47,7 @@ SWEEP_COLUMNS = ("x", "y", "marginal_price", "t_hat", "u_hat")
 def list_of_dicts_sweep(spec, axis, points, output):
     """Sweep output as built from a list of row dicts, json.dumps(indent=2) and repr-joined CSV."""
     curve = curve_for(load_spec(spec))
-    geom = curve.geom
-    rows = []
-    for i in range(points):
-        frac = i / (points - 1)
-        if axis == "x":
-            state = curve.state_from_x(geom.x_int * frac)
-        elif i == points - 1:
-            state = PoolState(geom.x_int, 0.0)
-        else:
-            state = curve.state_at_price(geom.p_high + (geom.p_low - geom.p_high) * frac)
-        marginal = curve.marginal_price(state)
-        rows.append({"x": state.x, "y": state.y, "marginal_price": marginal,
-                     "t_hat": t_hat_from_price(-marginal), "u_hat": u_hat_from_price(-marginal)})
+    rows = [dict(zip(SWEEP_COLUMNS, row)) for row in public_sweep_rows(curve, axis, points)]
     if output == "csv":
         lines = [",".join(SWEEP_COLUMNS)] + [",".join(repr(row[k]) for k in SWEEP_COLUMNS) for row in rows]
         return "\n".join(lines) + "\n"
@@ -365,28 +345,38 @@ class TestSweep:
 
     @pytest.mark.parametrize("output", ["json", "csv"])
     def test_failure_mid_sweep(self, capsys, monkeypatch, output):
-        """A failure in the first chunk leaves stdout empty; a later one truncates the table."""
+        """A failure in the first chunk leaves stdout empty; a later one truncates the table.
+
+        The failure is injected into the curve call each row makes: y_from_x
+        on the x axis, state_at_price on the price axis (every row but the
+        last, the x intercept).
+        """
         monkeypatch.setattr(clamm.cli, "SWEEP_CHUNK", 8)
-        full = list_of_dicts_sweep(BANCOR, "x", 20, output)
-        for fail_at, rows_out in ((0, 0), (5, 0), (12, 8)):
-            calls = []
+        curve_class = type(curve_for(load_spec(BANCOR)))
+        for axis, method, field in (("x", "y_from_x", "x"), ("price", "state_at_price", "price")):
+            full = list_of_dicts_sweep(BANCOR, axis, 20, output)
+            original = getattr(curve_class, method)
+            for fail_at, rows_out in ((0, 0), (5, 0), (12, 8)):
+                calls = []
 
-            def failing(price):
-                calls.append(price)
-                if len(calls) > fail_at:
-                    raise DomainError("price", "injected failure")
-                return t_hat_from_price(price)
+                def failing(curve, value):
+                    calls.append(value)
+                    if len(calls) > fail_at:
+                        raise DomainError(field, "injected failure")
+                    return original(curve, value)
 
-            monkeypatch.setattr(clamm.hypertrig, "t_hat_from_price", failing)
-            code, out, err = run(capsys, "sweep", "--spec", BANCOR, "--points", "20", "--output", output)
-            assert code == 2
-            assert error_message(err) == "price: injected failure"
-            if rows_out == 0:
-                assert out == ""
-            else:
-                assert full.startswith(out) and out != full
-                rows_written = out.count("\n  }") if output == "json" else out.count("\n") - 1
-                assert rows_written == rows_out
+                monkeypatch.setattr(curve_class, method, failing)
+                code, out, err = run(capsys, "sweep", "--spec", BANCOR, "--points", "20",
+                                     "--axis", axis, "--output", output)
+                assert code == 2
+                assert error_message(err) == f"{field}: injected failure"
+                if rows_out == 0:
+                    assert out == ""
+                else:
+                    assert full.startswith(out) and out != full
+                    rows_written = out.count("\n  }") if output == "json" else out.count("\n") - 1
+                    assert rows_written == rows_out
+            monkeypatch.setattr(curve_class, method, original)
 
 
 class TestVerify:

@@ -98,6 +98,13 @@ class TestTranslate:
         with pytest.raises(DomainError):
             translate(WORKED_BANCOR, "balancer")
 
+    @pytest.mark.parametrize("target", [[], {"a": 1}, None, 1.0], ids=["list", "dict", "None", "number"])
+    def test_a_target_that_is_not_a_string_is_unknown(self, target):
+        with pytest.raises(DomainError) as err:
+            translate(WORKED_BANCOR, target)
+        assert err.value.field == "target"
+        assert err.value.reason.startswith(f"unknown form {target!r}")
+
     @pytest.mark.parametrize("source", ["not a spec", None, {"form": "carbon"}])
     def test_source_that_is_not_a_spec_rejected(self, source):
         with pytest.raises(DomainError) as err:
