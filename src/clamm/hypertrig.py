@@ -126,7 +126,12 @@ def unit_from_state(x: float, y: float) -> UnitPoint:
     if x < 2.0 ** -500 and y < 2.0 ** -500:
         x, y = x * 2.0 ** 600, y * 2.0 ** 600
     denom = math.sqrt(x) * math.sqrt(y)
-    return UnitPoint(t_hat=(0.5 * x + 0.5 * y) / denom, u_hat=(0.5 * y - 0.5 * x) / denom)
+    t_hat = (0.5 * x + 0.5 * y) / denom
+    # t_hat is about sqrt(y/x)/2 or sqrt(x/y)/2, and |u_hat| below it, so a
+    # finite t_hat bounds both; past a balance ratio of about 1.3e617 it is not
+    if not t_hat <= _MAX:
+        raise DomainError("y" if y > x else "x", "the balance ratio puts the unit point past the float range")
+    return UnitPoint(t_hat=t_hat, u_hat=(0.5 * y - 0.5 * x) / denom)
 
 
 def u_hat_from_price(price: float) -> float:

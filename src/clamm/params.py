@@ -682,14 +682,20 @@ class ShiftedProductCurve:
         Each value is accepted on one comparison; the snap and
         ``_check_bounds`` run only when it fails.  The test of x is strict
         below, as in the swaps, so that x == 0 takes ``_check_bounds``, which
-        rejects it on the unshifted curve.  y is not range-checked.
+        rejects it on the unshifted curve.  y is not range-checked.  Where
+        ``scale/price`` or ``scale*price`` leaves the normal range, its square
+        root is taken as a quotient or product of two square roots, which
+        neither overflows nor underflows.
         """
         if not 0.0 < price <= _MAX:
             raise DomainError("price", "must be a positive finite magnitude")
-        x = math.sqrt(self.scale / price) - self.shift_x
+        scale = self.scale
+        q = scale / price
+        x = (math.sqrt(q) if MIN_NORMAL <= q <= _MAX else math.sqrt(scale) / math.sqrt(price)) - self.shift_x
         if not x >= 0.0:
             x = _snap_nonnegative(x, self.shift_x)
-        y = math.sqrt(self.scale * price) - self.shift_y
+        q = scale * price
+        y = (math.sqrt(q) if MIN_NORMAL <= q <= _MAX else math.sqrt(scale) * math.sqrt(price)) - self.shift_y
         if not y >= 0.0:
             y = _snap_nonnegative(y, self.shift_y)
         x_int = self.geom.x_int
@@ -842,12 +848,11 @@ class ShiftedProductCurve:
     def virtual_bounds(self) -> VirtualBounds:
         """Virtual-balance extremes over the tradeable range of the emulated curve."""
         _bounded(self.geom)
-        return VirtualBounds(
-            min_xv=self.shift_x,
-            max_xv=self.scale / self.shift_y,
-            min_yv=self.shift_y,
-            max_yv=self.scale / self.shift_x,
-        )
+        max_xv, max_yv = self.scale / self.shift_y, self.scale / self.shift_x
+        if not (max_xv <= _MAX and max_yv <= _MAX):
+            name = "max_xv" if max_yv <= _MAX else "max_yv"
+            raise DomainError("spec", f"virtual {name} overflows the float range")
+        return VirtualBounds(self.shift_x, max_xv, self.shift_y, max_yv)
 
     def reference_bound_points(self) -> tuple[float, float, float, float]:
         """(min_x, max_x, min_y, max_y): where the unamplified curve quotes the bounds."""

@@ -1,6 +1,7 @@
 import importlib.util
 import math
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -73,6 +74,17 @@ UNRESOLVED_TINY_CARBON = [
     CarbonParams(2.4527236170724957e-44, 1.7153003546970856e-30, 2.2445642270581992e-167),
     translate(curve_for(UniswapV3Params(2.0 ** -500, 1.0 + 1e-10, 1.0)), "carbon"),
 ]
+
+
+# Curves on which scale/price or scale*price leaves the float range inside
+# the price range, though x and y do not: state_at_price takes those square
+# roots as a quotient or product of two roots.
+SQRT_OVERFLOW = {
+    # scale * price passes the float range
+    "y_overflows": UniswapV3Params(2.0, sys.float_info.max, 1.1984620899082105e+308),
+    # scale / price passes the float range
+    "x_overflows": BancorV2Params(2.7015607422078254e+208, 1517.6686821333692, 489255.56900408247),
+}
 
 
 def assert_rel(actual, expected, rel=1e-9, abs_floor=1e-12):

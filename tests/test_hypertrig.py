@@ -176,6 +176,13 @@ class TestUnitFromState:
         assert_rel(unit.t_hat, float(want[0]), rel=4e-16)
         assert_rel(unit.u_hat, float(want[1]), rel=4e-16)
 
+    @pytest.mark.parametrize("x, y, field", [(5e-324, 1e308, "y"), (1e308, 5e-324, "x")], ids=["y", "x"])
+    def test_a_point_past_the_float_range_names_the_larger_balance(self, x, y, field):
+        # t_hat is about sqrt(y/x)/2 = 2.2e315 here, past the float range
+        with pytest.raises(DomainError) as err:
+            unit_from_state(x, y)
+        assert err.value.field == field
+
     def test_subnormal_balances(self):
         # halving a subnormal rounds, and sqrt(x)*sqrt(y) is itself subnormal:
         # (5e-324, 5e-324) gave (0, 0), off the unit hyperbola, and
@@ -246,10 +253,8 @@ class TestPriceForms:
 
 
 class TestArsinh:
-    @settings(max_examples=500)
-    @given(u=st.floats(min_value=-1e12, max_value=1e12))
-    def test_matches_library(self, u):
-        assert math.isclose(arsinh(u), math.asinh(u), rel_tol=1e-14, abs_tol=1e-300)
+    def test_matches_library(self):
+        assert arsinh is math.asinh
 
     def test_stable_near_zero(self):
         # the naive log form collapses to log(1) here; arsinh must not

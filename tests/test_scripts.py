@@ -96,3 +96,49 @@ def test_worked_curve_demo_runs():
     result = run_script("worked_curve_demo.py")
     assert result.returncode == 0, result.stderr
     assert "same curve, four parameter forms" in result.stdout
+
+
+def test_mutant_table_is_well_formed():
+    # each row's text occurs once, its mutant compiles, its id is unique, and
+    # every test it names is in a file of the suite
+    table = load_script("mutants").MUTANTS
+    assert len(table) >= 20
+    assert len({name for name, *_ in table}) == len(table)
+    for name, file, text, replacement, nodes in table:
+        source = (ROOT / file).read_text()
+        assert source.count(text) == 1, name
+        compile(source.replace(text, replacement), file, "exec")
+        assert nodes and all((ROOT / node.split("::")[0]).is_file() for node in nodes), name
+
+
+TOY = {"src/toy.py": "def double(x):\n    return 2 * x\n",
+       "tests/test_toy.py": "from toy import double\n\n\ndef test_double():\n    assert double(2) == 4\n"}
+TOY_TEST = "tests/test_toy.py::test_double"
+
+
+@pytest.mark.parametrize("rows, code, lines", [
+    # a mutant the test catches, and one it cannot: x + x is 2 * x
+    ([("caught", "src/toy.py", "2 * x", "3 * x", [TOY_TEST]),
+      ("equivalent", "src/toy.py", "2 * x", "x + x", [TOY_TEST])],
+     1, ["killed   caught", "SURVIVED equivalent"]),
+    # a mutant that renames the test it names: pytest finds no such test,
+    # which is an error in the table, not a kill
+    ([("caught", "src/toy.py", "2 * x", "3 * x", [TOY_TEST]),
+      ("renamed", "tests/test_toy.py", "def test_double", "def test_twice", [TOY_TEST])],
+     2, ["killed   caught"]),
+], ids=["survivor", "unknown_node_id"])
+def test_mutants_reports_each_row(tmp_path, monkeypatch, capsys, rows, code, lines):
+    mutants = load_script("mutants")
+    for name, text in TOY.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(text)
+    monkeypatch.setattr(mutants, "ROOT", tmp_path)
+    monkeypatch.setenv("PYTEST_DISABLE_PLUGIN_AUTOLOAD", "1")  # the toy needs no plugin
+    monkeypatch.setattr(mutants, "MUTANTS", rows)
+    assert mutants.main() == code
+    out, err = capsys.readouterr()
+    assert [line.split(" (")[0] for line in out.splitlines()[:len(lines)]] == lines
+    if code == 2:
+        assert err.startswith("renamed: pytest exited 4")
+    # the checkout itself is never mutated
+    assert {name: (tmp_path / name).read_text() for name in TOY} == TOY

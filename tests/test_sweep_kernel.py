@@ -25,6 +25,7 @@ from clamm.params import _MAX
 
 from .conftest import (
     RESOLVED_TINY_CARBON,
+    SQRT_OVERFLOW,
     UNRESOLVED_TINY_CARBON,
     WORKED_BANCOR,
     WORKED_CARBON,
@@ -57,18 +58,13 @@ CURVES = [
     *((f"carbon_tiny_z{i}", p) for i, p in enumerate(UNRESOLVED_TINY_CARBON)),
     # y_from_x(x_int) lands below zero, past the snap, and PoolState rejects it
     ("y_below_zero", BancorV2Params(7.752772304407771e-161, 1.678672396840289e-160, 1620197185020131.8)),
-    # sqrt(scale * price) overflows in state_at_price
-    ("y_overflows", UniswapV3Params(2.0, _MAX, 1.1984620899082105e+308)),
-    # scale / price overflows in state_at_price, so x is inf
-    ("x_overflows", BancorV2Params(2.7015607422078254e+208, 1517.6686821333692, 489255.56900408247)),
+    *SQRT_OVERFLOW.items(),
 ]
 
 # (curve, axis) -> the (type, field, reason) the public functions raise
 RAISES = {
     ("y_below_zero", "x"): ("DomainError", "y", "must be nonnegative"),
     ("y_below_zero", "price"): ("BoundsExceeded", None, "x would leave [0, 1.550554460881555e-160]"),
-    ("y_overflows", "price"): ("DomainError", "y", "must be finite"),
-    ("x_overflows", "price"): ("BoundsExceeded", None, "x would leave [0, 5.403127006205152e+208]"),
 }
 
 

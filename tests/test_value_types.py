@@ -7,9 +7,11 @@ failing row (``ruled``), the hook's own named-check path (a ``Named`` float
 fails its type guard), an exact value on the curve's stored constants, or
 ``_check_bounds`` and the ``_dy``/``_dx`` formulas.  A sample is checked
 against a bound, not its bits; ``tests/test_curve_bits.py`` pins the bits of
-the curve constants, the swaps and the samples over the verify battery.  Each
-value type's ``__new__`` is its one construction body, and every library path
-that builds a value must give what the public constructor gives.
+the curve constants, the swaps and the samples over the verify battery.  The
+value-type contract is one table, ``CONTRACT``, one row per value type, read by
+one test per property.  Each value type's ``__new__`` is its one construction
+body, and every library path that builds a value must give what the public
+constructor gives.
 """
 
 import copy
@@ -19,7 +21,7 @@ import math
 import pickle
 import random
 import sys
-from dataclasses import FrozenInstanceError, asdict, astuple, fields, replace
+from dataclasses import FrozenInstanceError, asdict, astuple, fields, is_dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
 from operator import attrgetter
@@ -60,6 +62,7 @@ from clamm.params import (
     _check_finite_positive,
     _check_scale,
     _curve,
+    curve_class,
     spec_from_dict,
     validate,
 )
@@ -69,6 +72,7 @@ from clamm.rosetta import TranslationReport, translate
 from . import exact
 from .conftest import (
     RESOLVED_TINY_CARBON,
+    SQRT_OVERFLOW,
     UNRESOLVED_TINY_CARBON,
     WORKED_BANCOR,
     WORKED_CARBON,
@@ -355,7 +359,8 @@ def test_sampling_matches_the_old_checks(params):
     assert (overflowed > 0) == (not curve.bounded), overflowed
 
 
-# the sample curves, and an unshifted one whose x underflows to 0 at a high price
+# the sample curves, and an unshifted one whose scale/price underflows at a
+# high price and scale*price at a low one
 PRICE_CURVES = SAMPLE_CURVES + [ReferenceParams(1e-150, 1e-150)]
 
 
@@ -374,23 +379,34 @@ def snapped(value, reference):
     return 0.0 if -abs(reference) * BOUNDS_SLACK <= value < 0.0 else value
 
 
+def root(quotient, fallback):
+    """The square root of a quotient or product that is a normal float, or
+    else ``fallback``, the same root formed from two roots."""
+    return math.sqrt(quotient) if MIN_NORMAL <= quotient <= _MAX else fallback
+
+
 def stated_state_at_price(curve, price):
     """A positive finite price; x and y from the curve's stored constants,
-    snapped; then x, not y, passes ``_check_bounds``."""
+    the roots of scale/price and scale*price taken without leaving the float
+    range, snapped; then x, not y, passes ``_check_bounds``."""
     if not (price > 0 and finite(price)):
         raise DomainError("price", "must be a positive finite magnitude")
-    x = snapped(math.sqrt(curve.scale / price) - curve.shift_x, curve.shift_x)
-    y = snapped(math.sqrt(curve.scale * price) - curve.shift_y, curve.shift_y)
+    scale = curve.scale
+    x = root(scale / price, math.sqrt(scale) / math.sqrt(price)) - curve.shift_x
+    y = root(scale * price, math.sqrt(scale) * math.sqrt(price)) - curve.shift_y
+    x, y = snapped(x, curve.shift_x), snapped(y, curve.shift_y)
     curve._check_bounds("x", x, curve.geom.x_int)
     return PoolState(x, y)
 
 
-@pytest.mark.parametrize("params", PRICE_CURVES, ids=[p.form for p in PRICE_CURVES])
+@pytest.mark.parametrize("params", PRICE_CURVES + list(SQRT_OVERFLOW.values()),
+                         ids=[p.form for p in PRICE_CURVES] + list(SQRT_OVERFLOW))
 def test_state_at_price_matches_its_rule(params):
-    """On ``ReferenceParams(1e-150, 1e-150)`` the rule sends price 1e300,
-    where x underflows to 0, to ``InsufficientLiquidity``, and gives
-    ``PoolState(1.0, 0.0)`` at 1e-300, where y underflows: y is not
-    range-checked (ROADMAP item 3)."""
+    """On ``ReferenceParams(1e-150, 1e-150)`` the rule gives the on-curve
+    ``PoolState(1e-300, 1.0)`` at price 1e300 and ``PoolState(1.0, 1e-300)``
+    at 1e-300, where scale/price and scale*price underflow; on the curves of
+    ``SQRT_OVERFLOW`` they overflow instead.  y is still not range-checked
+    (ROADMAP item 3)."""
     curve = curve_for(params)
     for price in price_values(curve.geom):
         assert outcome(curve.state_at_price, price) == outcome(stated_state_at_price, curve, price), price
@@ -563,61 +579,156 @@ def assert_clones(value):
         assert repr(clone) == repr(value)
 
 
-# (class, init fields, repr, a change); PoolState and SwapDelta check their
-# fields, the others store what they are given
-VALUES = [
-    (PoolState, (1.5, 2.5), "PoolState(x=1.5, y=2.5)", {"x": 0.5}),
-    (SwapDelta, (1.0, -2.0), "SwapDelta(dx=1.0, dy=-2.0)", {"dy": -0.25}),
-    (VirtualBounds, (100.0, 400.0, 100.0, 400.0),
-     "VirtualBounds(min_xv=100.0, max_xv=400.0, min_yv=100.0, max_yv=400.0)", {"max_yv": 800.0}),
-    (RotatedPoint, (1.5, -0.5), "RotatedPoint(t=1.5, u=-0.5)", {"u": 0.5}),
-    (UnitPoint, (1.25, 0.75), "UnitPoint(t_hat=1.25, u_hat=0.75)", {"u_hat": -0.75}),
-    (TrigValues, (1.875, 2.125, 0.8823529411764706, 4.0),
-     "TrigValues(sinh=1.875, cosh=2.125, tanh=0.8823529411764706, e_phi=4.0)", {"tanh": 0.5}),
-    (TranslationReport, ("bancor_v2", "carbon", 2.220446049250313e-16),
-     "TranslationReport(source_form='bancor_v2', target_form='carbon', max_rel_deviation=2.220446049250313e-16)",
-     {"max_rel_deviation": 0.0}),
+# (a parameter set, another valid set of its form)
+CURVE_PARAMS = [
+    (ReferenceParams(100.0, 100.0), ReferenceParams(100.0, 400.0)),
+    (WORKED_BANCOR, BancorV2Params(100.0, 100.0, 3.0)),
+    (WORKED_UNISWAP, UniswapV3Params(200.0, 9.0, 0.25)),
+    (WORKED_CARBON, CarbonParams(1.5, 0.5, 600.0)),
+    (WORKED_NATURAL, NaturalParams(4.0, "center", 100.0, 100.0)),
 ]
 
+# (class, init args, a change of its init fields, its repr or None): every
+# public value type, each built from its args.  PoolState, SwapDelta and the
+# curves check what they are given, the others store it.  A repr of None is
+# the fields' repr, which the nine literal reprs pin.
+CONTRACT = [
+    (PoolState, (1.5, 2.5), {"x": 0.5}, "PoolState(x=1.5, y=2.5)"),
+    (SwapDelta, (1.0, -2.0), {"dy": -0.25}, "SwapDelta(dx=1.0, dy=-2.0)"),
+    (VirtualBounds, (100.0, 400.0, 100.0, 400.0), {"max_yv": 800.0},
+     "VirtualBounds(min_xv=100.0, max_xv=400.0, min_yv=100.0, max_yv=400.0)"),
+    (RotatedPoint, (1.5, -0.5), {"u": 0.5}, "RotatedPoint(t=1.5, u=-0.5)"),
+    (UnitPoint, (1.25, 0.75), {"u_hat": -0.75}, "UnitPoint(t_hat=1.25, u_hat=0.75)"),
+    (TrigValues, (1.875, 2.125, 0.8823529411764706, 4.0), {"tanh": 0.5},
+     "TrigValues(sinh=1.875, cosh=2.125, tanh=0.8823529411764706, e_phi=4.0)"),
+    (TranslationReport, ("bancor_v2", "carbon", 2.220446049250313e-16), {"max_rel_deviation": 0.0},
+     "TranslationReport(source_form='bancor_v2', target_form='carbon', max_rel_deviation=2.220446049250313e-16)"),
+    # phi is derived from c, and follows it
+    (CurveGeometry, (300.0, 300.0, -100.0, -100.0, 4.0, 0.25, 1.0, 4.0), {"c": 16.0},
+     "CurveGeometry(x_int=300.0, y_int=300.0, x_asym=-100.0, y_asym=-100.0, "
+     "p_high=4.0, p_low=0.25, p0=1.0, c=4.0, phi=1.3862943611198906)"),
+    (ComparisonReport, (-2.0, -2.0000000000000004, 4.440892098500626e-16, 2.220446049250313e-16, True),
+     {"passed": False},
+     "ComparisonReport(closed_form_dy=-2.0, quadrature_dy=-2.0000000000000004, "
+     "abs_deviation=4.440892098500626e-16, rel_deviation=2.220446049250313e-16, passed=True)"),
+    *((type(params), astuple(params), asdict(other), None) for params, other in CURVE_PARAMS),
+    # a curve derives every field but its parameter set
+    *((curve_class(params), (params,), {"params": other}, None) for params, other in CURVE_PARAMS),
+]
 
-@pytest.mark.parametrize("cls, args, text, change", VALUES, ids=[cls.__name__ for cls, *_ in VALUES])
+contract = pytest.mark.parametrize("cls, args, change, text", CONTRACT, ids=[row[0].__name__ for row in CONTRACT])
+
+
+def init_names(cls):
+    return [f.name for f in fields(cls) if f.init]
+
+
+@contract
 class TestValueContract:
-    def test_equality_hash_and_repr(self, cls, args, text, change):
+    """Each value type is a frozen, slotted value with the dataclass API,
+    built through its constructor alone."""
+
+    def test_equality_hash_and_repr(self, cls, args, change, text):
         value = cls(*args)
         assert value == cls(*args)
         assert hash(value) == hash(cls(*args))
         assert value != replace(value, **change)
-        assert repr(value) == text
+        shown = ", ".join(f"{f.name}={getattr(value, f.name)!r}" for f in fields(value))
+        assert repr(value) == (text or f"{cls.__name__}({shown})")
 
-    def test_frozen(self, cls, args, text, change):
+    def test_frozen(self, cls, args, change, text):
         value = cls(*args)
-        assert_frozen(value, change)
+        names = [f.name for f in fields(value)]
+        assert_frozen(value, names)
+        # the slots, a curve form's inherited, are the fields: a form tag stays a class attribute
+        assert [name for c in cls.__mro__ for name in c.__dict__.get("__slots__", ())] == names
         assert value == cls(*args)
 
-    def test_fields_replace_and_asdict(self, cls, args, text, change):
+    def test_fields_replace_and_asdict(self, cls, args, change, text):
         value = cls(*args)
-        names = tuple(f.name for f in fields(value))
-        assert names == cls.__slots__ == cls.__match_args__
         assert fields(value) == fields(cls)
-        assert asdict(value) == dict(zip(names, args))
-        assert astuple(value) == args
+        values = {f.name: getattr(value, f.name) for f in fields(value)}
+        assert [values[name] for name in init_names(cls)] == list(args)
+        assert asdict(value) == {name: asdict(v) if is_dataclass(v) else v for name, v in values.items()}
+        assert astuple(value) == tuple(astuple(v) if is_dataclass(v) else v for v in values.values())
+        # replace builds anew from the init fields, the changed and the kept
         changed = replace(value, **change)
         assert type(changed) is cls
-        assert asdict(changed) == {**asdict(value), **change}
+        assert changed == cls(**{**dict(zip(init_names(cls), args)), **change})
 
-    def test_replace_runs_the_checks(self, cls, args, text, change):
-        # replace builds through the constructor: a NaN fails PoolState's and
-        # SwapDelta's checks, and the other types store it
+    def test_replace_runs_the_checks(self, cls, args, change, text):
+        # replace runs the constructor: a NaN fails the checks of PoolState,
+        # SwapDelta and the curves, and the other types store it; a derived
+        # field is not an argument
+        value = cls(*args)
+        kept = dict(zip(init_names(cls), args))
         name = next(iter(change))
-        nan_args = [math.nan if f.name == name else a for f, a in zip(fields(cls), args)]
-        assert (outcome(lambda: replace(cls(*args), **{name: math.nan}))
-                == outcome(cls, *nan_args))
-        if cls in (PoolState, SwapDelta):
-            with pytest.raises(DomainError):
-                replace(cls(*args), **{name: math.nan})
+        assert outcome(lambda: replace(value, **{name: math.nan})) == outcome(lambda: cls(**{**kept, name: math.nan}))
+        for f in fields(cls):
+            if not f.init:
+                with pytest.raises(DERIVED_FIELD_ERROR):
+                    replace(value, **{f.name: getattr(value, f.name)})
 
-    def test_pickle_and_copy(self, cls, args, text, change):
+    def test_pickle_and_copy(self, cls, args, change, text):
         assert_clones(cls(*args))
+
+
+@contract
+def test_copy_replace_is_dataclasses_replace(cls, args, change, text):
+    # copy.replace, from Python 3.13 on, calls __replace__, which every value
+    # type defines on every version
+    value = cls(*args)
+    changed = replace(value, **change)
+    assert value.__replace__(**change) == changed
+    assert type(value.__replace__(**change)) is cls
+    if sys.version_info >= (3, 13):
+        assert copy.replace(value, **change) == changed
+        assert copy.replace(value) == value
+
+
+@contract
+def test_constructor_contract(cls, args, change, text):
+    # __new__ is the constructor: its parameters are the match args and the
+    # init fields, taken by position or by keyword alike
+    names = tuple(inspect.signature(cls).parameters)
+    assert names == cls.__match_args__ == tuple(init_names(cls))
+    value = cls(*args)
+    built = cls(**dict(zip(names, args)))
+    assert type(built) is cls
+    assert built == value
+    assert repr(built) == repr(value)
+
+
+@contract
+def test_a_filled_twin_becomes_its_class(cls, args, change, text):
+    # the __class__ store needs the two slot layouts to match, which CPython
+    # checks on every version the package supports; a curve form adds no
+    # slots, so the core's twin fits it
+    names = [f.name for f in fields(cls)]
+    values = [float(i) for i in range(len(names))]
+    twin = cls._twin()
+    for name, value in zip(names, values):
+        setattr(twin, name, value)
+    twin.__class__ = cls
+    assert type(twin) is cls
+    assert [getattr(twin, name) for name in names] == values
+    with pytest.raises(FrozenInstanceError):
+        setattr(twin, names[0], -1.0)
+
+
+@pytest.mark.parametrize("params, other", CURVE_PARAMS, ids=[p.form for p, _ in CURVE_PARAMS])
+class TestCurveContract:
+    def test_builds_only_its_own_form(self, params, other):
+        # another form's valid set has the fields of its own form, not these
+        curve = curve_for(params)
+        builds = [lambda: ShiftedProductCurve(params)]
+        for foreign, _ in CURVE_PARAMS:
+            if type(foreign) is not type(params):
+                builds += [lambda f=foreign: type(curve)(f), lambda f=foreign: replace(curve, params=f)]
+        for build in builds:
+            with pytest.raises(DomainError) as err:
+                build()
+            assert err.value.field == "spec"
 
 
 def test_integral_spec_defaults():
@@ -628,57 +739,6 @@ def test_integral_spec_defaults():
     f = lambda x: 1.0 / (x * x)  # noqa: E731
     assert adaptive_gauss_kronrod(f, 1.0, 50.0) == adaptive_gauss_kronrod(f, 1.0, 50.0, DEFAULT_ABS_TOL)
     assert adaptive_gauss_kronrod(f, 1.0, 50.0) != adaptive_gauss_kronrod(f, 1.0, 50.0, 1e-3)
-
-
-GEOMETRY_ARGS = (300.0, 300.0, -100.0, -100.0, 4.0, 0.25, 1.0, 4.0)
-GEOMETRY_TEXT = ("CurveGeometry(x_int=300.0, y_int=300.0, x_asym=-100.0, y_asym=-100.0, "
-                 "p_high=4.0, p_low=0.25, p0=1.0, c=4.0, phi=1.3862943611198906)")
-REPORT_ARGS = (-2.0, -2.0000000000000004, 4.440892098500626e-16, 2.220446049250313e-16, True)
-REPORT_TEXT = ("ComparisonReport(closed_form_dy=-2.0, quadrature_dy=-2.0000000000000004, "
-               "abs_deviation=4.440892098500626e-16, rel_deviation=2.220446049250313e-16, "
-               "passed=True)")
-
-
-class TestDerivedValueContract:
-    """``CurveGeometry`` and ``ComparisonReport``: slotted frozen values whose
-    __new__ stores the fields as given, ``CurveGeometry`` deriving phi."""
-
-    def test_equality_hash_and_repr(self):
-        for cls, args, text, last in ((CurveGeometry, GEOMETRY_ARGS, GEOMETRY_TEXT, 2.0),
-                                      (ComparisonReport, REPORT_ARGS, REPORT_TEXT, False)):
-            value = cls(*args)
-            assert value == cls(*args)
-            assert hash(value) == hash(cls(*args))
-            assert repr(value) == text
-            assert value != cls(*args[:-1], last)
-
-    def test_frozen_and_slotted(self):
-        for value in (CurveGeometry(*GEOMETRY_ARGS), ComparisonReport(*REPORT_ARGS)):
-            assert_frozen(value, [fields(value)[0].name])
-
-    def test_geometry_fields_replace_and_asdict(self):
-        geom = CurveGeometry(*GEOMETRY_ARGS)
-        names = ["x_int", "y_int", "x_asym", "y_asym", "p_high", "p_low", "p0", "c", "phi"]
-        assert [f.name for f in fields(geom)] == names
-        assert [f.name for f in fields(geom) if not f.init] == ["phi"]
-        assert asdict(geom) == dict(zip(names, GEOMETRY_ARGS + (math.log(4.0),)))
-        wider = replace(geom, c=16.0)
-        assert type(wider) is CurveGeometry
-        assert wider.phi == math.log(16.0)  # phi follows c, never set on its own
-        with pytest.raises(DERIVED_FIELD_ERROR):
-            replace(geom, phi=0.0)
-
-    def test_report_fields_replace_and_asdict(self):
-        report = ComparisonReport(*REPORT_ARGS)
-        names = ["closed_form_dy", "quadrature_dy", "abs_deviation", "rel_deviation", "passed"]
-        assert asdict(report) == dict(zip(names, REPORT_ARGS))
-        failed = replace(report, passed=False)
-        assert type(failed) is ComparisonReport
-        assert asdict(failed) == {**asdict(report), "passed": False}
-
-    def test_pickle_and_copy(self):
-        for value in (CurveGeometry(*GEOMETRY_ARGS), ComparisonReport(*REPORT_ARGS)):
-            assert_clones(value)
 
 
 # ---------------------------------------------------------------------------
@@ -715,8 +775,13 @@ BUILT = [
     *((curve, {"params": WORKED_OF_FORM[curve.params.form]}) for curve, _, _ in battery_cases(1, 4)),
 ]
 
+# _curve, the body of a curve's constructor past its form check, on both sets of each form
+CURVE_BUILT = {f"_curve_{params.form}_{i}": (_curve(curve_class(params), params), {"params": moved})
+               for pair in CURVE_PARAMS for i, (params, moved) in enumerate((pair, pair[::-1]))}
 
-@pytest.mark.parametrize("built, change", BUILT, ids=[type(v).__name__ for v, _ in BUILT])
+
+@pytest.mark.parametrize("built, change", BUILT + list(CURVE_BUILT.values()),
+                         ids=[type(v).__name__ for v, _ in BUILT] + list(CURVE_BUILT))
 def test_builders_keep_the_value_contract(built, change):
     # what the public constructor makes from the built value's init fields
     public = type(built)(*(getattr(built, f.name) for f in fields(built) if f.init))
@@ -767,178 +832,6 @@ def test_builders_accept_and_reject_as_the_constructors_do():
             curve = QuotedCurve(quoted)
             assert (outcome(built_delta, swap, curve, full, traded)
                     == outcome(built_delta, stated_swap, curve, full, traded, axis)), (a, b, swap.__name__)
-
-
-@pytest.mark.parametrize("cls", [PoolState, SwapDelta, CurveGeometry, ComparisonReport, ReferenceParams,
-                                 BancorV2Params, UniswapV3Params, CarbonParams, NaturalParams],
-                         ids=lambda cls: cls.__name__)
-def test_a_filled_twin_becomes_its_class(cls):
-    # the __class__ store needs the two slot layouts to match, which CPython
-    # checks on every version the package supports
-    values = [float(i) for i in range(len(cls.__slots__))]
-    twin = cls._twin()
-    for name, value in zip(cls.__slots__, values):
-        setattr(twin, name, value)
-    twin.__class__ = cls
-    assert type(twin) is cls
-    assert [getattr(twin, name) for name in cls.__slots__] == values
-    with pytest.raises(FrozenInstanceError):
-        setattr(twin, cls.__slots__[0], -1.0)
-
-
-CURVE_PARAMS = [
-    (ReferenceParams(100.0, 100.0), ReferenceParams(100.0, 400.0)),
-    (WORKED_BANCOR, BancorV2Params(100.0, 100.0, 3.0)),
-    (WORKED_UNISWAP, UniswapV3Params(200.0, 9.0, 0.25)),
-    (WORKED_CARBON, CarbonParams(1.5, 0.5, 600.0)),
-    (WORKED_NATURAL, NaturalParams(4.0, "center", 100.0, 100.0)),
-]
-
-
-@pytest.mark.parametrize("params, other", CURVE_PARAMS, ids=[p.form for p, _ in CURVE_PARAMS])
-class TestCurveContract:
-    """Each curve class is a frozen value built from its parameter set alone."""
-
-    def test_equality_hash_and_repr(self, params, other):
-        curve = curve_for(params)
-        assert curve == curve_for(params)
-        assert hash(curve) == hash(curve_for(params))
-        assert curve != curve_for(other)
-        assert repr(curve) == (f"{type(curve).__name__}(params={params!r}, "
-                               f"shift_x={curve.shift_x!r}, shift_y={curve.shift_y!r}, "
-                               f"scale={curve.scale!r}, geom={curve.geom!r})")
-
-    def test_frozen(self, params, other):
-        curve = curve_for(params)
-        assert_frozen(curve, ("params", "shift_x", "geom"))
-        assert curve == curve_for(params)
-        assert not hasattr(type(curve)(params), "__dict__")
-
-    def test_fields_replace_and_asdict(self, params, other):
-        curve = curve_for(params)
-        assert [f.name for f in fields(curve)] == ["params", "shift_x", "shift_y", "scale", "geom"]
-        assert [f.name for f in fields(curve) if f.init] == ["params"]
-        assert asdict(curve) == {"params": asdict(params), "shift_x": curve.shift_x,
-                                 "shift_y": curve.shift_y, "scale": curve.scale,
-                                 "geom": asdict(curve.geom)}
-        moved = replace(curve, params=other)
-        assert type(moved) is type(curve)
-        assert moved == curve_for(other)
-        with pytest.raises(DERIVED_FIELD_ERROR):
-            replace(curve, scale=1.0)
-
-    def test_builds_only_its_own_form(self, params, other):
-        # another form's valid set has the fields of its own form, not these
-        curve = curve_for(params)
-        builds = [lambda: ShiftedProductCurve(params)]
-        for foreign, _ in CURVE_PARAMS:
-            if type(foreign) is not type(params):
-                builds += [lambda f=foreign: type(curve)(f), lambda f=foreign: replace(curve, params=f)]
-        for build in builds:
-            with pytest.raises(DomainError) as err:
-                build()
-            assert err.value.field == "spec"
-
-    def test_replace_runs_the_checks(self, params, other):
-        bad = replace(params, **{fields(params)[-1].name: math.nan})
-        with pytest.raises(DomainError):
-            replace(curve_for(params), params=bad)
-
-    def test_pickle_and_copy(self, params, other):
-        assert_clones(curve_for(params))
-
-
-@pytest.mark.parametrize("params, other", CURVE_PARAMS, ids=[p.form for p, _ in CURVE_PARAMS])
-class TestParamsContract:
-    """Each parameter set is a slotted frozen value with the dataclass API."""
-
-    def test_equality_hash_and_repr(self, params, other):
-        cls = type(params)
-        values = [getattr(params, f.name) for f in fields(params)]
-        assert params == cls(*values)
-        assert hash(params) == hash(cls(*values))
-        assert params != other
-        shown = ", ".join(f"{f.name}={getattr(params, f.name)!r}" for f in fields(params))
-        assert repr(params) == f"{cls.__name__}({shown})"
-
-    def test_frozen_and_slotted(self, params, other):
-        assert_frozen(params, [f.name for f in fields(params)])
-        assert type(params).__slots__ == tuple(f.name for f in fields(params))
-        assert params.form == type(params).form  # the form tag stays a class attribute
-
-    def test_fields_replace_and_asdict(self, params, other):
-        changes = {f.name: getattr(other, f.name) for f in fields(other)
-                   if getattr(other, f.name) != getattr(params, f.name)}
-        moved = replace(params, **changes)
-        assert type(moved) is type(params)
-        assert moved == other
-        assert asdict(moved) == {**asdict(params), **changes}
-
-    def test_pickle_and_copy(self, params, other):
-        assert_clones(params)
-
-
-# Every public value type, with a change of its init fields
-REPLACEABLE = [
-    *((cls(*args), change) for cls, args, _, change in VALUES),
-    (CurveGeometry(*GEOMETRY_ARGS), {"c": 16.0}),
-    (ComparisonReport(*REPORT_ARGS), {"passed": False}),
-    *((params, {f.name: getattr(other, f.name) for f in fields(other)}) for params, other in CURVE_PARAMS),
-    *((curve_for(params), {"params": other}) for params, other in CURVE_PARAMS),
-]
-
-
-@pytest.mark.parametrize("value, change", REPLACEABLE, ids=[type(v).__name__ for v, _ in REPLACEABLE])
-def test_copy_replace_is_dataclasses_replace(value, change):
-    # copy.replace, from Python 3.13 on, calls __replace__, which every value
-    # type defines on every version
-    changed = replace(value, **change)
-    assert value.__replace__(**change) == changed
-    assert type(value.__replace__(**change)) is type(value)
-    if sys.version_info >= (3, 13):
-        assert copy.replace(value, **change) == changed
-        assert copy.replace(value) == value
-
-
-@pytest.mark.parametrize("value", [v for v, _ in REPLACEABLE], ids=[type(v).__name__ for v, _ in REPLACEABLE])
-def test_constructor_contract(value):
-    # __new__ is the constructor: its parameters are the match args and the
-    # init fields, taken by position or by keyword alike
-    cls = type(value)
-    names = tuple(inspect.signature(cls).parameters)
-    assert names == cls.__match_args__ == tuple(f.name for f in fields(cls) if f.init)
-    args = [getattr(value, name) for name in names]
-    for built in (cls(*args), cls(**dict(zip(names, args)))):
-        assert type(built) is cls
-        assert built == value
-        assert repr(built) == repr(value)
-
-
-@pytest.mark.parametrize("params", [p for pair in CURVE_PARAMS for p in pair], ids=lambda p: p.form)
-def test_curve_builder_matches_the_constructor(params):
-    cls = type(curve_for(params))
-    built, public = _curve(cls, params), cls(params)
-    assert type(built) is type(public) is cls
-    for f in fields(public):
-        assert type(getattr(built, f.name)) is type(getattr(public, f.name))
-        assert repr(getattr(built, f.name)) == repr(getattr(public, f.name))
-    assert built == public
-    assert curve_for(params) == public
-
-
-@pytest.mark.parametrize("form_cls", sorted(set(ShiftedProductCurve._classes.values()), key=lambda c: c.__name__),
-                         ids=lambda cls: cls.__name__)
-def test_a_filled_curve_twin_becomes_every_form(form_cls):
-    # every form adds no slots, so the base class's twin fits each of them
-    assert form_cls.__slots__ == ()
-    assert form_cls._twin is ShiftedProductCurve._twin
-    twin = form_cls._twin()
-    for name in ShiftedProductCurve.__slots__:
-        setattr(twin, name, 1.0)
-    twin.__class__ = form_cls
-    assert type(twin) is form_cls
-    with pytest.raises(FrozenInstanceError):
-        twin.scale = 2.0
 
 
 # Carbon parameter sets that the core's shift rule, the scale rule on z and the
