@@ -1,6 +1,6 @@
-"""The (x0, y0, A) encoding's own checks: limits in A, an asymmetric curve,
-the virtual emulation and the A*x0 chain.  Its worked values and the shared
-identities are rows of the worked-curve table in test_encodings.py."""
+"""The (x0, y0, A) encoding: its own checks (limits in A, an asymmetric curve,
+the virtual emulation and the A*x0 chain), and its rows and identities of the
+worked-curve table in test_encodings.py, named by what they check."""
 
 import math
 
@@ -19,9 +19,13 @@ from clamm.quadrature import random_bancor_params
 
 from . import exact
 from .conftest import assert_rel
+from .test_encodings import assert_identities, assert_worked
 
 
 class TestVirtualBounds:
+    def test_worked_curve(self):
+        assert_worked("bancor_v2", "virtual_bounds", "virtual_bound_means")
+
     def test_asymmetric_curve(self):
         vb = BancorCurve(BancorV2Params(100, 400, 2)).virtual_bounds()
         assert_rel(vb.min_xv, 100.0)
@@ -35,6 +39,9 @@ class TestVirtualBounds:
         assert vb.min_xv < 1e-3
         assert vb.max_xv > 1e7
 
+    def test_extreme_quotients_match_concentration(self):
+        assert_identities("bancor_v2", "virtual-bound spans = c")
+
     def test_a_bound_past_the_float_range_is_a_domain_error(self):
         # max_xv = scale/shift_y is about 1.98e308, past the float range; the
         # reference bound points are read from it
@@ -46,6 +53,9 @@ class TestVirtualBounds:
 
 
 class TestPriceBounds:
+    def test_worked_curve(self):
+        assert_worked("bancor_v2", "geometry")
+
     def test_range_ratio_depends_only_on_amplification(self, rng):
         for _ in range(100):
             params = random_bancor_params(rng)
@@ -63,7 +73,42 @@ class TestPriceBounds:
         assert_rel(p0, 1.0)
 
 
+class TestRealSwap:
+    def test_worked_swap(self):
+        assert_worked("bancor_v2", "swap")
+
+    def test_worked_swap_quadrature(self):
+        assert_worked("bancor_v2", "integral")
+
+    def test_zero_trade(self):
+        assert_worked("bancor_v2", "zero_trade")
+
+    def test_swap_to_intercept_drains_y(self):
+        assert_worked("bancor_v2", "swap_to_intercept")
+
+    def test_overshoot_rejected(self):
+        assert_worked("bancor_v2", "overshoot_past_x_int")
+
+    def test_negative_x_rejected(self):
+        assert_worked("bancor_v2", "overshoot_below_0")
+
+    def test_invariant_preserved(self):
+        assert_worked("bancor_v2", "invariant_loop")
+
+    def test_exact_out_round_trips_exact_in(self):
+        assert_worked("bancor_v2", "exact_out_round_trip")
+
+
 class TestMarginalPrice:
+    def test_center(self):
+        assert_worked("bancor_v2", "marginal_price_center")
+
+    def test_y_intercept_quotes_high_bound(self):
+        assert_worked("bancor_v2", "marginal_price_y_int")
+
+    def test_x_intercept_quotes_low_bound(self):
+        assert_worked("bancor_v2", "marginal_price_x_int")
+
     def test_slopes_where_the_virtual_balance_squared_overflows(self):
         # (1.5e200 + 1e200)**2 is past the float range, the slope -6.4e-101 is
         # not: squaring first gave -0.0.  The token mirror quotes it on y.
@@ -76,6 +121,12 @@ class TestMarginalPrice:
 
 
 class TestReferenceBoundPoints:
+    def test_worked_curve(self):
+        assert_worked("bancor_v2", "reference_bound_points", "reference_bound_means")
+
+    def test_span_ratio_is_concentration(self):
+        assert_identities("bancor_v2", "reference-bound spans = c")
+
     def test_weak_amplification_limit(self):
         min_x, max_x, _, _ = BancorCurve(BancorV2Params(100, 100, 1 + 1e-6)).reference_bound_points()
         assert min_x < 1e-3
@@ -89,6 +140,9 @@ class TestConcentrationConstant:
 
     def test_infinite_amplification_limit(self):
         assert_rel(BancorCurve(BancorV2Params(1, 1, 1e9)).concentration(), 1.0, rel=1e-6)
+
+    def test_four_redundant_routes_agree(self):
+        assert_identities("bancor_v2", "p_high/p0, p0/p_low, sqrt(p_high/p_low), exp(phi) = c")
 
 
 class TestVirtualRealIndifference:
@@ -106,6 +160,9 @@ class TestVirtualRealIndifference:
             dy_virtual = emulated.swap_exact_in_x(virtual_state, dx).dy
             assert_rel(dy_real, dy_virtual, rel=1e-12)
 
+    def test_depletion_duality(self):
+        assert_identities("bancor_v2", "a swap to x_int drains y")
+
 
 class TestGeometricChains:
     def test_geometric_mean_chain(self, rng):
@@ -116,3 +173,10 @@ class TestGeometricChains:
             min_x, max_x, _, _ = curve.reference_bound_points()
             assert_rel(math.sqrt(vb.min_xv) * math.sqrt(vb.max_xv), params.A * params.x0, rel=1e-12)
             assert_rel(math.sqrt(min_x) * math.sqrt(max_x), params.x0, rel=1e-12)
+
+    def test_quotient_chain(self):
+        assert_identities("bancor_v2", "intercept and asymptote quotients = p0", "virtual-bound quotients = p0")
+
+
+def test_random_swaps_match_price_integral():
+    assert_identities("bancor_v2", "quotes the price integral")

@@ -1,7 +1,7 @@
-"""The (a, b, z) encoding's own checks: ``price_gap_above_center``, (a, b, z)
-quotients, and the native closed forms of ``tests/native.py`` against the
-core's quotes and the exact oracle.  Its worked values and the shared
-identities are rows of the worked-curve table in test_encodings.py."""
+"""The (a, b, z) encoding: its own checks (``price_gap_above_center``, (a, b,
+z) quotients, and the native closed forms of ``tests/native.py`` against the
+core's quotes and the exact oracle), and its rows and identities of the
+worked-curve table in test_encodings.py, named by what they check."""
 
 from clamm import CarbonCurve, CarbonParams, curve_for, integrate_price_curve
 from clamm.quadrature import battery_cases, oracle_compare, random_bancor_params
@@ -9,18 +9,76 @@ from clamm.rosetta import translate
 
 from . import exact, native
 from .conftest import assert_rel, rel_dev
+from .test_encodings import assert_identities, assert_worked
+
+
+class TestSwap:
+    def test_worked_swap(self):
+        assert_worked("carbon", "swap")
+
+    def test_zero_trade(self):
+        assert_worked("carbon", "zero_trade")
+
+    def test_full_traversal(self):
+        assert_worked("carbon", "geometry", "full_traversal")
+
+    def test_overshoot_rejected(self):
+        assert_worked("carbon", "overshoots_from_y_int")
+
+    def test_exact_out_inverts_exact_in(self):
+        assert_worked("carbon", "exact_out_round_trip")
+
+    def test_quadrature_agreement(self):
+        assert_worked("carbon", "integral")
+
+
+class TestMarginalPrice:
+    def test_y_intercept(self):
+        assert_worked("carbon", "marginal_price_y_int")
+
+    def test_x_intercept(self):
+        assert_worked("carbon", "marginal_price_x_int")
+
+    def test_center(self):
+        assert_worked("carbon", "marginal_price_center")
 
 
 class TestPriceIdentities:
+    def test_worked_curve(self):
+        assert_worked("carbon", "geometry")
+
     def test_gap_above_center(self, carbon_curve):
         p_high, p0 = carbon_curve.geom.p_high, carbon_curve.geom.p0
         assert_rel(carbon_curve.price_gap_above_center(), p_high - p0)
         assert_rel(carbon_curve.price_gap_above_center(), 3.0)
 
 
+class TestVirtualBounds:
+    def test_worked_curve(self):
+        assert_worked("carbon", "virtual_bounds")
+
+    def test_extreme_quotient_is_concentration(self):
+        assert_worked("carbon", "virtual_bounds", "concentration")
+
+    def test_geometric_means_locate_virtual_center(self):
+        assert_worked("carbon", "virtual_bound_means")
+
+
+class TestCenterAndReference:
+    def test_worked_curve(self):
+        assert_worked("carbon", "center", "reference_scale", "amplification")
+
+    def test_center_price_ratio(self):
+        assert_identities("carbon", "center quotient = p0")
+
+    def test_reference_bound_points(self):
+        assert_worked("carbon", "reference_bound_points")
+
+
 class TestLegacyConstantProduct:
     def test_square_of_balance_over_spread(self, carbon_curve):
         a, z = carbon_curve.params.a, carbon_curve.params.z
+        assert_worked("carbon", "scale")
         assert_rel(z * z / (a * a), carbon_curve.scale, rel=1e-12)
 
     def test_intercept_quotients(self, rng):
@@ -30,6 +88,16 @@ class TestLegacyConstantProduct:
             p0 = params.b * (params.a + params.b)
             assert_rel(g.y_int / g.x_int, p0, rel=1e-12)
             assert_rel(g.y_asym / g.x_asym, p0, rel=1e-12)
+
+
+class TestThreeWayEquivalence:
+    def test_swap_outputs_agree_across_forms(self):
+        for encoding in ("uniswap_v3", "carbon"):
+            assert_identities(encoding, "quotes the source's swap")
+
+
+def test_random_swaps_match_price_integral():
+    assert_identities("carbon", "quotes the price integral")
 
 
 def test_native_y_slope_matches_the_core_and_an_exact_value():

@@ -8,10 +8,9 @@ worked curve, (x + 100)(y + 100) = 40000, read off each of its six encodings:
 the three worked specs, and the natural form at each of its three anchors.
 ``identities`` and ``cancelling_identities`` state the paper's identities
 once; they are checked on the same six encodings of 300 random Bancor
-curves.  Criterion 1 of ``tests/test_acceptance.py`` reads the same table.
-The per-form modules keep only what one encoding has alone; that deleting
-their copies of these rows lost no check is shown by ``scripts/mutants.py``,
-whose encoding mutants this module kills.
+curves.  Criterion 1 of ``tests/test_acceptance.py`` reads the same table, and
+the per-form modules check their encoding's rows and identities by name
+through ``assert_worked`` and ``assert_identities``.
 """
 
 import math
@@ -178,6 +177,24 @@ def assert_worked(encoding, *rows):
         assert disagreement(got, want) <= WORKED_TOL, (encoding, row, got, want)
 
 
+def assert_identities(encoding, *names):
+    """The named identities, or all of them, hold on the encoding of each of
+    the random curves."""
+    failed, seen = {}, set()
+    for by_id, source, x, dx in random_curves():
+        curve = curve_for(by_id[encoding])
+        for tol, checks in ((IDENTITY_TOL, identities(curve)),
+                            (CANCELLATION_TOL, cancelling_identities(curve, source, x, dx))):
+            for name, got, want in checks:
+                if names and name not in names:
+                    continue
+                seen.add(name)
+                if not disagreement(got, want) <= tol:
+                    failed.setdefault(name, (got, want))
+    assert seen >= set(names), set(names) - seen
+    assert failed == {}
+
+
 @pytest.mark.parametrize("row", WORKED_TABLE)
 @pytest.mark.parametrize("encoding", WORKED)
 def test_worked_row(encoding, row):
@@ -186,16 +203,7 @@ def test_worked_row(encoding, row):
 
 @pytest.mark.parametrize("encoding", WORKED)
 def test_identities_hold_on_random_curves(encoding):
-    """Every identity holds on the encoding of each of the random curves."""
-    failed = {}
-    for by_id, source, x, dx in random_curves():
-        curve = curve_for(by_id[encoding])
-        for tol, checks in ((IDENTITY_TOL, identities(curve)),
-                            (CANCELLATION_TOL, cancelling_identities(curve, source, x, dx))):
-            for name, got, want in checks:
-                if not disagreement(got, want) <= tol:
-                    failed.setdefault(name, (got, want))
-    assert failed == {}
+    assert_identities(encoding)
 
 
 # The core's closed forms, one set for every encoding.

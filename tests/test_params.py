@@ -38,6 +38,7 @@ from .conftest import (
     WORKED_UNISWAP,
     assert_rel,
 )
+from .test_encodings import WORKED, assert_identities, assert_worked
 
 WORKED_REFERENCE = load_spec(DATA_DIR / "reference.json")
 WORKED_FORMS = [WORKED_REFERENCE, WORKED_BANCOR, WORKED_UNISWAP, WORKED_CARBON, WORKED_NATURAL]
@@ -331,6 +332,19 @@ class TestJsonSchema:
 
 
 class TestGeometry:
+    def test_worked_geometry(self):
+        assert_worked("bancor_v2", "geometry")
+
+    def test_geometry_is_parameterization_invariant(self):
+        for encoding in list(WORKED)[1:]:  # all but bancor_v2, the source
+            assert_identities(encoding, "has the source's geometry")
+
+    def test_center_price_is_geometric_mean(self):
+        assert_identities("bancor_v2", "p0^2 = p_high*p_low")
+
+    def test_concentration_from_axis_offsets(self):
+        assert_identities("bancor_v2", "(int - asym)/-asym = c")
+
     def test_reference_geometry_is_unbounded(self):
         g = geometry(ReferenceParams(100.0, 400.0))
         assert math.isinf(g.x_int) and math.isinf(g.y_int)
