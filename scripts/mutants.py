@@ -32,6 +32,9 @@ ROOT = Path(__file__).resolve().parent.parent
 VALUES = "tests/test_value_types.py"
 ENCODINGS = "tests/test_encodings.py"
 KERNEL = "tests/test_sweep_kernel.py::test_kernel_rows_are_the_public_rows"
+HYPERTRIG = "tests/test_hypertrig.py"
+ACCESSORS = "tests/test_derived_accessors.py"
+BATTERY_ENDS = "tests/test_quadrature.py::TestBattery::test_every_balance_it_accepts_builds_a_curve"
 
 # (id, file, exact text, its replacement, the test node ids that must kill it)
 MUTANTS = [
@@ -69,6 +72,51 @@ MUTANTS = [
      "if not (_MIN_SHIFT <= shift_x <= _MAX and _MIN_SHIFT <= shift_y <= _MAX",
      "if not (0.0 < shift_x <= _MAX and 0.0 < shift_y <= _MAX",
      [f"{VALUES}::test_curve_build_accepts_derived_constants_as_the_checks_do"]),
+    # The tops and bottoms of domains: the largest float price, and the ends
+    # of the battery's balance range.  The two price guards have the same
+    # text, so each row's text runs on to its function's return line.
+    ("u_hat_rejects_the_largest_float", "src/clamm/hypertrig.py",
+     '    if not 0.0 < price <= _MAX:\n        raise DomainError("price", "must be positive and finite")\n'
+     "    return (price - 1.0)",
+     '    if not 0.0 < price < _MAX:\n        raise DomainError("price", "must be positive and finite")\n'
+     "    return (price - 1.0)",
+     [f"{HYPERTRIG}::TestPriceForms::test_the_largest_float_price_is_accepted[u_hat]"]),
+    ("t_hat_rejects_the_largest_float", "src/clamm/hypertrig.py",
+     '    if not 0.0 < price <= _MAX:\n        raise DomainError("price", "must be positive and finite")\n'
+     "    return (price + 1.0)",
+     '    if not 0.0 < price < _MAX:\n        raise DomainError("price", "must be positive and finite")\n'
+     "    return (price + 1.0)",
+     [f"{HYPERTRIG}::TestPriceForms::test_the_largest_float_price_is_accepted[t_hat]"]),
+    ("battery_rejects_x0_1e150", "src/clamm/quadrature.py",
+     "1e150 >= x0 >= 1e-150 <= y0 <= 1e150", "1e150 > x0 >= 1e-150 <= y0 <= 1e150",
+     [f"{BATTERY_ENDS}[1e150]"]),
+    ("battery_rejects_x0_1e-150", "src/clamm/quadrature.py",
+     "1e150 >= x0 >= 1e-150 <= y0 <= 1e150", "1e150 >= x0 > 1e-150 <= y0 <= 1e150",
+     [f"{BATTERY_ENDS}[1e-150]"]),
+    ("battery_rejects_y0_1e-150", "src/clamm/quadrature.py",
+     "1e150 >= x0 >= 1e-150 <= y0 <= 1e150", "1e150 >= x0 >= 1e-150 < y0 <= 1e150",
+     [f"{BATTERY_ENDS}[1e-150]"]),
+    ("battery_rejects_y0_1e150", "src/clamm/quadrature.py",
+     "1e150 >= x0 >= 1e-150 <= y0 <= 1e150", "1e150 >= x0 >= 1e-150 <= y0 < 1e150",
+     [f"{BATTERY_ENDS}[1e150]"]),
+    # The reference bound points, x0/sqrt(c) and the rest: the root of x0*y0
+    # over a price bound overflows or loses digits at the top of the float
+    # range.  And their finiteness check.
+    ("reference_bounds_from_the_reference_scale", "src/clamm/params.py",
+     "        x0, y0 = self.center()\n        root = math.sqrt(self.geom.c)\n"
+     "        points = x0 / root, x0 * root, y0 / root, y0 * root\n",
+     "        root = math.sqrt(self.reference_scale())\n"
+     "        low, high = math.sqrt(self.geom.p_low), math.sqrt(self.geom.p_high)\n"
+     "        points = root / high, root / low, root * low, root * high\n",
+     [f"{ACCESSORS}::test_reference_bound_points_at_the_top_of_the_float_range"]),
+    ("reference_bounds_admit_inf", "src/clamm/params.py",
+     "            if not value <= _MAX:\n", "            if not value <= math.inf:\n",
+     [f"{ACCESSORS}::test_a_reference_bound_point_past_the_float_range_is_named"]),
+    # A construction shortcut imported into a module that does not define its type
+    ("rosetta_imports_a_construction_shortcut", "src/clamm/rosetta.py",
+     "    _finite,\n", "    _finite,\n    _new_PoolState,\n",
+     ["tests/test_dependencies.py::"
+      "test_values_are_built_past_their_constructor_only_where_their_type_is_defined"]),
     # The snap of a final-ulp negative balance
     ("snap_slack_halved", "src/clamm/params.py",
      "abs(value) <= abs(reference) * BOUNDS_SLACK", "abs(value) <= abs(reference) * BOUNDS_SLACK / 2",

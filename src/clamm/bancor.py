@@ -12,12 +12,10 @@ from .params import (
     _MAX,
     MIN_NORMAL,
     BancorV2Params,
-    CurveGeometry,
     ShiftedProductCurve,
     _check_exceeds_one,
     _check_finite_positive,
     _check_scale,
-    _new_CurveGeometry,
 )
 
 
@@ -43,15 +41,6 @@ class BancorCurve(ShiftedProductCurve, params_type=BancorV2Params):
         # c = A^2/(A-1)^2 = p_high/p0 = p0/p_low
         c = amp * amp / ((amp - 1.0) * (amp - 1.0))
         p0 = y0 / x0
-        # (x_int, y_int, x_asym, y_asym, p_high, p_low, p0, c)
-        return scale, _new_CurveGeometry(
-            CurveGeometry,
-            x0 * (2.0 * amp - 1.0) / (amp - 1.0),
-            y0 * (2.0 * amp - 1.0) / (amp - 1.0),
-            -x0 * (amp - 1.0),
-            -y0 * (amp - 1.0),
-            c * p0,
-            p0 / c,
-            p0,
-            c,
-        )
+        # (scale, x_int, y_int, x_asym, y_asym, p_high, p_low, p0, c)
+        return (scale, x0 * (2.0 * amp - 1.0) / (amp - 1.0), y0 * (2.0 * amp - 1.0) / (amp - 1.0),
+                -x0 * (amp - 1.0), -y0 * (amp - 1.0), c * p0, p0 / c, p0, c)

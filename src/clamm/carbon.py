@@ -13,11 +13,9 @@ from .params import (
     _MAX,
     MIN_NORMAL,
     CarbonParams,
-    CurveGeometry,
     ShiftedProductCurve,
     _check_finite_positive,
     _check_scale,
-    _new_CurveGeometry,
 )
 
 
@@ -45,9 +43,8 @@ class CarbonCurve(ShiftedProductCurve, params_type=CarbonParams):
             _check_scale(scale, "z", "(z/a)^2")
             _check_scale(gap, "a", "a*(a+b)")
             _check_scale(p0, "b", "b*(a+b)")
-        # (x_int, y_int, x_asym, y_asym, p_high, p_low, p0, c)
-        return scale, _new_CurveGeometry(CurveGeometry, z / p0, z, -z / gap, -b * z / a,
-                                         ab * ab, b * b, p0, ab / b)
+        # (scale, x_int, y_int, x_asym, y_asym, p_high, p_low, p0, c)
+        return scale, z / p0, z, -z / gap, -b * z / a, ab * ab, b * b, p0, ab / b
 
     def price_gap_above_center(self) -> float:
         """a*(a+b) = p_high - p0."""

@@ -18,7 +18,6 @@ from .params import (
     _check_finite,
     _check_scale,
     _curve,
-    _new_CurveGeometry,
     _require,
     curve_class,
 )
@@ -58,25 +57,13 @@ class NaturalCurve(ShiftedProductCurve, params_type=NaturalParams):
         # x_asym*y_asym first, so that the pool with its tokens swapped has the same bits
         scale = _check_scale(x_asym * y_asym * c, "c", "c*x_asym*y_asym")
         p0 = y_asym / x_asym
-        # (x_int, y_int, x_asym, y_asym, p_high, p_low, p0, c)
-        return scale, _new_CurveGeometry(
-            CurveGeometry,
-            -x_asym * (c - 1.0),
-            -y_asym * (c - 1.0),
-            x_asym,
-            y_asym,
-            p0 * c,
-            p0 / c,
-            p0,
-            c,
-        )
+        # (scale, x_int, y_int, x_asym, y_asym, p_high, p_low, p0, c)
+        return scale, -x_asym * (c - 1.0), -y_asym * (c - 1.0), x_asym, y_asym, p0 * c, p0 / c, p0, c
 
 
 def curve_for(params: CurveParams) -> ShiftedProductCurve:
     """Validated curve object for any parameter form."""
-    cls = ShiftedProductCurve._classes.get(type(params))
-    # curve_class raises the unknown-type error
-    return _curve(curve_class(params) if cls is None else cls, params)
+    return _curve(curve_class(params), params)
 
 
 def geometry(params: CurveParams) -> CurveGeometry:

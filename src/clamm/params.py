@@ -363,13 +363,6 @@ FORM_REGISTRY = {
     for cls in (ReferenceParams, BancorV2Params, UniswapV3Params, CarbonParams, NaturalParams)
 }
 
-# The parameter sets' __new__, which the timed paths call without
-# ``type.__call__``, where no natural set is made.
-_new_ReferenceParams = ReferenceParams.__new__
-_new_BancorV2Params = BancorV2Params.__new__
-_new_UniswapV3Params = UniswapV3Params.__new__
-_new_CarbonParams = CarbonParams.__new__
-
 
 # ---------------------------------------------------------------------------
 # State, trade, geometry containers
@@ -431,9 +424,9 @@ class CurveGeometry:
     shift constants (zero for an unshifted curve), p_high/p_low the marginal
     prices at full depletion of x and y, p0 their geometric mean, c the
     concentration constant sqrt(p_high/p_low) and phi = ln(c), which
-    ``__new__`` derives: it takes every field but phi.  Each form hook builds
-    its curve's geometry through ``_new_CurveGeometry``, this ``__new__``
-    without ``type.__call__``.
+    ``__new__`` derives: it takes every field but phi.  ``_curve`` builds each
+    curve's geometry from its form hook's constants through
+    ``_new_CurveGeometry``, this ``__new__`` without ``type.__call__``.
     """
 
     x_int: float
@@ -587,8 +580,9 @@ class ShiftedProductCurve:
     A form subclass names its parameter type, ``class C(ShiftedProductCurve,
     params_type=P)``, sets ``__slots__ = ()``, and supplies one hook,
     ``_constants``, that checks a parameter set of that type and maps it to
-    ``(scale, geom)``; the shifts are the negated asymptotes, and everything
-    else, every quote, price, slope and sample included, is derived here
+    nine plain floats, its scale and its geometry's constants; the shifts are
+    the negated asymptotes, and everything else, the geometry itself and
+    every quote, price, slope and sample included, is derived here
     (the unshifted curve keeps its own swap formulas).  A form's native
     closed forms, where the paper states them, are test-side cross-checks,
     not overrides.  A form's domain is its field rules and the core's derived
@@ -623,21 +617,21 @@ class ShiftedProductCurve:
         return _curve(cls, params)
 
     @staticmethod
-    def _constants(params: CurveParams) -> tuple[float, CurveGeometry]:
-        """(scale, geom) of a parameter set, or DomainError.
+    def _constants(params: CurveParams) -> tuple[float, ...]:
+        """``(scale, x_int, y_int, x_asym, y_asym, p_high, p_low, p0, c)`` of a
+        parameter set, as nine plain floats, or DomainError.
 
         The hook holds the form's field rules.  It accepts float fields on one
         chained comparison, and the scale and divisors it computes from them
         on one more; the field checks (``_check_finite_positive``,
         ``_check_exceeds_one``) and ``_check_scale`` run only when a comparison
-        fails, in their fixed order, to name the failure.  It builds the
-        geometry with ``_new_CurveGeometry``, passing its arguments by
-        position.  It gives neither the shifts, which the core reads off the
-        asymptotes, nor phi, which ``CurveGeometry`` derives from c.  The core
-        then checks the other constants the hook derived, the same way for
-        every form; a form adds no rule past them.  Curve construction,
-        ``_curve``, which ``validate`` runs, is the one place all of these
-        happen, so every curve is checked once, when it is built.
+        fails, in their fixed order, to name the failure.  It builds no value
+        and gives neither the shifts, which the core reads off the asymptotes,
+        nor phi, which ``CurveGeometry`` derives from c.  The core builds the
+        geometry from the eight constants after the scale, then checks them,
+        the same way for every form; a form adds no rule past them.  Curve
+        construction, ``_curve``, which ``validate`` runs, is the one place all
+        of these happen, so every curve is checked once, when it is built.
         """
         raise NotImplementedError
 
@@ -855,10 +849,20 @@ class ShiftedProductCurve:
         return VirtualBounds(self.shift_x, max_xv, self.shift_y, max_yv)
 
     def reference_bound_points(self) -> tuple[float, float, float, float]:
-        """(min_x, max_x, min_y, max_y): where the unamplified curve quotes the bounds."""
-        vb = self.virtual_bounds()
-        amp = self.amplification()
-        return vb.min_xv / amp, vb.max_xv / amp, vb.min_yv / amp, vb.max_yv / amp
+        """(min_x, max_x, min_y, max_y): where the unamplified curve quotes the bounds.
+
+        Each is read off that curve, x*y = x0*y0, at a price bound p0*c or
+        p0/c: sqrt(x0*y0/(p0*c)) is x0/sqrt(c), and so on.  So each is finite
+        wherever the virtual bounds, A times as large, are not, and none
+        reads x0*y0, which can overflow, or p_low, which can be subnormal.
+        """
+        x0, y0 = self.center()
+        root = math.sqrt(self.geom.c)
+        points = x0 / root, x0 * root, y0 / root, y0 * root
+        for name, value in zip(("min_x", "max_x", "min_y", "max_y"), points):
+            if not value <= _MAX:
+                raise DomainError("spec", f"reference {name} overflows the float range")
+        return points
 
     # -- bounds -------------------------------------------------------------
 
@@ -899,19 +903,21 @@ def _check_derived(shift_x: float, shift_y: float, geom: CurveGeometry, bounded:
 
 def _curve(cls: type[ShiftedProductCurve], params: CurveParams) -> ShiftedProductCurve:
     """The body of ``cls(params)`` past its form check, which ``curve_for`` and
-    ``validate`` call directly: every check of curve construction, then plain
-    slot stores into the twin that every form shares."""
-    scale, geom = cls._constants(params)
+    ``validate`` call directly: the form hook's constants, the geometry built
+    from them, every check of curve construction, then plain slot stores into
+    the twin that every form shares."""
+    scale, x_int, y_int, x_asym, y_asym, p_high, p_low, p0, c = cls._constants(params)
+    geom = _new_CurveGeometry(CurveGeometry, x_int, y_int, x_asym, y_asym, p_high, p_low, p0, c)
     # 0.0 - asym keeps the unshifted curve's shifts +0.0, where -asym gives -0.0
-    shift_x = 0.0 - geom.x_asym
-    shift_y = 0.0 - geom.y_asym
+    shift_x = 0.0 - x_asym
+    shift_y = 0.0 - y_asym
     if cls.bounded:
         if not (_MIN_SHIFT <= shift_x <= _MAX and _MIN_SHIFT <= shift_y <= _MAX
-                and 0.0 < geom.x_int <= _MAX and 0.0 < geom.y_int <= _MAX
-                and 0.0 < geom.p_high <= _MAX and 0.0 < geom.p_low <= _MAX
-                and 0.0 < geom.p0 <= _MAX and 1.0 < geom.c <= _MAX):
+                and 0.0 < x_int <= _MAX and 0.0 < y_int <= _MAX
+                and 0.0 < p_high <= _MAX and 0.0 < p_low <= _MAX
+                and 0.0 < p0 <= _MAX and 1.0 < c <= _MAX):
             _check_derived(shift_x, shift_y, geom, True)
-    elif not 0.0 < geom.p0 <= _MAX:
+    elif not 0.0 < p0 <= _MAX:
         _check_derived(shift_x, shift_y, geom, False)
     curve = cls._twin()
     curve.params = params

@@ -28,8 +28,6 @@ from .params import (
     _SLACK_BOUND,
     _SMALLEST,
     _finite,
-    _new_BancorV2Params,
-    _new_ReferenceParams,
     _value_type,
 )
 from .rosetta import translate
@@ -297,7 +295,7 @@ def random_bancor_params(rng: random.Random,
     # A^2*x0*y0 below 1e304.  An overflow's inf and a NaN bound's NaN fail.
     if not 1e150 >= x0 >= 1e-150 <= y0 <= 1e150:
         raise DomainError("scale_exp_range", "a balance of 10**exponent must lie in [1e-150, 1e150]")
-    return _new_BancorV2Params(BancorV2Params, x0, y0, 1.01 + (100.0 - 1.01) * rng.random())
+    return BancorV2Params(x0, y0, 1.01 + (100.0 - 1.01) * rng.random())
 
 
 def random_admissible_swap(rng: random.Random, curve: ShiftedProductCurve) -> tuple[PoolState, float]:
@@ -332,7 +330,7 @@ def battery_cases(seed: int, cases: int) -> Iterator[tuple[ShiftedProductCurve, 
         slot = i % len(_BATTERY_FORMS)
         if slot == 0:
             bancor = random_bancor_params(rng)
-            curve = curve_for(_new_ReferenceParams(ReferenceParams, bancor.x0, bancor.y0))
+            curve = curve_for(ReferenceParams(bancor.x0, bancor.y0))
         elif slot == 1:
             source = curve = curve_for(bancor)
         else:

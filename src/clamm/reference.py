@@ -7,14 +7,12 @@ import math
 from .params import (
     _MAX,
     MIN_NORMAL,
-    CurveGeometry,
     PoolState,
     ReferenceParams,
     ShiftedProductCurve,
     SwapDelta,
     _check_finite_positive,
     _check_scale,
-    _new_CurveGeometry,
     rel_close,
 )
 
@@ -37,9 +35,8 @@ class ReferenceCurve(ShiftedProductCurve, params_type=ReferenceParams):
         if not MIN_NORMAL <= scale <= _MAX:
             _check_scale(scale, "x0", "x0*y0")
         # No finite intercepts: the axes are the asymptotes.
-        # (x_int, y_int, x_asym, y_asym, p_high, p_low, p0, c)
-        return scale, _new_CurveGeometry(CurveGeometry, math.inf, math.inf, 0.0, 0.0,
-                                         math.inf, 0.0, y0 / x0, math.inf)
+        # (scale, x_int, y_int, x_asym, y_asym, p_high, p_low, p0, c)
+        return scale, math.inf, math.inf, 0.0, 0.0, math.inf, 0.0, y0 / x0, math.inf
 
     def _dy(self, state: PoolState, dx: float, x_new: float) -> float:
         """dy = -dx*y/(x + dx); any dx > -x is admissible."""

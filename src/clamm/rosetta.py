@@ -27,9 +27,6 @@ from .params import (
     _MAX,
     _SMALLEST,
     _finite,
-    _new_BancorV2Params,
-    _new_CarbonParams,
-    _new_UniswapV3Params,
     _require,
     _value_type,
     rel_close,
@@ -83,15 +80,15 @@ def translate(source: CurveParams | ShiftedProductCurve, target_form: str) -> Cu
     geom = curve.geom
     if target_form == "bancor_v2":
         x0, y0 = curve.center()
-        return _new_BancorV2Params(BancorV2Params, x0, y0, curve.amplification())
+        return BancorV2Params(x0, y0, curve.amplification())
     if target_form == "uniswap_v3":
-        return _new_UniswapV3Params(UniswapV3Params, curve.liquidity(), geom.p_high, geom.p_low)
+        return UniswapV3Params(curve.liquidity(), geom.p_high, geom.p_low)
     if target_form == "carbon":
         # a = sqrt(p_high) - sqrt(p_low) = b*(c - 1), where c = sqrt(p_high/p_low)
         # and the geometry holds c - 1 as x_int/(-x_asym): on a narrow range the
         # difference of the roots cancels, and the quotient keeps every digit
         b = math.sqrt(geom.p_low)
-        return _new_CarbonParams(CarbonParams, b * (geom.x_int / -geom.x_asym), b, geom.y_int)
+        return CarbonParams(b * (geom.x_int / -geom.x_asym), b, geom.y_int)
     # natural: keep c plus the singularity-free asymptote anchor
     return NaturalParams(geom.c, "asymptotes", geom.x_asym, geom.y_asym)
 

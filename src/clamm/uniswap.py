@@ -12,12 +12,10 @@ from .errors import DomainError
 from .params import (
     _MAX,
     MIN_NORMAL,
-    CurveGeometry,
     ShiftedProductCurve,
     UniswapV3Params,
     _check_finite_positive,
     _check_scale,
-    _new_CurveGeometry,
 )
 
 
@@ -46,15 +44,6 @@ class UniswapCurve(ShiftedProductCurve, params_type=UniswapV3Params):
         # sqrt_high - sqrt_low without cancellation: p_high - p_low is exact
         # (Sterbenz) when the range is narrow, where the roots' difference is not
         root_gap = (p_high - p_low) / (sqrt_high + sqrt_low)
-        # (x_int, y_int, x_asym, y_asym, p_high, p_low, p0, c)
-        return scale, _new_CurveGeometry(
-            CurveGeometry,
-            liq * root_gap / (sqrt_high * sqrt_low),
-            liq * root_gap,
-            -liq / sqrt_high,
-            -liq * sqrt_low,
-            p_high,
-            p_low,
-            sqrt_high * sqrt_low,
-            sqrt_high / sqrt_low,
-        )
+        # (scale, x_int, y_int, x_asym, y_asym, p_high, p_low, p0, c)
+        return (scale, liq * root_gap / (sqrt_high * sqrt_low), liq * root_gap, -liq / sqrt_high,
+                -liq * sqrt_low, p_high, p_low, sqrt_high * sqrt_low, sqrt_high / sqrt_low)

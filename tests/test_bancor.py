@@ -44,12 +44,13 @@ class TestVirtualBounds:
 
     def test_a_bound_past_the_float_range_is_a_domain_error(self):
         # max_xv = scale/shift_y is about 1.98e308, past the float range; the
-        # reference bound points are read from it
+        # reference bound points are read off the unamplified curve, whose
+        # max_x = max_xv/A = 3*x0 is still finite, here rounded from the exact
         curve = curve_for(BancorV2Params(4.4e307, 1.0, 1.5))
-        for bounds in (curve.virtual_bounds, curve.reference_bound_points):
-            with pytest.raises(DomainError) as err:
-                bounds()
-            assert (err.value.field, err.value.reason) == ("spec", "virtual max_xv overflows the float range")
+        with pytest.raises(DomainError) as err:
+            curve.virtual_bounds()
+        assert (err.value.field, err.value.reason) == ("spec", "virtual max_xv overflows the float range")
+        assert curve.reference_bound_points()[1] == 1.32e308
 
 
 class TestPriceBounds:

@@ -77,3 +77,31 @@ def test_tests_and_scripts_import_only_the_standard_library_pytest_and_hypothesi
                for path in files for line, name in imported_modules(path)
                if name not in sys.stdlib_module_names and name not in ALLOWED]
     assert foreign == [], f"imports outside the standard library, pytest and hypothesis: {foreign}"
+
+
+def bypasses(path):
+    """(line, name) of every import of a ``_new_*`` alias or a twin into the
+    module, and of every ``_new_*``, twin or ``_twin`` read off a name that is
+    neither ``cls`` nor a class the module defines."""
+    tree = ast.parse(path.read_text(), str(path))
+    own = {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)} | {"cls"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute) and not (isinstance(node.value, ast.Name) and node.value.id in own):
+            names = [node.attr]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_new_") or name.endswith("Twin") or name == "_twin":
+                yield node.lineno, name
+
+
+def test_values_are_built_past_their_constructor_only_where_their_type_is_defined():
+    # A ``_new_*`` alias (a type's __new__ without type.__call__) and a twin
+    # filled inline are the timed paths' construction shortcuts; every other
+    # module calls the type's public constructor.
+    files = sorted((SRC / "clamm").glob("*.py"))
+    assert len(files) > 10
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}" for path in files for line, name in bypasses(path)]
+    assert found == [], f"construction shortcuts imported from another module: {found}"

@@ -10,6 +10,7 @@ expression with the binary64 side beyond the form's own shift and scale.
 import pytest
 
 from clamm import (
+    BancorCurve,
     BancorV2Params,
     CarbonParams,
     DomainError,
@@ -112,3 +113,29 @@ def test_reference_curve_has_no_derived_accessors(name):
     curve = curve_for(ReferenceParams(100.0, 400.0))
     with pytest.raises(DomainError, match="^spec: an unshifted curve has no price bounds$"):
         getattr(curve, name)()
+
+
+# Curves at the top of the float range: on the first, x0*y0 of the rounded
+# center rounds past it (reference_scale() gives inf); on the second, p_low is
+# subnormal.  sqrt(reference_scale()/p_low) would overflow on the first and be
+# about 400 ulps high, past the float range, on the second.
+EDGE_OF_RANGE = {
+    "x0*y0_overflows": NaturalParams(5.482040547146984e+102, "asymptotes", -3.074658292218109e+170,
+                                     -1.0665383098081802e+35),
+    "p_low_subnormal": NaturalParams(1.8371244558176884e+115, "asymptotes", -9.78536391026388e+192,
+                                     -0.0001752577562767371),
+}
+
+
+@pytest.mark.parametrize("params", EDGE_OF_RANGE.values(), ids=EDGE_OF_RANGE.keys())
+def test_reference_bound_points_at_the_top_of_the_float_range(params):
+    assert max_rel_error(params, "reference_bound_points") <= BOUND
+
+
+def test_a_reference_bound_point_past_the_float_range_is_named(monkeypatch):
+    # no built curve was seen to reach this: each point lies below its
+    # intercept, so a center is moved past the range instead
+    monkeypatch.setattr(BancorCurve, "center", lambda self: (1e308, 1.0))
+    with pytest.raises(DomainError) as err:
+        curve_for(BancorV2Params(100.0, 100.0, 1.5)).reference_bound_points()
+    assert (err.value.field, err.value.reason) == ("spec", "reference max_x overflows the float range")

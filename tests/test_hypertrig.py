@@ -251,6 +251,12 @@ class TestPriceForms:
             form(10**400)
         assert (err.value.field, err.value.reason) == ("price", "must be positive and finite")
 
+    @pytest.mark.parametrize("form", [t_hat_from_price, u_hat_from_price], ids=["t_hat", "u_hat"])
+    def test_the_largest_float_price_is_accepted(self, form):
+        # the top of the domain: (price -+ 1)/(2*sqrt(price)) both round to
+        # sqrt(price)/2 there
+        assert form(sys.float_info.max) == 6.703903964971299e+153
+
 
 class TestArsinh:
     def test_matches_library(self):

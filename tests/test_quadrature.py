@@ -674,7 +674,9 @@ class TestBattery:
             random_bancor_params(random.Random(0), scale_exp_range)
         assert err.value.field == "scale_exp_range"
 
-    @pytest.mark.parametrize("scale_exp_range", [(-149.99, -149.9), (149.9, 149.99)], ids=["lo", "hi"])
+    # 10.0**-150 and 10.0**150, the guard's own bounds, are balances it accepts
+    @pytest.mark.parametrize("scale_exp_range", [(-149.99, -149.9), (149.9, 149.99), (-150.0, -150.0),
+                                                 (150.0, 150.0)], ids=["lo", "hi", "1e-150", "1e150"])
     def test_every_balance_it_accepts_builds_a_curve(self, scale_exp_range):
         rng = random.Random(0)
         for _ in range(200):

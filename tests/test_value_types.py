@@ -535,7 +535,9 @@ def test_curve_build_accepts_derived_constants_as_the_checks_do(monkeypatch):
         math.nextafter(1.0, 2.0), -100.0]
 
     def built(cls, changed):
-        constants = (NATURAL_BASE.scale, moved(changed)[1])
+        # the hook's nine floats; _curve builds the geometry from the last eight
+        values = {name: getattr(NATURAL_BASE.geom, name) for name in GEOMETRY_NAMES} | changed
+        constants = (NATURAL_BASE.scale, *values.values())
         monkeypatch.setattr(cls, "_constants", staticmethod(lambda params: constants))
         curve = _curve(cls, NATURAL_BASE.params)
         return curve.shift_x, curve.shift_y
